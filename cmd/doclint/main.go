@@ -46,8 +46,10 @@ var contractRequired = map[string]bool{
 	"internal/cluster":     true,
 	"internal/daemon":      true,
 	"internal/dram":        true,
+	"internal/envelope":    true,
 	"internal/eventq":      true,
 	"internal/faults":      true,
+	"internal/flight":      true,
 	"internal/icnt":        true,
 	"internal/mem":         true,
 	"internal/probe":       true,

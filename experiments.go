@@ -14,6 +14,7 @@ import (
 	"gpusecmem/internal/area"
 	"gpusecmem/internal/cache"
 	"gpusecmem/internal/faults"
+	"gpusecmem/internal/flight"
 	"gpusecmem/internal/geometry"
 	"gpusecmem/internal/probe"
 	"gpusecmem/internal/report"
@@ -109,20 +110,14 @@ func (e *RunError) ConfigJSON() string {
 	return string(b)
 }
 
-// flight is one memoized simulation, possibly still in progress.
-// Concurrent requests for the same key block on done instead of
-// duplicating the run (singleflight semantics).
-type flight struct {
+// run is one memoized simulation; its result fields are written, under
+// the Context's lock, only before done is set.
+type run struct {
 	seq  int // start order, for stable stats reporting
-	done chan struct{}
+	done bool
 	res  *Result
 	err  error
 	wall time.Duration
-	// cancelled marks a flight whose owning request's context was
-	// cancelled mid-run. The flight is removed from the memo map before
-	// done closes, so waiters retry instead of inheriting the
-	// cancellation — a cancelled run never poisons the cache.
-	cancelled bool
 }
 
 // CacheStats counts memo-cache behaviour across a Context's lifetime.
@@ -185,8 +180,10 @@ type Context struct {
 	// disk is the optional persistent cache layered under the memo.
 	disk ResultCache
 
+	// flights coalesces concurrent requests for an in-flight run.
+	flights  flight.Group[*run]
 	mu       sync.Mutex
-	cache    map[string]*flight
+	runs     map[string]*run
 	hits     uint64
 	misses   uint64
 	diskHits uint64
@@ -204,7 +201,7 @@ func NewContext(opts Options) *Context {
 		opts:     opts.withDefaults(),
 		simulate: SimulateContext,
 		base:     context.Background(),
-		cache:    make(map[string]*flight),
+		runs:     make(map[string]*run),
 	}
 }
 
@@ -278,77 +275,79 @@ func (c *Context) RunE(ctx context.Context, cfg Config, benchmark string) (*Resu
 	}
 	key := RunKey(cfg, benchmark)
 
-	for {
-		c.mu.Lock()
-		if c.planning {
-			if !c.planSeen[key] {
-				c.planSeen[key] = true
-				c.plan = append(c.plan, RunSpec{Cfg: cfg, Benchmark: benchmark, Key: key})
-			}
-			c.mu.Unlock()
-			return planPlaceholder(benchmark), nil
+	c.mu.Lock()
+	if c.planning {
+		if !c.planSeen[key] {
+			c.planSeen[key] = true
+			c.plan = append(c.plan, RunSpec{Cfg: cfg, Benchmark: benchmark, Key: key})
 		}
-		if f, ok := c.cache[key]; ok {
-			c.hits++
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if f.cancelled {
-				// The owning request was cancelled and the flight
-				// un-memoized; this requester is still live, so retry.
-				continue
-			}
-			return f.res, f.err
-		}
-		f := &flight{seq: len(c.cache), done: make(chan struct{})}
-		c.cache[key] = f
-		c.misses++
 		c.mu.Unlock()
-		return c.runFlight(ctx, f, key, cfg, benchmark)
+		return planPlaceholder(benchmark), nil
 	}
+	if r, ok := c.runs[key]; ok && r.done {
+		c.hits++
+		c.mu.Unlock()
+		return r.res, r.err
+	}
+	c.mu.Unlock()
+	r, shared, err := c.flights.Do(ctx, key, func() (*run, error) {
+		return c.lead(ctx, key, cfg, benchmark)
+	})
+	if shared {
+		c.mu.Lock()
+		c.hits++
+		c.mu.Unlock()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r.res, r.err
 }
 
-// runFlight executes one owned memo entry: persistent-cache lookup,
-// simulation, cancellation un-memoization, and write-back.
-func (c *Context) runFlight(ctx context.Context, f *flight, key string, cfg Config, benchmark string) (*Result, error) {
+// lead executes one flight: persistent-cache lookup, simulation, and
+// write-back.
+func (c *Context) lead(ctx context.Context, key string, cfg Config, benchmark string) (*run, error) {
+	c.mu.Lock()
+	if r, ok := c.runs[key]; ok && r.done {
+		// Completed between RunE's memo check and this flight.
+		c.hits++
+		c.mu.Unlock()
+		return r, nil
+	}
+	r := &run{seq: len(c.runs)}
+	c.runs[key] = r
+	c.misses++
+	c.mu.Unlock()
+
 	start := time.Now()
 	if c.disk != nil {
 		if res, ok := c.disk.Get(key); ok {
 			c.mu.Lock()
+			defer c.mu.Unlock()
 			c.diskHits++
-			c.mu.Unlock()
-			f.wall = time.Since(start)
-			f.res = res
-			close(f.done)
-			return res, nil
+			r.res, r.wall, r.done = res, time.Since(start), true
+			return r, nil
 		}
 	}
 	res, err, stack := safeSimulate(ctx, c.simulate, cfg, benchmark)
-	f.wall = time.Since(start)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// A cancelled run is the requester's fate, not the key's:
-		// remove the flight so the next request simulates afresh, and
-		// mark it so current waiters retry instead of inheriting the
-		// cancellation.
-		c.mu.Lock()
-		delete(c.cache, key)
-		c.mu.Unlock()
-		f.cancelled = true
-		f.err = err
-		close(f.done)
-		return nil, err
-	}
-	f.res = res
-	if err != nil {
-		f.err = &RunError{Benchmark: benchmark, Cfg: cfg, Err: err, Stack: stack}
-	} else if c.disk != nil && res != nil {
+	wall := time.Since(start)
+	if err == nil && c.disk != nil && res != nil {
 		c.disk.Put(key, res)
 	}
-	close(f.done)
-	return f.res, f.err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// A cancelled run is the requester's fate, not the key's: it is
+		// un-memoized, and the flight group sends live waiters to re-lead
+		// instead of inheriting the cancellation.
+		delete(c.runs, key)
+		return nil, err
+	}
+	if err != nil {
+		r.err = &RunError{Benchmark: benchmark, Cfg: cfg, Err: err, Stack: stack}
+	}
+	r.res, r.wall, r.done = res, wall, true
+	return r, nil
 }
 
 // safeSimulate converts a simulator panic into an error plus the
@@ -404,7 +403,7 @@ func (c *Context) PlanRuns(exps []Experiment) []RunSpec {
 func (c *Context) CachedRuns() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.cache)
+	return len(c.runs)
 }
 
 // CacheStats reports memo hit/miss counts so far.
@@ -415,31 +414,25 @@ func (c *Context) CacheStats() CacheStats {
 }
 
 // RunStats returns per-run observability records for every completed
-// simulation, in start order. In-flight runs are skipped (their
-// fields are not yet safe to read).
+// simulation, in start order. In-flight runs are skipped.
 func (c *Context) RunStats() []RunStat {
 	c.mu.Lock()
-	flights := make([]*flight, 0, len(c.cache))
-	keys := make(map[*flight]string, len(c.cache))
-	for k, f := range c.cache {
-		flights = append(flights, f)
-		keys[f] = k
-	}
-	c.mu.Unlock()
-
-	sort.Slice(flights, func(i, j int) bool { return flights[i].seq < flights[j].seq })
-	out := make([]RunStat, 0, len(flights))
-	for _, f := range flights {
-		select {
-		case <-f.done:
-		default:
-			continue
+	defer c.mu.Unlock()
+	var keys []string
+	for k, r := range c.runs {
+		if r.done {
+			keys = append(keys, k)
 		}
-		s := RunStat{Key: keys[f], Wall: f.wall, Err: f.err}
-		if f.res != nil {
-			s.Benchmark = f.res.Benchmark
-			s.Cycles = f.res.Cycles
-		} else if re, ok := f.err.(*RunError); ok {
+	}
+	sort.Slice(keys, func(i, j int) bool { return c.runs[keys[i]].seq < c.runs[keys[j]].seq })
+	out := make([]RunStat, 0, len(keys))
+	for _, k := range keys {
+		r := c.runs[k]
+		s := RunStat{Key: k, Wall: r.wall, Err: r.err}
+		if r.res != nil {
+			s.Benchmark = r.res.Benchmark
+			s.Cycles = r.res.Cycles
+		} else if re, ok := r.err.(*RunError); ok {
 			s.Benchmark = re.Benchmark
 		}
 		out = append(out, s)

@@ -1,231 +1,103 @@
 // Package checkpoint is the content-addressed on-disk checkpoint
 // store behind crash-safe long-horizon runs and incremental horizon
-// extension (DESIGN.md §14). Entries are keyed by the checkpoint key —
-// the canonical RunKey of the configuration with MaxCycles zeroed, so
-// runs of the same machine at different horizons share one lineage —
-// plus the snapshot cycle, and hold an opaque, gob-encoded
-// sim.MachineState produced by sim.EncodeState.
-//
-// The envelope discipline mirrors internal/resultcache: a schema tag,
-// the full key (so a digest collision can never resume the wrong
-// machine), the cycle, and a sha256 over the state bytes, written via
-// atomicfile (temp + fsync + rename) so a kill never leaves a torn
-// checkpoint. Any unreadable, truncated, schema-mismatched, foreign,
-// or sum-mismatched file reads as a miss, is removed, and bumps the
-// error counter — corrupt checkpoints self-heal as "start from
+// extension (DESIGN.md §14). It keeps one internal/envelope entry per
+// (checkpoint key, snapshot cycle) holding the opaque sim.EncodeState
+// bytes; the key is the canonical RunKey with MaxCycles zeroed, so runs
+// of one machine at different horizons share a lineage. Any invalid
+// file — torn, corrupt, foreign, or of another schema or cycle — is
+// removed and counted, so a bad checkpoint self-heals as "start from
 // cycle 0", never as wrong state.
 //
 // Concurrency and aliasing contract: a Store is safe for concurrent
-// use by any number of goroutines and processes sharing one directory
-// — it holds no mutable in-memory state beyond atomic counters, reads
-// only complete files, and writes rename complete files into place.
+// use by any number of goroutines and processes sharing one directory.
 // The state bytes Latest returns are a fresh read owned by the caller;
-// the bytes passed to Put are only read, synchronously, during the
-// call.
+// the bytes passed to Put are only read, during the call.
 package checkpoint
 
 import (
-	"crypto/sha256"
-	"encoding/gob"
-	"encoding/hex"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
-	"gpusecmem/internal/atomicfile"
+	"gpusecmem/internal/envelope"
 )
 
 // Schema versions the on-disk envelope; bump it when the envelope
 // changes (the machine-state payload carries its own sim.StateVersion
-// inside the opaque bytes).
-const Schema = "gpusecmem-checkpoint/1"
-
-// ext is the checkpoint file extension.
-const ext = ".ckpt"
-
-// entry is the on-disk envelope.
-type entry struct {
-	Schema string
-	Key    string
-	Cycle  uint64
-	// Sum is the sha256 of State, so a torn or bit-rotted payload is
-	// detected even when the gob framing happens to survive.
-	Sum   [sha256.Size]byte
-	State []byte
-}
-
-// Stats counts store behaviour since Open.
-type Stats struct {
-	// Hits counts Latest calls that returned a valid checkpoint;
-	// Misses counts those that found none.
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	Puts   uint64 `json:"puts"`
-	// Errors counts unreadable/corrupt entries (removed on sight) and
-	// failed writes; the store degrades to "start from cycle 0" rather
-	// than failing a run.
-	Errors uint64 `json:"errors"`
-}
+// inside the opaque bytes). Schema 2 moved to the internal/envelope
+// framing.
+const Schema = "gpusecmem-checkpoint/2"
 
 // Store is a persistent checkpoint store rooted at one directory.
 type Store struct {
-	dir string
-
-	hits, misses, puts, errs atomic.Uint64
+	store *envelope.Store
 }
 
 // Open creates (if needed) and returns the store rooted at dir.
 func Open(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("checkpoint: empty directory")
+	s, err := envelope.Open(dir, Schema, ".ckpt")
+	if err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return &Store{dir: dir}, nil
+	return &Store{store: s}, nil
 }
 
 // Dir returns the store root.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Dir() string { return s.store.Dir() }
 
-func digestOf(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
+// tag names a snapshot cycle's entry; it is part of the file name, so
+// Latest orders candidates without opening them.
+func tag(cycle uint64) string { return "-" + strconv.FormatUint(cycle, 10) }
 
-// path fans entries over 256 two-hex-digit subdirectories; the file
-// name carries the cycle so Latest can order candidates without
-// opening them.
-func (s *Store) path(digest string, cycle uint64) string {
-	return filepath.Join(s.dir, digest[:2], fmt.Sprintf("%s-%d%s", digest, cycle, ext))
-}
-
-// Put stores the state snapshot taken at the given cycle, atomically,
-// and prunes older checkpoints of the same key (the newest dominates:
-// any horizon a stale checkpoint could serve, the new one serves with
-// less remaining work). Best-effort: a failed write is counted and
-// swallowed — checkpointing must never fail the run it protects.
-func (s *Store) Put(key string, cycle uint64, state []byte) error {
-	if len(state) == 0 || cycle == 0 {
-		return nil
-	}
-	digest := digestOf(key)
-	path := s.path(digest, cycle)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		s.errs.Add(1)
-		return nil
-	}
-	err := atomicfile.WriteFile(path, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(entry{
-			Schema: Schema,
-			Key:    key,
-			Cycle:  cycle,
-			Sum:    sha256.Sum256(state),
-			State:  state,
-		})
-	})
-	if err != nil {
-		s.errs.Add(1)
-		return nil
-	}
-	s.puts.Add(1)
-	for _, c := range s.cycles(digest) {
-		if c < cycle {
-			os.Remove(s.path(digest, c))
-		}
-	}
-	return nil
-}
-
-// cycles lists the on-disk checkpoint cycles for a key digest, newest
-// first. Files whose names do not parse are ignored (Latest will never
-// open them; they are not this store's).
-func (s *Store) cycles(digest string) []uint64 {
-	dir := filepath.Join(s.dir, digest[:2])
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
+// cycles lists key's checkpoint cycles on disk, newest first, ignoring
+// tags that are not this store's.
+func (s *Store) cycles(key string) []uint64 {
 	var out []uint64
-	prefix := digest + "-"
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ext) {
-			continue
+	for _, t := range s.store.Tags(key) {
+		if c, err := strconv.ParseUint(strings.TrimPrefix(t, "-"), 10, 64); err == nil && c != 0 && tag(c) == t {
+			out = append(out, c)
 		}
-		c, err := strconv.ParseUint(name[len(prefix):len(name)-len(ext)], 10, 64)
-		if err != nil || c == 0 {
-			continue
-		}
-		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
 	return out
 }
 
-// Latest returns the newest valid checkpoint for key with cycle <=
-// maxCycle, or ok=false. Every candidate is validated — envelope
-// decode, schema, key, cycle, payload sha256 — and any invalid file is
-// removed (self-heal) before the next-newest is tried.
-func (s *Store) Latest(key string, maxCycle uint64) (cycle uint64, state []byte, ok bool) {
-	digest := digestOf(key)
-	for _, c := range s.cycles(digest) {
-		if c > maxCycle {
-			continue
-		}
-		path := s.path(digest, c)
-		st, valid := s.read(path, key, c)
-		if !valid {
-			os.Remove(path)
-			s.errs.Add(1)
-			continue
-		}
-		s.hits.Add(1)
-		return c, st, true
+// Put stores the state snapshot taken at the given cycle, atomically,
+// and prunes older checkpoints of the same key (the newest serves any
+// horizon a stale one could, with less remaining work). Best-effort: a
+// failed write is counted and swallowed — checkpointing must never
+// fail the run it protects.
+func (s *Store) Put(key string, cycle uint64, state []byte) error {
+	if len(state) == 0 || cycle == 0 || s.store.Put(key, tag(cycle), state) != nil {
+		return nil
 	}
-	s.misses.Add(1)
-	return 0, nil, false
+	for _, c := range s.cycles(key) {
+		if c < cycle {
+			s.store.Remove(key, tag(c))
+		}
+	}
+	return nil
 }
 
-// read opens and fully validates one checkpoint file.
-func (s *Store) read(path, key string, cycle uint64) ([]byte, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false
+// Latest returns the newest valid checkpoint for key with cycle <=
+// maxCycle, or ok=false, removing invalid candidates on the way.
+func (s *Store) Latest(key string, maxCycle uint64) (cycle uint64, state []byte, ok bool) {
+	var tags []string
+	for _, c := range s.cycles(key) {
+		if c <= maxCycle {
+			tags = append(tags, tag(c))
+		}
 	}
-	defer f.Close()
-	var e entry
-	if err := gob.NewDecoder(f).Decode(&e); err != nil ||
-		e.Schema != Schema || e.Key != key || e.Cycle != cycle ||
-		len(e.State) == 0 || sha256.Sum256(e.State) != e.Sum {
-		return nil, false
-	}
-	return e.State, true
+	ok = s.store.Get(key, tags, func(t string, _, payload []byte) error {
+		cycle, _ = strconv.ParseUint(t[1:], 10, 64)
+		state = payload
+		return nil
+	})
+	return cycle, state, ok
 }
 
 // Stats snapshots the counters.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Hits:   s.hits.Load(),
-		Misses: s.misses.Load(),
-		Puts:   s.puts.Load(),
-		Errors: s.errs.Load(),
-	}
-}
+func (s *Store) Stats() envelope.Stats { return s.store.Stats() }
 
 // Len walks the store and counts checkpoints (diagnostics only).
-func (s *Store) Len() int {
-	n := 0
-	filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(path) == ext {
-			n++
-		}
-		return nil
-	})
-	return n
-}
+func (s *Store) Len() int { return s.store.Len() }

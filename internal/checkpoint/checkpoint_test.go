@@ -2,8 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +11,9 @@ import (
 
 	"gpusecmem/internal/atomicfile"
 )
+
+// path is the file holding key's checkpoint at cycle.
+func (s *Store) path(key string, cycle uint64) string { return s.store.Path(key, tag(cycle)) }
 
 func open(t *testing.T) *Store {
 	t.Helper()
@@ -83,46 +86,25 @@ func TestKeysDoNotCollide(t *testing.T) {
 	}
 }
 
-// An entry grafted under another key's file name (digest collision,
-// hand-copied file) carries its true key in the envelope and must
-// never resume the wrong machine.
-func TestForeignEntryIsMissAndRemoved(t *testing.T) {
-	s := open(t)
-	s.Put("key-a", 1000, []byte("state-a"))
-	src := s.path(digestOf("key-a"), 1000)
-	dst := s.path(digestOf("key-b"), 1000)
-	b, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.Latest("key-b", 5000); ok {
-		t.Fatal("served an entry stored under a different key")
-	}
-	if _, err := os.Stat(dst); !os.IsNotExist(err) {
-		t.Fatalf("foreign entry not removed (stat err %v)", err)
-	}
-	if st := s.Stats(); st.Errors == 0 {
-		t.Fatalf("foreign entry did not bump the error counter: %+v", st)
-	}
-}
-
-// A schema from a different (future) store version reads as a miss and
-// self-heals, so a downgrade never resumes from state it cannot parse.
+// An entry written by an older store version — the gob
+// schema/key/cycle/sum/state struct of schema 1 — reads as a miss and
+// self-heals, so an upgrade never resumes from state it cannot parse.
 func TestSchemaMismatchIsMiss(t *testing.T) {
 	s := open(t)
 	const key = "cfg|nw"
-	path := s.path(digestOf(key), 1000)
+	state := []byte("x")
+	path := s.path(key, 1000)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	err := atomicfile.WriteFile(path, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(entry{Schema: "gpusecmem-checkpoint/999", Key: key, Cycle: 1000, State: []byte("x")})
+		return gob.NewEncoder(w).Encode(struct {
+			Schema string
+			Key    string
+			Cycle  uint64
+			Sum    [sha256.Size]byte
+			State  []byte
+		}{"gpusecmem-checkpoint/1", key, 1000, sha256.Sum256(state), state})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +158,7 @@ func TestTornWritesSelfHeal(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := open(t)
 			s.Put(key, 1000, state)
-			path := s.path(digestOf(key), 1000)
+			path := s.path(key, 1000)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -209,15 +191,15 @@ func TestLatestFallsBackPastCorruption(t *testing.T) {
 	s := open(t)
 	const key = "cfg|nw"
 	s.Put(key, 1000, []byte("older"))
-	// Write the newer checkpoint without pruning the older one, as a
-	// concurrent writer that died mid-prune would leave it.
-	digest := digestOf(key)
-	path := s.path(digest, 2000)
-	err := atomicfile.WriteFile(path, func(w io.Writer) error {
-		// Sum left zero: invalid on read.
-		return gob.NewEncoder(w).Encode(entry{Schema: Schema, Key: key, Cycle: 2000, State: []byte("torn")})
-	})
+	// Plant a corrupt newer checkpoint beside the older one: the older
+	// entry's bytes under the 2000-cycle name, invalid on read because
+	// the envelope binds the cycle.
+	b, err := os.ReadFile(s.path(key, 1000))
 	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.path(key, 2000)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cycle, got, ok := s.Latest(key, 5000)
@@ -238,15 +220,5 @@ func TestZeroAndEmptyPutsIgnored(t *testing.T) {
 	}
 	if st := s.Stats(); st.Puts != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestLenCountsAcrossKeys(t *testing.T) {
-	s := open(t)
-	for i := 0; i < 5; i++ {
-		s.Put(fmt.Sprintf("key-%d", i), 1000, []byte("s"))
-	}
-	if n := s.Len(); n != 5 {
-		t.Fatalf("Len = %d, want 5", n)
 	}
 }

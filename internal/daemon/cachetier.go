@@ -217,18 +217,21 @@ type ckptView struct {
 	resumes, saves atomic.Uint64
 }
 
-// armCheckpoints routes gctx's fresh simulations through the daemon's
-// checkpoint store, when one is configured, and returns the request's
-// attribution view (nil — and safe to use — when checkpointing is
+// newContext builds a request's memo over a fresh cache view and, when
+// a checkpoint store is configured, routes its simulations through a
+// fresh checkpoint view (nil — and safe to use — when checkpointing is
 // off). Shutdown checkpointing needs no extra plumbing: cancelling a
 // checkpointed run snapshots it before the simulator returns.
-func (s *Server) armCheckpoints(gctx *gpusecmem.Context) *ckptView {
-	if s.cfg.Checkpoints == nil {
-		return nil
+func (s *Server) newContext(ctx context.Context, opts gpusecmem.Options) (*gpusecmem.Context, *cacheView, *ckptView) {
+	gctx := gpusecmem.NewContext(opts)
+	view := s.newView(ctx)
+	gctx.SetResultCache(view)
+	var ck *ckptView
+	if s.cfg.Checkpoints != nil {
+		ck = &ckptView{store: s.cfg.Checkpoints}
+		gctx.SetCheckpointStore(ck, s.cfg.CheckpointEvery)
 	}
-	v := &ckptView{store: s.cfg.Checkpoints}
-	gctx.SetCheckpointStore(v, s.cfg.CheckpointEvery)
-	return v
+	return gctx, view, ck
 }
 
 func (v *ckptView) Latest(key string, maxCycle uint64) (uint64, []byte, bool) {

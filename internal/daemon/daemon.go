@@ -26,14 +26,14 @@
 // memory, disk, peer — are served before taking a slot, so cached
 // lookups scale with the HTTP stack rather than the worker pool, and
 // concurrent identical misses coalesce onto one in-flight simulation
-// via a server-scope singleflight (flightGroup).
+// via a server-scope singleflight (internal/flight).
 //
 // Cluster mode (Config.Cluster, DESIGN.md §16) chains one more tier
 // and one forwarding rule into /api/run: a key missing from every
 // local tier is fetched raw from its rendezvous owner's store, and if
 // the owner has not computed it either, the whole request is proxied
 // to the owner (loop-guarded by cluster.HopHeader) so the owner's
-// flightGroup coalesces identical work cluster-wide. A down owner
+// flight group coalesces identical work cluster-wide. A down owner
 // fails open to local simulation, whose result is write-through
 // replicated to the owner once it returns.
 //
@@ -74,10 +74,9 @@ import (
 	"time"
 
 	"gpusecmem"
-	"gpusecmem/internal/checkpoint"
 	"gpusecmem/internal/cluster"
+	"gpusecmem/internal/flight"
 	"gpusecmem/internal/report"
-	"gpusecmem/internal/resultcache"
 	"gpusecmem/internal/runner"
 	"gpusecmem/internal/telemetry"
 )
@@ -219,9 +218,9 @@ func observeRun(wall time.Duration) {
 type Server struct {
 	cfg       Config
 	mem       *memCache
-	flights   *flightGroup  // coalesces identical in-flight simulations
-	admission chan struct{} // Workers+QueueDepth slots: full => 429
-	workers   chan struct{} // Workers slots: queued requests block here
+	flights   flight.Group[outcome] // coalesces identical in-flight simulations
+	admission chan struct{}         // Workers+QueueDepth slots: full => 429
+	workers   chan struct{}         // Workers slots: queued requests block here
 	start     time.Time
 	mux       *http.ServeMux
 	handler   http.Handler // mux wrapped in the telemetry middleware
@@ -243,7 +242,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		mem:       newMemCache(cfg.MemCacheEntries),
-		flights:   newFlightGroup(),
 		admission: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		workers:   make(chan struct{}, cfg.Workers),
 		start:     time.Now(),
@@ -594,32 +592,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	res, source, shared, err := s.flights.do(ctx, key, func() (*gpusecmem.Result, string, error) {
-		// Re-check the cache under the flight: a request that queued
-		// behind the worker pool may find its result already landed.
-		v := s.newView(ctx)
-		if res, ok := v.Get(key); ok {
-			v.count()
-			return res, v.source(), nil
-		}
-		cfg := cfg
-		cfg.Shards = s.cfg.Shards // json:"-": does not change the key
-		var ck *ckptView
-		var res *gpusecmem.Result
-		var err error
-		if s.cfg.Checkpoints != nil {
-			ck = &ckptView{store: s.cfg.Checkpoints}
-			res, err = gpusecmem.SimulateCheckpointed(ctx, cfg, bench, ck, s.cfg.CheckpointEvery)
-		} else {
-			res, err = gpusecmem.SimulateContext(ctx, cfg, bench)
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		v.Put(key, res)
-		v.count()
+	o, shared, err := s.flights.Do(ctx, key, func() (outcome, error) {
+		// The memo consults every cached tier before simulating, so a
+		// request that queued behind the worker pool may find its
+		// result already landed.
+		gctx, view, ck := s.newContext(ctx, gpusecmem.Options{Cycles: cfg.MaxCycles, Shards: s.cfg.Shards})
+		res, err := gctx.RunE(ctx, cfg, bench)
+		view.count()
 		ck.count()
-		return res, ck.sourceOr("simulated"), nil
+		return outcome{res, ck.sourceOr(view.source())}, err
 	})
 	if err != nil {
 		httpError(w, r, s.failStatus(err), "%v", err)
@@ -633,7 +614,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// waiter's wall time restates the same simulation.
 		observeRun(wall)
 	}
-	s.writeRun(w, r, res, source, scheme, bench, key, wall)
+	s.writeRun(w, r, o.res, o.source, scheme, bench, key, wall)
+}
+
+// outcome is one local simulation's answer, shared by every request
+// coalesced onto its flight.
+type outcome struct {
+	res    *gpusecmem.Result
+	source string
 }
 
 // --- experiment tables ---
@@ -682,10 +670,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	view := s.newView(ctx)
-	gctx := gpusecmem.NewContext(opts)
-	gctx.SetResultCache(view)
-	ckpt := s.armCheckpoints(gctx)
+	gctx, view, ckpt := s.newContext(ctx, opts)
 	defer view.count()
 	defer ckpt.count()
 
@@ -738,20 +723,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"metrics":        snapshotMetrics(),
 		"mem_cache_len":  s.mem.len(),
 	}
-	s.storeStats(payload)
+	for name, stats := range s.storeStats() {
+		payload[name] = stats()
+	}
 	enc.Encode(payload)
-}
-
-// storeStats adds the persistent stores' own counters (hits, misses,
-// puts, self-heal errors) to the healthz payload when the configured
-// implementations expose them — the on-disk stores do; test doubles
-// need not. The same Stats feed the registry's Func views, so
-// /healthz and /metrics read one source.
-func (s *Server) storeStats(payload map[string]any) {
-	if cs, ok := s.cfg.Cache.(interface{ Stats() resultcache.Stats }); ok {
-		payload["result_cache"] = cs.Stats()
-	}
-	if ks, ok := s.cfg.Checkpoints.(interface{ Stats() checkpoint.Stats }); ok {
-		payload["checkpoint_store"] = ks.Stats()
-	}
 }

@@ -8,13 +8,24 @@ import (
 	"time"
 
 	"gpusecmem"
+	"gpusecmem/internal/flight"
 )
+
+// do runs fn through the daemon's instantiation of the flight group,
+// unpacking the shared outcome.
+func do(g *flight.Group[outcome], ctx context.Context, key string, fn func() (*gpusecmem.Result, string, error)) (*gpusecmem.Result, string, bool, error) {
+	o, shared, err := g.Do(ctx, key, func() (outcome, error) {
+		res, source, err := fn()
+		return outcome{res, source}, err
+	})
+	return o.res, o.source, shared, err
+}
 
 // TestFlightGroupShares pins the coalescing contract: concurrent
 // callers with one key run fn once; everyone gets the leader's result
 // and the waiters report shared=true.
 func TestFlightGroupShares(t *testing.T) {
-	g := newFlightGroup()
+	g := new(flight.Group[outcome])
 	want := &gpusecmem.Result{}
 	block := make(chan struct{})
 	var calls atomic.Int32
@@ -32,7 +43,7 @@ func TestFlightGroupShares(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, source, shared, err := g.do(context.Background(), "k", fn)
+			res, source, shared, err := do(g, context.Background(), "k", fn)
 			if err != nil || res != want || source != "simulated" {
 				t.Errorf("do: res=%p source=%q err=%v", res, source, err)
 			}
@@ -60,14 +71,14 @@ func TestFlightGroupShares(t *testing.T) {
 // TestFlightGroupIndependentKeys pins that distinct keys never share a
 // flight.
 func TestFlightGroupIndependentKeys(t *testing.T) {
-	g := newFlightGroup()
+	g := new(flight.Group[outcome])
 	var calls atomic.Int32
 	var wg sync.WaitGroup
 	for _, key := range []string{"a", "b", "c"} {
 		wg.Add(1)
 		go func(key string) {
 			defer wg.Done()
-			g.do(context.Background(), key, func() (*gpusecmem.Result, string, error) {
+			do(g, context.Background(), key, func() (*gpusecmem.Result, string, error) {
 				calls.Add(1)
 				return &gpusecmem.Result{}, "simulated", nil
 			})
@@ -83,11 +94,11 @@ func TestFlightGroupIndependentKeys(t *testing.T) {
 // at server scope: a waiter does not inherit the leader's
 // cancellation — it re-leads its own attempt under its own context.
 func TestFlightGroupRetryAfterCancelledLeader(t *testing.T) {
-	g := newFlightGroup()
+	g := new(flight.Group[outcome])
 	want := &gpusecmem.Result{}
 	leaderIn := make(chan struct{})
 
-	go g.do(context.Background(), "k", func() (*gpusecmem.Result, string, error) {
+	go do(g, context.Background(), "k", func() (*gpusecmem.Result, string, error) {
 		close(leaderIn)
 		// Hold the flight long enough for the waiter to be queued on it,
 		// then die as a cancelled run would.
@@ -96,7 +107,7 @@ func TestFlightGroupRetryAfterCancelledLeader(t *testing.T) {
 	})
 
 	<-leaderIn
-	res, source, shared, err := g.do(context.Background(), "k", func() (*gpusecmem.Result, string, error) {
+	res, source, shared, err := do(g, context.Background(), "k", func() (*gpusecmem.Result, string, error) {
 		return want, "simulated", nil
 	})
 	if err != nil {
@@ -114,12 +125,12 @@ func TestFlightGroupRetryAfterCancelledLeader(t *testing.T) {
 // dies leaves with its context's error instead of blocking on the
 // leader.
 func TestFlightGroupWaiterContext(t *testing.T) {
-	g := newFlightGroup()
+	g := new(flight.Group[outcome])
 	block := make(chan struct{})
 	defer close(block)
 	started := make(chan struct{})
 
-	go g.do(context.Background(), "k", func() (*gpusecmem.Result, string, error) {
+	go do(g, context.Background(), "k", func() (*gpusecmem.Result, string, error) {
 		close(started)
 		<-block
 		return &gpusecmem.Result{}, "simulated", nil
@@ -128,7 +139,7 @@ func TestFlightGroupWaiterContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := g.do(ctx, "k", func() (*gpusecmem.Result, string, error) {
+	_, _, _, err := do(g, ctx, "k", func() (*gpusecmem.Result, string, error) {
 		t.Error("cancelled waiter ran fn")
 		return nil, "", nil
 	})

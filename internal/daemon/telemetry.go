@@ -8,8 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"gpusecmem/internal/checkpoint"
-	"gpusecmem/internal/resultcache"
+	"gpusecmem/internal/envelope"
 	"gpusecmem/internal/telemetry"
 )
 
@@ -40,9 +39,9 @@ type instruments struct {
 	peerMisses      *telemetry.Counter
 	putRawFallbacks *telemetry.Counter
 	simulated       *telemetry.Counter
-	resumed    *telemetry.Counter
-	saved      *telemetry.Counter
-	runDur     *telemetry.HistogramVec // tier: memory|disk|peer|simulated|resumed
+	resumed         *telemetry.Counter
+	saved           *telemetry.Counter
+	runDur          *telemetry.HistogramVec // tier: memory|disk|peer|simulated|resumed
 
 	forwarded        *telemetry.Counter
 	forwardFallbacks *telemetry.Counter
@@ -81,9 +80,9 @@ func initInstruments() {
 
 			putRawFallbacks: reg.Counter("gpusecmem_cache_putraw_fallbacks_total", "raw envelope writes that failed and fell back to a typed disk Put"),
 			simulated:       reg.Counter("gpusecmem_runs_simulated_total", "requests that ran a fresh simulation"),
-			resumed:   reg.Counter("gpusecmem_checkpoint_restores_total", "served simulations resumed from a checkpoint"),
-			saved:     reg.Counter("gpusecmem_checkpoint_saves_total", "checkpoints written while serving"),
-			runDur:    reg.HistogramVec("gpusecmem_run_duration_us", "end-to-end request simulation time in microseconds by serving tier", "tier"),
+			resumed:         reg.Counter("gpusecmem_checkpoint_restores_total", "served simulations resumed from a checkpoint"),
+			saved:           reg.Counter("gpusecmem_checkpoint_saves_total", "checkpoints written while serving"),
+			runDur:          reg.HistogramVec("gpusecmem_run_duration_us", "end-to-end request simulation time in microseconds by serving tier", "tier"),
 
 			forwarded:        reg.Counter("gpusecmem_cluster_forwards_total", "/api/run requests proxied to the key's owner for cluster-wide coalescing"),
 			forwardFallbacks: reg.Counter("gpusecmem_cluster_forward_fallbacks_total", "forwards abandoned for local simulation because the owner was down or unreachable"),
@@ -126,18 +125,31 @@ func (s *Server) registerServerViews() {
 	reg.CounterFunc("gpusecmem_cache_evictions_total", "results evicted from the in-process LRU by capacity pressure", func() float64 {
 		return float64(s.mem.evictions.Load())
 	})
-	if cs, ok := s.cfg.Cache.(interface{ Stats() resultcache.Stats }); ok {
-		reg.CounterFunc("gpusecmem_resultcache_hits_total", "persistent result store hits", func() float64 { return float64(cs.Stats().Hits) })
-		reg.CounterFunc("gpusecmem_resultcache_misses_total", "persistent result store misses", func() float64 { return float64(cs.Stats().Misses) })
-		reg.CounterFunc("gpusecmem_resultcache_puts_total", "persistent result store writes", func() float64 { return float64(cs.Stats().Puts) })
-		reg.CounterFunc("gpusecmem_resultcache_errors_total", "persistent result store self-healed corrupt entries and failed writes", func() float64 { return float64(cs.Stats().Errors) })
+	for name, stats := range s.storeStats() {
+		prefix := storeMetricPrefix[name]
+		reg.CounterFunc(prefix+"_hits_total", "persistent store lookups that found a valid entry", func() float64 { return float64(stats().Hits) })
+		reg.CounterFunc(prefix+"_misses_total", "persistent store lookups that found none", func() float64 { return float64(stats().Misses) })
+		reg.CounterFunc(prefix+"_puts_total", "persistent store writes", func() float64 { return float64(stats().Puts) })
+		reg.CounterFunc(prefix+"_errors_total", "persistent store self-healed corrupt entries, rejected pushes and failed writes", func() float64 { return float64(stats().Errors) })
 	}
-	if ks, ok := s.cfg.Checkpoints.(interface{ Stats() checkpoint.Stats }); ok {
-		reg.CounterFunc("gpusecmem_checkpoint_store_hits_total", "checkpoint store restore hits", func() float64 { return float64(ks.Stats().Hits) })
-		reg.CounterFunc("gpusecmem_checkpoint_store_misses_total", "checkpoint store restore misses", func() float64 { return float64(ks.Stats().Misses) })
-		reg.CounterFunc("gpusecmem_checkpoint_store_puts_total", "checkpoint store snapshot writes", func() float64 { return float64(ks.Stats().Puts) })
-		reg.CounterFunc("gpusecmem_checkpoint_store_errors_total", "checkpoint store self-healed corrupt entries and failed writes", func() float64 { return float64(ks.Stats().Errors) })
+}
+
+// storeMetricPrefix names each persistent store's /metrics families by
+// its /healthz key.
+var storeMetricPrefix = map[string]string{"result_cache": "gpusecmem_resultcache", "checkpoint_store": "gpusecmem_checkpoint_store"}
+
+// storeStats returns the counters of the configured persistent stores
+// that expose them — the on-disk stores do; test doubles need not —
+// keyed by their /healthz name, so /healthz and /metrics read one
+// source.
+func (s *Server) storeStats() map[string]func() envelope.Stats {
+	out := map[string]func() envelope.Stats{}
+	for name, store := range map[string]any{"result_cache": s.cfg.Cache, "checkpoint_store": s.cfg.Checkpoints} {
+		if st, ok := store.(interface{ Stats() envelope.Stats }); ok {
+			out[name] = st.Stats
+		}
 	}
+	return out
 }
 
 // routeLabel buckets a request path into the fixed route label set, so
