@@ -69,7 +69,7 @@ audit:
 	$(GO) test -run 'TestAuditorsPassOnCatalogue|TestWatchdog' ./internal/sim
 	$(GO) run ./cmd/experiments -exp fig3 -cycles 8000 -audit -progress > /dev/null
 
-## fuzz: short fuzzing smoke over the crypto and secmem codecs
+## fuzz: short fuzzing smoke over the secmem codecs and the XEX direct cipher
 fuzz:
 	$(GO) test -run Fuzz -fuzz FuzzCounterModeRoundTrip -fuzztime 10s ./internal/secmem
-	$(GO) test -run Fuzz -fuzz FuzzAESAgainstStdlib -fuzztime 10s ./internal/crypto
+	$(GO) test -run Fuzz -fuzz FuzzDirectCipherRoundTrip -fuzztime 10s ./internal/crypto

@@ -40,8 +40,10 @@ func schemeConfig(scheme string, aesLatency, engines, metaKB, mshrs int, unified
 	if cfg.Secure.Encryption != gpusecmem.EncNone {
 		cfg.Secure.AESLatency = aesLatency
 		cfg.Secure.AESEngines = engines
-		if metaKB > 0 {
-			cfg.Secure.MetaCacheBytes = metaKB * 1024
+		if metaKB != 0 {
+			if err := cfg.SetMetaCacheKB(metaKB); err != nil {
+				return cfg, err
+			}
 		}
 		cfg.Secure.MetaMSHRs = mshrs
 		cfg.Secure.Unified = unified

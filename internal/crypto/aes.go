@@ -1,81 +1,48 @@
-// Package crypto implements the cryptographic primitives used by the
-// secure-memory engines: AES-128 (FIPS-197), AES-CMAC (RFC 4493), and
-// the counter-mode one-time-pad construction from the paper.
+// Package crypto holds the cryptographic constructions used by the
+// secure-memory engines: AES-CMAC (RFC 4493), the paper's counter-mode
+// one-time pad (OTP), the XEX-style direct cipher, and keyed tree-node
+// hashes.
 //
-// The implementations are written from scratch so that the functional
-// secure-memory library does not depend on anything outside this
-// repository, and so the timing models (pipelined AES engines, MAC
-// units) have a concrete functional counterpart. Correctness is
-// established in the tests against the FIPS-197 / RFC 4493 vectors and
-// cross-checked against the Go standard library.
+// The AES-128 block cipher and SHA-256 come from the Go standard
+// library (crypto/aes, crypto/sha256). Cipher only narrows crypto/aes
+// to the 128-bit keys the paper models. CMAC, OTP, DirectCipher and
+// the node hashes are this package's own, because the standard library
+// has none of them. Correctness is established in the tests against
+// the FIPS-197 and RFC 4493 vectors and against known answers for each
+// construction.
 package crypto
 
-import "fmt"
+import (
+	"crypto/aes"
+	"crypto/cipher"
+	"fmt"
+)
 
 // BlockSize is the AES block size in bytes.
-const BlockSize = 16
+const BlockSize = aes.BlockSize
 
 // KeySize is the AES-128 key size in bytes.
 const KeySize = 16
-
-// sbox is the AES forward substitution box.
-var sbox = [256]byte{
-	0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
-	0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
-	0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-	0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
-	0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
-	0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-	0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
-	0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
-	0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-	0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
-	0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
-	0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-	0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
-	0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
-	0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-	0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
-}
-
-// invSbox is the AES inverse substitution box, derived from sbox at init.
-var invSbox [256]byte
-
-func init() {
-	for i := range sbox {
-		invSbox[sbox[i]] = byte(i)
-	}
-}
-
-// rcon holds the AES key-schedule round constants.
-var rcon = [11]byte{0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36}
 
 // Cipher is an AES-128 block cipher with a fixed expanded key.
 // It is safe for concurrent use: all methods are read-only with
 // respect to the receiver.
 type Cipher struct {
-	// enc holds the 11 round keys for encryption, 4 words each.
-	enc [44]uint32
+	b cipher.Block
 }
 
 // NewCipher expands key into an AES-128 cipher. The key must be
-// exactly 16 bytes.
+// exactly 16 bytes; crypto/aes would also accept AES-192 and AES-256
+// keys, which the modelled engines do not have.
 func NewCipher(key []byte) (*Cipher, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("crypto: invalid AES-128 key size %d (want %d)", len(key), KeySize)
 	}
-	c := &Cipher{}
-	for i := 0; i < 4; i++ {
-		c.enc[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 | uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
+	b, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
 	}
-	for i := 4; i < 44; i++ {
-		t := c.enc[i-1]
-		if i%4 == 0 {
-			t = subWord(rotWord(t)) ^ uint32(rcon[i/4])<<24
-		}
-		c.enc[i] = c.enc[i-4] ^ t
-	}
-	return c, nil
+	return &Cipher{b: b}, nil
 }
 
 // MustCipher is like NewCipher but panics on a bad key length. Intended
@@ -88,134 +55,14 @@ func MustCipher(key []byte) *Cipher {
 	return c
 }
 
-func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
-
-func subWord(w uint32) uint32 {
-	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
-		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
-}
-
-// xtime multiplies a field element by x (i.e., {02}) in GF(2^8).
-func xtime(b byte) byte {
-	if b&0x80 != 0 {
-		return b<<1 ^ 0x1b
-	}
-	return b << 1
-}
-
-// gmul multiplies two elements of GF(2^8) with the AES polynomial.
-func gmul(a, b byte) byte {
-	var p byte
-	for b != 0 {
-		if b&1 != 0 {
-			p ^= a
-		}
-		a = xtime(a)
-		b >>= 1
-	}
-	return p
-}
-
-// state is the 4x4 AES state held column-major in 16 bytes, matching
-// the byte order of the input block.
-type state [16]byte
-
-func (s *state) addRoundKey(rk []uint32) {
-	for c := 0; c < 4; c++ {
-		w := rk[c]
-		s[4*c+0] ^= byte(w >> 24)
-		s[4*c+1] ^= byte(w >> 16)
-		s[4*c+2] ^= byte(w >> 8)
-		s[4*c+3] ^= byte(w)
-	}
-}
-
-func (s *state) subBytes() {
-	for i := range s {
-		s[i] = sbox[s[i]]
-	}
-}
-
-func (s *state) invSubBytes() {
-	for i := range s {
-		s[i] = invSbox[s[i]]
-	}
-}
-
-// shiftRows rotates row r left by r positions. With column-major
-// layout, row r occupies indices r, r+4, r+8, r+12.
-func (s *state) shiftRows() {
-	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
-	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
-	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
-}
-
-func (s *state) invShiftRows() {
-	s[5], s[9], s[13], s[1] = s[1], s[5], s[9], s[13]
-	s[10], s[14], s[2], s[6] = s[2], s[6], s[10], s[14]
-	s[15], s[3], s[7], s[11] = s[3], s[7], s[11], s[15]
-}
-
-func (s *state) mixColumns() {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3
-		s[4*c+1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3
-		s[4*c+2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3)
-		s[4*c+3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3)
-	}
-}
-
-func (s *state) invMixColumns() {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = gmul(a0, 0x0e) ^ gmul(a1, 0x0b) ^ gmul(a2, 0x0d) ^ gmul(a3, 0x09)
-		s[4*c+1] = gmul(a0, 0x09) ^ gmul(a1, 0x0e) ^ gmul(a2, 0x0b) ^ gmul(a3, 0x0d)
-		s[4*c+2] = gmul(a0, 0x0d) ^ gmul(a1, 0x09) ^ gmul(a2, 0x0e) ^ gmul(a3, 0x0b)
-		s[4*c+3] = gmul(a0, 0x0b) ^ gmul(a1, 0x0d) ^ gmul(a2, 0x09) ^ gmul(a3, 0x0e)
-	}
-}
-
 // Encrypt encrypts one 16-byte block from src into dst. dst and src may
 // overlap entirely. Both must be at least BlockSize bytes; only the
 // first BlockSize bytes are used.
-func (c *Cipher) Encrypt(dst, src []byte) {
-	_ = src[15]
-	_ = dst[15]
-	var s state
-	copy(s[:], src[:16])
-	s.addRoundKey(c.enc[0:4])
-	for r := 1; r < 10; r++ {
-		s.subBytes()
-		s.shiftRows()
-		s.mixColumns()
-		s.addRoundKey(c.enc[4*r : 4*r+4])
-	}
-	s.subBytes()
-	s.shiftRows()
-	s.addRoundKey(c.enc[40:44])
-	copy(dst[:16], s[:])
-}
+func (c *Cipher) Encrypt(dst, src []byte) { c.b.Encrypt(dst, src) }
 
 // Decrypt decrypts one 16-byte block from src into dst. dst and src may
 // overlap entirely.
-func (c *Cipher) Decrypt(dst, src []byte) {
-	_ = src[15]
-	_ = dst[15]
-	var s state
-	copy(s[:], src[:16])
-	s.addRoundKey(c.enc[40:44])
-	for r := 9; r >= 1; r-- {
-		s.invShiftRows()
-		s.invSubBytes()
-		s.addRoundKey(c.enc[4*r : 4*r+4])
-		s.invMixColumns()
-	}
-	s.invShiftRows()
-	s.invSubBytes()
-	s.addRoundKey(c.enc[0:4])
-	copy(dst[:16], s[:])
-}
+func (c *Cipher) Decrypt(dst, src []byte) { c.b.Decrypt(dst, src) }
 
 // EncryptBlocks encrypts len(src)/16 consecutive blocks. len(src) must
 // be a multiple of BlockSize and len(dst) >= len(src).
@@ -224,7 +71,7 @@ func (c *Cipher) EncryptBlocks(dst, src []byte) {
 		panic("crypto: EncryptBlocks input not a multiple of the block size")
 	}
 	for i := 0; i < len(src); i += BlockSize {
-		c.Encrypt(dst[i:i+BlockSize], src[i:i+BlockSize])
+		c.b.Encrypt(dst[i:i+BlockSize], src[i:i+BlockSize])
 	}
 }
 
@@ -234,6 +81,6 @@ func (c *Cipher) DecryptBlocks(dst, src []byte) {
 		panic("crypto: DecryptBlocks input not a multiple of the block size")
 	}
 	for i := 0; i < len(src); i += BlockSize {
-		c.Decrypt(dst[i:i+BlockSize], src[i:i+BlockSize])
+		c.b.Decrypt(dst[i:i+BlockSize], src[i:i+BlockSize])
 	}
 }

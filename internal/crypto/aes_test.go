@@ -89,7 +89,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAgainstStdlib cross-checks our AES against crypto/aes on random
+// TestAgainstStdlib cross-checks Cipher against crypto/aes on random
 // inputs: identical ciphertexts for identical keys and blocks.
 func TestAgainstStdlib(t *testing.T) {
 	f := func(key [16]byte, block [16]byte) bool {
@@ -160,56 +160,6 @@ func TestEncryptBlocksPanicsOnRagged(t *testing.T) {
 		}
 	}()
 	c.EncryptBlocks(make([]byte, 17), make([]byte, 17))
-}
-
-func TestGmulIdentity(t *testing.T) {
-	for i := 0; i < 256; i++ {
-		b := byte(i)
-		if gmul(b, 1) != b {
-			t.Fatalf("gmul(%#x, 1) != %#x", b, b)
-		}
-		if gmul(b, 2) != xtime(b) {
-			t.Fatalf("gmul(%#x, 2) != xtime", b)
-		}
-	}
-}
-
-// TestMixColumnsInverse checks invMixColumns . mixColumns = identity.
-func TestMixColumnsInverse(t *testing.T) {
-	f := func(in [16]byte) bool {
-		s := state(in)
-		s.mixColumns()
-		s.invMixColumns()
-		return s == state(in)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShiftRowsInverse checks invShiftRows . shiftRows = identity.
-func TestShiftRowsInverse(t *testing.T) {
-	var s state
-	for i := range s {
-		s[i] = byte(i)
-	}
-	orig := s
-	s.shiftRows()
-	if s == orig {
-		t.Fatal("shiftRows was a no-op")
-	}
-	s.invShiftRows()
-	if s != orig {
-		t.Fatalf("invShiftRows(shiftRows(x)) != x: %v", s)
-	}
-}
-
-func TestSboxInverse(t *testing.T) {
-	for i := 0; i < 256; i++ {
-		if invSbox[sbox[i]] != byte(i) {
-			t.Fatalf("invSbox[sbox[%d]] = %d", i, invSbox[sbox[i]])
-		}
-	}
 }
 
 // TestAvalanche checks a weak avalanche property: flipping one

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -173,21 +174,27 @@ func TestOTPInvolution(t *testing.T) {
 	}
 }
 
-// TestOTPCounterUniqueness: the pad must differ across counters and
-// across addresses — counter reuse is exactly what breaks counter-mode
-// encryption (Section VI-B), so distinctness here is the crypto-level
-// invariant.
+// TestOTPCounterUniqueness: every 16-byte lane pad must differ across
+// counters, addresses and lanes — pad reuse is exactly what breaks
+// counter-mode encryption (Section VI-B), so distinctness here is the
+// crypto-level invariant. Comparing whole 32-byte sector pads would
+// miss a lane of one write reusing a lane of another.
 func TestOTPCounterUniqueness(t *testing.T) {
 	o := MustOTP(make([]byte, 16))
-	pads := map[[32]byte]string{}
+	pads := map[[16]byte]string{}
 	for addr := uint64(0); addr < 4; addr++ {
 		for ctr := uint64(0); ctr < 4; ctr++ {
 			var p [32]byte
 			o.Pad(p[:], addr*32, ctr)
-			if prev, dup := pads[p]; dup {
-				t.Fatalf("pad for (addr=%d,ctr=%d) collides with %s", addr, ctr, prev)
+			for lane := 0; lane < 2; lane++ {
+				var lp [16]byte
+				copy(lp[:], p[16*lane:])
+				at := fmt.Sprintf("(addr=%d,ctr=%d,lane=%d)", addr*32, ctr, lane)
+				if prev, dup := pads[lp]; dup {
+					t.Fatalf("pad for %s reuses the pad for %s", at, prev)
+				}
+				pads[lp] = at
 			}
-			pads[p] = "seen"
 		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzAESAgainstStdlib: our AES-128 must agree with crypto/aes on
-// arbitrary keys and blocks, both directions.
+// FuzzAESAgainstStdlib: Cipher must agree with crypto/aes on arbitrary
+// keys and blocks, both directions.
 func FuzzAESAgainstStdlib(f *testing.F) {
 	f.Add(make([]byte, 16), make([]byte, 16))
 	f.Add([]byte("0123456789abcdef"), []byte("fedcba9876543210"))

@@ -4,10 +4,10 @@ import "encoding/binary"
 
 // OTP implements the counter-mode one-time-pad construction used by
 // the paper's counter-mode encryption: pad = AES_K(addr || counter),
-// extended across a 32-byte sector with a per-16B lane index. The
-// plaintext is recovered as C XOR pad, which takes one cycle in
-// hardware once the pad is available — this is how counter mode hides
-// the decryption latency behind the memory fetch.
+// extended across a 32-byte sector by seeding each 16-byte lane with
+// its own byte address. The plaintext is recovered as C XOR pad, which
+// takes one cycle in hardware once the pad is available — this is how
+// counter mode hides the decryption latency behind the memory fetch.
 type OTP struct {
 	c *Cipher
 }
@@ -31,19 +31,22 @@ func MustOTP(key []byte) *OTP {
 }
 
 // Pad fills dst with pad bytes for the sector at addr encrypted under
-// counter. len(dst) must be a multiple of 16. Each 16-byte lane uses a
-// distinct seed block so a 32-byte sector consumes two AES invocations
-// (matching the 16 B/cycle pipelined-engine throughput model).
+// counter. len(dst) must be a multiple of 16. Lane i is seeded with
+// (addr+16*i, counter), so a 32-byte sector consumes two AES
+// invocations (matching the 16 B/cycle pipelined-engine throughput
+// model) and no two (lane address, counter) pairs share a pad.
+// Folding the lane index into the counter instead would give lane 1
+// under counter c the pad of lane 0 under counter c^1, reusing a pad
+// across consecutive writes to the same sector.
 func (o *OTP) Pad(dst []byte, addr uint64, counter uint64) {
 	if len(dst)%BlockSize != 0 {
 		panic("crypto: OTP pad length not a multiple of the block size")
 	}
 	var seed [BlockSize]byte
-	for lane := 0; lane*BlockSize < len(dst); lane++ {
-		binary.BigEndian.PutUint64(seed[0:8], addr)
-		binary.BigEndian.PutUint64(seed[8:16], counter)
-		seed[15] ^= byte(lane) // distinct pad per 16B lane within the sector
-		o.c.Encrypt(dst[lane*BlockSize:(lane+1)*BlockSize], seed[:])
+	binary.BigEndian.PutUint64(seed[8:16], counter)
+	for off := 0; off < len(dst); off += BlockSize {
+		binary.BigEndian.PutUint64(seed[0:8], addr+uint64(off))
+		o.c.Encrypt(dst[off:off+BlockSize], seed[:])
 	}
 }
 

@@ -1,59 +1,6 @@
 package crypto
 
-import (
-	stdsha "crypto/sha256"
-	"encoding/hex"
-	"strings"
-	"testing"
-	"testing/quick"
-)
-
-// TestSHA256NISTVectors covers the FIPS 180-4 examples.
-func TestSHA256NISTVectors(t *testing.T) {
-	cases := []struct {
-		msg  string
-		want string
-	}{
-		{"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
-		{"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
-		{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-			"248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
-		{strings.Repeat("a", 1000000),
-			"cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
-	}
-	for i, tc := range cases {
-		got := SHA256([]byte(tc.msg))
-		if hex.EncodeToString(got[:]) != tc.want {
-			t.Errorf("case %d: %x", i, got)
-		}
-	}
-}
-
-// TestSHA256AgainstStdlib cross-checks random lengths.
-func TestSHA256AgainstStdlib(t *testing.T) {
-	f := func(msg []byte) bool {
-		ours := SHA256(msg)
-		std := stdsha.Sum256(msg)
-		return ours == std
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSHA256PaddingBoundaries exercises the message lengths around the
-// 56-byte padding boundary where length-encoding bugs live.
-func TestSHA256PaddingBoundaries(t *testing.T) {
-	for n := 0; n <= 130; n++ {
-		msg := make([]byte, n)
-		for i := range msg {
-			msg[i] = byte(i)
-		}
-		if SHA256(msg) != stdsha.Sum256(msg) {
-			t.Fatalf("mismatch at length %d", n)
-		}
-	}
-}
+import "testing"
 
 func TestSHA256HasherBindsAll(t *testing.T) {
 	h := NewSHA256Hasher([]byte("0123456789abcdef"))
@@ -77,9 +24,10 @@ func TestSHA256HasherBindsAll(t *testing.T) {
 }
 
 func BenchmarkSHA256_128B(b *testing.B) {
+	h := NewSHA256Hasher(make([]byte, 16))
 	msg := make([]byte, 128)
 	b.SetBytes(128)
 	for i := 0; i < b.N; i++ {
-		SHA256(msg)
+		h.NodeHash(msg, uint64(i))
 	}
 }

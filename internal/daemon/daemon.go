@@ -492,8 +492,8 @@ func parseRunConfig(q url.Values) (cfg gpusecmem.Config, scheme, bench string, e
 	if cfg.Secure.Encryption != gpusecmem.EncNone {
 		cfg.Secure.AESLatency = intArg("aes-latency", cfg.Secure.AESLatency)
 		cfg.Secure.AESEngines = intArg("aes-engines", cfg.Secure.AESEngines)
-		if kb := intArg("meta-kb", 0); kb > 0 {
-			cfg.Secure.MetaCacheBytes = kb * 1024
+		if kb := intArg("meta-kb", 0); kb != 0 {
+			err = cfg.SetMetaCacheKB(kb)
 		}
 		cfg.Secure.MetaMSHRs = intArg("mshrs", cfg.Secure.MetaMSHRs)
 		if v := q.Get("unified"); v != "" {

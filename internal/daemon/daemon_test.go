@@ -130,6 +130,11 @@ func TestRunValidation(t *testing.T) {
 		{"cycles=0", 400}, // Config.Validate: MaxCycles must be positive
 		{"scheme=ctr_mac_bmt&aes-engines=0", 400},
 		{"aes-latency=banana", 400},
+		{"aes-latency=-5", 400},
+		{"mshrs=-3", 400},
+		{"meta-kb=-1", 400},
+		{"meta-kb=50000000", 400},          // beyond one partition's metadata
+		{"meta-kb=18014398509481985", 400}, // kb*1024 would wrap to 1 KB
 	} {
 		var e struct {
 			Error string `json:"error"`

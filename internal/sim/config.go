@@ -364,6 +364,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: SWCryptoCycles must be >= 0")
 	case c.Secure.Encryption == EncSWCrypto && (c.Secure.MAC || c.Secure.Tree || c.Secure.Unified):
 		return fmt.Errorf("sim: the software-encryption baseline has no hardware metadata path — MAC/Tree/Unified do not apply; disable them")
+	case c.Secure.AESLatency < 0 || c.Secure.MACLatency < 0:
+		return fmt.Errorf("sim: AESLatency %d and MACLatency %d must be >= 0", c.Secure.AESLatency, c.Secure.MACLatency)
+	case c.Secure.MetaMSHRs < 0 || c.Secure.UnifiedMSHRs < 0:
+		return fmt.Errorf("sim: MetaMSHRs %d and UnifiedMSHRs %d must be >= 0 (0 = no MSHRs)", c.Secure.MetaMSHRs, c.Secure.UnifiedMSHRs)
 	case c.Secure.ProtectedFraction < 0 || c.Secure.ProtectedFraction > 1:
 		return fmt.Errorf("sim: ProtectedFraction %f outside [0,1]", c.Secure.ProtectedFraction)
 	case c.Shards < 0:
@@ -389,12 +393,15 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("sim: MetaAssoc must be positive with encryption enabled")
 		}
 		if !sc.PerfectMeta && !sc.UnlimitedMeta {
+			name, size := "metadata cache", sc.MetaCacheBytes
 			if sc.Unified {
-				if err := validateCacheGeom("unified metadata cache", sc.UnifiedBytes, sc.MetaAssoc); err != nil {
-					return err
-				}
-			} else if err := validateCacheGeom("metadata cache", sc.MetaCacheBytes, sc.MetaAssoc); err != nil {
+				name, size = "unified metadata cache", sc.UnifiedBytes
+			}
+			if err := validateCacheGeom(name, size, sc.MetaAssoc); err != nil {
 				return err
+			}
+			if max := c.MaxMetaCacheBytes(); size > max {
+				return fmt.Errorf("sim: %s size %d exceeds the %d B of metadata in one partition", name, size, max)
 			}
 		}
 	}
@@ -407,6 +414,34 @@ func (c *Config) Validate() error {
 	if err := c.Probe.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
+	return nil
+}
+
+// MaxMetaCacheBytes is the largest metadata cache Validate accepts:
+// the whole metadata footprint (counters, MACs and tree nodes) of one
+// partition's protected memory. A larger cache could never fill, and
+// without a bound a size from outside input could exhaust host memory.
+// It is 0 when the protected-memory geometry itself is invalid.
+func (c *Config) MaxMetaCacheBytes() int {
+	if c.NumPartitions <= 0 {
+		return 0
+	}
+	l, err := geometry.NewLayout(c.ProtectedBytes/uint64(c.NumPartitions), layoutKind(c))
+	if err != nil {
+		return 0
+	}
+	return int(l.TotalBytes - l.DataBytes)
+}
+
+// SetMetaCacheKB sets the per-type metadata cache size from a size in
+// KB, the unit the CLI and the daemon take. It checks kb against
+// MaxMetaCacheBytes before multiplying, so a huge kb cannot wrap
+// around to a small, valid-looking size.
+func (c *Config) SetMetaCacheKB(kb int) error {
+	if max := c.MaxMetaCacheBytes() / 1024; kb <= 0 || kb > max {
+		return fmt.Errorf("sim: metadata cache size %d KB outside [1,%d] (the metadata in one partition)", kb, max)
+	}
+	c.Secure.MetaCacheBytes = kb * 1024
 	return nil
 }
 

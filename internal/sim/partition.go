@@ -223,11 +223,17 @@ func newPartition(id int, gpu *GPU) *partition {
 
 // layoutFor builds the partition-local metadata layout.
 func layoutFor(cfg *Config) *geometry.Layout {
-	kind := geometry.BMT
+	return geometry.MustLayout(cfg.ProtectedBytes/uint64(cfg.NumPartitions), layoutKind(cfg))
+}
+
+// layoutKind is the integrity tree the configuration's encryption
+// implies: a Merkle Tree over MAC lines under direct encryption, a
+// Bonsai Merkle Tree over counter lines otherwise.
+func layoutKind(cfg *Config) geometry.TreeKind {
 	if cfg.Secure.Encryption == EncDirect {
-		kind = geometry.MT
+		return geometry.MT
 	}
-	return geometry.MustLayout(cfg.ProtectedBytes/uint64(cfg.NumPartitions), kind)
+	return geometry.BMT
 }
 
 // newToken returns a fresh partition-unique token. Tokens are only

@@ -55,6 +55,22 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { *c = SWCrypto(320); c.Secure.MAC = true },
 		func(c *Config) { *c = SWCrypto(320); c.Secure.Tree = true },
 		func(c *Config) { *c = SWCrypto(320); c.Secure.Unified = true },
+		// Knobs reachable from secmemsim flags and GET /api/run: a
+		// negative latency schedules work before it starts, a negative
+		// MSHR count corrupts MSHR accounting, and a metadata cache
+		// beyond the partition's metadata footprint only burns host
+		// memory.
+		func(c *Config) { *c = SecureMem(); c.Secure.AESLatency = -5 },
+		func(c *Config) { *c = SecureMem(); c.Secure.MACLatency = -1 },
+		func(c *Config) { *c = SecureMem(); c.Secure.MetaMSHRs = -3 },
+		func(c *Config) { *c = SecureMem(); c.Secure.Unified = true; c.Secure.UnifiedMSHRs = -1 },
+		func(c *Config) { *c = SecureMem(); c.Secure.MetaCacheBytes = 50_000_000 * 1024 },
+		func(c *Config) { *c = SecureMem(); c.Secure.MetaCacheBytes = c.MaxMetaCacheBytes() + 128 },
+		func(c *Config) {
+			*c = SecureMem()
+			c.Secure.Unified = true
+			c.Secure.UnifiedBytes = c.MaxMetaCacheBytes() + 128
+		},
 	}
 	for i, mutate := range bad {
 		cfg := Baseline()
@@ -67,6 +83,26 @@ func TestValidate(t *testing.T) {
 		if err := good.Validate(); err != nil {
 			t.Fatalf("%s rejected: %v", good.Secure.Encryption, err)
 		}
+	}
+}
+
+// TestSetMetaCacheKB: the KB-to-bytes conversion the CLI and daemon
+// share must reject sizes past the cap before multiplying, or a huge
+// kb wraps around to a small size that Validate would accept.
+func TestSetMetaCacheKB(t *testing.T) {
+	cfg := SecureMem()
+	max := cfg.MaxMetaCacheBytes() / 1024
+	if max < 64 {
+		t.Fatalf("MaxMetaCacheBytes = %d KB, below the paper's 64 KB sweep point", max)
+	}
+	for _, kb := range []int{0, -1, max + 1, 50_000_000, 18014398509481985} {
+		c := cfg
+		if err := c.SetMetaCacheKB(kb); err == nil {
+			t.Errorf("SetMetaCacheKB(%d) accepted, MetaCacheBytes = %d", kb, c.Secure.MetaCacheBytes)
+		}
+	}
+	if err := cfg.SetMetaCacheKB(4); err != nil || cfg.Secure.MetaCacheBytes != 4096 {
+		t.Fatalf("SetMetaCacheKB(4) = %v, MetaCacheBytes = %d", err, cfg.Secure.MetaCacheBytes)
 	}
 }
 
