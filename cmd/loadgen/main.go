@@ -232,9 +232,9 @@ func mergeStats(stats []workerStats) workerStats {
 }
 
 // warmKeys simulates every key once, round-robin over the targets, so
-// the measured window hits caches. In cluster mode each result lands
-// at (or is write-through replicated to) its owner, warming the whole
-// fleet regardless of which member served it.
+// the measured window hits caches. In cluster mode a miss through a
+// non-owner is forwarded, so each result lands at its owner, warming
+// the whole fleet regardless of which member served it.
 func warmKeys(client *http.Client, w *workload) error {
 	for i, u := range w.urls {
 		target := w.targets[i%len(w.targets)]

@@ -24,9 +24,9 @@
 //
 // Cluster mode (DESIGN.md §16) joins this daemon to a static peer
 // fleet: every member runs the same member set, canonical run keys
-// are placed by rendezvous hashing, and a member answers misses from
-// the key owner's cache or forwards the request there — falling back
-// to local simulation when the owner is down:
+// are placed by rendezvous hashing, and a member forwards a request it
+// cannot answer from its own memory or disk to the key's owner —
+// falling back to local simulation when the owner is down:
 //
 //	secmemd -addr :8081 -cache-dir /var/cache/a \
 //	        -self http://10.0.0.1:8081 \
@@ -70,7 +70,7 @@ func main() {
 
 		self       = flag.String("self", "", "this node's advertised base URL in the cluster (required with -peers)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs; enables cluster mode")
-		peerTO     = flag.Duration("peer-timeout", 5*time.Second, "per peer fetch/push/forward budget")
+		peerTO     = flag.Duration("peer-timeout", 5*time.Second, "per forward/probe budget")
 		probeEvery = flag.Duration("peer-probe-every", 2*time.Second, "peer health-probe interval")
 	)
 	flag.Parse()

@@ -1,30 +1,28 @@
 // Package cluster turns a set of secmemd processes into one serving
 // fleet: rendezvous-hash placement of canonical run keys over a
 // static, flag-configured member set (Ring), health-checked
-// membership, and the HTTP client half of the peer cache tier — raw
-// result-envelope fetch/push against a peer daemon's /api/cache
-// route, plus whole-request forwarding of /api/run to a key's owner
-// so the owner's cross-request singleflight coalesces identical
-// in-flight work cluster-wide (DESIGN.md §16).
+// membership, and whole-request forwarding of /api/run to a key's
+// owner, so each result is computed and stored once, at its owner,
+// and the owner's cross-request singleflight coalesces identical
+// in-flight work cluster-wide (DESIGN.md §16). Peers never read or
+// write each other's stores directly.
 //
 // Failure model: everything fails open. A peer that cannot be reached
-// is marked down immediately (passively, by the failing call) and
-// re-probed periodically; while it is down the caller skips the peer
-// tier and simulates locally, so a dead owner degrades the cluster to
-// independent nodes rather than an outage. Results are immutable and
-// content-addressed by the canonical RunKey, so there is no staleness
-// to manage — any tier's hit is correct.
+// is marked down immediately (passively, by the failing forward) and
+// re-probed periodically; while it is down the caller simulates
+// locally, so a dead owner degrades the cluster to independent nodes
+// rather than an outage. A forward abandoned because the inbound
+// request itself was cancelled says nothing about the peer and leaves
+// its health alone. Results are immutable and content-addressed by
+// the canonical RunKey, so there is no staleness to manage.
 //
-// Concurrency and aliasing contract: a Cluster is safe for concurrent
-// use by any number of goroutines. The Ring and node list are
-// immutable after New; per-peer health is an atomic flag; the HTTP
-// client is the stdlib's (itself concurrency-safe). Byte slices
-// returned by FetchRaw are fresh and owned by the caller; slices
-// passed to PushRaw are only read during the call.
+// Concurrency contract: a Cluster is safe for concurrent use by any
+// number of goroutines. The Ring and node list are immutable after
+// New; per-peer health is an atomic flag; the HTTP client is the
+// stdlib's (itself concurrency-safe).
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -44,10 +42,6 @@ import (
 // with different -peers) degrade to an extra hop, not a loop.
 const HopHeader = "X-Secmem-Cluster-Hop"
 
-// cachePath is the daemon route peers fetch/push raw result envelopes
-// on; the canonical run key travels URL-encoded in the query string.
-const cachePath = "/api/cache"
-
 // Config configures a Cluster.
 type Config struct {
 	// Self is this node's own advertised base URL (scheme://host:port),
@@ -55,7 +49,7 @@ type Config struct {
 	Self string
 	// Peers lists the other members' base URLs.
 	Peers []string
-	// Timeout bounds one peer fetch/push/forward (default 5s).
+	// Timeout bounds one forward or health probe (default 5s).
 	Timeout time.Duration
 	// ProbeEvery is the health-probe interval (default 2s).
 	ProbeEvery time.Duration
@@ -71,7 +65,7 @@ type peerState struct {
 
 // Cluster is the client half of the distributed serving tier: the
 // placement ring over all members (self included), per-peer health,
-// and the raw-envelope peer protocol.
+// and request forwarding.
 type Cluster struct {
 	self       string
 	ring       *Ring
@@ -98,8 +92,8 @@ func initInstruments() {
 	metOnce.Do(func() {
 		reg := telemetry.Default
 		met.up = reg.GaugeVec("gpusecmem_peer_up", "1 when the peer answered its last health probe or call, else 0", "peer")
-		met.reqs = reg.CounterVec("gpusecmem_peer_requests_total", "peer-protocol calls by operation and outcome", "op", "outcome")
-		met.dur = reg.HistogramVec("gpusecmem_peer_request_duration_us", "peer-protocol call latency in microseconds by operation", "op")
+		met.reqs = reg.CounterVec("gpusecmem_peer_requests_total", "peer calls (forward, probe) by operation and outcome", "op", "outcome")
+		met.dur = reg.HistogramVec("gpusecmem_peer_request_duration_us", "peer call (forward, probe) latency in microseconds by operation", "op")
 		met.flaps = reg.CounterVec("gpusecmem_peer_transitions_total", "peer up/down health transitions", "peer", "to")
 	})
 }
@@ -257,86 +251,13 @@ func (c *Cluster) probe(ctx context.Context, node string) {
 	c.setUp(node, true)
 }
 
-// cacheURL builds the peer cache route for a key.
-func cacheURL(node, key string) string {
-	return node + cachePath + "?key=" + url.QueryEscape(key)
-}
-
-// FetchRaw asks node for the raw result envelope of key (the exact
-// bytes its on-disk store holds; the caller decodes and validates).
-// Any failure — transport error, non-200, empty body — reads as a
-// miss, and transport errors additionally mark the peer down.
-func (c *Cluster) FetchRaw(ctx context.Context, node, key string) ([]byte, bool) {
-	t0 := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cacheURL(node, key), nil)
-	if err != nil {
-		met.reqs.With("fetch", "error").Inc()
-		return nil, false
-	}
-	if id := telemetry.TraceID(ctx); id != "" {
-		req.Header.Set(telemetry.TraceHeader, id)
-	}
-	resp, err := c.client.Do(req)
-	met.dur.With("fetch").ObserveSince(t0)
-	if err != nil {
-		met.reqs.With("fetch", "error").Inc()
-		c.setUp(node, false)
-		return nil, false
-	}
-	defer resp.Body.Close()
-	c.setUp(node, true)
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		met.reqs.With("fetch", "miss").Inc()
-		return nil, false
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil || len(raw) == 0 {
-		met.reqs.With("fetch", "error").Inc()
-		return nil, false
-	}
-	met.reqs.With("fetch", "hit").Inc()
-	return raw, true
-}
-
-// PushRaw write-through replicates a raw result envelope to node —
-// the owner of key — so a result simulated off-owner (fail-open, or
-// an experiment sub-run) still lands in the cluster-wide copy.
-// Best-effort: errors are counted and reported, never fatal.
-func (c *Cluster) PushRaw(ctx context.Context, node, key string, raw []byte) error {
-	t0 := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, cacheURL(node, key), bytes.NewReader(raw))
-	if err != nil {
-		met.reqs.With("push", "error").Inc()
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if id := telemetry.TraceID(ctx); id != "" {
-		req.Header.Set(telemetry.TraceHeader, id)
-	}
-	resp, err := c.client.Do(req)
-	met.dur.With("push").ObserveSince(t0)
-	if err != nil {
-		met.reqs.With("push", "error").Inc()
-		c.setUp(node, false)
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	c.setUp(node, true)
-	if resp.StatusCode/100 != 2 {
-		met.reqs.With("push", "error").Inc()
-		return fmt.Errorf("cluster: push to %s: status %d", node, resp.StatusCode)
-	}
-	met.reqs.With("push", "ok").Inc()
-	return nil
-}
-
 // Forward proxies an inbound HTTP request to node (the key's owner),
 // stamped with the hop loop-guard, and returns the peer's response
 // for the caller to stream back. A transport failure marks the peer
 // down and returns the error so the caller can fail open to local
-// work. The caller owns resp.Body.
+// work — unless r's own context is done: then the caller gave up, the
+// peer is not to blame, and its health is left alone. The caller owns
+// resp.Body.
 func (c *Cluster) Forward(r *http.Request, node string) (*http.Response, error) {
 	t0 := time.Now()
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, node+r.URL.RequestURI(), r.Body)
@@ -353,6 +274,10 @@ func (c *Cluster) Forward(r *http.Request, node string) (*http.Response, error) 
 	resp, err := c.client.Do(req)
 	met.dur.With("forward").ObserveSince(t0)
 	if err != nil {
+		if r.Context().Err() != nil {
+			met.reqs.With("forward", "cancelled").Inc()
+			return nil, err
+		}
 		met.reqs.With("forward", "error").Inc()
 		c.setUp(node, false)
 		return nil, err

@@ -68,75 +68,6 @@ func TestHealthProbeMarksPeers(t *testing.T) {
 	}
 }
 
-// TestFetchRawAndPassiveDown exercises the raw-envelope fetch path:
-// hit, miss, and a dead peer marking itself down passively (no probe
-// needed) so fail-open is immediate.
-func TestFetchRawAndPassiveDown(t *testing.T) {
-	payload := []byte("raw-envelope-bytes")
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/api/cache" && r.URL.Query().Get("key") == "have":
-			w.Write(payload)
-		case r.URL.Path == "/api/cache":
-			http.NotFound(w, r)
-		default:
-			w.WriteHeader(http.StatusOK)
-		}
-	}))
-	c := newCluster(t, "http://self.invalid:1", peer.URL)
-	ctx := context.Background()
-
-	raw, ok := c.FetchRaw(ctx, peer.URL, "have")
-	if !ok || string(raw) != string(payload) {
-		t.Fatalf("fetch hit = (%q, %v), want payload", raw, ok)
-	}
-	if _, ok := c.FetchRaw(ctx, peer.URL, "missing"); ok {
-		t.Fatal("fetch of missing key reported a hit")
-	}
-	if !c.Up(peer.URL) {
-		t.Fatal("a miss must not mark the peer down")
-	}
-
-	peer.Close()
-	if _, ok := c.FetchRaw(ctx, peer.URL, "have"); ok {
-		t.Fatal("fetch from dead peer reported a hit")
-	}
-	if c.Up(peer.URL) {
-		t.Fatal("dead peer not marked down passively")
-	}
-}
-
-func TestPushRaw(t *testing.T) {
-	var gotKey atomic.Value
-	var gotBody atomic.Value
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPut && r.URL.Path == "/api/cache" {
-			b := make([]byte, r.ContentLength)
-			r.Body.Read(b)
-			gotKey.Store(r.URL.Query().Get("key"))
-			gotBody.Store(string(b))
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		http.NotFound(w, r)
-	}))
-	defer peer.Close()
-	c := newCluster(t, "http://self.invalid:1", peer.URL)
-
-	// Keys are canonical RunKeys — JSON with spaces, braces, pipes —
-	// and must survive URL transport verbatim.
-	key := `{"NumSMs":80,"Secure":{"Unified":true}}|fdtd2d`
-	if err := c.PushRaw(context.Background(), peer.URL, key, []byte("bytes")); err != nil {
-		t.Fatal(err)
-	}
-	if gotKey.Load() != key {
-		t.Fatalf("key mangled in transit: %q", gotKey.Load())
-	}
-	if gotBody.Load() != "bytes" {
-		t.Fatalf("body mangled: %q", gotBody.Load())
-	}
-}
-
 // TestForwardHopGuard checks the forwarded request carries the hop
 // loop-guard header and the origin's URI verbatim.
 func TestForwardHopGuard(t *testing.T) {
@@ -169,6 +100,28 @@ func TestForwardHopGuard(t *testing.T) {
 	}
 	if c.Up(owner.URL) {
 		t.Fatal("dead owner not marked down by failed forward")
+	}
+}
+
+// TestForwardCancelledKeepsPeerUp is the regression test for blaming
+// the owner for the client's impatience: a forward that fails because
+// the inbound request's own context was cancelled must return the
+// error without marking a healthy owner down.
+func TestForwardCancelledKeepsPeerUp(t *testing.T) {
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // a long simulation the client will not wait for
+	}))
+	defer owner.Close()
+	c := newCluster(t, "http://self.invalid:1", owner.URL)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	in := httptest.NewRequest(http.MethodGet, "/api/run?bench=lbm&cycles=200000", nil).WithContext(ctx)
+	if _, err := c.Forward(in, owner.URL); err == nil {
+		t.Fatal("forward outlived its cancelled request")
+	}
+	if !c.Up(owner.URL) {
+		t.Fatal("a cancelled inbound request marked a healthy owner down")
 	}
 }
 

@@ -2,24 +2,12 @@ package daemon
 
 import (
 	"container/list"
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gpusecmem"
-	"gpusecmem/internal/cluster"
-	"gpusecmem/internal/resultcache"
 )
-
-// rawStore is the optional raw-envelope face of the persistent result
-// store (internal/resultcache implements it). When the configured
-// Cache exposes it, the daemon serves peer fetches and installs peer
-// pushes without a decode/re-encode round trip.
-type rawStore interface {
-	GetRaw(key string) ([]byte, bool)
-	PutRaw(key string, raw []byte) error
-}
 
 // memCache is the daemon's in-process result store: a bounded LRU
 // over canonical RunKeys, shared by every request. It only ever holds
@@ -89,25 +77,20 @@ func (m *memCache) len() int {
 
 // cacheView is a per-request gpusecmem.ResultCache over the shared
 // tiers, consulted in cost order: memory, then the persistent store
-// (promoting disk hits into memory), then — in cluster mode, for keys
-// another live member owns — the owner's store over HTTP (DESIGN.md
-// §16). Each request gets its own view so hit attribution — the
-// "source" field the smoke tests assert on — is exact even under
-// concurrent requests.
+// (promoting disk hits into memory). Each request gets its own view so
+// hit attribution — the "source" field the smoke tests assert on — is
+// exact even under concurrent requests. In cluster mode a key missing
+// from both is forwarded whole to its owner by handleRun (DESIGN.md
+// §16); the view itself never talks to peers.
 type cacheView struct {
-	mem   *memCache
-	disk  gpusecmem.ResultCache // nil when the daemon has no -cache-dir
-	peers *cluster.Cluster      // nil when the daemon is not clustered
-	ctx   context.Context       // request context: peer calls carry its trace ID
+	mem  *memCache
+	disk gpusecmem.ResultCache // nil when the daemon has no -cache-dir
 
-	memHits, memMisses, diskHits, diskMisses, peerHits, peerMisses, puts atomic.Uint64
+	memHits, memMisses, diskHits, diskMisses, puts atomic.Uint64
 }
 
-func (s *Server) newView(ctx context.Context) *cacheView {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &cacheView{mem: s.mem, disk: s.cfg.Cache, peers: s.cfg.Cluster, ctx: ctx}
+func (s *Server) newView() *cacheView {
+	return &cacheView{mem: s.mem, disk: s.cfg.Cache}
 }
 
 func (v *cacheView) Get(key string) (*gpusecmem.Result, bool) {
@@ -124,68 +107,24 @@ func (v *cacheView) Get(key string) (*gpusecmem.Result, bool) {
 		}
 		v.diskMisses.Add(1)
 	}
-	if v.peers != nil {
-		if owner, self := v.peers.Owner(key); !self && v.peers.Up(owner) {
-			if raw, ok := v.peers.FetchRaw(v.ctx, owner, key); ok {
-				// The fetched envelope is validated on decode; a peer
-				// serving garbage degrades to a miss, never to a wrong
-				// result.
-				if res, err := resultcache.DecodeEnvelope(raw, key); err == nil {
-					v.peerHits.Add(1)
-					v.mem.put(key, res)
-					return res, true
-				}
-			}
-			v.peerMisses.Add(1)
-		}
-	}
 	return nil, false
 }
 
 func (v *cacheView) Put(key string, res *gpusecmem.Result) {
 	v.puts.Add(1)
 	v.mem.put(key, res)
-
-	// In cluster mode a result simulated off-owner (fail-open, or an
-	// experiment sub-run) is write-through replicated to the key's
-	// owner, encoded exactly once: the same raw envelope feeds the
-	// local store (PutRaw) and the peer push. Detached from the
-	// request context — the response may already be leaving — but
-	// bounded by the cluster client's own timeout.
-	var raw []byte
-	if v.peers != nil {
-		if owner, self := v.peers.Owner(key); !self && v.peers.Up(owner) {
-			if b, err := resultcache.EncodeEnvelope(key, res); err == nil {
-				raw = b
-				v.peers.PushRaw(context.WithoutCancel(v.ctx), owner, key, raw)
-			}
-		}
-	}
 	if v.disk != nil {
-		if rs, ok := v.disk.(rawStore); ok && raw != nil {
-			if err := rs.PutRaw(key, raw); err == nil {
-				return
-			}
-			// A failed raw write must not strand a freshly simulated
-			// result in memory only: fall through to the typed Put so
-			// the disk tier still gets it (counted so a flaky store is
-			// visible, not silent).
-			met.putRawFallbacks.Inc()
-		}
 		v.disk.Put(key, res)
 	}
 }
 
 // source summarizes where this request's results came from, worst
 // tier wins: any fresh simulation makes the whole request
-// "simulated", else any peer fetch makes it "peer", else any disk
-// read makes it "disk", else "memory".
+// "simulated", else any disk read makes it "disk", else "memory".
 func (v *cacheView) source() string {
 	switch {
 	case v.puts.Load() > 0:
 		return "simulated"
-	case v.peerHits.Load() > 0:
-		return "peer"
 	case v.diskHits.Load() > 0:
 		return "disk"
 	default:
@@ -202,8 +141,6 @@ func (v *cacheView) count() {
 	met.memMisses.Add(v.memMisses.Load())
 	met.diskHits.Add(v.diskHits.Load())
 	met.diskMisses.Add(v.diskMisses.Load())
-	met.peerHits.Add(v.peerHits.Load())
-	met.peerMisses.Add(v.peerMisses.Load())
 	met.simulated.Add(v.puts.Load())
 }
 
@@ -222,9 +159,9 @@ type ckptView struct {
 // fresh checkpoint view (nil — and safe to use — when checkpointing is
 // off). Shutdown checkpointing needs no extra plumbing: cancelling a
 // checkpointed run snapshots it before the simulator returns.
-func (s *Server) newContext(ctx context.Context, opts gpusecmem.Options) (*gpusecmem.Context, *cacheView, *ckptView) {
+func (s *Server) newContext(opts gpusecmem.Options) (*gpusecmem.Context, *cacheView, *ckptView) {
 	gctx := gpusecmem.NewContext(opts)
-	view := s.newView(ctx)
+	view := s.newView()
 	gctx.SetResultCache(view)
 	var ck *ckptView
 	if s.cfg.Checkpoints != nil {

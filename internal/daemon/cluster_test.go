@@ -2,8 +2,8 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -111,30 +111,29 @@ func compactJSON(t *testing.T, raw []byte) string {
 	return buf.String()
 }
 
-// TestClusterPeerTierByteIdentity drives the whole distributed story
-// on a live two-node cluster: a miss through the non-owner forwards to
-// the owner (which sees the hop guard) and simulates there; the repeat
-// through the non-owner is served from the owner's store via the raw
-// peer tier (source=peer) with a payload byte-identical to a direct
-// library run; the third repeat comes from the non-owner's own memory
-// LRU, where the peer hit was promoted.
-func TestClusterPeerTierByteIdentity(t *testing.T) {
+// TestClusterForwardByteIdentity drives the one cluster miss path on
+// a live two-node cluster: every request through the non-owner misses
+// its empty local tiers and is forwarded whole to the owner, carrying
+// the hop guard. The first simulates there; the repeats are answered
+// from the owner's memory. Every payload is byte-identical to a direct
+// library run, and the non-owner keeps no copy of its own.
+func TestClusterForwardByteIdentity(t *testing.T) {
 	ls, urls := reserveListeners(t, 2)
 	key := clusterRunKey(t)
 	ownerIdx, otherIdx := pickOwnerNonOwner(t, key, urls)
 
-	var ownerRuns atomic.Int32
-	var sawHop atomic.Bool
+	var ownerRuns, hopRuns atomic.Int32
+	nodes := make([]*Server, 2)
 	for i := range ls {
-		d := newClusterMember(t, urls[i], []string{urls[1-i]})
-		h := d.Handler()
+		nodes[i] = newClusterMember(t, urls[i], []string{urls[1-i]})
+		h := nodes[i].Handler()
 		if i == ownerIdx {
 			inner := h
 			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/api/run" {
 					ownerRuns.Add(1)
 					if r.Header.Get(cluster.HopHeader) != "" {
-						sawHop.Store(true)
+						hopRuns.Add(1)
 					}
 				}
 				inner.ServeHTTP(w, r)
@@ -143,35 +142,6 @@ func TestClusterPeerTierByteIdentity(t *testing.T) {
 		startNode(t, ls[i], h)
 	}
 
-	runURL := urls[otherIdx] + "/api/run?" + clusterRunQuery
-	var first, second, third struct {
-		Source string          `json:"source"`
-		Key    string          `json:"key"`
-		Result json.RawMessage `json:"result"`
-	}
-	if code := getJSON(t, runURL, &first); code != 200 {
-		t.Fatalf("first run: status %d", code)
-	}
-	if first.Source != "simulated" {
-		t.Fatalf("first run source = %q, want simulated (on the owner)", first.Source)
-	}
-	if ownerRuns.Load() != 1 || !sawHop.Load() {
-		t.Fatalf("owner saw %d /api/run (hop header: %v), want 1 forwarded request",
-			ownerRuns.Load(), sawHop.Load())
-	}
-
-	if code := getJSON(t, runURL, &second); code != 200 {
-		t.Fatalf("second run: status %d", code)
-	}
-	if second.Source != "peer" {
-		t.Fatalf("second run source = %q, want peer", second.Source)
-	}
-	if ownerRuns.Load() != 1 {
-		t.Fatal("peer-tier hit still hit the owner's /api/run")
-	}
-
-	// The acceptance pin: the peer-tier payload is byte-identical to a
-	// direct library run of the same canonical configuration.
 	q, _ := url.ParseQuery(clusterRunQuery)
 	cfg, _, bench, err := parseRunConfig(q)
 	if err != nil {
@@ -185,18 +155,31 @@ func TestClusterPeerTierByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := compactJSON(t, second.Result); got != string(want) {
-		t.Fatal("peer-tier result differs from a direct library run")
-	}
-	if compactJSON(t, first.Result) != compactJSON(t, second.Result) {
-		t.Fatal("forwarded and peer-tier results differ")
-	}
 
-	if code := getJSON(t, runURL, &third); code != 200 {
-		t.Fatalf("third run: status %d", code)
+	runURL := urls[otherIdx] + "/api/run?" + clusterRunQuery
+	for i, wantSource := range []string{"simulated", "memory", "memory"} {
+		var got struct {
+			Source string          `json:"source"`
+			Result json.RawMessage `json:"result"`
+		}
+		if code := getJSON(t, runURL, &got); code != 200 {
+			t.Fatalf("run %d: status %d", i+1, code)
+		}
+		if got.Source != wantSource {
+			t.Fatalf("run %d source = %q, want %s (at the owner)", i+1, got.Source, wantSource)
+		}
+		if n := int32(i + 1); ownerRuns.Load() != n || hopRuns.Load() != n {
+			t.Fatalf("run %d: owner saw %d /api/run, %d with the hop header; want %d forwarded",
+				i+1, ownerRuns.Load(), hopRuns.Load(), n)
+		}
+		// The acceptance pin: a forwarded answer is byte-identical to a
+		// direct library run of the same canonical configuration.
+		if compactJSON(t, got.Result) != string(want) {
+			t.Fatalf("run %d: forwarded result differs from a direct library run", i+1)
+		}
 	}
-	if third.Source != "memory" {
-		t.Fatalf("third run source = %q, want memory (promoted peer hit)", third.Source)
+	if n := nodes[otherIdx].mem.len(); n != 0 {
+		t.Fatalf("non-owner memory LRU holds %d entries, want 0 (one copy per key, at the owner)", n)
 	}
 }
 
@@ -290,178 +273,60 @@ func TestClusterFailOpen(t *testing.T) {
 	}
 }
 
-// failingRawStore wraps a real persistent store but refuses every raw
-// envelope write, so tests can pin the typed-Put fallback path.
-type failingRawStore struct {
-	gpusecmem.ResultCache
-	putRawCalls atomic.Int32
-}
-
-func (f *failingRawStore) GetRaw(string) ([]byte, bool) { return nil, false }
-
-func (f *failingRawStore) PutRaw(string, []byte) error {
-	f.putRawCalls.Add(1)
-	return errors.New("injected raw-store failure")
-}
-
-// TestPutRawFailureFallsBackToTypedPut is the write-through regression
-// test: in cluster mode the local disk write uses the already-encoded
-// raw envelope, and when that PutRaw fails the result must still land
-// in the disk tier via the typed Put — not evaporate silently. The
-// run goes to the non-owner with the hop guard set, so it simulates
-// locally and takes the raw write-through path.
-func TestPutRawFailureFallsBackToTypedPut(t *testing.T) {
+// TestClusterCancelledForwardKeepsOwnerUp is the regression test for
+// a client giving up mid-forward: the non-owner must end the request
+// without marking the healthy owner down and without failing open to
+// a local simulation; a wrongly downed owner would send every miss for
+// its keys to local simulation until the next probe.
+func TestClusterCancelledForwardKeepsOwnerUp(t *testing.T) {
 	ls, urls := reserveListeners(t, 2)
-	key := clusterRunKey(t)
-	_, otherIdx := pickOwnerNonOwner(t, key, urls)
-
-	disk, err := resultcache.Open(t.TempDir())
+	const slowQuery = "bench=lbm&scheme=ctr_mac_bmt&cycles=200000"
+	q, _ := url.ParseQuery(slowQuery)
+	cfg, _, bench, err := parseRunConfig(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	failing := &failingRawStore{ResultCache: disk}
+	ownerIdx, otherIdx := pickOwnerNonOwner(t, gpusecmem.RunKey(cfg, bench), urls)
+
+	nodes := make([]*Server, 2)
+	handled := make(chan struct{})
 	for i := range ls {
-		cl, err := cluster.New(cluster.Config{
-			Self:    urls[i],
-			Peers:   []string{urls[1-i]},
-			Timeout: 2 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cache gpusecmem.ResultCache
+		nodes[i] = newClusterMember(t, urls[i], []string{urls[1-i]})
+		h := nodes[i].Handler()
 		if i == otherIdx {
-			cache = failing
-		} else {
-			if cache, err = resultcache.Open(t.TempDir()); err != nil {
-				t.Fatal(err)
-			}
+			inner := h
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				inner.ServeHTTP(w, r)
+				if r.URL.Path == "/api/run" {
+					close(handled)
+				}
+			})
 		}
-		startNode(t, ls[i], New(Config{Cache: cache, Cluster: cl}).Handler())
+		startNode(t, ls[i], h)
 	}
-	fallbacksBefore := met.putRawFallbacks.Value()
+	fallbacksBefore := met.forwardFallbacks.Value()
 
-	req, err := http.NewRequest(http.MethodGet, urls[otherIdx]+"/api/run?"+clusterRunQuery, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, urls[otherIdx]+"/api/run?"+slowQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(cluster.HopHeader, "http://somewhere.else")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Source string `json:"source"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 || body.Source != "simulated" {
-		t.Fatalf("status %d source %q, want 200 simulated", resp.StatusCode, body.Source)
-	}
-
-	if n := failing.putRawCalls.Load(); n == 0 {
-		t.Fatal("test never exercised the raw write path")
-	}
-	if got := met.putRawFallbacks.Value(); got == fallbacksBefore {
-		t.Fatal("PutRaw failure not counted in gpusecmem_cache_putraw_fallbacks_total")
-	}
-	// The acceptance pin: despite the failed raw write, the result is in
-	// the disk tier under its canonical key via the typed fallback.
-	if _, ok := disk.Get(key); !ok {
-		t.Fatal("PutRaw failure lost the result: not found in the disk tier")
-	}
-}
-
-// TestCacheAPI exercises the server half of the peer protocol over
-// real HTTP: push an envelope, fetch it back byte-identically, and
-// reject the failure cases.
-func TestCacheAPI(t *testing.T) {
-	disk, err := resultcache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newTestServer(t, Config{Cache: disk})
-
-	cfg := gpusecmem.SecureMemConfig()
-	cfg.MaxCycles = 1500
-	res, err := gpusecmem.Simulate(cfg, "nw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "some canonical key | nw"
-	raw, err := resultcache.EncodeEnvelope(key, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cacheURL := ts.URL + "/api/cache?key=" + url.QueryEscape(key)
-	// Miss before push.
-	resp, err := http.Get(cacheURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("pre-push GET: status %d, want 404", resp.StatusCode)
-	}
-
-	put := func(body []byte) int {
-		req, err := http.NewRequest(http.MethodPut, cacheURL, bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()
-		return resp.StatusCode
+		t.Fatalf("cold %s answered (status %d) before the client gave up", slowQuery, resp.StatusCode)
 	}
-	if code := put(raw); code != 204 {
-		t.Fatalf("PUT: status %d, want 204", code)
-	}
-	if code := put([]byte("junk")); code != 400 {
-		t.Fatalf("junk PUT: status %d, want 400", code)
+	select {
+	case <-handled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("non-owner never finished the abandoned request")
 	}
 
-	resp, err = http.Get(cacheURL)
-	if err != nil {
-		t.Fatal(err)
+	if !nodes[otherIdx].cfg.Cluster.Up(urls[ownerIdx]) {
+		t.Fatal("a client giving up marked the healthy owner down")
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("GET: status %d, want 200", resp.StatusCode)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Fatal("fetched envelope differs from the pushed bytes")
-	}
-}
-
-// TestCacheAPIWithoutStore pins the degraded answers of a daemon with
-// no raw-capable persistent store.
-func TestCacheAPIWithoutStore(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	u := ts.URL + "/api/cache?key=k"
-	resp, err := http.Get(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("GET without store: status %d, want 404", resp.StatusCode)
-	}
-	req, _ := http.NewRequest(http.MethodPut, u, bytes.NewReader([]byte("x")))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 501 {
-		t.Fatalf("PUT without store: status %d, want 501", resp.StatusCode)
+	if met.forwardFallbacks.Value() != fallbacksBefore {
+		t.Fatal("a client giving up failed open to a local simulation")
 	}
 }
 

@@ -1,10 +1,11 @@
 package daemon
 
-// The server half of the cluster peer protocol (internal/cluster is
-// the client half; DESIGN.md §16): /api/cache moves raw result
-// envelopes between peers without a decode/re-encode round trip, and
-// /api/cluster exposes membership, health, and key placement for
-// operators and the CI smoke test.
+// The server half of cluster mode (internal/cluster is the client
+// half; DESIGN.md §16): /api/cluster exposes membership, health, and
+// key placement for operators and the CI smoke test, and
+// proxyResponse streams a forwarded /api/run answer back from the
+// key's owner. Peers exchange whole /api/run requests only: no route
+// lets another node write into this node's stores.
 
 import (
 	"encoding/json"
@@ -14,61 +15,6 @@ import (
 	"gpusecmem"
 	"gpusecmem/internal/runner"
 )
-
-// maxEnvelopeBytes bounds one pushed result envelope. Real envelopes
-// are a few KB; the cap only exists so a confused or malicious peer
-// cannot make us buffer an unbounded body.
-const maxEnvelopeBytes = 64 << 20
-
-// handleCacheGet serves the exact on-disk envelope bytes for a key —
-// the peer fetch path. Only a raw-capable persistent store can answer;
-// a daemon without one (or without the entry) is simply a miss.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpError(w, r, http.StatusBadRequest, "missing key")
-		return
-	}
-	rs, ok := s.cfg.Cache.(rawStore)
-	if !ok {
-		httpError(w, r, http.StatusNotFound, "no raw-capable result store")
-		return
-	}
-	raw, ok := rs.GetRaw(key)
-	if !ok {
-		httpError(w, r, http.StatusNotFound, "no entry")
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(raw)
-}
-
-// handleCachePut installs a pushed envelope verbatim — the
-// write-through replication path. The store validates before writing
-// (schema, embedded key, non-nil result), so a bad push is a 400, not
-// a planted corrupt entry.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpError(w, r, http.StatusBadRequest, "missing key")
-		return
-	}
-	rs, ok := s.cfg.Cache.(rawStore)
-	if !ok {
-		httpError(w, r, http.StatusNotImplemented, "no raw-capable result store")
-		return
-	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEnvelopeBytes))
-	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if err := rs.PutRaw(key, raw); err != nil {
-		httpError(w, r, http.StatusBadRequest, "bad envelope: %v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
 
 // handleCluster reports membership and per-peer health, and — when the
 // query also names a run (same knobs as /api/run) — where that key

@@ -12,7 +12,6 @@
 //	GET /api/catalogue             benchmarks, schemes, experiments, formats
 //	GET /api/run                   one (scheme, benchmark) simulation as JSON
 //	GET /api/experiment/{id}       a paper table/figure, rendered text|csv|md
-//	GET/PUT /api/cache             raw result envelopes (the peer cache protocol)
 //	GET /api/cluster               membership, health, and key placement
 //	GET /healthz                   liveness + counters
 //	GET /metrics                   Prometheus text-format exposition
@@ -22,20 +21,20 @@
 // and at most QueueDepth more wait; beyond that requests are rejected
 // immediately with 429 and a Retry-After hint, so a burst degrades to
 // fast failures instead of unbounded goroutine pile-up. Admission
-// guards *simulation* only: requests every cached tier can answer —
-// memory, disk, peer — are served before taking a slot, so cached
+// guards *simulation* only: requests a cached tier can answer —
+// memory or disk — are served before taking a slot, so cached
 // lookups scale with the HTTP stack rather than the worker pool, and
 // concurrent identical misses coalesce onto one in-flight simulation
 // via a server-scope singleflight (internal/flight).
 //
-// Cluster mode (Config.Cluster, DESIGN.md §16) chains one more tier
-// and one forwarding rule into /api/run: a key missing from every
-// local tier is fetched raw from its rendezvous owner's store, and if
-// the owner has not computed it either, the whole request is proxied
-// to the owner (loop-guarded by cluster.HopHeader) so the owner's
+// Cluster mode (Config.Cluster, DESIGN.md §16) adds one forwarding
+// rule to /api/run: a key missing from both local tiers is proxied
+// whole to its rendezvous owner (loop-guarded by cluster.HopHeader),
+// which answers from its own tiers or simulates, so the owner's
 // flight group coalesces identical work cluster-wide. A down owner
-// fails open to local simulation, whose result is write-through
-// replicated to the owner once it returns.
+// fails open to local simulation, kept in this node's own tiers. A
+// client that gives up mid-forward ends the request; it neither marks
+// the owner down nor starts a local simulation.
 //
 // Telemetry: every request is assigned a trace ID at admission
 // (honoring a valid inbound X-Secmem-Trace-Id), which rides the
@@ -121,10 +120,9 @@ type Config struct {
 	// route, status, duration, serving tier) plus lifecycle events.
 	// nil disables request logging; build one with telemetry.NewLogger.
 	Logger *slog.Logger
-	// Cluster joins this daemon to a peer fleet (nil: single node).
-	// Peer serving wants a persistent Cache too — without one this
-	// node can answer no peer fetches. The caller starts the cluster's
-	// health-probe loop.
+	// Cluster joins this daemon to a peer fleet (nil: single node):
+	// misses on keys another live member owns are forwarded to it. The
+	// caller starts the cluster's health-probe loop.
 	Cluster *cluster.Cluster
 }
 
@@ -264,8 +262,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /api/catalogue", s.handleCatalogue)
 	mux.HandleFunc("GET /api/run", s.handleRun)
 	mux.HandleFunc("GET /api/experiment/{id}", s.handleExperiment)
-	mux.HandleFunc("GET /api/cache", s.handleCacheGet)
-	mux.HandleFunc("PUT /api/cache", s.handleCachePut)
 	mux.HandleFunc("GET /api/cluster", s.handleCluster)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", telemetry.Default.Handler())
@@ -441,8 +437,8 @@ func (s *Server) handleCatalogue(w http.ResponseWriter, r *http.Request) {
 // --- ad-hoc runs ---
 
 // runResponse is the /api/run payload. Source records where the
-// result came from — "memory", "disk", "peer", "resumed", or
-// "simulated" — so callers (and the CI smoke tests) can assert cache
+// result came from — "memory", "disk", "resumed", or "simulated" — so
+// callers (and the CI smoke tests) can assert cache
 // and cluster behaviour. TraceID repeats the X-Secmem-Trace-Id header
 // for clients that only keep bodies.
 type runResponse struct {
@@ -542,14 +538,13 @@ func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, res *gpusecmem
 	})
 }
 
-// handleRun serves one simulation in escalating cost order. Cached
-// tiers — memory, disk, and (clustered) the owner's store — answer
-// before admission, so cached lookups never wait on, or occupy, a
-// simulation slot. A miss on everything either forwards the whole
-// request to the key's live owner (cluster-wide coalescing; never
-// when the request already carries the hop guard) or admits and
-// simulates locally, with identical concurrent misses sharing one
-// flight.
+// handleRun serves one simulation in escalating cost order. The local
+// cached tiers — memory, then disk — answer before admission, so
+// cached lookups never wait on, or occupy, a simulation slot. A miss
+// on both either forwards the whole request to the key's live owner
+// (the one cluster miss path; never when the request already carries
+// the hop guard) or admits and simulates locally, with identical
+// concurrent misses sharing one flight.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	cfg, scheme, bench, err := parseRunConfig(r.URL.Query())
 	if err != nil {
@@ -563,7 +558,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	key := gpusecmem.RunKey(cfg, bench)
 	t0 := time.Now()
 
-	view := s.newView(r.Context())
+	view := s.newView()
 	if res, ok := view.Get(key); ok {
 		view.count()
 		s.writeRun(w, r, res, view.source(), scheme, bench, key, time.Since(t0))
@@ -579,9 +574,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				proxyResponse(w, resp)
 				return
 			}
+			if r.Context().Err() != nil {
+				// The client gave up, not the owner: there is no one
+				// left to answer, so neither fail open nor blame the
+				// owner (Forward left its health alone).
+				met.cancelled.Inc()
+				httpError(w, r, statusClientClosedRequest, "request cancelled while forwarded")
+				return
+			}
 			// Owner unreachable: fail open to a local simulation (the
-			// Forward call already marked the owner down, so the
-			// write-through in Put will skip it too).
+			// Forward call already marked the owner down).
 			met.forwardFallbacks.Inc()
 		}
 	}
@@ -596,7 +598,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The memo consults every cached tier before simulating, so a
 		// request that queued behind the worker pool may find its
 		// result already landed.
-		gctx, view, ck := s.newContext(ctx, gpusecmem.Options{Cycles: cfg.MaxCycles, Shards: s.cfg.Shards})
+		gctx, view, ck := s.newContext(gpusecmem.Options{Cycles: cfg.MaxCycles, Shards: s.cfg.Shards})
 		res, err := gctx.RunE(ctx, cfg, bench)
 		view.count()
 		ck.count()
@@ -670,7 +672,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	gctx, view, ckpt := s.newContext(ctx, opts)
+	gctx, view, ckpt := s.newContext(opts)
 	defer view.count()
 	defer ckpt.count()
 

@@ -3,16 +3,19 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"gpusecmem"
 	"gpusecmem/internal/checkpoint"
+	"gpusecmem/internal/envelope"
 	"gpusecmem/internal/resultcache"
 )
 
@@ -115,6 +118,72 @@ func TestRunCacheSources(t *testing.T) {
 	}
 	if first.Key == "" || first.Key != third.Key {
 		t.Fatalf("key mismatch: %q vs %q", first.Key, third.Key)
+	}
+}
+
+// TestForgedCachePutRejected is the regression test for the network
+// write path into the result store. A validly framed envelope holding
+// a made-up Result for a real run key carries a correct sha256 and
+// embedded key, so only the absence of any write route keeps it out:
+// the PUT must be refused, and /api/run must simulate the honest
+// answer instead of serving the forgery from disk.
+func TestForgedCachePutRejected(t *testing.T) {
+	disk, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, Config{Cache: disk})
+	const query = "bench=nw&scheme=ctr_mac_bmt&cycles=1500"
+	q, _ := url.ParseQuery(query)
+	cfg, _, bench, err := parseRunConfig(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := gpusecmem.RunKey(cfg, bench)
+
+	fake := gpusecmem.Result{Cycles: 1500, Instructions: 123456789}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&fake); err != nil {
+		t.Fatal(err)
+	}
+	forged := envelope.Encode(resultcache.Schema, key, payload.Bytes())
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/api/cache?key="+url.QueryEscape(key), bytes.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("forged PUT /api/cache: status %d, want 404 or 405", resp.StatusCode)
+	}
+
+	var got struct {
+		Source string          `json:"source"`
+		Result json.RawMessage `json:"result"`
+	}
+	if code := getJSON(t, ts.URL+"/api/run?"+query, &got); code != 200 {
+		t.Fatalf("run: status %d", code)
+	}
+	if got.Source != "simulated" {
+		t.Fatalf("run source = %q, want simulated (the forged entry was served)", got.Source)
+	}
+	honest, err := gpusecmem.Simulate(cfg, bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, got.Result); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != string(want) {
+		t.Fatal("served result differs from an honest library run")
 	}
 }
 

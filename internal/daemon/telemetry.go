@@ -31,17 +31,14 @@ type instruments struct {
 	httpReqs *telemetry.CounterVec   // route, code
 	httpDur  *telemetry.HistogramVec // route
 
-	memHits         *telemetry.Counter
-	memMisses       *telemetry.Counter
-	diskHits        *telemetry.Counter
-	diskMisses      *telemetry.Counter
-	peerHits        *telemetry.Counter
-	peerMisses      *telemetry.Counter
-	putRawFallbacks *telemetry.Counter
-	simulated       *telemetry.Counter
-	resumed         *telemetry.Counter
-	saved           *telemetry.Counter
-	runDur          *telemetry.HistogramVec // tier: memory|disk|peer|simulated|resumed
+	memHits    *telemetry.Counter
+	memMisses  *telemetry.Counter
+	diskHits   *telemetry.Counter
+	diskMisses *telemetry.Counter
+	simulated  *telemetry.Counter
+	resumed    *telemetry.Counter
+	saved      *telemetry.Counter
+	runDur     *telemetry.HistogramVec // tier: memory|disk|simulated|resumed
 
 	forwarded        *telemetry.Counter
 	forwardFallbacks *telemetry.Counter
@@ -78,11 +75,10 @@ func initInstruments() {
 			httpReqs: reg.CounterVec("gpusecmem_http_requests_total", "HTTP requests by route bucket and status code", "route", "code"),
 			httpDur:  reg.HistogramVec("gpusecmem_http_request_duration_us", "HTTP request duration in microseconds by route bucket", "route"),
 
-			putRawFallbacks: reg.Counter("gpusecmem_cache_putraw_fallbacks_total", "raw envelope writes that failed and fell back to a typed disk Put"),
-			simulated:       reg.Counter("gpusecmem_runs_simulated_total", "requests that ran a fresh simulation"),
-			resumed:         reg.Counter("gpusecmem_checkpoint_restores_total", "served simulations resumed from a checkpoint"),
-			saved:           reg.Counter("gpusecmem_checkpoint_saves_total", "checkpoints written while serving"),
-			runDur:          reg.HistogramVec("gpusecmem_run_duration_us", "end-to-end request simulation time in microseconds by serving tier", "tier"),
+			simulated: reg.Counter("gpusecmem_runs_simulated_total", "requests that ran a fresh simulation"),
+			resumed:   reg.Counter("gpusecmem_checkpoint_restores_total", "served simulations resumed from a checkpoint"),
+			saved:     reg.Counter("gpusecmem_checkpoint_saves_total", "checkpoints written while serving"),
+			runDur:    reg.HistogramVec("gpusecmem_run_duration_us", "end-to-end request simulation time in microseconds by serving tier", "tier"),
 
 			forwarded:        reg.Counter("gpusecmem_cluster_forwards_total", "/api/run requests proxied to the key's owner for cluster-wide coalescing"),
 			forwardFallbacks: reg.Counter("gpusecmem_cluster_forward_fallbacks_total", "forwards abandoned for local simulation because the owner was down or unreachable"),
@@ -95,7 +91,6 @@ func initInstruments() {
 		misses := reg.CounterVec("gpusecmem_cache_misses_total", "result-cache misses by tier", "tier")
 		met.memHits, met.memMisses = hits.With("memory"), misses.With("memory")
 		met.diskHits, met.diskMisses = hits.With("disk"), misses.With("disk")
-		met.peerHits, met.peerMisses = hits.With("peer"), misses.With("peer")
 
 		// The Retry-After inputs, surfaced so overload behaviour is
 		// observable: the derived mean completed-run wall time and the
@@ -130,7 +125,7 @@ func (s *Server) registerServerViews() {
 		reg.CounterFunc(prefix+"_hits_total", "persistent store lookups that found a valid entry", func() float64 { return float64(stats().Hits) })
 		reg.CounterFunc(prefix+"_misses_total", "persistent store lookups that found none", func() float64 { return float64(stats().Misses) })
 		reg.CounterFunc(prefix+"_puts_total", "persistent store writes", func() float64 { return float64(stats().Puts) })
-		reg.CounterFunc(prefix+"_errors_total", "persistent store self-healed corrupt entries, rejected pushes and failed writes", func() float64 { return float64(stats().Errors) })
+		reg.CounterFunc(prefix+"_errors_total", "persistent store self-healed corrupt entries and failed writes", func() float64 { return float64(stats().Errors) })
 	}
 }
 
@@ -161,8 +156,6 @@ func routeLabel(path string) string {
 		return "/api/run"
 	case path == "/api/catalogue":
 		return "/api/catalogue"
-	case path == "/api/cache":
-		return "/api/cache"
 	case path == "/api/cluster":
 		return "/api/cluster"
 	case strings.HasPrefix(path, "/api/experiment/"):

@@ -4,9 +4,11 @@
 //
 //	<schema>\n<len(key)>\n<key><sha256(payload)><payload>
 //
-// so a foreign schema or key (a digest collision, a hand-copied file,
-// a confused peer), a torn write, or a flipped bit anywhere in the
-// file reads as invalid, never as a wrong value. A Store keeps entries
+// so a foreign schema or key (a digest collision, a hand-copied
+// file), a torn write, or a flipped bit anywhere in the file reads as
+// invalid, never as a wrong value. The checksum is unkeyed: it catches
+// accidents, not forgeries, so a Store must never install bytes from
+// an untrusted writer. A Store keeps entries
 // at <dir>/<d[:2]>/<d><tag><ext>, d being the hex sha256 of the key;
 // the tag tells several entries of one key apart and is part of the
 // embedded key, so a file renamed to another tag is invalid too.

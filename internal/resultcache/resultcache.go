@@ -4,12 +4,13 @@
 // any configuration change addresses a different entry, and repeated
 // requests across process restarts are served from disk
 // bit-identically. Each is an internal/envelope entry holding a
-// gob-encoded sim.Result, which is also the cluster wire format:
-// GetRaw/PutRaw move the exact on-disk bytes between peers with
-// validation but no re-encode (DESIGN.md §16). Only successful runs are
-// stored — errors stay in the memo where retry policy lives — and the
-// retained trace spans of a probed run are not persisted; everything
-// an experiment table or the JSON wire form renders survives the round
+// gob-encoded sim.Result. The store is local to one node: cluster
+// members never exchange entries (DESIGN.md §16). GetRaw/PutRaw, the
+// raw-envelope face, are kept only for the benchmark suite's traced
+// store (benchsuite/trace.go). Only successful runs are stored —
+// errors stay in the memo where retry policy lives — and the retained
+// trace spans of a probed run are not persisted; everything an
+// experiment table or the JSON wire form renders survives the round
 // trip.
 //
 // Concurrency and aliasing contract: a Cache is safe for concurrent
@@ -45,10 +46,9 @@ func decode(payload []byte) (*sim.Result, error) {
 	return &res, nil
 }
 
-// EncodeEnvelope renders the wire/disk form of one entry — what Put
-// writes and GetRaw returns — so the cluster tier can push a freshly
-// simulated result to its owner without a second encode.
-func EncodeEnvelope(key string, res *sim.Result) ([]byte, error) {
+// encodeEnvelope renders the on-disk form of one entry: what Put
+// writes and GetRaw returns.
+func encodeEnvelope(key string, res *sim.Result) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("resultcache: nil result")
 	}
@@ -57,15 +57,6 @@ func EncodeEnvelope(key string, res *sim.Result) ([]byte, error) {
 		return nil, fmt.Errorf("resultcache: encode: %w", err)
 	}
 	return envelope.Encode(Schema, key, buf.Bytes()), nil
-}
-
-// DecodeEnvelope validates and opens a raw entry for key.
-func DecodeEnvelope(raw []byte, key string) (*sim.Result, error) {
-	payload, err := envelope.Decode(raw, Schema, key)
-	if err != nil {
-		return nil, fmt.Errorf("resultcache: %w", err)
-	}
-	return decode(payload)
 }
 
 // Cache is a persistent result store rooted at one directory.
@@ -96,8 +87,7 @@ func (c *Cache) Get(key string) (res *sim.Result, ok bool) {
 }
 
 // GetRaw returns the exact on-disk entry for key, validated like Get
-// but not decoded: a daemon serving a peer fetch hands the bytes
-// straight from disk to the wire.
+// but not decoded.
 func (c *Cache) GetRaw(key string) (raw []byte, ok bool) {
 	ok = c.store.Get(key, untagged, func(_ string, r, _ []byte) error {
 		raw = r
@@ -112,14 +102,14 @@ func (c *Cache) GetRaw(key string) (raw []byte, ok bool) {
 func (c *Cache) Put(key string, res *sim.Result) {
 	// A gob encode failure would be a sim.Result shape the round-trip
 	// test rejects; a nil result has nothing to store.
-	if raw, err := EncodeEnvelope(key, res); err == nil {
+	if raw, err := encodeEnvelope(key, res); err == nil {
 		c.store.PutRaw(key, "", raw, nil)
 	}
 }
 
 // PutRaw stores an already-encoded entry under key, verbatim. Unlike
-// Put it validates first, down to decoding the result (the bytes came
-// off a network), and reports the error.
+// Put it validates first, down to decoding the result, and reports
+// the error.
 func (c *Cache) PutRaw(key string, raw []byte) error {
 	return c.store.PutRaw(key, "", raw, func(payload []byte) error {
 		_, err := decode(payload)

@@ -171,13 +171,11 @@ func TestTornWritesSelfHeal(t *testing.T) {
 	}
 }
 
-// TestRawRoundTripBitIdentity pins the peer-proxy contract: the raw
-// envelope a node serves (GetRaw) is the exact bytes its store holds;
-// a peer installing them verbatim (PutRaw) reproduces the entry bit-
-// for-bit; and the typed view decoded from the raw path renders the
-// same canonical JSON as the typed Put/Get path — so a result served
-// through any number of peer hops is byte-identical to a direct
-// library run.
+// TestRawRoundTripBitIdentity pins the raw-envelope face: GetRaw
+// returns the exact bytes the store holds; a second store installing
+// them verbatim (PutRaw) reproduces the entry bit-for-bit; and the
+// typed view decoded from the raw path renders the same canonical
+// JSON as the typed Put/Get path.
 func TestRawRoundTripBitIdentity(t *testing.T) {
 	owner, err := Open(t.TempDir())
 	if err != nil {
@@ -199,20 +197,20 @@ func TestRawRoundTripBitIdentity(t *testing.T) {
 		t.Fatal("GetRaw bytes differ from the on-disk entry")
 	}
 
-	// A second node installs the fetched bytes verbatim.
-	peer, err := Open(t.TempDir())
+	// A second store installs the bytes verbatim.
+	second, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := peer.PutRaw(key, raw); err != nil {
+	if err := second.PutRaw(key, raw); err != nil {
 		t.Fatal(err)
 	}
-	raw2, ok := peer.GetRaw(key)
+	raw2, ok := second.GetRaw(key)
 	if !ok || string(raw2) != string(raw) {
 		t.Fatal("PutRaw/GetRaw did not preserve the envelope bit-for-bit")
 	}
 
-	got, ok := peer.Get(key)
+	got, ok := second.Get(key)
 	if !ok {
 		t.Fatal("typed Get missed after PutRaw")
 	}
@@ -223,18 +221,27 @@ func TestRawRoundTripBitIdentity(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeEnvelope covers the exported codec pair the cluster
-// push path uses, including every rejection reason.
+// TestEncodeDecodeEnvelope covers the entry codec Put and Get share:
+// an envelope from encodeEnvelope, installed with PutRaw, reads back
+// through Get unchanged, and PutRaw's validator rejects every bad
+// envelope.
 func TestEncodeDecodeEnvelope(t *testing.T) {
 	res := simulate(t, 1500)
 	const key = "envelope-key|nw"
-	raw, err := EncodeEnvelope(key, res)
+	raw, err := encodeEnvelope(key, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeEnvelope(raw, key)
+	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := c.PutRaw(key, raw); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.Get(key)
+	if !ok {
+		t.Fatal("Get missed after PutRaw")
 	}
 	want, _ := json.Marshal(res)
 	have, _ := json.Marshal(got)
@@ -242,22 +249,22 @@ func TestEncodeDecodeEnvelope(t *testing.T) {
 		t.Fatal("envelope round trip changed the result")
 	}
 
-	if _, err := EncodeEnvelope(key, nil); err == nil {
-		t.Fatal("EncodeEnvelope accepted a nil result")
+	if _, err := encodeEnvelope(key, nil); err == nil {
+		t.Fatal("encodeEnvelope accepted a nil result")
 	}
-	if _, err := DecodeEnvelope(raw, "some-other-key"); err == nil {
-		t.Fatal("DecodeEnvelope accepted a key mismatch")
+	if err := c.PutRaw("some-other-key", raw); err == nil {
+		t.Fatal("PutRaw accepted a key mismatch")
 	}
-	if _, err := DecodeEnvelope(raw[:len(raw)/2], key); err == nil {
-		t.Fatal("DecodeEnvelope accepted a truncated envelope")
+	if err := c.PutRaw(key, raw[:len(raw)/2]); err == nil {
+		t.Fatal("PutRaw accepted a truncated envelope")
 	}
-	if _, err := DecodeEnvelope([]byte("garbage"), key); err == nil {
-		t.Fatal("DecodeEnvelope accepted garbage")
+	if err := c.PutRaw(key, []byte("garbage")); err == nil {
+		t.Fatal("PutRaw accepted garbage")
 	}
 }
 
 // TestPutRawRejectsBadEnvelopes: PutRaw validates before writing —
-// network bytes never land on disk unchecked — and GetRaw keeps the
+// foreign bytes never land on disk unchecked — and GetRaw keeps the
 // same self-heal-as-miss semantics as Get for entries corrupted
 // after the fact.
 func TestPutRawRejectsBadEnvelopes(t *testing.T) {
@@ -267,7 +274,7 @@ func TestPutRawRejectsBadEnvelopes(t *testing.T) {
 	}
 	res := simulate(t, 1500)
 	const key = "putraw-key|nw"
-	raw, err := EncodeEnvelope(key, res)
+	raw, err := encodeEnvelope(key, res)
 	if err != nil {
 		t.Fatal(err)
 	}
