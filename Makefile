@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify vet doc-lint build test race race-full smoke bench gobench results audit fuzz daemon perf-gate
+.PHONY: verify vet doc-lint build test race race-full smoke gobench results audit fuzz daemon perf-gate
 
 ## verify: vet + doc-lint + build + full test suite + CLI smoke run (tier-1 gate)
 verify: vet doc-lint build test smoke
@@ -40,19 +40,38 @@ daemon:
 smoke:
 	$(GO) run ./cmd/experiments -exp table1
 
-## bench: tracked simulator-throughput baseline — measures cycles/sec
-## and steady-state allocations on a fixed scheme x benchmark grid
-## (including sharded @s4 points on the parallel partition engine) and
-## writes BENCH_PR9.json with the PR6 reference embedded.
-bench:
-	$(GO) run ./cmd/perfbench -baseline BENCH_PR6.json -out BENCH_PR9.json
-
-## perf-gate: quick perfbench run diffed against the committed
-## BENCH_PR9.json baseline — exits nonzero when any case regresses
-## past the threshold (the CI regression gate; thresholds are loose
-## because baselines come from a different host).
+## perf-gate: the perf regression gate, a same-host A/B of the
+## benchsuite benchmark against the parent commit. HEAD^1 is checked
+## out in a git worktree under the git-ignored .bench_build/; each of 5
+## rounds runs a 2-second-window suite on both trees with the same seed,
+## alternating which tree goes first. Each side's runs are joined into
+## one suite record and `benchsuite -suite-compare` judges the working
+## tree against the parent: it exits 1 when any workload reads worse
+## than the parent by more than its BENCHMARK.json bound, or fails a
+## larger share of its operations. About 5 minutes on 2 cores.
 perf-gate:
-	$(GO) run ./cmd/perfbench -quick -out /tmp/perfgate.json -compare BENCH_PR9.json -compare-threshold 0.25
+	@set -u; gate="$(CURDIR)/.bench_build/perf-gate"; parent="$$gate/parent"; \
+	git worktree remove --force "$$parent" 2>/dev/null; rm -rf "$$gate"; git worktree prune; \
+	mkdir -p "$$gate" && git worktree add --detach "$$parent" HEAD^1 || exit 1; \
+	trap 'git worktree remove --force "$$parent"' EXIT; \
+	for i in 1 2 3 4 5; do \
+	  order="parent change"; [ $$((i % 2)) -eq 0 ] && order="change parent"; \
+	  for side in $$order; do \
+	    tree="$(CURDIR)"; [ $$side = parent ] && tree="$$parent"; \
+	    echo "perf-gate: round $$i/5, $$side"; \
+	    bash "$$tree/benchsuite/run.sh" -suite -runs 1 -seed $$i -seconds 2 \
+	      -out "$$gate/$$side-$$i.json" >> "$$gate/$$side.log" 2>&1 || \
+	      echo "perf-gate: a $$side run failed, see $$gate/$$side.log"; \
+	  done; \
+	done; \
+	for side in parent change; do \
+	  python3 -c 'import json, sys; recs = [json.load(open(p)) for p in sys.argv[2:]]; \
+	    recs[0]["runs"] = [r for rec in recs for r in rec["runs"]]; \
+	    json.dump(recs[0], open(sys.argv[1], "w"), indent=2)' \
+	    "$$gate/$$side.json" "$$gate"/$$side-?.json || exit 1; \
+	done; \
+	bash benchsuite/run.sh -suite-compare "$$gate/parent.json" "$$gate/change.json" > "$$gate/compare.txt"; \
+	code=$$?; cat "$$gate/compare.txt"; exit $$code
 
 ## gobench: package micro-benchmarks via go test
 gobench:

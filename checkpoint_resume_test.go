@@ -192,17 +192,37 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 }
 
 // Configurations checkpointing does not cover run plain: correct
-// results, no checkpoints written.
+// results with their instrument's report, no checkpoints written.
 func TestUncoveredConfigsRunPlain(t *testing.T) {
-	store := ckptStore(t)
-	cfg := schemeCfg(t, "ctr_mac_bmt", 2000, 0)
-	cfg.Probe = &ProbeConfig{Spans: true}
-	res := runCheckpointed(t, cfg, "nw", store, 500)
-	if res == nil || res.Probe == nil {
-		t.Fatal("probed run lost its report through the checkpointed path")
+	faults, err := ParseFaultPlan("seed=7,rate=0.01,sites=flips")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := store.Len(); n != 0 {
-		t.Fatalf("store holds %d checkpoints for an uncoverable config, want 0", n)
+	for _, c := range []struct {
+		name   string
+		set    func(*Config)
+		report func(*Result) bool
+	}{
+		{"probe", func(c *Config) { c.Probe = &ProbeConfig{Spans: true} }, func(r *Result) bool { return r.Probe != nil }},
+		{"audit", func(c *Config) { c.Audit = true }, func(r *Result) bool { return true }},
+		{"faults", func(c *Config) { c.Faults = faults }, func(r *Result) bool { return r.Faults.Corruptions() > 0 }},
+		{"reuse", func(c *Config) { c.ProfileReuse = true }, func(r *Result) bool { return r.CounterReuse != nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store := ckptStore(t)
+			cfg := schemeCfg(t, "ctr_mac_bmt", 2000, 0)
+			c.set(&cfg)
+			if sim.Checkpointable(cfg) == nil {
+				t.Fatal("instrumented config reported checkpointable")
+			}
+			res := runCheckpointed(t, cfg, "nw", store, 500)
+			if res == nil || !c.report(res) {
+				t.Fatal("instrumented run lost its report through the checkpointed path")
+			}
+			if n := store.Len(); n != 0 {
+				t.Fatalf("store holds %d checkpoints for an uncoverable config, want 0", n)
+			}
+		})
 	}
 }
 

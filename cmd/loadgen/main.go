@@ -22,8 +22,8 @@
 //	        -duration 10s -workers 64 -keys 24 -skew 1.2 -out report.json
 //
 // The JSON report records the run parameters, throughput, latency
-// quantiles, and the serving-tier mix (from X-Run-Source), which is
-// what BENCH_PR9.json's cluster summary is built from.
+// quantiles, and the serving-tier mix (from X-Run-Source). The
+// cluster rows of EXPERIMENTS.md are built from these reports.
 package main
 
 import (

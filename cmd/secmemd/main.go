@@ -70,7 +70,7 @@ func main() {
 
 		self       = flag.String("self", "", "this node's advertised base URL in the cluster (required with -peers)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs; enables cluster mode")
-		peerTO     = flag.Duration("peer-timeout", 5*time.Second, "per forward/probe budget")
+		peerTO     = flag.Duration("peer-timeout", 5*time.Second, "peer connect and health-probe budget (a forward waits for the owner's answer)")
 		probeEvery = flag.Duration("peer-probe-every", 2*time.Second, "peer health-probe interval")
 	)
 	flag.Parse()

@@ -184,12 +184,10 @@ func CheckpointKey(cfg Config, benchmark string) string {
 // or before the horizon (or cycle 0 when none exists), snapshots into
 // cs every `every` cycles and at completion or cancellation, and
 // produces a Result bit-identical to an uninterrupted SimulateContext
-// run. Configurations checkpointing does not cover — fault injection,
-// probes, auditing, reuse profiling — and a nil store or zero interval
-// silently run plain.
+// run. Configurations sim.Checkpointable refuses (instrumented runs), a
+// nil store and a zero interval silently run plain.
 func SimulateCheckpointed(ctx context.Context, cfg Config, benchmark string, cs CheckpointStore, every uint64) (*Result, error) {
-	if cs == nil || every == 0 ||
-		cfg.Audit || cfg.Faults != nil || cfg.Probe != nil || cfg.ProfileReuse {
+	if cs == nil || every == 0 || sim.Checkpointable(cfg) != nil {
 		return sim.RunContext(ctx, cfg, benchmark)
 	}
 	key := CheckpointKey(cfg, benchmark)

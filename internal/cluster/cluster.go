@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -49,12 +50,13 @@ type Config struct {
 	Self string
 	// Peers lists the other members' base URLs.
 	Peers []string
-	// Timeout bounds one forward or health probe (default 5s).
+	// Timeout bounds dialing a peer and one health probe (default 5s);
+	// a forward waits on the owner until the inbound request gives up.
 	Timeout time.Duration
 	// ProbeEvery is the health-probe interval (default 2s).
 	ProbeEvery time.Duration
-	// Client overrides the HTTP client (tests); nil builds one with
-	// Timeout.
+	// Client overrides the HTTP client (tests); nil builds one whose
+	// dialer, not whole exchange, is bounded by Timeout.
 	Client *http.Client
 }
 
@@ -71,7 +73,7 @@ type Cluster struct {
 	ring       *Ring
 	client     *http.Client
 	probeEvery time.Duration
-	timeout    time.Duration         // per-call deadline (probes included)
+	timeout    time.Duration         // probe deadline and dial timeout
 	peers      map[string]*peerState // remote members only
 }
 
@@ -123,7 +125,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Timeout: cfg.Timeout}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.DialContext = (&net.Dialer{Timeout: cfg.Timeout, KeepAlive: 30 * time.Second}).DialContext
+		client = &http.Client{Transport: tr}
 	}
 	initInstruments()
 	c := &Cluster{

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -122,6 +123,36 @@ func TestForwardCancelledKeepsPeerUp(t *testing.T) {
 	}
 	if !c.Up(owner.URL) {
 		t.Fatal("a cancelled inbound request marked a healthy owner down")
+	}
+}
+
+// TestForwardOutlastsPeerTimeout is the regression test for a forward
+// capped by the peer timeout: Timeout bounds reaching the owner, not
+// the owner's simulation. An owner that answers after four Timeouts
+// must still be forwarded to, and stay up.
+func TestForwardOutlastsPeerTimeout(t *testing.T) {
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(400 * time.Millisecond) // a cold key simulating at the owner
+		w.Write([]byte("owner-body"))
+	}))
+	defer owner.Close()
+	c, err := New(Config{Self: "http://self.invalid:1", Peers: []string{owner.URL}, Timeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	in := httptest.NewRequest(http.MethodGet, "/api/run?bench=lbm&cycles=200000", nil)
+	resp, err := c.Forward(in, owner.URL)
+	if err != nil {
+		t.Fatalf("forward to a slow but healthy owner failed: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != "owner-body" {
+		t.Fatalf("forwarded body = %q", body)
+	}
+	if !c.Up(owner.URL) {
+		t.Fatal("a slow but healthy owner was marked down")
 	}
 }
 

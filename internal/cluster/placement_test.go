@@ -52,9 +52,10 @@ func TestRingDedupAndValidation(t *testing.T) {
 	}
 }
 
-// TestPlacementBalance pins the balance bound the peer tier sizes
-// itself on: over 10k synthetic keys the most loaded owner holds at
-// most 1.3x the least loaded one's share.
+// TestPlacementBalance pins the balance bound that spreads owned keys,
+// and so simulations and stored results, over the members: over 10k
+// synthetic keys the most loaded owner holds at most 1.3x the least
+// loaded one's share.
 func TestPlacementBalance(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		nodes := make([]string, n)

@@ -412,11 +412,10 @@ func (g *GPU) nextInteresting() uint64 {
 // at run completion or cancellation) the run loop snapshots the
 // machine and calls sink(cycle, state). The call is a no-op — the run
 // stays checkpoint-free — when every is 0, sink is nil, or the
-// configuration is not checkpointable (fault injection, probes,
-// auditing, reuse profiling; see Snapshot). Arm it before Run; the
-// sink runs on the simulation goroutine.
+// configuration fails Checkpointable. Arm it before Run; the sink runs
+// on the simulation goroutine.
 func (g *GPU) SetCheckpoint(every uint64, sink func(cycle uint64, st *MachineState)) {
-	if every == 0 || sink == nil || g.checkpointable() != nil {
+	if every == 0 || sink == nil || Checkpointable(g.cfg) != nil {
 		return
 	}
 	g.ckptEvery = every

@@ -157,20 +157,20 @@ type MachineState struct {
 	Parts []*PartitionState
 }
 
-// checkpointable reports whether this configuration's complete state
-// is captured by MachineState. Fault injectors (PRNG call order),
-// probes (span/timeline buffers), auditing, and reuse profilers hang
-// state off the run that a snapshot does not carry, so checkpointing
-// refuses rather than silently resume wrong.
-func (g *GPU) checkpointable() error {
+// Checkpointable reports whether cfg's complete state is captured by
+// MachineState, for the GPU and the library's checkpointed runs alike.
+// Fault injectors (PRNG call order), probes (span/timeline buffers),
+// auditing and reuse profilers hang state off the run that a snapshot
+// does not carry, so checkpointing refuses rather than resume wrong.
+func Checkpointable(cfg Config) error {
 	switch {
-	case g.cfg.Audit:
+	case cfg.Audit:
 		return fmt.Errorf("sim: checkpointing is unavailable with auditing enabled")
-	case g.inj != nil:
+	case cfg.Faults.Enabled():
 		return fmt.Errorf("sim: checkpointing is unavailable with fault injection enabled")
-	case g.probe != nil:
+	case cfg.Probe.Enabled():
 		return fmt.Errorf("sim: checkpointing is unavailable with probes enabled")
-	case g.cfg.ProfileReuse:
+	case cfg.ProfileReuse:
 		return fmt.Errorf("sim: checkpointing is unavailable with reuse profiling enabled")
 	}
 	return nil
@@ -178,10 +178,9 @@ func (g *GPU) checkpointable() error {
 
 // Snapshot captures the machine's full state at the current
 // end-of-cycle boundary. The result shares no memory with the GPU.
-// It returns an error for configurations checkpointing does not cover
-// (fault injection, probes, auditing, reuse profiling).
+// It returns Checkpointable's error for an instrumented configuration.
 func (g *GPU) Snapshot() (*MachineState, error) {
-	if err := g.checkpointable(); err != nil {
+	if err := Checkpointable(g.cfg); err != nil {
 		return nil, err
 	}
 	st := &MachineState{
@@ -231,7 +230,7 @@ func (g *GPU) Snapshot() (*MachineState, error) {
 // considered unusable (restore into a freshly constructed instance and
 // fall back to cycle 0 on failure).
 func (g *GPU) Restore(st *MachineState) error {
-	if err := g.checkpointable(); err != nil {
+	if err := Checkpointable(g.cfg); err != nil {
 		return err
 	}
 	switch {
@@ -300,7 +299,7 @@ func sortLoads(ls []LoadState) {
 
 // snapshot captures one partition. Transient fields — the parallel
 // staging pointer, the readState pool, reuse profilers (gated off by
-// checkpointable) — are excluded.
+// Checkpointable) — are excluded.
 func (p *partition) snapshot() *PartitionState {
 	st := &PartitionState{
 		DRAM:          p.dram.Snapshot(),
