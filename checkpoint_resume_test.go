@@ -1,8 +1,10 @@
 package gpusecmem
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -167,7 +169,7 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 	t.Run("foreign-version", func(t *testing.T) {
 		store := ckptStore(t)
 		// A real snapshot, re-stamped with a future StateVersion: the
-		// envelope validates, DecodeState succeeds, Restore refuses.
+		// envelope validates, and DecodeState refuses it up front.
 		seed := ckptStore(t)
 		runCheckpointed(t, cfg, bench, seed, 2000)
 		_, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
@@ -187,6 +189,39 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 		res := runCheckpointed(t, cfg, bench, store, 1000)
 		if got := resultDigest(t, res); got != want {
 			t.Errorf("digest %s != plain %s", got, want)
+		}
+	})
+	t.Run("gob-v2-state", func(t *testing.T) {
+		// What a StateVersion 2 build left in a store: the same state
+		// struct, gob-encoded. The run ignores it, matches the plain
+		// digest, and its own checkpoints replace it.
+		store := ckptStore(t)
+		seed := ckptStore(t)
+		runCheckpointed(t, cfg, bench, seed, 2000)
+		_, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
+		if !ok {
+			t.Fatal("no seed checkpoint")
+		}
+		st, err := sim.DecodeState(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Version = 2
+		var old bytes.Buffer
+		if err := gob.NewEncoder(&old).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		store.Put(CheckpointKey(cfg, bench), st.Now, old.Bytes())
+		res := runCheckpointed(t, cfg, bench, store, 1000)
+		if got := resultDigest(t, res); got != want {
+			t.Errorf("digest %s != plain %s", got, want)
+		}
+		_, healed, ok := store.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
+		if !ok {
+			t.Fatal("no checkpoint after the run")
+		}
+		if _, err := sim.DecodeState(healed); err != nil {
+			t.Fatalf("store still serves an undecodable state: %v", err)
 		}
 	})
 }

@@ -11,19 +11,20 @@ package sim
 // horizon produces a Result bit-identical to a never-interrupted run —
 // the resume-identity tests pin this against the golden digests.
 //
-// Everything map-shaped is serialized as a slice sorted by key, and
-// event heaps are serialized in raw heap layout (eventq.Elems), so (a)
-// identical machine states always encode to identical bytes and (b)
-// equal-time event pop order survives the round trip.
+// Everything map-shaped is captured as a slice sorted by key, and
+// event heaps in raw heap layout (eventq.Elems), so (a) identical
+// machine states always encode to identical bytes and (b) equal-time
+// event pop order survives the round trip. EncodeState/DecodeState and
+// the flat wire format live in statecodec.go.
 //
 // Configurations whose auxiliary state is not captured — fault
 // injection, probes, per-cycle auditing, reuse profiling — refuse to
 // snapshot or restore; callers fall back to running from cycle 0.
 
 import (
-	"bytes"
-	"encoding/gob"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"gpusecmem/internal/cache"
 	"gpusecmem/internal/dram"
@@ -32,13 +33,15 @@ import (
 )
 
 // StateVersion tags MachineState's schema. Bump it whenever any
-// serialized component state changes shape or meaning; Restore rejects
-// other versions and the caller starts from cycle 0.
+// serialized component state changes shape or meaning, and give a new
+// field its line in both halves of statecodec.go; DecodeState and
+// Restore reject other versions and the caller starts from cycle 0.
 //
 // Version history: 2 widened MetaStats to the extension metadata kinds
 // and added ReadRecState.SharesLeft / PartitionState.LastKeyLine for
-// the scattered-memory and software-encryption schemes.
-const StateVersion = 2
+// the scattered-memory and software-encryption schemes. 3 replaced the
+// gob encoding with the flat codec in statecodec.go (same fields).
+const StateVersion = 3
 
 // QueuedL2 is one undelivered SM→partition interconnect message.
 type QueuedL2 struct {
@@ -204,7 +207,7 @@ func (g *GPU) Snapshot() (*MachineState, error) {
 		for tok, lr := range g.loads {
 			st.Loads = append(st.Loads, LoadState{Token: tok, SM: lr.sm, Warp: lr.warp, FillBypass: lr.fillBypass})
 		}
-		sortLoads(st.Loads)
+		slices.SortFunc(st.Loads, func(a, b LoadState) int { return cmp.Compare(a.Token, b.Token) })
 	}
 	for _, d := range g.toL2.Snapshot() {
 		st.ToL2Items = append(st.ToL2Items, QueuedL2{ReadyAt: d.ReadyAt, Addr: d.Item.globalAddr, Token: d.Item.token, Write: d.Item.write})
@@ -286,17 +289,6 @@ func (g *GPU) Restore(st *MachineState) error {
 	return nil
 }
 
-func sortLoads(ls []LoadState) {
-	// Insertion sort by token; load maps are small relative to run cost
-	// and this avoids pulling in sort for one call site. Tokens are
-	// unique.
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0 && ls[j].Token < ls[j-1].Token; j-- {
-			ls[j], ls[j-1] = ls[j-1], ls[j]
-		}
-	}
-}
-
 // snapshot captures one partition. Transient fields — the parallel
 // staging pointer, the readState pool, reuse profilers (gated off by
 // Checkpointable) — are excluded.
@@ -336,7 +328,7 @@ func (p *partition) snapshot() *PartitionState {
 				Bypass: d.bypass, Write: d.write, IssuedAt: d.issuedAt,
 			})
 		}
-		sortDests(st.Dests)
+		slices.SortFunc(st.Dests, func(a, b DestState) int { return cmp.Compare(a.Token, b.Token) })
 	}
 	if len(p.reads) > 0 {
 		st.Reads = make([]ReadRecState, 0, len(p.reads))
@@ -345,34 +337,18 @@ func (p *partition) snapshot() *PartitionState {
 				ID: rs.id, GlobalAddr: rs.globalAddr, LocalAddr: rs.localAddr,
 				L2Token: rs.l2Token, L2Bypass: rs.l2Bypass, L2Bank: rs.l2Bank,
 				DataDone: rs.dataDone, CtrDone: rs.ctrDone, MacDone: rs.macDone,
-				SharesLeft: rs.sharesLeft,
+				SharesLeft:  rs.sharesLeft,
 				Unprotected: rs.unprotected, ArrivedAt: rs.arrivedAt,
 				DataReady: rs.dataReady, CtrReady: rs.ctrReady, MacReady: rs.macReady,
 				Replied: rs.replied, Finished: rs.finished,
 			})
 		}
-		sortReads(st.Reads)
+		slices.SortFunc(st.Reads, func(a, b ReadRecState) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	for _, ev := range p.replies.Elems() {
 		st.Replies = append(st.Replies, ReplyEventState{At: ev.at, ReadID: ev.readID})
 	}
 	return st
-}
-
-func sortDests(ds []DestState) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j].Token < ds[j-1].Token; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-}
-
-func sortReads(rs []ReadRecState) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].ID < rs[j-1].ID; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }
 
 // restore replaces the partition's state. The layout and
@@ -436,7 +412,7 @@ func (p *partition) restore(st *PartitionState) error {
 			id: r.ID, globalAddr: r.GlobalAddr, localAddr: r.LocalAddr,
 			l2Token: r.L2Token, l2Bypass: r.L2Bypass, l2Bank: r.L2Bank,
 			dataDone: r.DataDone, ctrDone: r.CtrDone, macDone: r.MacDone,
-			sharesLeft: r.SharesLeft,
+			sharesLeft:  r.SharesLeft,
 			unprotected: r.Unprotected, arrivedAt: r.ArrivedAt,
 			dataReady: r.DataReady, ctrReady: r.CtrReady, macReady: r.MacReady,
 			replied: r.Replied, finished: r.Finished,
@@ -449,24 +425,4 @@ func (p *partition) restore(st *PartitionState) error {
 	p.replies.SetElems(replies)
 	p.rsPool = nil
 	return nil
-}
-
-// EncodeState serializes a MachineState with encoding/gob. Identical
-// states encode to identical bytes (maps are sorted slices in the
-// state, and gob itself is deterministic for a fixed type).
-func EncodeState(st *MachineState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("sim: encoding machine state: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeState deserializes a MachineState produced by EncodeState.
-func DecodeState(b []byte) (*MachineState, error) {
-	var st MachineState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("sim: decoding machine state: %w", err)
-	}
-	return &st, nil
 }
