@@ -73,9 +73,10 @@ perf-gate:
 	bash benchsuite/run.sh -suite-compare "$$gate/parent.json" "$$gate/change.json" > "$$gate/compare.txt"; \
 	code=$$?; cat "$$gate/compare.txt"; exit $$code
 
-## gobench: package micro-benchmarks via go test
+## gobench: package micro-benchmarks via go test: the experiment
+## benchmarks at the root plus the cycle loop's per-layer ones
 gobench:
-	$(GO) test -bench=. -benchmem
+	$(GO) test -bench=. -benchmem . ./internal/smcore ./internal/dram ./internal/cache
 
 ## results: regenerate the committed results/ snapshot (see README)
 results:

@@ -191,6 +191,32 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 			t.Errorf("digest %s != plain %s", got, want)
 		}
 	})
+	t.Run("forged-sm-state", func(t *testing.T) {
+		// A real snapshot whose SM 0 greedy pointer is out of range,
+		// validly enveloped: Restore refuses it instead of panicking
+		// mid-run, and the run starts over.
+		store := ckptStore(t)
+		seed := ckptStore(t)
+		runCheckpointed(t, cfg, bench, seed, 2000)
+		_, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
+		if !ok {
+			t.Fatal("no seed checkpoint")
+		}
+		st, err := sim.DecodeState(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SMs[0].Greedy = -1
+		reraw, err := sim.EncodeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Put(CheckpointKey(cfg, bench), st.Now, reraw)
+		res := runCheckpointed(t, cfg, bench, store, 1000)
+		if got := resultDigest(t, res); got != want {
+			t.Errorf("digest %s != plain %s", got, want)
+		}
+	})
 	t.Run("gob-v2-state", func(t *testing.T) {
 		// What a StateVersion 2 build left in a store: the same state
 		// struct, gob-encoded. The run ignores it, matches the plain

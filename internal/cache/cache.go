@@ -162,10 +162,12 @@ func (s Stats) SecondaryRatio() float64 {
 	return float64(s.MissesSecondary) / float64(m)
 }
 
+// way is one line of the tag array. The fields are ordered so a way
+// packs into 32 bytes: two words, then the byte-sized state.
 type way struct {
-	valid       bool
 	tag         uint64
 	lastUse     uint64
+	valid       bool
 	rrpv        uint8
 	sectorValid [SectorsPerLine]bool
 	sectorDirty [SectorsPerLine]bool
@@ -185,9 +187,12 @@ type mshrEntry struct {
 // Cache is one cache instance. Not safe for concurrent use; the
 // simulator is single-threaded per partition.
 type Cache struct {
-	cfg      Config
-	sets     []([]way)
+	cfg Config
+	// ways is the whole tag array in one allocation, numSets runs of
+	// assoc ways; set returns one run.
+	ways     []way
 	numSets  int
+	assoc    int
 	seq      uint64
 	mshrs    map[uint64]*mshrEntry
 	mshrFree int
@@ -245,12 +250,9 @@ func New(cfg Config) *Cache {
 		p2 *= 2
 	}
 	numSets = p2
-	assoc := lines / numSets
 	c.numSets = numSets
-	c.sets = make([][]way, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]way, assoc)
-	}
+	c.assoc = lines / numSets
+	c.ways = make([]way, numSets*c.assoc)
 	return c
 }
 
@@ -318,8 +320,13 @@ func (c *Cache) setIdxFor(lineAddr uint64) int {
 	return int((lineAddr / uint64(c.cfg.LineSize)) & uint64(c.numSets-1))
 }
 
+// set returns set i's ways.
+func (c *Cache) set(i int) []way {
+	return c.ways[i*c.assoc : (i+1)*c.assoc]
+}
+
 func (c *Cache) setFor(lineAddr uint64) []way {
-	return c.sets[c.setIdxFor(lineAddr)]
+	return c.set(c.setIdxFor(lineAddr))
 }
 
 func (c *Cache) findWay(lineAddr uint64) *way {
@@ -449,7 +456,7 @@ func (c *Cache) Access(addr uint64, write bool, token uint64) AccessResult {
 // written back if dirty) at miss time, with no sector valid yet.
 func (c *Cache) reserve(lineAddr uint64) *Eviction {
 	setIdx := c.setIdxFor(lineAddr)
-	set := c.sets[setIdx]
+	set := c.set(setIdx)
 	victim := c.pickVictim(set)
 	var ev *Eviction
 	w := &set[victim]
@@ -499,7 +506,7 @@ func (c *Cache) install(lineAddr uint64, sector int, write bool) *Eviction {
 		return nil
 	}
 	setIdx := c.setIdxFor(lineAddr)
-	set := c.sets[setIdx]
+	set := c.set(setIdx)
 	// Already present (another sector filled it, or a bypass raced)?
 	for i := range set {
 		if set[i].valid && set[i].tag == lineAddr {

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func metaCfg(mshrs int) Config {
@@ -387,6 +388,17 @@ func TestStatsConsistency(t *testing.T) {
 	}
 	if s.MissesBypass > s.MissesSecondary {
 		t.Fatalf("bypass > secondary: %+v", s)
+	}
+}
+
+// A way packs into 32 bytes, so two share a 64-byte cache line of the
+// host's tag-array scans.
+func TestWayPacks(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(way{}); n != 32 {
+		t.Fatalf("way is %d bytes, want 32", n)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestDIPFollowsWinner(t *testing.T) {
 // way is near (ages until one becomes distant).
 func TestRRIPAgingTerminates(t *testing.T) {
 	c := New(policyCfg(PolicySRRIP))
-	set := c.sets[0]
+	set := c.set(0)
 	for i := range set {
 		set[i].valid = true
 		set[i].tag = uint64(i * 1024)

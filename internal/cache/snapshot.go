@@ -15,8 +15,9 @@ package cache
 // compared across runs).
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // WayState mirrors one way of a set (or one unlimited-directory line).
@@ -98,10 +99,11 @@ func (c *Cache) Snapshot() *State {
 		for _, w := range c.dir {
 			st.Dir = append(st.Dir, wayState(w))
 		}
-		sort.Slice(st.Dir, func(i, j int) bool { return st.Dir[i].Tag < st.Dir[j].Tag })
+		slices.SortFunc(st.Dir, func(a, b WayState) int { return cmp.Compare(a.Tag, b.Tag) })
 	} else {
-		st.Sets = make([][]WayState, len(c.sets))
-		for i, set := range c.sets {
+		st.Sets = make([][]WayState, c.numSets)
+		for i := range st.Sets {
+			set := c.set(i)
 			row := make([]WayState, len(set))
 			for j := range set {
 				row[j] = wayState(&set[j])
@@ -125,14 +127,14 @@ func (c *Cache) Snapshot() *State {
 			}
 			st.MSHRs = append(st.MSHRs, m)
 		}
-		sort.Slice(st.MSHRs, func(i, j int) bool { return st.MSHRs[i].LineAddr < st.MSHRs[j].LineAddr })
+		slices.SortFunc(st.MSHRs, func(a, b MSHRState) int { return cmp.Compare(a.LineAddr, b.LineAddr) })
 	}
 	if len(c.pendingBypass) > 0 {
 		st.PendingBypass = make([]BypassState, 0, len(c.pendingBypass))
 		for k, n := range c.pendingBypass {
 			st.PendingBypass = append(st.PendingBypass, BypassState{Key: k, Count: n})
 		}
-		sort.Slice(st.PendingBypass, func(i, j int) bool { return st.PendingBypass[i].Key < st.PendingBypass[j].Key })
+		slices.SortFunc(st.PendingBypass, func(a, b BypassState) int { return cmp.Compare(a.Key, b.Key) })
 	}
 	return st
 }
@@ -154,15 +156,16 @@ func (c *Cache) Restore(st *State) error {
 		}
 		c.dir = dir
 	} else {
-		if len(st.Sets) != len(c.sets) {
-			return fmt.Errorf("cache %s: snapshot has %d sets, cache has %d", c.cfg.Name, len(st.Sets), len(c.sets))
+		if len(st.Sets) != c.numSets {
+			return fmt.Errorf("cache %s: snapshot has %d sets, cache has %d", c.cfg.Name, len(st.Sets), c.numSets)
 		}
 		for i, row := range st.Sets {
-			if len(row) != len(c.sets[i]) {
-				return fmt.Errorf("cache %s: snapshot set %d has %d ways, cache has %d", c.cfg.Name, i, len(row), len(c.sets[i]))
+			if len(row) != c.assoc {
+				return fmt.Errorf("cache %s: snapshot set %d has %d ways, cache has %d", c.cfg.Name, i, len(row), c.assoc)
 			}
+			set := c.set(i)
 			for j := range row {
-				c.sets[i][j] = row[j].toWay()
+				set[j] = row[j].toWay()
 			}
 		}
 	}

@@ -105,7 +105,11 @@ func (s *Stats) addKind(kind, bytes int) {
 }
 
 type pending struct {
-	req  Request
+	req Request
+	// bank is req.Addr's bank, computed once by pendingFor at Enqueue
+	// (and Restore) so the per-cycle scans of Tick and NextEvent do no
+	// division; it packs beside dead, keeping a pending at 48 bytes.
+	bank int32
 	dead bool // tombstone: issued and awaiting compaction
 }
 
@@ -156,7 +160,7 @@ func (d *DRAM) Enqueue(r Request) {
 	if r.Bytes <= 0 {
 		panic("dram: request with no bytes")
 	}
-	d.queue = append(d.queue, pending{req: r})
+	d.queue = append(d.queue, d.pendingFor(r))
 	d.live++
 	if d.live > d.Stats.PeakQueue {
 		d.Stats.PeakQueue = d.live
@@ -182,16 +186,21 @@ func (d *DRAM) BusyBanks(now uint64) int {
 	return n
 }
 
-func (d *DRAM) bankOf(addr uint64) int { return int(addr>>8) % d.cfg.Banks }
+// pendingFor wraps r as a queue entry with its bank precomputed: banks
+// interleave at 256 B.
+func (d *DRAM) pendingFor(r Request) pending {
+	return pending{req: r, bank: int32(int(r.Addr>>8) % d.cfg.Banks)}
+}
+
 func (d *DRAM) rowOf(addr uint64) uint64 {
 	return addr >> 12 // 4 KB row granularity
 }
 
 // issue schedules queue[i] at time now3 and removes it from the queue.
 func (d *DRAM) issue(i int, now3 uint64) {
-	p := d.queue[i]
-	r := p.req
-	bank := d.bankOf(r.Addr)
+	p := &d.queue[i]
+	r := &p.req
+	bank := p.bank
 	row := d.rowOf(r.Addr)
 	beats := (r.Bytes + d.cfg.BeatBytes - 1) / d.cfg.BeatBytes
 	xfer3 := uint64(beats * d.cfg.BeatThirds)
@@ -227,7 +236,7 @@ func (d *DRAM) issue(i int, now3 uint64) {
 	if r.Token != 0 {
 		d.compl.Push(completion{at3: end3, token: r.Token})
 	}
-	d.queue[i].dead = true
+	p.dead = true
 	d.live--
 	for d.head < len(d.queue) && d.queue[d.head].dead {
 		d.head++
@@ -260,15 +269,15 @@ func (d *DRAM) Tick(now uint64) []uint64 {
 		pick := -1
 		seen := 0
 		for i := d.head; i < len(d.queue) && seen < scanDepth; i++ {
-			if d.queue[i].dead {
+			p := &d.queue[i]
+			if p.dead {
 				continue
 			}
 			seen++
-			bank := d.bankOf(d.queue[i].req.Addr)
-			if d.bankBusy3[bank] > now3 {
+			if d.bankBusy3[p.bank] > now3 {
 				continue
 			}
-			if d.bankRow[bank] == d.rowOf(d.queue[i].req.Addr)+1 {
+			if d.bankRow[p.bank] == d.rowOf(p.req.Addr)+1 {
 				pick = i
 				break
 			}
@@ -309,11 +318,12 @@ func (d *DRAM) NextEvent(now uint64) uint64 {
 	if d.live > 0 {
 		seen := 0
 		for i := d.head; i < len(d.queue) && seen < scanDepth; i++ {
-			if d.queue[i].dead {
+			p := &d.queue[i]
+			if p.dead {
 				continue
 			}
 			seen++
-			t := (d.bankBusy3[d.bankOf(d.queue[i].req.Addr)] + 2) / 3
+			t := (d.bankBusy3[p.bank] + 2) / 3
 			if t < next {
 				next = t
 			}

@@ -61,7 +61,7 @@ func (d *DRAM) Restore(st *State) error {
 	}
 	d.queue = d.queue[:0]
 	for _, r := range st.Queue {
-		d.queue = append(d.queue, pending{req: r})
+		d.queue = append(d.queue, d.pendingFor(r))
 	}
 	d.head = 0
 	d.live = len(st.Queue)

@@ -31,8 +31,9 @@ package sim
 // partition-owned (caches, DRAM channel, MSHRs, read states, tokens).
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"gpusecmem/internal/shard"
 )
@@ -47,17 +48,17 @@ type mergeKey struct {
 	minor uint32
 }
 
-func (k mergeKey) less(o mergeKey) bool {
-	if k.cycle != o.cycle {
-		return k.cycle < o.cycle
+func (k mergeKey) compare(o mergeKey) int {
+	if c := cmp.Compare(k.cycle, o.cycle); c != 0 {
+		return c
 	}
-	if k.phase != o.phase {
-		return k.phase < o.phase
+	if c := cmp.Compare(k.phase, o.phase); c != 0 {
+		return c
 	}
-	if k.major != o.major {
-		return k.major < o.major
+	if c := cmp.Compare(k.major, o.major); c != 0 {
+		return c
 	}
-	return k.minor < o.minor
+	return cmp.Compare(k.minor, o.minor)
 }
 
 type stagedReply struct {
@@ -461,7 +462,7 @@ func (e *parEngine) mergeBarrier() {
 	if len(e.merged) == 0 {
 		return
 	}
-	sort.Slice(e.merged, func(i, j int) bool { return e.merged[i].key.less(e.merged[j].key) })
+	slices.SortFunc(e.merged, func(a, b stagedReply) int { return a.key.compare(b.key) })
 	for i := range e.merged {
 		e.g.toSM.PushAt(e.merged[i].readyAt, e.merged[i].r)
 	}

@@ -122,9 +122,10 @@ type partition struct {
 
 	// localTok seeds newToken: partition-owned tokens (readState ids,
 	// DRAM destination tokens) are generated locally so the parallel
-	// engine needs no shared counter. Token values are opaque map keys
-	// and never ordered or iterated, so local generation changes no
-	// observable result.
+	// engine needs no shared counter. Snapshot sorts the token-keyed
+	// maps by token so a state encodes to the same bytes, but no
+	// Result depends on a token's value, so local generation changes
+	// no observable result.
 	localTok uint64
 	// stage, when non-nil, redirects sendReply into the parallel
 	// engine's per-shard staging buffer instead of the shared toSM

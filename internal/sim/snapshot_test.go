@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"gpusecmem/internal/smcore"
 	"gpusecmem/internal/trace"
 )
 
@@ -77,6 +78,42 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 			t.Fatal("restored a snapshot with a foreign StateVersion")
 		}
 	})
+	// Scheduler state no SM can reach. Each of these once restored
+	// cleanly and then panicked the run: an index out of range, or a
+	// completion for a warp that is not blocked.
+	const phaseCompute, phaseBlocked = 0, 2 // smcore's warp phases
+	for _, c := range []struct {
+		name  string
+		forge func(*smcore.State)
+	}{
+		{"sm-greedy-negative", func(s *smcore.State) { s.Greedy = -1 }},
+		{"sm-greedy-past-end", func(s *smcore.State) { s.Greedy = len(s.Warps) + 1 }},
+		{"sm-unknown-phase", func(s *smcore.State) { s.Warps[0].Phase = 7 }},
+		{"sm-negative-compute", func(s *smcore.State) { s.Warps[0].ComputeLeft = -1 }},
+		{"sm-blocked-without-loads", func(s *smcore.State) {
+			for w := range s.Warps {
+				s.Warps[w].Phase, s.Warps[w].Outstanding = phaseBlocked, 0
+			}
+		}},
+		{"sm-loads-while-ready", func(s *smcore.State) {
+			s.Warps[0].Phase, s.Warps[0].Outstanding = phaseCompute, 1
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad, err := DecodeState(states[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bad.SMs[0].Warps) == 0 {
+				t.Fatal("SM 0 has no warps to forge")
+			}
+			c.forge(bad.SMs[0])
+			g := newGPU(t, cfg, "nw")
+			if err := g.Restore(bad); err == nil {
+				t.Fatal("restored forged scheduler state")
+			}
+		})
+	}
 }
 
 // Configurations whose auxiliary state is not captured refuse to

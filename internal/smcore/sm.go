@@ -83,6 +83,14 @@ type SM struct {
 	issueWidth int
 	warps      []warpState
 	greedy     int // warp the scheduler is currently stuck to
+	// due and last are the scheduler's keys, one per warp, kept dense
+	// beside warps so pick and NextReady scan 16 bytes a warp instead
+	// of whole warpStates: due[w] is warps[w].readyAt, or ^uint64(0)
+	// while the warp is blocked, and last[w] is warps[w].lastIssued.
+	// They are derived state: sync refreshes them wherever readyAt,
+	// phase or lastIssued change, and Restore rebuilds them.
+	due  []uint64
+	last []uint64
 
 	// Instructions counts issued thread-instructions (warp
 	// instructions x active lanes); IPC is Instructions / cycles.
@@ -96,11 +104,22 @@ type SM struct {
 // New builds an SM running gen with the given issue width.
 func New(id int, gen Generator, issueWidth int) *SM {
 	n := gen.WarpsPerSM()
-	sm := &SM{id: id, gen: gen, issueWidth: issueWidth, warps: make([]warpState, n)}
+	sm := &SM{id: id, gen: gen, issueWidth: issueWidth, warps: make([]warpState, n),
+		due: make([]uint64, n), last: make([]uint64, n)}
 	for w := range sm.warps {
 		sm.loadOp(w)
 	}
 	return sm
+}
+
+// sync refreshes warp w's dense scheduler keys from its warpState.
+func (s *SM) sync(w int) {
+	ws := &s.warps[w]
+	s.due[w] = ws.readyAt
+	if ws.phase == phaseBlocked {
+		s.due[w] = ^uint64(0)
+	}
+	s.last[w] = ws.lastIssued
 }
 
 func (s *SM) loadOp(w int) {
@@ -122,11 +141,6 @@ func (s *SM) loadOp(w int) {
 	} else {
 		ws.phase = phaseMem
 	}
-}
-
-func (s *SM) ready(w int, now uint64) bool {
-	ws := &s.warps[w]
-	return ws.phase != phaseBlocked && ws.readyAt <= now
 }
 
 // Tick issues up to issueWidth instructions at cycle now. Memory
@@ -167,6 +181,7 @@ func (s *SM) Tick(now uint64, issueMem func(MemIssue) int) {
 				s.loadOp(w)
 			}
 		}
+		s.sync(w)
 	}
 }
 
@@ -178,18 +193,13 @@ func (s *SM) Tick(now uint64, issueMem func(MemIssue) int) {
 // SM until then without changing any machine state.
 func (s *SM) NextReady(now uint64) uint64 {
 	next := ^uint64(0)
-	for w := range s.warps {
-		ws := &s.warps[w]
-		if ws.phase == phaseBlocked {
-			continue
-		}
-		t := ws.readyAt
-		if t < now {
-			t = now
-		}
+	for _, t := range s.due {
 		if t < next {
 			next = t
 		}
+	}
+	if next < now {
+		next = now
 	}
 	return next
 }
@@ -205,18 +215,20 @@ func (s *SM) AccountIdle(cycles uint64) {
 
 // pick implements greedy-then-oldest: keep issuing from the current
 // warp while it is ready; otherwise choose the ready warp that issued
-// least recently.
+// least recently (the lowest index among equal lastIssued). A blocked
+// warp's due key is ^uint64(0), so one comparison tests readiness.
 func (s *SM) pick(now uint64) int {
-	if s.greedy < len(s.warps) && s.ready(s.greedy, now) {
+	if s.greedy < len(s.due) && s.due[s.greedy] <= now {
 		return s.greedy
 	}
 	best := -1
-	for w := range s.warps {
-		if !s.ready(w, now) {
+	var bestLast uint64
+	for w, t := range s.due {
+		if t > now {
 			continue
 		}
-		if best < 0 || s.warps[w].lastIssued < s.warps[best].lastIssued {
-			best = w
+		if l := s.last[w]; best < 0 || l < bestLast {
+			best, bestLast = w, l
 		}
 	}
 	if best >= 0 {
@@ -237,6 +249,7 @@ func (s *SM) Complete(w int, now uint64) {
 		ws.readyAt = now + 1
 		ws.phase = phaseCompute
 		s.loadOp(w)
+		s.sync(w)
 	}
 }
 
@@ -299,10 +312,28 @@ func (s *SM) Snapshot() *State {
 // Restore replaces the SM's state with a snapshot taken from an SM of
 // identical shape (same generator and warp count). The stored WarpOp
 // is installed verbatim — it was already normalized by loadOp when the
-// snapshot was taken.
+// snapshot was taken. Scheduler state no SM can reach (a greedy
+// pointer out of range, an unknown phase, a negative compute count, or
+// a warp that awaits completions without being blocked or vice versa)
+// is rejected before anything is installed, because running it would
+// panic.
 func (s *SM) Restore(st *State) error {
 	if len(st.Warps) != len(s.warps) {
 		return fmt.Errorf("smcore: snapshot has %d warps, SM has %d", len(st.Warps), len(s.warps))
+	}
+	if st.Greedy < 0 || st.Greedy > len(st.Warps) {
+		return fmt.Errorf("smcore: snapshot greedy warp %d outside [0, %d]", st.Greedy, len(st.Warps))
+	}
+	for w := range st.Warps {
+		sw := &st.Warps[w]
+		switch {
+		case sw.Phase < int(phaseCompute) || sw.Phase > int(phaseBlocked):
+			return fmt.Errorf("smcore: snapshot warp %d has unknown phase %d", w, sw.Phase)
+		case sw.ComputeLeft < 0:
+			return fmt.Errorf("smcore: snapshot warp %d has negative compute count %d", w, sw.ComputeLeft)
+		case (sw.Outstanding > 0) != (warpPhase(sw.Phase) == phaseBlocked):
+			return fmt.Errorf("smcore: snapshot warp %d has %d outstanding loads in phase %d", w, sw.Outstanding, sw.Phase)
+		}
 	}
 	for w := range st.Warps {
 		sw := &st.Warps[w]
@@ -317,6 +348,7 @@ func (s *SM) Restore(st *State) error {
 			outstanding: sw.Outstanding,
 			lastIssued:  sw.LastIssued,
 		}
+		s.sync(w)
 	}
 	s.greedy = st.Greedy
 	s.Instructions = st.Instructions
