@@ -62,8 +62,8 @@ func runCheckpointed(t *testing.T, cfg Config, bench string, cs CheckpointStore,
 
 // TestResumeIdentity interrupts runs at a shorter horizon and resumes
 // them to the golden horizon, across schemes, checkpoint intervals on
-// and off fast-forward boundaries, and both engines (checkpoint under
-// shards, resume sequentially, and the reverse). Every resumed digest
+// and off idle-skip boundaries, and shard counts (checkpoint under
+// four shards, resume with one, and the reverse). Every resumed digest
 // must equal the uninterrupted run's.
 func TestResumeIdentity(t *testing.T) {
 	type combo struct {
@@ -74,14 +74,14 @@ func TestResumeIdentity(t *testing.T) {
 	combos := []combo{
 		// Intervals: 1500 divides typical probe/watchdog-free horizons
 		// evenly; 1237 is prime, so checkpoints land mid-window, off any
-		// fast-forward boundary.
+		// idle-skip boundary.
 		{"ctr_mac_bmt", "fdtd2d", 1500, 0, 0},
 		{"ctr_mac_bmt", "fdtd2d", 1237, 0, 0},
 		{"direct_mac_mt", "srad_v2", 1237, 0, 0},
 		{"baseline", "fdtd2d", 1500, 0, 0},
 		{"unified", "bfs", 1237, 0, 0},
-		// Cross-engine: barrier checkpoints are the same states the
-		// sequential engine snapshots, in both directions.
+		// Cross-shard: barrier checkpoints are the same states at every
+		// shard count, in both directions.
 		{"ctr_mac_bmt", "fdtd2d", 1500, 4, 0},
 		{"ctr_mac_bmt", "fdtd2d", 1500, 0, 4},
 	}
@@ -265,7 +265,6 @@ func TestUncoveredConfigsRunPlain(t *testing.T) {
 		report func(*Result) bool
 	}{
 		{"probe", func(c *Config) { c.Probe = &ProbeConfig{Spans: true} }, func(r *Result) bool { return r.Probe != nil }},
-		{"audit", func(c *Config) { c.Audit = true }, func(r *Result) bool { return true }},
 		{"faults", func(c *Config) { c.Faults = faults }, func(r *Result) bool { return r.Faults.Corruptions() > 0 }},
 		{"reuse", func(c *Config) { c.ProfileReuse = true }, func(r *Result) bool { return r.CounterReuse != nil }},
 	} {
@@ -287,6 +286,40 @@ func TestUncoveredConfigsRunPlain(t *testing.T) {
 	}
 }
 
+// Audited runs checkpoint like plain ones: the auditors keep no state
+// and only read the machine at window barriers, so an audited run
+// interrupted at 1200 cycles and resumed to 3000 must equal the
+// uninterrupted audited run, at one shard and at four.
+func TestAuditedResumeIdentity(t *testing.T) {
+	const bench = "nw"
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := schemeCfg(t, "ctr_mac_bmt", 3000, shards)
+			cfg.Audit = true
+			if err := sim.Checkpointable(cfg); err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Simulate(cfg, bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := resultDigest(t, plain)
+
+			store := ckptStore(t)
+			short := cfg
+			short.MaxCycles = 1200
+			runCheckpointed(t, short, bench, store, 500)
+			if from := ResumedFrom(cfg, bench, store); from != 1200 {
+				t.Fatalf("would resume from cycle %d, want 1200", from)
+			}
+			res := runCheckpointed(t, cfg, bench, store, 500)
+			if got := resultDigest(t, res); got != want {
+				t.Errorf("resumed audited digest %s != uninterrupted %s", got, want)
+			}
+		})
+	}
+}
+
 // CheckpointKey must be horizon-independent (that is the whole point:
 // one lineage serves every MaxCycles) but distinguish everything else.
 func TestCheckpointKeyLineage(t *testing.T) {
@@ -303,7 +336,7 @@ func TestCheckpointKeyLineage(t *testing.T) {
 		t.Fatal("checkpoint key ignores the scheme")
 	}
 	// Shards is an execution hint, excluded from the canonical JSON:
-	// both engines share one lineage.
+	// every shard count shares one lineage.
 	d := schemeCfg(t, "ctr_mac_bmt", 3000, 4)
 	if CheckpointKey(a, "nw") != CheckpointKey(d, "nw") {
 		t.Fatal("checkpoint key depends on Shards")

@@ -74,7 +74,7 @@ func main() {
 		outDir     = flag.String("out", "", "write one file per experiment into this directory instead of stdout")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		jobs       = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS/shards)")
-		shards     = flag.Int("shards", 0, "shard goroutines per simulation (parallel partition engine; 0/1 = sequential, results bit-identical)")
+		shards     = flag.Int("shards", 0, "shard goroutines per simulation advancing its memory partitions (0/1 = inline; results bit-identical)")
 		progress   = flag.Bool("progress", false, "print a periodic progress line to stderr")
 		statsOut   = flag.String("stats-out", "", "write machine-readable per-run stats (JSON) to this file")
 		audit      = flag.Bool("audit", false, "run every simulation with invariant auditors enabled (changes memo keys; slower)")

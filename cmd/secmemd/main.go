@@ -61,7 +61,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 2*time.Minute, "per-request simulation budget")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget before in-flight runs are cancelled")
 		memCap   = flag.Int("mem-cache", 256, "in-process result LRU entries (negative disables)")
-		shards   = flag.Int("shards", 0, "shard goroutines per served simulation (parallel partition engine; 0/1 = sequential, results bit-identical)")
+		shards   = flag.Int("shards", 0, "shard goroutines per served simulation advancing its memory partitions (0/1 = inline; results bit-identical)")
 		ckptDir  = flag.String("checkpoint-dir", "", "persist mid-run machine checkpoints in this directory; longer-horizon requests resume instead of restarting, and shutdown checkpoints in-flight runs")
 		ckptN    = flag.Uint64("checkpoint-every", 5000, "checkpoint interval in cycles (with -checkpoint-dir)")
 		grace    = flag.Duration("abort-grace", 5*time.Second, "post-abort budget for cancelled handlers to flush (after -drain expires)")

@@ -64,7 +64,7 @@ func main() {
 		faultSpec  = flag.String("faults", "", "fault-injection plan, e.g. seed=1,rate=1e-4,sites=data,meta,drop (empty = none)")
 		audit      = flag.Bool("audit", false, "run per-cycle invariant auditors")
 		watchdog   = flag.Uint64("watchdog", 0, "override watchdog stall threshold in cycles (0 = config default)")
-		shards     = flag.Int("shards", 0, "shard goroutines for the parallel partition engine (0/1 = sequential; results are bit-identical)")
+		shards     = flag.Int("shards", 0, "shard goroutines advancing the memory partitions (0/1 = inline on one goroutine; results are bit-identical)")
 		asJSON     = flag.Bool("json", false, "emit the result as JSON")
 		list       = flag.Bool("list", false, "list benchmarks and schemes, then exit")
 		probeSpans = flag.Bool("probe", false, "collect request-lifecycle spans and print the latency attribution")

@@ -36,12 +36,12 @@ type Options struct {
 	// are byte-identical — but audited and unaudited runs memoize under
 	// different keys because Audit is part of the Config.
 	Audit bool
-	// Shards > 1 runs each simulation on the parallel partition engine
-	// with that many shard goroutines (Config.Shards; see DESIGN.md
-	// "Parallel partition engine"). Results are bit-identical to the
-	// sequential engine and Shards is excluded from Config's JSON, so
-	// memo keys, disk-cache entries, and golden digests are shared
-	// across shard settings. 0 and 1 select the sequential engine.
+	// Shards > 1 advances each simulation's memory partitions on that
+	// many shard goroutines (Config.Shards; see DESIGN.md "Windowed
+	// cycle loop"). Results are bit-identical at every shard count and
+	// Shards is excluded from Config's JSON, so memo keys, disk-cache
+	// entries, and golden digests are shared across shard settings. 0
+	// and 1 run every window inline on one goroutine.
 	Shards int
 }
 

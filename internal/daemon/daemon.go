@@ -99,9 +99,9 @@ type Config struct {
 	// MemCacheEntries caps the in-process result LRU (default 256;
 	// negative disables it).
 	MemCacheEntries int
-	// Shards > 1 runs every served simulation on the parallel partition
-	// engine with that many shard goroutines. Results — and therefore
-	// cache entries — are bit-identical to sequential runs, so a cache
+	// Shards > 1 advances every served simulation's memory partitions
+	// on that many shard goroutines. Results — and therefore cache
+	// entries — are bit-identical at every shard count, so a cache
 	// directory can be shared between daemons with different shard
 	// settings. Size Workers down accordingly: each running simulation
 	// occupies Shards goroutines.

@@ -17,10 +17,11 @@
 //
 // Concurrency and aliasing contract: an Injector is single-owner
 // state — its per-site event counters advance in global simulation
-// order, one goroutine at a time. That ordering is exactly what
-// sharded execution cannot preserve, so the parallel partition engine
-// falls back to the sequential engine whenever a fault plan is
-// active.
+// order, one goroutine at a time. The simulator's sharded cycle loop
+// never calls Fire from a shard goroutine: partitions stage their
+// opportunities during a window, and the coordinator draws them at the
+// barrier in canonical merge order, so the counters advance in the
+// same order at every shard count.
 package faults
 
 import (

@@ -16,9 +16,10 @@
 // Concurrency and aliasing contract: a probe instance is single-owner
 // state attached to one simulator instance and driven from its
 // goroutine. Span and timeline records index global cycle-ordered
-// state, which is why the parallel partition engine falls back to the
-// sequential engine when a probe is attached rather than interleave
-// writers (DESIGN.md "Parallel partition engine").
+// state, so the simulator's sharded cycle loop never writes them from
+// a shard goroutine: partitions stage their spans during a window, and
+// the coordinator records them at the barrier in canonical merge order
+// and takes timeline samples there (DESIGN.md "Windowed cycle loop").
 package probe
 
 import "fmt"

@@ -1,11 +1,12 @@
 // Package shard provides the persistent worker pool behind the
-// simulator's barrier-synchronized parallel partition engine. A Pool
+// simulator's barrier-synchronized cycle loop when it runs with more
+// than one shard. A Pool
 // owns N goroutines that sit parked between windows; each Fork hands
 // every worker the same closure (called with its worker index), and
 // Join blocks until all of them have returned.
 //
 // Concurrency contract: the pool provides the only synchronization the
-// parallel engine relies on. Fork happens-before every worker's
+// sharded cycle loop relies on. Fork happens-before every worker's
 // closure invocation, and every closure return happens-before Join
 // returns (both edges ride on channel operations), so state a worker
 // wrote during a window is visible to the coordinator after Join — and

@@ -10,9 +10,9 @@
 // may run concurrently without limit (the sweep runner's parallelism).
 // With Config.Shards > 1 a run *internally* fans partition work out
 // across a goroutine pool, but that parallelism never escapes the
-// instance and results stay bit-identical to a sequential run (see
-// DESIGN.md "Parallel partition engine"). The *Result a run returns
-// is detached from simulator state and safe to share read-only.
+// instance and results stay bit-identical at every shard count (see
+// DESIGN.md "Windowed cycle loop"). The *Result a run returns is
+// detached from simulator state and safe to share read-only.
 package sim
 
 import (
@@ -211,19 +211,17 @@ type Config struct {
 	// carrying a diagnostic dump. 0 disables the watchdog.
 	WatchdogCycles uint64
 
-	// Shards, when > 1, runs the simulation on the barrier-synchronized
-	// parallel partition engine: the memory partitions are distributed
-	// round-robin over this many worker goroutines and advance in
-	// lookahead windows of IcntLatency cycles between merge barriers.
-	// Results are bit-identical to the sequential engine for every
-	// shard count — Shards is an execution hint, not a model parameter
-	// — so it is excluded from the JSON form (run keys, result caches,
-	// and golden digests ignore it). 0 and 1 both select the sequential
-	// engine. Shards need not divide NumPartitions (round-robin
-	// assignment handles any remainder); it may not exceed it.
-	// Configurations the parallel engine cannot reproduce exactly
-	// (Audit, fault injection, probes) silently fall back to the
-	// sequential engine; see DESIGN.md §13.
+	// Shards is how many goroutines advance the memory partitions
+	// inside each window of the barrier-synchronized cycle loop
+	// (DESIGN.md §13): the partitions are distributed round-robin over
+	// this many workers while the SM side runs on the caller's
+	// goroutine. 0 and 1 both run every window inline on the caller's
+	// goroutine. Results — probe reports, fault counts and audits
+	// included — are bit-identical for every shard count: Shards is an
+	// execution hint, not a model parameter, so it is excluded from the
+	// JSON form (run keys, result caches, and golden digests ignore
+	// it). Shards need not divide NumPartitions (round-robin assignment
+	// handles any remainder); it may not exceed it.
 	Shards int `json:"-"`
 
 	Secure SecureConfig
@@ -370,12 +368,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: MetaMSHRs %d and UnifiedMSHRs %d must be >= 0 (0 = no MSHRs)", c.Secure.MetaMSHRs, c.Secure.UnifiedMSHRs)
 	case c.Secure.ProtectedFraction < 0 || c.Secure.ProtectedFraction > 1:
 		return fmt.Errorf("sim: ProtectedFraction %f outside [0,1]", c.Secure.ProtectedFraction)
+	case c.IcntLatency == 0:
+		return fmt.Errorf("sim: IcntLatency must be >= 1 — the interconnect latency is the cycle loop's conservative lookahead window")
 	case c.Shards < 0:
-		return fmt.Errorf("sim: Shards must be >= 0 (0 or 1 selects the sequential engine; got %d)", c.Shards)
+		return fmt.Errorf("sim: Shards must be >= 0 (0 or 1 runs the partitions inline; got %d)", c.Shards)
 	case c.Shards > c.NumPartitions:
 		return fmt.Errorf("sim: Shards %d exceeds NumPartitions %d — each shard needs at least one partition; lower the shard count or raise NumPartitions", c.Shards, c.NumPartitions)
-	case c.Shards > 1 && c.IcntLatency == 0:
-		return fmt.Errorf("sim: Shards %d requires IcntLatency >= 1 — the interconnect latency is the parallel engine's conservative lookahead window", c.Shards)
 	}
 	if err := validateCacheGeom("L1", c.L1Bytes, c.L1Assoc); err != nil {
 		return err

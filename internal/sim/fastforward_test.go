@@ -10,24 +10,24 @@ import (
 	"gpusecmem/internal/trace"
 )
 
-// runCounting runs cfg on bench with fast-forwarding optionally forced
-// off and returns the result (or error) plus how many cycle steps were
-// actually executed.
-func runCounting(t *testing.T, cfg Config, bench string, disableFF bool) (*Result, error, uint64) {
+// runCounting runs cfg on bench, optionally in lockstep (one-cycle
+// windows, no idle jumping), and returns the result (or error) plus
+// how many barrier windows were executed.
+func runCounting(t *testing.T, cfg Config, bench string, lockstep bool) (*Result, error, uint64) {
 	t.Helper()
 	g, err := New(cfg, trace.MustNew(bench))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.disableFF = disableFF
+	g.lockstep = lockstep
 	res, rerr := g.Run()
-	return res, rerr, g.stepped
+	return res, rerr, g.windows
 }
 
-// TestFastForwardIdentity: the activity-driven loop must produce
-// bit-identical results to stepping every cycle — skipped cycles are
+// TestFastForwardIdentity: the windowed, idle-skipping loop must
+// produce bit-identical results to lockstep — skipped cycles are
 // provably no-ops, so every statistic down to the last stall has to
-// match the legacy loop exactly.
+// match a barrier at every cycle exactly.
 func TestFastForwardIdentity(t *testing.T) {
 	cases := []struct {
 		cfg   Config
@@ -48,12 +48,12 @@ func TestFastForwardIdentity(t *testing.T) {
 			t.Fatal(err2)
 		}
 		if slowSteps != testCycles {
-			t.Fatalf("%s: legacy loop stepped %d of %d cycles", tc.bench, slowSteps, testCycles)
+			t.Fatalf("%s: lockstep ran %d windows for %d cycles", tc.bench, slowSteps, testCycles)
 		}
 		fj, _ := json.Marshal(fast)
 		sj, _ := json.Marshal(slow)
 		if string(fj) != string(sj) {
-			t.Errorf("%s/%s: fast-forwarded result differs from every-cycle result\nfast: %s\nslow: %s",
+			t.Errorf("%s/%s: idle-skipping result differs from lockstep result\nfast: %s\nslow: %s",
 				tc.cfg.Secure.Encryption, tc.bench, fj, sj)
 		}
 	}
@@ -64,7 +64,7 @@ func TestFastForwardIdentity(t *testing.T) {
 // the in-flight work drains the machine has nothing to do until the
 // watchdog fires. The activity-driven loop must (a) skip nearly all of
 // those dead cycles, and (b) still land the watchdog on the exact cycle
-// the legacy loop fires it, with the same diagnostic state.
+// lockstep fires it, with the same diagnostic state.
 func TestIdleSkipWedgedMachine(t *testing.T) {
 	cfg := Baseline()
 	cfg.MaxCycles = 100000
@@ -91,19 +91,19 @@ func TestIdleSkipWedgedMachine(t *testing.T) {
 			fastStall.OutstandingLoads, fastStall.BlockedWarps,
 			slowStall.OutstandingLoads, slowStall.BlockedWarps)
 	}
-	// The wedged stretch is ~WatchdogCycles long; the legacy loop steps
-	// all of it, the activity-driven loop should step almost none.
+	// The wedged stretch is ~WatchdogCycles long; lockstep runs a
+	// window for every cycle of it, the idle-skipping loop almost none.
 	if slowSteps != slowStall.Cycle {
-		t.Fatalf("legacy loop stepped %d cycles, watchdog fired at %d", slowSteps, slowStall.Cycle)
+		t.Fatalf("lockstep ran %d windows, watchdog fired at %d", slowSteps, slowStall.Cycle)
 	}
 	if fastSteps*10 > slowSteps {
-		t.Errorf("fast-forward skipped too little: %d steps vs %d wedged cycles", fastSteps, slowSteps)
+		t.Errorf("idle skipping skipped too little: %d windows vs %d wedged cycles", fastSteps, slowSteps)
 	}
 }
 
-// TestFastForwardRespectsProbeTimeline: fast-forwarding may not skip a
-// timeline sampling boundary; window counts and contents must match the
-// every-cycle loop.
+// TestFastForwardRespectsProbeTimeline: idle skipping may not jump a
+// timeline sampling boundary; window counts and contents must match
+// lockstep.
 func TestFastForwardRespectsProbeTimeline(t *testing.T) {
 	cfg := SecureMem()
 	cfg.MaxCycles = testCycles

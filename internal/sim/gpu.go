@@ -50,30 +50,31 @@ type GPU struct {
 	tokenSeq uint64
 	loads    map[uint64]loadReq
 
-	// Activity tracking for the event-driven cycle loop. smWake[i] and
-	// partNext[i] are conservative lower bounds on the next cycle SM i
-	// (resp. partition i) could do anything; a component is skipped
-	// while its bound lies in the future, and the whole loop
-	// fast-forwards to the earliest bound when every component is idle.
-	// smLastTick[i] is the last cycle SM i actually ticked, for lazy
-	// full-stall settlement (see smcore.AccountIdle).
+	// Activity tracking for the cycle loop. smWake[i] and partNext[i]
+	// are conservative lower bounds on the next cycle SM i (resp.
+	// partition i) could do anything; a component is skipped while its
+	// bound lies in the future, and the loop jumps to the earliest
+	// bound when every component is idle. smLastTick[i] is the last
+	// cycle SM i actually ticked, for lazy full-stall settlement (see
+	// smcore.AccountIdle).
 	smWake     []uint64
 	smLastTick []uint64
 	partNext   []uint64
-	// stepped counts executed steps (<= now once fast-forwarding
-	// skips); disableFF forces the legacy every-cycle loop — both are
-	// test hooks for the idle-skip machinery.
-	stepped   uint64
-	disableFF bool
+	// stepped counts cycles the SM side executed (<= now once idle
+	// stretches are skipped); it rides in MachineState.
+	stepped uint64
 	// oneTok backs single-token reply delivery without allocating.
 	oneTok [1]uint64
 
-	// smStage, when non-nil, redirects issueMem's L1-hit replies into
-	// the parallel engine's SM-task staging buffer; parallelWindows
-	// counts executed barrier windows (a test hook asserting which
-	// engine actually ran).
-	smStage         *replyStage
-	parallelWindows uint64
+	// stages holds one staging buffer per shard (partition i stages
+	// into stages[i%len(stages)]); smStage is the SM task's. windows
+	// counts executed barrier windows. lockstep makes every window one
+	// cycle wide with no idle jumping — what the auditors want, and
+	// the reference the idle-skip tests compare against.
+	stages   []*replyStage
+	smStage  *replyStage
+	windows  uint64
+	lockstep bool
 
 	// inj executes cfg.Faults; nil on the (zero-cost) no-fault path.
 	inj *faults.Injector
@@ -95,8 +96,7 @@ type GPU struct {
 	lastProgress   uint64
 	lastProgressAt uint64
 	// maxProgressGap is the longest observed stretch between progress
-	// events (diagnostics and tests; maintained by the sequential
-	// engine's watchdog check).
+	// events (diagnostics and tests).
 	maxProgressGap uint64
 }
 
@@ -131,14 +131,22 @@ func New(cfg Config, gen smcore.Generator) (*GPU, error) {
 			AllocOnFill: true,
 		}))
 	}
+	shards := min(max(cfg.Shards, 1), cfg.NumPartitions)
+	for w := 0; w < shards; w++ {
+		g.stages = append(g.stages, &replyStage{latency: cfg.IcntLatency})
+	}
+	g.smStage = &replyStage{latency: cfg.IcntLatency}
 	for p := 0; p < cfg.NumPartitions; p++ {
-		g.parts = append(g.parts, newPartition(p, g))
+		part := newPartition(p, g)
+		part.stage = g.stages[p%shards]
+		g.parts = append(g.parts, part)
 	}
 	g.smWake = make([]uint64, len(g.sms))
 	g.smLastTick = make([]uint64, len(g.sms))
 	g.partNext = make([]uint64, len(g.parts))
 	g.inj = faults.NewInjector(cfg.Faults)
 	g.probe = probe.NewState(cfg.Probe, kindLabels())
+	g.lockstep = cfg.Audit
 	if in := g.inj; in != nil &&
 		(cfg.Faults.Sites.Has(faults.SiteIcntDrop) || cfg.Faults.Sites.Has(faults.SiteIcntDup)) {
 		// Attack the response path: a dropped reply loses a completion
@@ -201,17 +209,6 @@ func (g *GPU) partitionOf(globalAddr uint64) (int, uint64) {
 	return part, local
 }
 
-// scheduleReply sends completed sector data back toward the SMs.
-func (g *GPU) scheduleReply(at uint64, globalAddr uint64, tokens []uint64) {
-	extra := uint64(0)
-	if at > g.now {
-		extra = at - g.now
-	}
-	for _, tok := range tokens {
-		g.toSM.PushAfter(g.now, extra, smReply{globalAddr: globalAddr, token: tok})
-	}
-}
-
 // issueMem is the SM memory callback: it performs L1 lookups and
 // forwards misses and stores toward the partitions.
 func (g *GPU) issueMem(mi smcore.MemIssue) int {
@@ -231,12 +228,8 @@ func (g *GPU) issueMem(mi smcore.MemIssue) int {
 			outstanding++
 			g.loads[tok] = loadReq{sm: mi.SM, warp: mi.Warp}
 			// Hit latency reply through the local pipeline (no icnt).
-			if st := g.smStage; st != nil {
-				g.oneTok[0] = tok
-				st.stageReply(g.now, g.now+g.cfg.L1Latency, addr, g.oneTok[:])
-			} else {
-				g.toSM.PushAfter(g.now, g.cfg.L1Latency, smReply{globalAddr: addr, token: tok})
-			}
+			g.oneTok[0] = tok
+			g.smStage.stageReply(g.now, g.now+g.cfg.L1Latency, addr, g.oneTok[:])
 		case acc.NeedFetch:
 			outstanding++
 			g.loads[tok] = loadReq{sm: mi.SM, warp: mi.Warp, fillBypass: acc.Bypass}
@@ -293,59 +286,6 @@ func (g *GPU) completeLoad(token uint64) {
 	}
 }
 
-// step advances the machine one cycle, touching only components whose
-// activity bound says they could do something. Skipping is
-// state-identical to the legacy all-components step: a DelayQueue with
-// nothing ready pops nothing, an idle partition's tick moves nothing,
-// and an SM with no ready warp only accrues full-stall cycles (settled
-// lazily via AccountIdle).
-func (g *GPU) step() {
-	g.now++
-	g.stepped++
-	// Interconnect deliveries into the partitions. A delivery re-arms
-	// its partition for this cycle.
-	if g.toL2.NextReady() <= g.now {
-		for _, m := range g.toL2.PopReady(g.now) {
-			part, local := g.partitionOf(m.globalAddr)
-			g.partNext[part] = g.now
-			if m.write {
-				g.parts[part].handleL2Write(local, g.now)
-			} else {
-				g.parts[part].handleL2Read(m.globalAddr, local, m.token, g.now)
-			}
-		}
-	}
-	// Partitions: replies and DRAM.
-	for i, p := range g.parts {
-		if g.partNext[i] > g.now {
-			continue
-		}
-		p.tick(g.now)
-		g.partNext[i] = p.nextEvent(g.now)
-	}
-	// Replies into the SMs.
-	if g.toSM.NextReady() <= g.now {
-		for _, r := range g.toSM.PopReady(g.now) {
-			g.deliverReply(r)
-		}
-	}
-	// Issue.
-	for i, sm := range g.sms {
-		if g.smWake[i] > g.now {
-			continue
-		}
-		if idle := g.now - g.smLastTick[i] - 1; idle > 0 {
-			sm.AccountIdle(idle)
-		}
-		sm.Tick(g.now, g.issueMem)
-		g.smLastTick[i] = g.now
-		g.smWake[i] = sm.NextReady(g.now + 1)
-	}
-	if g.probe != nil {
-		g.sampleProbe()
-	}
-}
-
 // settleIdleStalls books the full-stall cycles of SMs that were
 // skipped since their last tick, bringing Stalls up to date through
 // g.now. Called before any reader of SM counters outside the loop.
@@ -356,56 +296,6 @@ func (g *GPU) settleIdleStalls() {
 			g.smLastTick[i] = g.now
 		}
 	}
-}
-
-// nextInteresting returns the earliest cycle after g.now at which any
-// component could act: interconnect deliveries, partition events, and
-// SM wake-ups, capped by the cycles external observers must land on —
-// the watchdog's firing cycle and the probe timeline's sampling
-// boundaries.
-func (g *GPU) nextInteresting() uint64 {
-	next := g.toL2.NextReady()
-	if t := g.toSM.NextReady(); t < next {
-		next = t
-	}
-	for _, t := range g.partNext {
-		if t < next {
-			next = t
-		}
-	}
-	for _, t := range g.smWake {
-		if t < next {
-			next = t
-		}
-	}
-	if g.cfg.WatchdogCycles > 0 {
-		// Land exactly on the cycle checkWatchdog would fire, so a
-		// wedged run stalls at the same cycle with the same dump as the
-		// legacy loop.
-		if fire := g.lastProgressAt + g.cfg.WatchdogCycles; fire < next {
-			next = fire
-		}
-	}
-	if g.probe != nil && g.probe.Timeline != nil {
-		// Timeline windows close on every interval multiple.
-		if iv := g.probe.Timeline.Interval(); iv > 0 {
-			if b := (g.now/iv + 1) * iv; b < next {
-				next = b
-			}
-		}
-	}
-	if g.ckptSink != nil {
-		// Land exactly on checkpoint cycles, like the watchdog and
-		// probe-timeline caps; the landing step is a no-op for an idle
-		// machine, so resumability costs no timing fidelity.
-		if b := (g.now/g.ckptEvery + 1) * g.ckptEvery; b < next {
-			next = b
-		}
-	}
-	if next <= g.now {
-		next = g.now + 1
-	}
-	return next
 }
 
 // SetCheckpoint arms periodic checkpointing: every `every` cycles (and
@@ -439,98 +329,6 @@ func (g *GPU) maybeCheckpoint(force bool) {
 	}
 	g.ckptLast = g.now
 	g.ckptSink(g.now, st)
-}
-
-// fastForward advances g.now to just before the next interesting
-// cycle, so the following step lands on it. Cycles in between would
-// have been no-op steps.
-func (g *GPU) fastForward() {
-	next := g.nextInteresting()
-	if next > g.cfg.MaxCycles {
-		// Nothing left before the horizon: idle out the remaining
-		// cycles.
-		g.now = g.cfg.MaxCycles
-		return
-	}
-	if next > g.now+1 {
-		g.now = next - 1
-	}
-}
-
-// Run simulates cfg.MaxCycles cycles and gathers the result. It
-// returns a *StallError when the watchdog detects a forward-progress
-// stall and an *AuditError when an enabled invariant auditor finds the
-// machine's books out of balance; both carry diagnostic state.
-func (g *GPU) Run() (*Result, error) { return g.RunContext(context.Background()) }
-
-// cancelCheckMask gates the cooperative cancellation poll: the loop
-// consults ctx only once every cancelCheckMask+1 executed steps, so
-// the hot path of an uncancellable run (ctx.Done() == nil) stays a
-// single nil comparison and a cancellable one adds a masked counter
-// test. At simulator speeds (millions of steps per second) this still
-// bounds the reaction latency to well under a millisecond.
-const cancelCheckMask = 0x3ff
-
-// RunContext is Run with cooperative cancellation: when ctx is
-// cancelled the simulation stops at the next check boundary and
-// returns (nil, ctx.Err()) — never a partial Result. Cancellation is
-// polled between steps (on the same boundary the watchdog and
-// fast-forward logic run), so a run that is never cancelled produces
-// bit-identical results to Run.
-func (g *GPU) RunContext(ctx context.Context) (*Result, error) {
-	if g.parallelEligible() {
-		return g.runParallel(ctx)
-	}
-	// Per-cycle auditing wants every cycle stepped; per-component
-	// skipping inside step stays on (it is state-identical, so the
-	// auditors see the same books).
-	ff := !g.disableFF && !g.cfg.Audit
-	done := ctx.Done()
-	if done != nil {
-		// An already-dead context never simulates, however short the
-		// run — the loop's masked poll may not fire on one this small.
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
-	}
-	for g.now < g.cfg.MaxCycles {
-		g.step()
-		if g.cfg.Audit {
-			if err := g.audit(g.now%auditDeepPeriod == 0); err != nil {
-				return nil, err
-			}
-		}
-		if err := g.checkWatchdog(); err != nil {
-			return nil, err
-		}
-		if g.ckptSink != nil {
-			g.maybeCheckpoint(false)
-		}
-		if done != nil && g.stepped&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				// Snapshot before abandoning the run so a drain or kill
-				// loses at most the work since the last boundary.
-				g.maybeCheckpoint(true)
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		if ff {
-			g.fastForward()
-		}
-	}
-	if g.cfg.Audit {
-		if err := g.audit(true); err != nil {
-			return nil, err
-		}
-	}
-	// A final checkpoint at the horizon lets a later, longer-horizon
-	// run resume from here instead of cycle 0.
-	g.maybeCheckpoint(true)
-	return g.collect(), nil
 }
 
 func (g *GPU) collect() *Result {

@@ -1,6 +1,8 @@
 package sim
 
-// The barrier-synchronized parallel partition engine (DESIGN.md §13).
+// The cycle loop: a barrier-synchronized windowed engine (DESIGN.md
+// §13). It is the simulator's only engine; Shards picks how many
+// goroutines advance the partitions inside a window.
 //
 // Partitions never touch each other: the only state a partition shares
 // with the rest of the machine is the pair of interconnect delay
@@ -12,22 +14,26 @@ package sim
 // pushed inside the window is deliverable only after it ends. So the
 // engine alternates:
 //
-//   barrier (single-threaded)          window (parallel)
-//   ─ merge staged toSM pushes         ─ S shard workers advance their
-//     in canonical order                 partitions through (T, T+W]
-//   ─ pre-drain both queues              against pre-drained inboxes
-//     through T+W into inboxes        ─ the coordinator runs the SM
-//   ─ watchdog / cancellation           task over the same cycles
+//   barrier (coordinator)              window
+//   ─ merge staged toSM pushes,        ─ the partitions advance through
+//     probe spans and fault draws        (T, T+W] against pre-drained
+//     in canonical order                 inboxes — inline with one
+//   ─ timeline sample, audit,            shard, on S workers otherwise
+//     watchdog, checkpoint,            ─ the coordinator runs the SM
+//     cancellation                       task over the same cycles
+//   ─ pre-drain both queues
+//     through T+W into inboxes
 //
-// Determinism: every toSM push is tagged with a merge key — (cycle,
-// phase, major, minor) — reproducing the sequential engine's exact
-// push order: phase 0 is delivery-handler pushes ordered by the global
-// FIFO order of the toL2 messages that triggered them, phase 1 is
-// partition-tick pushes ordered by partition index, phase 2 is SM-tick
-// pushes ordered by SM index. Sorting the union of all staging buffers
-// by that key and appending to toSM therefore rebuilds the byte-exact
-// queue the sequential engine would hold, regardless of shard count or
-// goroutine interleaving. Everything else a worker touches is
+// Determinism: everything a partition emits that another component
+// observes — a toSM push, a probe span, a fault draw — is staged with
+// a merge key (cycle, phase, major, minor). The keys define the
+// canonical order: phase 0 is delivery-handler work ordered by the
+// global FIFO order of the toL2 messages that triggered it, phase 1 is
+// partition-tick work ordered by partition index, phase 2 is SM-tick
+// pushes ordered by SM index. Sorting each staged kind by that key at
+// the barrier and replaying it makes every result independent of the
+// shard count and of goroutine interleaving; the golden digests pin
+// the resulting bytes. Everything else a worker touches is
 // partition-owned (caches, DRAM channel, MSHRs, read states, tokens).
 
 import (
@@ -35,12 +41,14 @@ import (
 	"context"
 	"slices"
 
+	"gpusecmem/internal/faults"
+	"gpusecmem/internal/probe"
 	"gpusecmem/internal/shard"
 )
 
-// mergeKey orders staged toSM pushes into the sequential engine's push
-// order. Keys are unique across a window (minor disambiguates pushes
-// from one handler), so the sort is a total order.
+// mergeKey is the canonical order of staged work. Keys are unique
+// across a window (minor disambiguates items from one handler), so
+// the sort is a total order.
 type mergeKey struct {
 	cycle uint64
 	phase uint8 // 0 = toL2 delivery handler, 1 = partition tick, 2 = SM tick
@@ -67,15 +75,34 @@ type stagedReply struct {
 	r       smReply
 }
 
-// replyStage collects one shard's (or the SM task's) toSM pushes
+// stagedSpan is one probe span awaiting Spans.Record at the barrier.
+type stagedSpan struct {
+	key mergeKey
+	s   probe.Span
+}
+
+// stagedDraw is one fault-injection opportunity awaiting Injector.Fire
+// at the barrier; a hit is booked on partition part as detected iff
+// covered.
+type stagedDraw struct {
+	key     mergeKey
+	addr    uint64
+	part    int32
+	site    faults.Site
+	covered bool
+}
+
+// replyStage collects one shard's (or the SM task's) staged work
 // during a window. Each stage is owned by exactly one goroutine inside
 // a window and read only by the coordinator at the barrier; the shard
 // pool's fork/join edges order those accesses.
 type replyStage struct {
 	latency uint64
 	buf     []stagedReply
+	spans   []stagedSpan
+	draws   []stagedDraw
 	// Current merge-key context, set by the engine before invoking a
-	// handler; minor counts pushes within it.
+	// handler; minor counts staged items within it.
 	cycle uint64
 	phase uint8
 	major uint64
@@ -86,7 +113,14 @@ func (st *replyStage) setCtx(cycle uint64, phase uint8, major uint64) {
 	st.cycle, st.phase, st.major, st.minor = cycle, phase, major, 0
 }
 
-// stageReply records one sendReply: readyAt reproduces
+// key returns the next merge key of the current context.
+func (st *replyStage) key() mergeKey {
+	k := mergeKey{cycle: st.cycle, phase: st.phase, major: st.major, minor: st.minor}
+	st.minor++
+	return k
+}
+
+// stageReply records one toSM push: readyAt reproduces
 // DelayQueue.PushAfter's arithmetic (push cycle + latency + extra),
 // and the token slice — possibly cache-owned scratch — is copied
 // entry-by-entry.
@@ -97,11 +131,10 @@ func (st *replyStage) stageReply(now, at, globalAddr uint64, tokens []uint64) {
 	readyAt := at + st.latency
 	for _, tok := range tokens {
 		st.buf = append(st.buf, stagedReply{
-			key:     mergeKey{cycle: st.cycle, phase: st.phase, major: st.major, minor: st.minor},
+			key:     st.key(),
 			readyAt: readyAt,
 			r:       smReply{globalAddr: globalAddr, token: tok},
 		})
-		st.minor++
 	}
 }
 
@@ -125,70 +158,53 @@ type smDelivery struct {
 	r  smReply
 }
 
-// parEngine is the per-run state of the parallel engine.
-type parEngine struct {
+// engine is the per-run state of the cycle loop.
+type engine struct {
 	g       *GPU
-	shards  int
-	pool    *shard.Pool
-	stages  []*replyStage // one per shard worker
-	inboxes []inbox       // one per partition
+	pool    *shard.Pool // nil with one shard: windows run inline
+	inboxes []inbox     // one per partition
 	smInbox []smDelivery
 	smHead  int
 	merged  []stagedReply
+	spans   []stagedSpan
+	draws   []stagedDraw
 	// instrTotal mirrors the sum of all SM instruction counters so the
 	// SM task can maintain the watchdog's progress metric exactly (to
 	// the cycle) without re-summing 80 SMs every executed cycle.
 	instrTotal uint64
 }
 
-// parallelEligible reports whether the parallel engine may run this
-// configuration. Anything it cannot reproduce bit-identically falls
-// back to the sequential engine: per-cycle auditing wants the whole
-// machine stepped in lockstep, and fault injection / probes hang
-// shared mutable state (injector PRNG order, span and timeline
-// buffers) off paths that would race across shards. DESIGN.md §13
-// documents each restriction.
-func (g *GPU) parallelEligible() bool {
-	return g.cfg.Shards > 1 &&
-		len(g.parts) > 1 &&
-		g.cfg.IcntLatency >= 1 &&
-		!g.cfg.Audit &&
-		!g.disableFF &&
-		g.inj == nil &&
-		g.probe == nil
-}
+// cancelCheckMask gates the cooperative cancellation poll: the loop
+// consults ctx once every cancelCheckMask+1 windows, so an
+// uncancellable run (ctx.Done() == nil) pays a single nil comparison
+// per window and the reaction latency stays well under a millisecond.
+const cancelCheckMask = 63
 
-// runParallel is the parallel counterpart of the RunContext loop. Its
-// results are bit-identical to the sequential engine's for every shard
-// count (the golden-digest suite pins this).
-func (g *GPU) runParallel(ctx context.Context) (*Result, error) {
-	S := g.cfg.Shards
-	if S > len(g.parts) {
-		S = len(g.parts)
+// Run simulates cfg.MaxCycles cycles and gathers the result. It
+// returns a *StallError when the watchdog detects a forward-progress
+// stall and an *AuditError when an enabled invariant auditor finds the
+// machine's books out of balance; both carry diagnostic state.
+func (g *GPU) Run() (*Result, error) { return g.RunContext(context.Background()) }
+
+// RunContext is Run with cooperative cancellation: when ctx is
+// cancelled the simulation stops at the next check boundary and
+// returns (nil, ctx.Err()) — never a partial Result. Cancellation is
+// polled at window barriers, so a run that is never cancelled produces
+// bit-identical results to Run.
+func (g *GPU) RunContext(ctx context.Context) (*Result, error) {
+	e := &engine{g: g, inboxes: make([]inbox, len(g.parts))}
+	if len(g.stages) > 1 {
+		e.pool = shard.NewPool(len(g.stages))
+		defer e.pool.Close()
 	}
-	e := &parEngine{g: g, shards: S, pool: shard.NewPool(S)}
-	defer e.pool.Close()
-	lat := g.cfg.IcntLatency
-	for w := 0; w < S; w++ {
-		e.stages = append(e.stages, &replyStage{latency: lat})
-	}
-	e.inboxes = make([]inbox, len(g.parts))
-	for i, p := range g.parts {
-		p.stage = e.stages[i%S]
-	}
-	g.smStage = &replyStage{latency: lat}
-	defer func() {
-		for _, p := range g.parts {
-			p.stage = nil
-		}
-		g.smStage = nil
-	}()
 	for _, sm := range g.sms {
 		e.instrTotal += sm.Instructions
 	}
 
 	done := ctx.Done()
 	if done != nil {
+		// An already-dead context never simulates, however short the
+		// run — the masked poll may not fire on one this small.
 		select {
 		case <-done:
 			return nil, ctx.Err()
@@ -196,146 +212,80 @@ func (g *GPU) runParallel(ctx context.Context) (*Result, error) {
 		}
 	}
 	maxC := g.cfg.MaxCycles
-	var windows uint64
+	lat := g.cfg.IcntLatency
+	if g.lockstep {
+		lat = 1
+	}
 	T := g.now
 	for T < maxC {
-		// Jump idle stretches: land the next window on the earliest
-		// cycle any component could act (the parallel analogue of
-		// nextInteresting). Queue heads are lower bounds on effective
-		// delivery, partNext/smWake are the per-component bounds the
-		// last window left behind; undershooting costs a no-op window.
-		next := g.toL2.NextReady()
-		if t := g.toSM.NextReady(); t < next {
-			next = t
-		}
-		for _, t := range g.partNext {
-			if t <= T {
-				t = T + 1
-			}
-			if t < next {
-				next = t
-			}
-		}
-		for _, t := range g.smWake {
-			if t <= T {
-				t = T + 1
-			}
-			if t < next {
-				next = t
-			}
-		}
-		// Cap at the watchdog's firing cycle so a wedged run reaches
-		// its barrier exactly there. A fire cycle already at or behind
-		// T means the watchdog cannot fire (no loads were outstanding
-		// when we passed it — otherwise we'd have stalled), so it must
-		// not pin the window.
-		fire := ^uint64(0)
+		// Cycles the barrier must land on exactly: the watchdog's
+		// firing cycle (so a wedged run stalls there with that dump),
+		// checkpoint cycles and timeline sampling boundaries (the
+		// barrier is the only consistent state point). A fire cycle at
+		// or behind T means the watchdog cannot fire (no loads were
+		// outstanding when we passed it — otherwise we'd have
+		// stalled), so it must not pin the window.
+		bound := ^uint64(0)
 		if g.cfg.WatchdogCycles > 0 {
 			if f := g.lastProgressAt + g.cfg.WatchdogCycles; f > T {
-				fire = f
+				bound = f
 			}
 		}
-		if fire < next {
-			next = fire
-		}
-		// Cap windows at checkpoint cycles exactly like the watchdog
-		// fire cycle, so snapshots land on a merge barrier — the
-		// parallel engine's only consistent (and sequential-identical)
-		// state point.
-		bound := ^uint64(0)
 		if g.ckptSink != nil {
-			bound = (T/g.ckptEvery + 1) * g.ckptEvery
+			bound = min(bound, (T/g.ckptEvery+1)*g.ckptEvery)
 		}
-		if bound < next {
-			next = bound
+		if pr := g.probe; pr != nil && pr.Timeline != nil {
+			iv := pr.Timeline.Interval()
+			bound = min(bound, (T/iv+1)*iv)
 		}
-		if next > maxC {
-			// Nothing left before the horizon: idle out the rest.
-			g.now = maxC
-			break
-		}
-		if next > T+1 {
-			T = next - 1
-		}
-		E := T + lat
-		if E > maxC {
-			E = maxC
-		}
-		if E > fire {
-			E = fire
-		}
-		if E > bound {
-			E = bound
-		}
-
-		// Pre-drain both queues through E. Deliveries land in
-		// per-partition inboxes (tagged with their global FIFO order)
-		// and the SM task's reply inbox; nothing pushed during the
-		// window can be due before E+1, so the drain is complete.
-		partWork := false
-		seq := uint64(0)
-		g.toL2.DrainThrough(E, func(at uint64, m l2Msg) {
-			part, local := g.partitionOf(m.globalAddr)
-			ib := &e.inboxes[part]
-			ib.items = append(ib.items, inboxMsg{at: at, seq: seq, local: local, m: m})
-			seq++
-			partWork = true
-		})
-		e.smInbox = e.smInbox[:0]
-		e.smHead = 0
-		g.toSM.DrainThrough(E, func(at uint64, r smReply) {
-			e.smInbox = append(e.smInbox, smDelivery{at: at, r: r})
-		})
-		if !partWork {
+		next := T + 1
+		if !g.lockstep {
+			// Jump idle stretches: land the window on the earliest
+			// cycle any component could act. Queue heads are lower
+			// bounds on effective delivery, partNext/smWake are the
+			// per-component bounds the last window left behind;
+			// undershooting costs a no-op window.
+			next = min(g.toL2.NextReady(), g.toSM.NextReady(), bound)
 			for _, t := range g.partNext {
-				if t <= E {
-					partWork = true
-					break
-				}
+				next = min(next, max(t, T+1))
 			}
-		}
-		smWork := len(e.smInbox) > 0
-		if !smWork {
 			for _, t := range g.smWake {
-				if t <= E {
-					smWork = true
-					break
-				}
+				next = min(next, max(t, T+1))
+			}
+			if next > maxC {
+				// Nothing left before the horizon: idle out the rest.
+				g.now = maxC
+				break
 			}
 		}
-
-		// The window: shard workers advance partitions while the
-		// coordinator runs the SM task. Sides with nothing due skip
-		// their fork entirely.
-		if partWork {
-			e.pool.Fork(func(worker int) {
-				for i := worker; i < len(g.parts); i += S {
-					e.partitionWindow(i, T, E)
-				}
-			})
-			if smWork {
-				e.smWindow(T, E)
-			}
-			e.pool.Join()
-		} else if smWork {
-			e.smWindow(T, E)
-		}
+		T = max(T, next-1)
+		E := min(T+lat, maxC, bound)
+		e.window(T, E)
+		g.windows++
 		g.now = E
 		e.mergeBarrier()
+		if g.probe != nil {
+			g.sampleProbe()
+		}
+		if g.cfg.Audit {
+			if err := g.audit(E%auditDeepPeriod == 0); err != nil {
+				return nil, err
+			}
+		}
 		if err := g.checkWatchdog(); err != nil {
 			return nil, err
 		}
 		if g.ckptSink != nil {
 			// The barrier is a consistent point: staging buffers and
-			// inboxes are empty, so the snapshot equals the sequential
-			// engine's state at the end of cycle E.
+			// inboxes are empty, so the snapshot is the machine's state
+			// at the end of cycle E.
 			g.maybeCheckpoint(false)
 		}
-		g.parallelWindows++
-		windows++
-		if done != nil && windows&63 == 0 {
+		if done != nil && g.windows&cancelCheckMask == 0 {
 			select {
 			case <-done:
+				// Snapshot before abandoning the run so a drain or kill
+				// loses at most the work since the last boundary.
 				g.maybeCheckpoint(true)
 				return nil, ctx.Err()
 			default:
@@ -343,24 +293,79 @@ func (g *GPU) runParallel(ctx context.Context) (*Result, error) {
 		}
 		T = E
 	}
+	if g.cfg.Audit {
+		if err := g.audit(true); err != nil {
+			return nil, err
+		}
+	}
+	// A final checkpoint at the horizon lets a later, longer-horizon
+	// run resume from here instead of cycle 0.
 	g.maybeCheckpoint(true)
 	return g.collect(), nil
 }
 
+// window advances the machine through (T, E]. It pre-drains both
+// queues through E: deliveries land in per-partition inboxes (tagged
+// with their global FIFO order) and the SM task's reply inbox, and
+// nothing pushed during the window can be due before E+1, so the drain
+// is complete. Then the partitions advance — on the shard workers
+// while the coordinator runs the SM task, or inline with one shard.
+// Sides with nothing due skip the window entirely.
+func (e *engine) window(T, E uint64) {
+	g := e.g
+	partWork := false
+	seq := uint64(0)
+	g.toL2.DrainThrough(E, func(at uint64, m l2Msg) {
+		part, local := g.partitionOf(m.globalAddr)
+		ib := &e.inboxes[part]
+		ib.items = append(ib.items, inboxMsg{at: at, seq: seq, local: local, m: m})
+		seq++
+		partWork = true
+	})
+	e.smInbox = e.smInbox[:0]
+	e.smHead = 0
+	g.toSM.DrainThrough(E, func(at uint64, r smReply) {
+		e.smInbox = append(e.smInbox, smDelivery{at: at, r: r})
+	})
+	if !partWork {
+		partWork = slices.ContainsFunc(g.partNext, func(t uint64) bool { return t <= E })
+	}
+	smWork := len(e.smInbox) > 0 ||
+		slices.ContainsFunc(g.smWake, func(t uint64) bool { return t <= E })
+
+	if partWork {
+		if e.pool != nil {
+			S := len(g.stages)
+			e.pool.Fork(func(worker int) {
+				for i := worker; i < len(g.parts); i += S {
+					e.partitionWindow(i, T, E)
+				}
+			})
+		} else {
+			for i := range g.parts {
+				e.partitionWindow(i, T, E)
+			}
+		}
+	}
+	if smWork {
+		e.smWindow(T, E)
+	}
+	if partWork && e.pool != nil {
+		e.pool.Join()
+	}
+}
+
 // partitionWindow advances partition i through (T, E]: inbox
-// deliveries re-arm the partition exactly as the sequential loop's
-// delivery phase does, ticks happen at the cycles the sequential loop
-// would have ticked (nextEvent undershoot costs the same no-op tick),
-// and every cycle in between is provably inert for this partition.
-func (e *parEngine) partitionWindow(i int, T, E uint64) {
+// deliveries re-arm the partition at their delivery cycle, ticks
+// happen whenever the partition's nextEvent bound comes due (an
+// undershoot costs a no-op tick), and every cycle in between is
+// provably inert for this partition.
+func (e *engine) partitionWindow(i int, T, E uint64) {
 	g := e.g
 	p := g.parts[i]
 	ib := &e.inboxes[i]
 	st := p.stage
-	t := g.partNext[i]
-	if t <= T {
-		t = T + 1
-	}
+	t := max(g.partNext[i], T+1)
 	for {
 		if ib.head < len(ib.items) && ib.items[ib.head].at < t {
 			t = ib.items[ib.head].at
@@ -388,12 +393,12 @@ func (e *parEngine) partitionWindow(i int, T, E uint64) {
 }
 
 // smWindow advances the SM side through (T, E] on the coordinator:
-// reply deliveries, then SM ticks in index order, at exactly the
-// cycles the sequential loop would execute them. It also maintains the
-// watchdog's progress metric to the exact cycle — progress only ever
-// changes here (load completions and instruction issue), so
-// lastProgressAt matches the sequential engine cycle-for-cycle.
-func (e *parEngine) smWindow(T, E uint64) {
+// reply deliveries, then SM ticks in index order, at every cycle an
+// SM is due or a reply arrives. An SM with no ready warp only accrues
+// full-stall cycles, settled lazily via AccountIdle. It also maintains
+// the watchdog's progress metric to the exact cycle — progress only
+// ever changes here (load completions and instruction issue).
+func (e *engine) smWindow(T, E uint64) {
 	g := e.g
 	st := g.smStage
 	t := T + 1
@@ -403,17 +408,12 @@ func (e *parEngine) smWindow(T, E uint64) {
 			next = e.smInbox[e.smHead].at
 		}
 		for _, w := range g.smWake {
-			if w < next {
-				next = w
-			}
+			next = min(next, w)
 		}
-		if next < t {
-			next = t
-		}
-		if next > E {
+		t = max(next, t)
+		if t > E {
 			break
 		}
-		t = next
 		g.now = t
 		g.stepped++
 		clBefore := g.completedLoads
@@ -437,6 +437,7 @@ func (e *parEngine) smWindow(T, E uint64) {
 			g.smWake[i] = sm.NextReady(t + 1)
 		}
 		if g.completedLoads != clBefore || e.instrTotal != instrBefore {
+			g.maxProgressGap = max(g.maxProgressGap, t-g.lastProgressAt)
 			g.lastProgress = g.completedLoads + e.instrTotal
 			g.lastProgressAt = t
 		}
@@ -444,26 +445,50 @@ func (e *parEngine) smWindow(T, E uint64) {
 	}
 }
 
-// mergeBarrier rebuilds the sequential toSM push order: concatenate
-// every staging buffer, sort by merge key, append to the queue.
-// Staged items' ready cycles all lie beyond the window just run, and
-// the queue's residual items were all pushed in earlier windows, so
-// appending preserves FIFO faithfulness too.
-func (e *parEngine) mergeBarrier() {
+// mergeBarrier replays the window's staged work in canonical order:
+// toSM pushes into the queue, then probe spans into the collector and
+// fault draws into the injector. Staged replies' ready cycles all lie
+// beyond the window just run, and the queue's residual items were all
+// pushed in earlier windows, so appending preserves FIFO faithfulness.
+// Spans and draws change no timing, so replaying them after the window
+// is invisible to the machine; their order decides which records a
+// truncating trace keeps and which opportunities the per-site injector
+// counters hit.
+func (e *engine) mergeBarrier() {
+	g := e.g
 	e.merged = e.merged[:0]
-	for _, st := range e.stages {
+	for _, st := range g.stages {
+		e.merged = append(e.merged, st.buf...)
+		st.buf = st.buf[:0]
+		e.spans = append(e.spans, st.spans...)
+		st.spans = st.spans[:0]
+		e.draws = append(e.draws, st.draws...)
+		st.draws = st.draws[:0]
+	}
+	if st := g.smStage; len(st.buf) > 0 {
 		e.merged = append(e.merged, st.buf...)
 		st.buf = st.buf[:0]
 	}
-	if st := e.g.smStage; len(st.buf) > 0 {
-		e.merged = append(e.merged, st.buf...)
-		st.buf = st.buf[:0]
+	if len(e.merged) > 0 {
+		slices.SortFunc(e.merged, func(a, b stagedReply) int { return a.key.compare(b.key) })
+		for i := range e.merged {
+			g.toSM.PushAt(e.merged[i].readyAt, e.merged[i].r)
+		}
 	}
-	if len(e.merged) == 0 {
-		return
+	if len(e.spans) > 0 {
+		slices.SortFunc(e.spans, func(a, b stagedSpan) int { return a.key.compare(b.key) })
+		for i := range e.spans {
+			g.probe.Spans.Record(e.spans[i].s)
+		}
+		e.spans = e.spans[:0]
 	}
-	slices.SortFunc(e.merged, func(a, b stagedReply) int { return a.key.compare(b.key) })
-	for i := range e.merged {
-		e.g.toSM.PushAt(e.merged[i].readyAt, e.merged[i].r)
+	if len(e.draws) > 0 {
+		slices.SortFunc(e.draws, func(a, b stagedDraw) int { return a.key.compare(b.key) })
+		for _, d := range e.draws {
+			if g.inj.Fire(d.site, d.addr) {
+				g.parts[d.part].recordCorruption(d.covered)
+			}
+		}
+		e.draws = e.draws[:0]
 	}
 }

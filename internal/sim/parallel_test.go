@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,24 +13,20 @@ import (
 	"gpusecmem/internal/trace"
 )
 
-// runSharded runs cfg/bench with the given shard count and reports the
-// result plus how many parallel barrier windows executed (0 = the
-// sequential engine ran).
-func runSharded(t *testing.T, cfg Config, bench string, shards int) (*Result, error, uint64) {
+// runSharded runs cfg/bench with the given shard count.
+func runSharded(t *testing.T, cfg Config, bench string, shards int) (*Result, error) {
 	t.Helper()
 	cfg.Shards = shards
 	g, err := New(cfg, trace.MustNew(bench))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rerr := g.Run()
-	return res, rerr, g.parallelWindows
+	return g.Run()
 }
 
-// TestParallelIdentity: the barrier-synchronized engine must produce
-// byte-identical results to the sequential engine for every shard
-// count, including counts that do not divide the partition count and
-// the one-partition-per-shard extreme.
+// TestParallelIdentity: the windowed engine must produce byte-identical
+// results for every shard count, including counts that do not divide
+// the partition count and the one-partition-per-shard extreme.
 func TestParallelIdentity(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -44,95 +41,134 @@ func TestParallelIdentity(t *testing.T) {
 	shardCounts := []int{2, 4, 5, 8, 32}
 	for _, tc := range cases {
 		tc.cfg.MaxCycles = testCycles
-		seq, err, seqWindows := runSharded(t, tc.cfg, tc.bench, 0)
+		seq, err := runSharded(t, tc.cfg, tc.bench, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seqWindows != 0 {
-			t.Fatalf("%s: sequential run executed %d parallel windows", tc.name, seqWindows)
-		}
 		seqJSON, _ := json.Marshal(seq)
 		for _, s := range shardCounts {
-			par, err, windows := runSharded(t, tc.cfg, tc.bench, s)
+			par, err := runSharded(t, tc.cfg, tc.bench, s)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", tc.name, s, err)
 			}
-			if windows == 0 {
-				t.Fatalf("%s shards=%d: parallel engine did not run", tc.name, s)
-			}
 			parJSON, _ := json.Marshal(par)
 			if string(parJSON) != string(seqJSON) {
-				t.Errorf("%s shards=%d: result differs from sequential engine\nseq: %s\npar: %s",
+				t.Errorf("%s shards=%d: result differs from the one-shard run\nseq: %s\npar: %s",
 					tc.name, s, seqJSON, parJSON)
 			}
 		}
 	}
 }
 
-// TestParallelFallbacks: configurations the parallel engine cannot
-// reproduce exactly must silently run the sequential engine — and
-// still produce results identical to an explicitly sequential run.
-func TestParallelFallbacks(t *testing.T) {
-	base := SecureMem()
-	base.MaxCycles = 3000
+// instrumentFingerprint renders everything an instrumented run reports:
+// the Result JSON (probe summary and timeline samples included), the
+// fault counters (not part of the JSON form), the Chrome trace bytes,
+// or the StallError's cycle and fields.
+func instrumentFingerprint(t *testing.T, res *Result, err error) string {
+	t.Helper()
+	var stall *StallError
+	if errors.As(err, &stall) {
+		return fmt.Sprintf("stall %+v", *stall)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, jerr := json.Marshal(res)
+	if jerr != nil {
+		t.Fatal(jerr)
+	}
+	out := fmt.Sprintf("%s\nfaults %+v", j, res.Faults)
+	if res.Probe != nil {
+		var tr bytes.Buffer
+		if err := probe.WriteChromeTrace(&tr, res.Probe); err != nil {
+			t.Fatal(err)
+		}
+		out += "\ntrace " + tr.String()
+	}
+	return out
+}
+
+// TestInstrumentShardIdentity: probes, fault injection and auditing
+// ride the window barrier — spans and fault draws are staged by the
+// partitions and replayed in canonical merge order, timeline samples
+// land on barriers — so an instrumented run reports the same bytes at
+// every shard count: Result, fault counters, a truncated Chrome trace,
+// timeline samples, and a wedged run's StallError. Without the barrier
+// sorts the staged order depends on the shard layout and this fails.
+func TestInstrumentShardIdentity(t *testing.T) {
+	wedge := Baseline()
+	wedge.MaxCycles = 20000
+	wedge.WatchdogCycles = 1500
+	wedge.Faults = &faults.Plan{Seed: 1, Rate: 1, Sites: faults.SiteIcntDrop.Mask()}
+	wedge.Probe = &probe.Config{TimelineInterval: 500}
 	cases := []struct {
-		name string
-		mut  func(*Config)
+		name  string
+		short bool
+		mut   func(*Config)
 	}{
-		{"audit", func(c *Config) { c.Audit = true }},
-		{"faults", func(c *Config) {
-			c.Faults = &faults.Plan{Seed: 7, Rate: 0.01, Sites: faults.SiteDRAMData.Mask()}
+		{"spans+trace", true, func(c *Config) {
+			c.Probe = &probe.Config{Spans: true, Trace: true, TraceCap: 500}
 		}},
-		{"probe", func(c *Config) { c.Probe = &probe.Config{TimelineInterval: 500} }},
+		{"timeline", false, func(c *Config) { c.Probe = &probe.Config{TimelineInterval: 250} }},
+		{"flips", true, func(c *Config) {
+			c.Faults = &faults.Plan{Seed: 7, Rate: 0.01, Sites: faults.FlipSites}
+		}},
+		{"all-sites", false, func(c *Config) {
+			c.Faults = &faults.Plan{Seed: 11, Rate: 0.02, Sites: faults.AllSites}
+			c.WatchdogCycles = 0 // drops legitimately wedge some warps
+		}},
+		{"wedging-drop", true, func(c *Config) { *c = wedge }},
+		{"audit", false, func(c *Config) { c.Audit = true }},
+	}
+	benches := []string{"fdtd2d", "nw"}
+	if testing.Short() {
+		benches = benches[:1]
 	}
 	for _, tc := range cases {
-		cfg := base
-		tc.mut(&cfg)
-		seq, err, _ := runSharded(t, cfg, "fdtd2d", 0)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", tc.name, err)
+		if testing.Short() && !tc.short {
+			continue
 		}
-		par, err, windows := runSharded(t, cfg, "fdtd2d", 8)
-		if err != nil {
-			t.Fatalf("%s shards=8: %v", tc.name, err)
-		}
-		if windows != 0 {
-			t.Errorf("%s: parallel engine ran despite the restriction (%d windows)", tc.name, windows)
-		}
-		sj, _ := json.Marshal(seq)
-		pj, _ := json.Marshal(par)
-		if string(sj) != string(pj) {
-			t.Errorf("%s: fallback result differs from sequential run", tc.name)
+		for _, bench := range benches {
+			cfg := SecureMem()
+			cfg.MaxCycles = 3000
+			tc.mut(&cfg)
+			var want string
+			for _, s := range []int{1, 4, 8} {
+				res, err := runSharded(t, cfg, bench, s)
+				got := instrumentFingerprint(t, res, err)
+				if s == 1 {
+					want = got
+				} else if got != want {
+					t.Errorf("%s/%s: shards=%d report differs from shards=1", tc.name, bench, s)
+				}
+			}
 		}
 	}
 }
 
 // TestParallelWatchdogBoundary: a run that stalls must fire the
 // watchdog at the identical cycle with the identical diagnostic state
-// under both engines. The aggressive threshold turns the first
+// at every shard count. The aggressive threshold turns the first
 // all-warps-blocked DRAM stretch into a "stall", exercising the
 // barrier's exact landing on the fire cycle.
 func TestParallelWatchdogBoundary(t *testing.T) {
 	cfg := SecureMem()
 	cfg.MaxCycles = 200000
 	// Empirically below the longest quiet stretch of this workload, so
-	// the watchdog fires mid-run under both engines.
+	// the watchdog fires mid-run at both shard counts.
 	cfg.WatchdogCycles = watchdogProbeThreshold(t, cfg, "fdtd2d")
 
-	_, seqErr, _ := runSharded(t, cfg, "fdtd2d", 0)
-	_, parErr, windows := runSharded(t, cfg, "fdtd2d", 8)
+	_, seqErr := runSharded(t, cfg, "fdtd2d", 0)
+	_, parErr := runSharded(t, cfg, "fdtd2d", 8)
 	var seqStall, parStall *StallError
 	if !errors.As(seqErr, &seqStall) {
-		t.Fatalf("sequential run: want StallError, got %v", seqErr)
+		t.Fatalf("one-shard run: want StallError, got %v", seqErr)
 	}
 	if !errors.As(parErr, &parStall) {
-		t.Fatalf("parallel run: want StallError, got %v", parErr)
-	}
-	if windows == 0 {
-		t.Fatal("parallel engine did not run")
+		t.Fatalf("8-shard run: want StallError, got %v", parErr)
 	}
 	if seqStall.Cycle != parStall.Cycle || seqStall.LastProgressCycle != parStall.LastProgressCycle {
-		t.Errorf("watchdog timing differs: sequential fired at %d (progress %d), parallel at %d (progress %d)",
+		t.Errorf("watchdog timing differs: one shard fired at %d (progress %d), 8 shards at %d (progress %d)",
 			seqStall.Cycle, seqStall.LastProgressCycle, parStall.Cycle, parStall.LastProgressCycle)
 	}
 	if seqStall.Dump != parStall.Dump {
@@ -168,7 +204,7 @@ func watchdogProbeThreshold(t *testing.T, cfg Config, bench string) uint64 {
 func TestParallelBarrierMergeRace(t *testing.T) {
 	cfg := SecureMem()
 	cfg.MaxCycles = 2500
-	ref, err, _ := runSharded(t, cfg, "fdtd2d", 0)
+	ref, err := runSharded(t, cfg, "fdtd2d", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +228,6 @@ func TestParallelBarrierMergeRace(t *testing.T) {
 				errs <- err
 				return
 			}
-			if g.parallelWindows == 0 {
-				errs <- fmt.Errorf("run %d: parallel engine did not run", i)
-				return
-			}
 			j, _ := json.Marshal(res)
 			if string(j) != string(refJSON) {
 				errs <- fmt.Errorf("run %d (shards=%d): nondeterministic result", i, shards)
@@ -217,13 +249,12 @@ func TestValidateShards(t *testing.T) {
 		mut  func(*Config)
 		ok   bool
 	}{
-		{"zero (sequential)", func(c *Config) { c.Shards = 0 }, true},
-		{"one (sequential)", func(c *Config) { c.Shards = 1 }, true},
+		{"zero (inline)", func(c *Config) { c.Shards = 0 }, true},
+		{"one (inline)", func(c *Config) { c.Shards = 1 }, true},
 		{"equal to partitions", func(c *Config) { c.Shards = c.NumPartitions }, true},
 		{"non-dividing", func(c *Config) { c.Shards = 5 }, true},
 		{"negative", func(c *Config) { c.Shards = -1 }, false},
 		{"more shards than partitions", func(c *Config) { c.Shards = c.NumPartitions + 1 }, false},
-		{"zero icnt latency", func(c *Config) { c.Shards = 4; c.IcntLatency = 0 }, false},
 	}
 	for _, tc := range cases {
 		cfg := Baseline()

@@ -127,9 +127,8 @@ type partition struct {
 	// Result depends on a token's value, so local generation changes
 	// no observable result.
 	localTok uint64
-	// stage, when non-nil, redirects sendReply into the parallel
-	// engine's per-shard staging buffer instead of the shared toSM
-	// queue; nil (the sequential engine) costs one pointer test.
+	// stage is the owning shard's staging buffer: replies, probe spans
+	// and fault draws wait there for the window barrier.
 	stage *replyStage
 
 	ctrReuse, macReuse *stats.ReuseProfiler
@@ -247,19 +246,6 @@ func (p *partition) newToken() uint64 {
 	return uint64(p.id+1)<<40 | p.localTok
 }
 
-// sendReply forwards completed sector data toward the SMs: directly
-// onto the toSM delay queue under the sequential engine, or into the
-// shard's staging buffer under the parallel engine (merged into toSM
-// in canonical order at the window barrier). tokens may alias
-// cache-owned scratch; the staged path copies token-by-token.
-func (p *partition) sendReply(now, at, globalAddr uint64, tokens []uint64) {
-	if st := p.stage; st != nil {
-		st.stageReply(now, at, globalAddr, tokens)
-		return
-	}
-	p.gpu.scheduleReply(at, globalAddr, tokens)
-}
-
 // isProtected reports whether a partition-local data address falls in
 // the selectively-protected stripes (1 MB granularity, 16 stripes per
 // 16 MB period).
@@ -324,10 +310,10 @@ func (p *partition) handleL2Read(globalAddr, localAddr, token uint64, now uint64
 	acc := p.banks[bank].Access(localAddr, false, token)
 	switch {
 	case acc.Outcome == cache.Hit:
-		if pr := p.gpu.probe; pr != nil {
-			p.recordHitSpan(pr, now)
+		if p.gpu.probe != nil {
+			p.recordHitSpan(now)
 		}
-		p.sendReply(now, now+p.cfg.L2Latency, globalAddr, []uint64{token})
+		p.stage.stageReply(now, now+p.cfg.L2Latency, globalAddr, []uint64{token})
 	case acc.NeedFetch:
 		p.startRead(globalAddr, localAddr, token, acc.Bypass, bank, now)
 	}
@@ -656,8 +642,8 @@ func (p *partition) maybeReply(rs *readState, now uint64) {
 		at = now + 1
 	}
 	rs.replied = true
-	if pr := p.gpu.probe; pr != nil {
-		p.recordReadSpan(pr, rs, otpReady, encDone, verifyDone, at)
+	if p.gpu.probe != nil {
+		p.recordReadSpan(rs, otpReady, encDone, verifyDone, at)
 	}
 	p.replies.Push(replyEvent{at: at, readID: rs.id})
 }
@@ -685,7 +671,7 @@ func (p *partition) finishRead(rs *readState, now uint64) {
 		p.handleDataWriteback(fill.Writeback, now)
 	}
 	if len(tokens) > 0 {
-		p.sendReply(now, now, rs.globalAddr, tokens)
+		p.stage.stageReply(now, now, rs.globalAddr, tokens)
 	}
 	rs.finished = true
 	p.maybeRetire(rs)
@@ -909,18 +895,26 @@ func (p *partition) recordCorruption(detected bool) {
 	}
 }
 
+// fire stages one fault-injection opportunity at site for the window
+// barrier, which draws it in canonical order and books a hit as
+// detected iff covered. A draw changes no timing, so deferring it to
+// the barrier is invisible to the machine.
+func (p *partition) fire(site faults.Site, addr uint64, covered bool) {
+	if p.gpu.inj == nil {
+		return
+	}
+	st := p.stage
+	st.draws = append(st.draws, stagedDraw{key: st.key(), addr: addr, part: int32(p.id), site: site, covered: covered})
+}
+
 // injectMeta gives the fault plan its two shots at a returning
 // metadata line: SiteDRAMMeta models the line corrupted at rest in
 // DRAM, SiteMetaFill models corruption on the fill path into the
 // metadata cache. Both are detected iff `covered` — whether the
 // configured protection level has a check that would miscompare.
-func (p *partition) injectMeta(in *faults.Injector, addr uint64, covered bool) {
-	if in.Fire(faults.SiteDRAMMeta, addr) {
-		p.recordCorruption(covered)
-	}
-	if in.Fire(faults.SiteMetaFill, addr) {
-		p.recordCorruption(covered)
-	}
+func (p *partition) injectMeta(addr uint64, covered bool) {
+	p.fire(faults.SiteDRAMMeta, addr, covered)
+	p.fire(faults.SiteMetaFill, addr, covered)
 }
 
 func (p *partition) dispatch(d dest, now uint64) {
@@ -928,12 +922,9 @@ func (p *partition) dispatch(d dest, now uint64) {
 	switch d.kind {
 	case destDataFill:
 		if rs, ok := p.reads[d.readID]; ok {
-			if in := p.gpu.inj; in != nil && in.Fire(faults.SiteDRAMData, rs.localAddr) {
-				// A flipped data line is caught only by a MAC over a
-				// protected address; decryption alone scrambles
-				// silently.
-				p.recordCorruption(sc.MAC && !rs.unprotected)
-			}
+			// A flipped data line is caught only by a MAC over a
+			// protected address; decryption alone scrambles silently.
+			p.fire(faults.SiteDRAMData, rs.localAddr, sc.MAC && !rs.unprotected)
 			if rs.sharesLeft > 1 {
 				// EncScattered: more shares outstanding — the line is
 				// reconstructible only once the last one lands.
@@ -946,19 +937,17 @@ func (p *partition) dispatch(d dest, now uint64) {
 			p.maybeReply(rs, now)
 		}
 	case destCtrFill:
-		if in := p.gpu.inj; in != nil {
-			// A corrupt counter fails the tree check directly, or the
-			// (stateful) MAC check indirectly via the wrong OTP. (Under
-			// EncScattered this is the share map and neither exists:
-			// the flip lands silently.)
-			p.injectMeta(in, d.addr, sc.Tree || sc.MAC)
-		}
-		if pr := p.gpu.probe; pr != nil {
+		// A corrupt counter fails the tree check directly, or the
+		// (stateful) MAC check indirectly via the wrong OTP. (Under
+		// EncScattered this is the share map and neither exists: the
+		// flip lands silently.)
+		p.injectMeta(d.addr, sc.Tree || sc.MAC)
+		if p.gpu.probe != nil {
 			k := KindCounter
 			if sc.Encryption == EncScattered {
 				k = KindSMap
 			}
-			p.recordMetaSpan(pr, d, k, now)
+			p.recordMetaSpan(d, k, now)
 		}
 		fill := p.ctr.Fill(d.addr, d.bypass, d.write)
 		if fill.Writeback != nil {
@@ -970,13 +959,11 @@ func (p *partition) dispatch(d dest, now uint64) {
 			p.verifyWalkFromLeaf(leaf, now)
 		}
 	case destMACFill:
-		if in := p.gpu.inj; in != nil {
-			// A flipped stored MAC always miscompares against the
-			// recomputed one.
-			p.injectMeta(in, d.addr, true)
-		}
-		if pr := p.gpu.probe; pr != nil {
-			p.recordMetaSpan(pr, d, KindMAC, now)
+		// A flipped stored MAC always miscompares against the
+		// recomputed one.
+		p.injectMeta(d.addr, true)
+		if p.gpu.probe != nil {
+			p.recordMetaSpan(d, KindMAC, now)
 		}
 		fill := p.mac.Fill(d.addr, d.bypass, d.write)
 		if fill.Writeback != nil {
@@ -988,12 +975,10 @@ func (p *partition) dispatch(d dest, now uint64) {
 			p.verifyWalkFromLeaf(leaf, now)
 		}
 	case destTreeFill:
-		if in := p.gpu.inj; in != nil {
-			// A flipped tree node fails its parent's hash check.
-			p.injectMeta(in, d.addr, true)
-		}
-		if pr := p.gpu.probe; pr != nil {
-			p.recordMetaSpan(pr, d, KindTree, now)
+		// A flipped tree node fails its parent's hash check.
+		p.injectMeta(d.addr, true)
+		if p.gpu.probe != nil {
+			p.recordMetaSpan(d, KindTree, now)
 		}
 		fill := p.tree.Fill(d.addr, d.bypass, d.write)
 		if fill.Writeback != nil {
@@ -1005,13 +990,11 @@ func (p *partition) dispatch(d dest, now uint64) {
 			p.verifyWalk(plevel, pidx, now)
 		}
 	case destKeyFill:
-		if in := p.gpu.inj; in != nil {
-			// A flipped page key scrambles the plaintext with nothing
-			// to miscompare against: always silent.
-			p.injectMeta(in, d.addr, false)
-		}
-		if pr := p.gpu.probe; pr != nil {
-			p.recordMetaSpan(pr, d, KindKey, now)
+		// A flipped page key scrambles the plaintext with nothing to
+		// miscompare against: always silent.
+		p.injectMeta(d.addr, false)
+		if p.gpu.probe != nil {
+			p.recordMetaSpan(d, KindKey, now)
 		}
 		// The driver's register holds this key line from the fill cycle
 		// on. Updating at fill (not issue) time means concurrent misses

@@ -5,7 +5,10 @@ package sim
 // call site is gated on a single `g.probe != nil` check, and nothing
 // here mutates machine state, so a probed run's Result is identical
 // to an unprobed one (the probe determinism tests enforce this
-// byte-for-byte).
+// byte-for-byte). Partitions stage their spans (recordSpan); the
+// window barrier records them in canonical merge order and then takes
+// the timeline sample, so a probed run reports the same bytes at any
+// shard count.
 
 import "gpusecmem/internal/probe"
 
@@ -18,17 +21,23 @@ func kindLabels() []string {
 	return out
 }
 
+// recordSpan stages one span for the window barrier.
+func (p *partition) recordSpan(s probe.Span) {
+	st := p.stage
+	st.spans = append(st.spans, stagedSpan{key: st.key(), s: s})
+}
+
 // recordHitSpan traces an L2 hit: interconnect transit both ways plus
 // the bank's hit service time.
-func (p *partition) recordHitSpan(pr *probe.State, now uint64) {
-	if pr.Spans == nil {
+func (p *partition) recordHitSpan(now uint64) {
+	if p.gpu.probe.Spans == nil {
 		return
 	}
 	icnt := p.cfg.IcntLatency
 	var st [probe.NumStages]uint64
 	st[probe.StageQueue] = 2 * icnt
 	st[probe.StageL2] = p.cfg.L2Latency
-	pr.Spans.Record(probe.Span{
+	p.recordSpan(probe.Span{
 		Kind:   int(KindData),
 		Part:   p.id,
 		Start:  now - icnt,
@@ -50,8 +59,8 @@ func (p *partition) recordHitSpan(pr *probe.State, now uint64) {
 // encDone the critical path after encryption, verifyDone the blocking
 // MAC completion (0 under speculative verification), finalAt the
 // scheduled reply cycle after clamping.
-func (p *partition) recordReadSpan(pr *probe.State, rs *readState, otpReady, encDone, verifyDone, finalAt uint64) {
-	if pr.Spans == nil {
+func (p *partition) recordReadSpan(rs *readState, otpReady, encDone, verifyDone, finalAt uint64) {
+	if p.gpu.probe.Spans == nil {
 		return
 	}
 	icnt := p.cfg.IcntLatency
@@ -128,7 +137,7 @@ func (p *partition) recordReadSpan(pr *probe.State, rs *readState, otpReady, enc
 		// Reply-scheduling slack (the at<=now clamp).
 		st[probe.StageQueue] += finalAt - base
 	}
-	pr.Spans.Record(probe.Span{
+	p.recordSpan(probe.Span{
 		Kind:   int(KindData),
 		Part:   p.id,
 		Start:  rs.arrivedAt - icnt,
@@ -139,13 +148,13 @@ func (p *partition) recordReadSpan(pr *probe.State, rs *readState, otpReady, enc
 
 // recordMetaSpan traces one metadata-line DRAM fetch (counter, MAC,
 // or tree) from enqueue to fill completion.
-func (p *partition) recordMetaSpan(pr *probe.State, d dest, kind TrafficKind, now uint64) {
-	if pr.Spans == nil || d.issuedAt == 0 {
+func (p *partition) recordMetaSpan(d dest, kind TrafficKind, now uint64) {
+	if p.gpu.probe.Spans == nil || d.issuedAt == 0 {
 		return
 	}
 	var st [probe.NumStages]uint64
 	st[probe.StageDRAM] = now - d.issuedAt
-	pr.Spans.Record(probe.Span{
+	p.recordSpan(probe.Span{
 		Kind:   int(kind),
 		Part:   p.id,
 		Start:  d.issuedAt,
@@ -155,7 +164,8 @@ func (p *partition) recordMetaSpan(pr *probe.State, d dest, kind TrafficKind, no
 }
 
 // sampleProbe closes a timeline window when the sampling cycle comes
-// up. Called from step() behind the g.probe nil check.
+// up. Called at every window barrier behind the g.probe nil check; the
+// loop caps windows at interval multiples so none is skipped.
 func (g *GPU) sampleProbe() {
 	tl := g.probe.Timeline
 	if tl == nil || g.now%tl.Interval() != 0 {

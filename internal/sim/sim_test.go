@@ -55,6 +55,10 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { *c = SWCrypto(320); c.Secure.MAC = true },
 		func(c *Config) { *c = SWCrypto(320); c.Secure.Tree = true },
 		func(c *Config) { *c = SWCrypto(320); c.Secure.Unified = true },
+		// A zero-latency interconnect leaves the cycle loop no
+		// lookahead, at any shard count.
+		func(c *Config) { c.IcntLatency = 0 },
+		func(c *Config) { c.IcntLatency = 0; c.Shards = 4 },
 		// Knobs reachable from secmemsim flags and GET /api/run: a
 		// negative latency schedules work before it starts, a negative
 		// MSHR count corrupts MSHR accounting, and a metadata cache

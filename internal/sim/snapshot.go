@@ -3,10 +3,10 @@ package sim
 // Checkpoint snapshot/restore for a whole machine (DESIGN.md §14).
 //
 // A MachineState is a deep copy of every simulator component's
-// behavioral state, taken at an end-of-cycle boundary: between steps
-// in the sequential engine, at a merge barrier in the parallel engine
-// (where staging buffers and inboxes are provably empty, so the two
-// engines' snapshot states coincide). Restoring it into a freshly
+// behavioral state, taken at an end-of-cycle boundary: a window
+// barrier of the cycle loop, where staging buffers and inboxes are
+// provably empty, so the state is the same at every shard count.
+// Restoring it into a freshly
 // constructed GPU of the same Config and benchmark and running to the
 // horizon produces a Result bit-identical to a never-interrupted run —
 // the resume-identity tests pin this against the golden digests.
@@ -18,8 +18,9 @@ package sim
 // the flat wire format live in statecodec.go.
 //
 // Configurations whose auxiliary state is not captured — fault
-// injection, probes, per-cycle auditing, reuse profiling — refuse to
-// snapshot or restore; callers fall back to running from cycle 0.
+// injection, probes, reuse profiling — refuse to snapshot or restore;
+// callers fall back to running from cycle 0. Auditing is covered: the
+// auditors only read machine state at barriers.
 
 import (
 	"cmp"
@@ -162,13 +163,13 @@ type MachineState struct {
 
 // Checkpointable reports whether cfg's complete state is captured by
 // MachineState, for the GPU and the library's checkpointed runs alike.
-// Fault injectors (PRNG call order), probes (span/timeline buffers),
-// auditing and reuse profilers hang state off the run that a snapshot
+// Fault injectors (per-site event counters), probes (span/timeline
+// buffers) and reuse profilers hang state off the run that a snapshot
 // does not carry, so checkpointing refuses rather than resume wrong.
+// The auditors keep no state of their own, so audited runs are
+// covered.
 func Checkpointable(cfg Config) error {
 	switch {
-	case cfg.Audit:
-		return fmt.Errorf("sim: checkpointing is unavailable with auditing enabled")
 	case cfg.Faults.Enabled():
 		return fmt.Errorf("sim: checkpointing is unavailable with fault injection enabled")
 	case cfg.Probe.Enabled():
@@ -289,9 +290,9 @@ func (g *GPU) Restore(st *MachineState) error {
 	return nil
 }
 
-// snapshot captures one partition. Transient fields — the parallel
-// staging pointer, the readState pool, reuse profilers (gated off by
-// Checkpointable) — are excluded.
+// snapshot captures one partition. Transient fields — the staging
+// pointer (its buffers are empty at a barrier), the readState pool,
+// reuse profilers (gated off by Checkpointable) — are excluded.
 func (p *partition) snapshot() *PartitionState {
 	st := &PartitionState{
 		DRAM:          p.dram.Snapshot(),

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"gpusecmem/internal/faults"
 	"gpusecmem/internal/smcore"
 	"gpusecmem/internal/trace"
 )
@@ -122,10 +123,10 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 func TestCheckpointRefusesUncoveredConfigs(t *testing.T) {
 	cfg := SecureMem()
 	cfg.MaxCycles = 1000
-	cfg.Audit = true
+	cfg.Faults = &faults.Plan{Seed: 7, Rate: 0.01, Sites: faults.FlipSites}
 	g := newGPU(t, cfg, "nw")
 	if _, err := g.Snapshot(); err == nil {
-		t.Fatal("snapshot succeeded with auditing enabled")
+		t.Fatal("snapshot succeeded with fault injection enabled")
 	}
 	fired := false
 	g.SetCheckpoint(500, func(uint64, *MachineState) { fired = true })
@@ -133,7 +134,7 @@ func TestCheckpointRefusesUncoveredConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fired {
-		t.Fatal("checkpoint sink fired for an audited run")
+		t.Fatal("checkpoint sink fired for a faulted run")
 	}
 }
 

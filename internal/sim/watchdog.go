@@ -28,28 +28,11 @@ func (e *StallError) Error() string {
 		e.Benchmark, e.LastProgressCycle, e.Cycle, e.OutstandingLoads, e.BlockedWarps)
 }
 
-// progress is the watchdog's monotone forward-progress metric:
-// anything the machine does that moves a workload along.
-func (g *GPU) progress() uint64 {
-	p := g.completedLoads
-	for _, sm := range g.sms {
-		p += sm.Instructions
-	}
-	return p
-}
-
 // checkWatchdog aborts the run when the machine has made no forward
 // progress for WatchdogCycles cycles with loads still in flight. An
-// idle machine (nothing outstanding) is not a stall.
+// idle machine (nothing outstanding) is not a stall. The SM task keeps
+// lastProgressAt exact to the cycle (see smWindow).
 func (g *GPU) checkWatchdog() error {
-	if p := g.progress(); p != g.lastProgress {
-		if gap := g.now - g.lastProgressAt; gap > g.maxProgressGap {
-			g.maxProgressGap = gap
-		}
-		g.lastProgress = p
-		g.lastProgressAt = g.now
-		return nil
-	}
 	if g.cfg.WatchdogCycles == 0 {
 		return nil
 	}
