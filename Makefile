@@ -8,8 +8,13 @@ GO ?= go
 ## verify: vet + doc-lint + build + full test suite + CLI smoke run (tier-1 gate)
 verify: vet doc-lint build test smoke
 
+## vet: go vet, then fail if gofmt would change any Go file (the
+## benchmark's build directory, which may hold another checkout, is
+## skipped)
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 ## doc-lint: every package documented; concurrency-sensitive packages
 ## must state their concurrency/aliasing contract (see cmd/doclint)
@@ -74,9 +79,10 @@ perf-gate:
 	code=$$?; cat "$$gate/compare.txt"; exit $$code
 
 ## gobench: package micro-benchmarks via go test: the experiment
-## benchmarks at the root plus the cycle loop's per-layer ones
+## benchmarks at the root, the cycle loop's per-layer ones and the
+## checkpoint round trip
 gobench:
-	$(GO) test -bench=. -benchmem . ./internal/smcore ./internal/dram ./internal/cache
+	$(GO) test -bench=. -benchmem . ./internal/smcore ./internal/dram ./internal/cache ./internal/sim
 
 ## results: regenerate the committed results/ snapshot (see README)
 results:

@@ -250,6 +250,40 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 			t.Fatalf("store still serves an undecodable state: %v", err)
 		}
 	})
+	t.Run("v3-state", func(t *testing.T) {
+		// What a StateVersion 3 build left in a store: a GSMSTATE
+		// payload stamped version 3. DecodeState refuses it on the
+		// version, before the body, so the dense v3 tag arrays are never
+		// read; the run matches the plain digest, and its own checkpoint
+		// at the same cycle replaces the stale one.
+		store := ckptStore(t)
+		seed := ckptStore(t)
+		runCheckpointed(t, cfg, bench, seed, 2000)
+		cycle, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
+		if !ok {
+			t.Fatal("no seed checkpoint")
+		}
+		v3 := bytes.Clone(raw)
+		if v3[len("GSMSTATE")] != sim.StateVersion {
+			t.Fatalf("version byte %d, want %d", v3[len("GSMSTATE")], sim.StateVersion)
+		}
+		v3[len("GSMSTATE")] = 3
+		if _, err := sim.DecodeState(v3); err == nil {
+			t.Fatal("DecodeState accepted a version-3 state")
+		}
+		store.Put(CheckpointKey(cfg, bench), cycle, v3)
+		res := runCheckpointed(t, cfg, bench, store, 1000)
+		if got := resultDigest(t, res); got != want {
+			t.Errorf("digest %s != plain %s", got, want)
+		}
+		at, healed, ok := store.Latest(CheckpointKey(cfg, bench), cycle)
+		if !ok || at != cycle {
+			t.Fatalf("no checkpoint at cycle %d after the run", cycle)
+		}
+		if _, err := sim.DecodeState(healed); err != nil {
+			t.Fatalf("store still serves the version-3 state: %v", err)
+		}
+	})
 }
 
 // Configurations checkpointing does not cover run plain: correct

@@ -70,7 +70,7 @@ func TestPlacementBalance(t *testing.T) {
 		if len(load) != n {
 			t.Fatalf("n=%d: only %d nodes own keys: %v", n, len(load), load)
 		}
-		min, max := 1 << 30, 0
+		min, max := 1<<30, 0
 		for _, c := range load {
 			if c < min {
 				min = c

@@ -107,12 +107,12 @@ func popReference(q *DelayQueue[int], from, through uint64) []delivery {
 func TestDrainThroughMatchesPopReady(t *testing.T) {
 	build := func() *DelayQueue[int] {
 		q := NewDelayQueue[int](3)
-		q.Push(0, 1)        // ready 3
+		q.Push(0, 1)         // ready 3
 		q.PushAfter(0, 9, 2) // ready 12, blocks...
-		q.Push(1, 3)        // ready 4, but behind 2 -> effective 12
+		q.Push(1, 3)         // ready 4, but behind 2 -> effective 12
 		q.PushAfter(2, 1, 4) // ready 6 -> effective 12
-		q.Push(11, 5)       // ready 14
-		q.Push(20, 6)       // ready 23, beyond the window
+		q.Push(11, 5)        // ready 14
+		q.Push(20, 6)        // ready 23, beyond the window
 		return q
 	}
 	ref := popReference(build(), 0, 15)

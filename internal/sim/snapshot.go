@@ -11,11 +11,14 @@ package sim
 // horizon produces a Result bit-identical to a never-interrupted run —
 // the resume-identity tests pin this against the golden digests.
 //
-// Everything map-shaped is captured as a slice sorted by key, and
-// event heaps in raw heap layout (eventq.Elems), so (a) identical
-// machine states always encode to identical bytes and (b) equal-time
-// event pop order survives the round trip. EncodeState/DecodeState and
-// the flat wire format live in statecodec.go.
+// Everything map-shaped is captured as a slice in strictly ascending
+// key order (the keys are sorted, then looked up), caches list only
+// their live ways (cache.State), and event heaps are kept in raw heap
+// layout (eventq.Elems), so (a) identical machine states always encode
+// to identical bytes, (b) equal-time event pop order survives the
+// round trip and (c) Restore can refuse a duplicated or unordered key
+// instead of silently installing a forged map. EncodeState/DecodeState
+// and the flat wire format live in statecodec.go.
 //
 // Configurations whose auxiliary state is not captured — fault
 // injection, probes, reuse profiling — refuse to snapshot or restore;
@@ -23,7 +26,6 @@ package sim
 // auditors only read machine state at barriers.
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -41,8 +43,10 @@ import (
 // Version history: 2 widened MetaStats to the extension metadata kinds
 // and added ReadRecState.SharesLeft / PartitionState.LastKeyLine for
 // the scattered-memory and software-encryption schemes. 3 replaced the
-// gob encoding with the flat codec in statecodec.go (same fields).
-const StateVersion = 3
+// gob encoding with the flat codec in statecodec.go (same fields). 4
+// made cache tag arrays sparse (cache.State's NumSets, Assoc and Lines
+// in place of one row per set) and gap-codes every sorted key.
+const StateVersion = 4
 
 // QueuedL2 is one undelivered SM→partition interconnect message.
 type QueuedL2 struct {
@@ -205,10 +209,10 @@ func (g *GPU) Snapshot() (*MachineState, error) {
 	}
 	if len(g.loads) > 0 {
 		st.Loads = make([]LoadState, 0, len(g.loads))
-		for tok, lr := range g.loads {
+		for _, tok := range sortedKeys(g.loads) {
+			lr := g.loads[tok]
 			st.Loads = append(st.Loads, LoadState{Token: tok, SM: lr.sm, Warp: lr.warp, FillBypass: lr.fillBypass})
 		}
-		slices.SortFunc(st.Loads, func(a, b LoadState) int { return cmp.Compare(a.Token, b.Token) })
 	}
 	for _, d := range g.toL2.Snapshot() {
 		st.ToL2Items = append(st.ToL2Items, QueuedL2{ReadyAt: d.ReadyAt, Addr: d.Item.globalAddr, Token: d.Item.token, Write: d.Item.write})
@@ -249,6 +253,9 @@ func (g *GPU) Restore(st *MachineState) error {
 		return fmt.Errorf("sim: snapshot has %d partitions, machine has %d", len(st.Parts), len(g.parts))
 	case len(st.SMWake) != len(g.smWake) || len(st.SMLastTick) != len(g.smLastTick) || len(st.PartNext) != len(g.partNext):
 		return fmt.Errorf("sim: snapshot activity-bound shapes do not match the machine")
+	}
+	if i := unordered(len(st.Loads), func(i int) uint64 { return st.Loads[i].Token }); i >= 0 {
+		return fmt.Errorf("sim: snapshot load %d (token %d) is out of order or duplicated", i, st.Loads[i].Token)
 	}
 	for i, sm := range g.sms {
 		if err := sm.Restore(st.SMs[i]); err != nil {
@@ -323,17 +330,18 @@ func (p *partition) snapshot() *PartitionState {
 	st.AESFree3 = append([]uint64(nil), p.aesFree3...)
 	if len(p.dests) > 0 {
 		st.Dests = make([]DestState, 0, len(p.dests))
-		for tok, d := range p.dests {
+		for _, tok := range sortedKeys(p.dests) {
+			d := p.dests[tok]
 			st.Dests = append(st.Dests, DestState{
 				Token: tok, Kind: int(d.kind), Addr: d.addr, ReadID: d.readID,
 				Bypass: d.bypass, Write: d.write, IssuedAt: d.issuedAt,
 			})
 		}
-		slices.SortFunc(st.Dests, func(a, b DestState) int { return cmp.Compare(a.Token, b.Token) })
 	}
 	if len(p.reads) > 0 {
 		st.Reads = make([]ReadRecState, 0, len(p.reads))
-		for _, rs := range p.reads {
+		for _, id := range sortedKeys(p.reads) {
+			rs := p.reads[id]
 			st.Reads = append(st.Reads, ReadRecState{
 				ID: rs.id, GlobalAddr: rs.globalAddr, LocalAddr: rs.localAddr,
 				L2Token: rs.l2Token, L2Bypass: rs.l2Bypass, L2Bank: rs.l2Bank,
@@ -344,7 +352,6 @@ func (p *partition) snapshot() *PartitionState {
 				Replied: rs.replied, Finished: rs.finished,
 			})
 		}
-		slices.SortFunc(st.Reads, func(a, b ReadRecState) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	for _, ev := range p.replies.Elems() {
 		st.Replies = append(st.Replies, ReplyEventState{At: ev.at, ReadID: ev.readID})
@@ -358,6 +365,12 @@ func (p *partition) snapshot() *PartitionState {
 func (p *partition) restore(st *PartitionState) error {
 	if len(st.Banks) != len(p.banks) {
 		return fmt.Errorf("sim: partition %d snapshot has %d L2 banks, machine has %d", p.id, len(st.Banks), len(p.banks))
+	}
+	if i := unordered(len(st.Dests), func(i int) uint64 { return st.Dests[i].Token }); i >= 0 {
+		return fmt.Errorf("sim: partition %d snapshot DRAM transaction %d (token %d) is out of order or duplicated", p.id, i, st.Dests[i].Token)
+	}
+	if i := unordered(len(st.Reads), func(i int) uint64 { return st.Reads[i].ID }); i >= 0 {
+		return fmt.Errorf("sim: partition %d snapshot read %d (ID %d) is out of order or duplicated", p.id, i, st.Reads[i].ID)
 	}
 	for i, b := range p.banks {
 		if err := b.Restore(st.Banks[i]); err != nil {
@@ -426,4 +439,28 @@ func (p *partition) restore(st *PartitionState) error {
 	p.replies.SetElems(replies)
 	p.rsPool = nil
 	return nil
+}
+
+// sortedKeys returns m's keys in ascending order. Snapshots sort the
+// keys rather than the built state structs, which are several times
+// larger.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// unordered returns the first of n keys that does not strictly exceed
+// its predecessor, or -1 when the keys are strictly ascending, as
+// Snapshot leaves them.
+func unordered(n int, key func(i int) uint64) int {
+	for i := 1; i < n; i++ {
+		if key(i) <= key(i-1) {
+			return i
+		}
+	}
+	return -1
 }

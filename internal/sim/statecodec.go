@@ -20,22 +20,35 @@ package sim
 // SectorWrite flags; other structs' bools are packed the same way,
 // bit i for their i-th bool field.
 //
+// Keys are gap-coded. The elements of a key-sorted slice (Loads,
+// Dests, Reads, MSHRs, PendingBypass, a directory's tags) and a tag
+// array's line indices are strictly ascending, so each key is written
+// as its distance from the smallest key it may take: the first key
+// whole, each later one as key - previous - 1. A duplicated or
+// unordered key has no encoding (EncodeState refuses it), and a gap
+// mostly fits in one byte where an absolute token takes five or six. A
+// cache's tag array is sparse: its shape (NumSets, Assoc), then only
+// the ways that differ from the zero way, by flat index.
+//
 // Every value has exactly one encoding — varints are minimal, flag
 // bytes have no unused bits set — so identical states encode to
 // identical bytes and any input DecodeState accepts re-encodes to
 // itself. Empty and nil slices encode alike and decode as nil.
 //
 // DecodeState fails closed. It checks the magic and the version before
-// anything else (so a gob-encoded state from StateVersion 2 and any
-// other version are refused up front), bounds every length by the
-// bytes left (each element encodes to at least its zero value's size,
-// so a forged length cannot allocate more than a small multiple of the
-// input), rejects trailing bytes and never panics.
+// anything else (so a gob-encoded state from StateVersion 2 and the
+// dense tag arrays of StateVersion 3 are refused up front), bounds
+// every length by the bytes left (each element encodes to at least its
+// zero value's size, so a forged length cannot allocate more than a
+// small multiple of the input), refuses a key gap that overflows 64
+// bits, a line index outside its cache's shape and a listed zero way,
+// rejects trailing bytes and never panics.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"gpusecmem/internal/cache"
@@ -54,7 +67,9 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // EncodeState serializes a MachineState in the flat format above,
 // stamped with st.Version. Identical states encode to identical bytes:
 // maps are key-sorted slices in the state, heaps are in raw layout, and
-// the format has one encoding per value.
+// the format has one encoding per value. It refuses a state whose keys
+// or line indices are not strictly ascending, which Snapshot never
+// produces and the format cannot represent.
 func EncodeState(st *MachineState) ([]byte, error) {
 	buf := encodeBufs.Get().(*[]byte)
 	e := stateEncoder{b: append((*buf)[:0], stateMagic...)}
@@ -63,6 +78,9 @@ func EncodeState(st *MachineState) ([]byte, error) {
 	out := append([]byte(nil), e.b...)
 	*buf = e.b
 	encodeBufs.Put(buf)
+	if e.err != nil {
+		return nil, fmt.Errorf("sim: encoding machine state: %w", e.err)
+	}
 	return out, nil
 }
 
@@ -88,8 +106,13 @@ func DecodeState(b []byte) (*MachineState, error) {
 	return st, nil
 }
 
-// stateEncoder appends the wire form of a MachineState to b.
-type stateEncoder struct{ b []byte }
+// stateEncoder appends the wire form of a MachineState to b. err
+// records the first unordered key; the encoding carries on regardless
+// (writing the gap modulo 2^64), so tests can build such inputs.
+type stateEncoder struct {
+	b   []byte
+	err error
+}
 
 func (e *stateEncoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *stateEncoder) int(v int)        { e.b = binary.AppendVarint(e.b, int64(v)) }
@@ -102,6 +125,21 @@ func (e *stateEncoder) bool(v bool) {
 	} else {
 		e.b = append(e.b, 0)
 	}
+}
+
+// keySeq is the running position in a gap-coded key sequence.
+type keySeq struct {
+	next uint64 // the smallest key the next element may take
+	full bool   // the previous key was 2^64-1, so none may follow
+}
+
+// key writes k as its gap from the smallest key it may take.
+func (e *stateEncoder) key(s *keySeq, k uint64) {
+	if (s.full || k < s.next) && e.err == nil {
+		e.err = fmt.Errorf("key %d is out of order or duplicated", k)
+	}
+	e.uvarint(k - s.next)
+	s.next, s.full = k+1, k == math.MaxUint64
 }
 
 func (e *stateEncoder) uint64s(vs []uint64) {
@@ -119,8 +157,9 @@ func (e *stateEncoder) machine(st *MachineState) {
 		e.uvarint(v)
 	}
 	e.len(len(st.Loads))
+	var toks keySeq
 	for _, l := range st.Loads {
-		e.uvarint(l.Token)
+		e.key(&toks, l.Token)
 		e.int(l.SM)
 		e.int(l.Warp)
 		e.bool(l.FillBypass)
@@ -186,31 +225,38 @@ func (e *stateEncoder) sm(st *smcore.State) {
 	e.uvarint(st.MemOps)
 }
 
+// way writes a way's fields after its tag, which the caller writes:
+// whole for a tag-array line, gap-coded for a directory line.
 func (e *stateEncoder) way(w *cache.WayState) {
 	e.bool(w.Valid)
-	e.uvarint(w.Tag)
 	e.uvarint(w.LastUse)
 	e.byte(w.RRPV)
 	e.byte(packSectors(w.SectorValid, w.SectorDirty))
 }
 
 func (e *stateEncoder) cache(st *cache.State) {
-	e.len(len(st.Sets))
-	for _, row := range st.Sets {
-		e.len(len(row))
-		for i := range row {
-			e.way(&row[i])
-		}
+	e.int(st.NumSets)
+	e.int(st.Assoc)
+	e.len(len(st.Lines))
+	var idx keySeq
+	for i := range st.Lines {
+		l := &st.Lines[i]
+		e.key(&idx, uint64(l.Index))
+		e.uvarint(l.Tag)
+		e.way(&l.WayState)
 	}
 	e.len(len(st.Dir))
+	var tags keySeq
 	for i := range st.Dir {
+		e.key(&tags, st.Dir[i].Tag)
 		e.way(&st.Dir[i])
 	}
 	e.uvarint(st.Seq)
 	e.len(len(st.MSHRs))
+	var lines keySeq
 	for i := range st.MSHRs {
 		m := &st.MSHRs[i]
-		e.uvarint(m.LineAddr)
+		e.key(&lines, m.LineAddr)
 		e.byte(packSectors(m.SectorPending, m.SectorWrite))
 		for _, toks := range m.Tokens {
 			e.uint64s(toks)
@@ -219,8 +265,9 @@ func (e *stateEncoder) cache(st *cache.State) {
 	}
 	e.int(st.MSHRFree)
 	e.len(len(st.PendingBypass))
+	var units keySeq
 	for _, pb := range st.PendingBypass {
-		e.uvarint(pb.Key)
+		e.key(&units, pb.Key)
 		e.int(pb.Count)
 	}
 	e.int(st.PSel)
@@ -278,8 +325,9 @@ func (e *stateEncoder) partition(st *PartitionState) {
 	e.uint64s(st.AESFree3)
 	e.uvarint(st.MACFree3)
 	e.len(len(st.Dests))
+	var toks keySeq
 	for _, d := range st.Dests {
-		e.uvarint(d.Token)
+		e.key(&toks, d.Token)
 		e.int(d.Kind)
 		e.uvarint(d.Addr)
 		e.uvarint(d.ReadID)
@@ -287,9 +335,10 @@ func (e *stateEncoder) partition(st *PartitionState) {
 		e.uvarint(d.IssuedAt)
 	}
 	e.len(len(st.Reads))
+	var ids keySeq
 	for i := range st.Reads {
 		r := &st.Reads[i]
-		e.uvarint(r.ID)
+		e.key(&ids, r.ID)
 		e.uvarint(r.GlobalAddr)
 		e.uvarint(r.LocalAddr)
 		e.uvarint(r.L2Token)
@@ -394,6 +443,19 @@ func (d *stateDecoder) uvarintSlow() uint64 {
 	}
 }
 
+// key reads a gap-coded key, refusing a gap that carries it past
+// 2^64-1.
+func (d *stateDecoder) key(s *keySeq) uint64 {
+	gap := d.uvarint()
+	if s.full || gap > math.MaxUint64-s.next {
+		d.fail("key gap %d overflows 64 bits", gap)
+		return 0
+	}
+	k := s.next + gap
+	s.next, s.full = k+1, k == math.MaxUint64
+	return k
+}
+
 func (d *stateDecoder) int() int {
 	u := d.uvarint()
 	v := int64(u >> 1)
@@ -484,7 +546,8 @@ var (
 	minSM        = encodedLen(func(e *stateEncoder) { e.sm(&smcore.State{}) })
 	minWarp      = encodedLen(func(e *stateEncoder) { e.sm(&smcore.State{Warps: make([]smcore.WarpState, 1)}) }) - minSM
 	minCache     = encodedLen(func(e *stateEncoder) { e.cache(&cache.State{}) })
-	minWay       = encodedLen(func(e *stateEncoder) { e.way(&cache.WayState{}) })
+	minLine      = encodedLen(func(e *stateEncoder) { e.cache(&cache.State{Lines: make([]cache.LineState, 1)}) }) - minCache
+	minDirWay    = encodedLen(func(e *stateEncoder) { e.cache(&cache.State{Dir: make([]cache.WayState, 1)}) }) - minCache
 	minMSHR      = encodedLen(func(e *stateEncoder) { e.cache(&cache.State{MSHRs: make([]cache.MSHRState, 1)}) }) - minCache
 	minPartition = encodedLen(func(e *stateEncoder) { e.partition(&PartitionState{DRAM: &dram.State{}}) })
 	minDest      = encodedLen(func(e *stateEncoder) {
@@ -513,9 +576,10 @@ func (d *stateDecoder) machine() *MachineState {
 	}
 	if n := d.len(4); n > 0 {
 		st.Loads = make([]LoadState, n)
+		var toks keySeq
 		for i := range st.Loads {
 			l := &st.Loads[i]
-			l.Token = d.uvarint()
+			l.Token = d.key(&toks)
 			l.SM = d.int()
 			l.Warp = d.int()
 			l.FillBypass = d.bool()
@@ -596,38 +660,56 @@ func (d *stateDecoder) sm() *smcore.State {
 	return st
 }
 
-func (d *stateDecoder) ways() []cache.WayState {
-	n := d.len(minWay)
-	if n == 0 {
-		return nil
-	}
-	ws := make([]cache.WayState, n)
-	for i := range ws {
-		w := &ws[i]
-		w.Valid = d.bool()
-		w.Tag = d.uvarint()
-		w.LastUse = d.uvarint()
-		w.RRPV = d.byte()
-		w.SectorValid, w.SectorDirty = d.sectors()
-	}
-	return ws
+// way reads the fields e.way writes.
+func (d *stateDecoder) way(w *cache.WayState) {
+	w.Valid = d.bool()
+	w.LastUse = d.uvarint()
+	w.RRPV = d.byte()
+	w.SectorValid, w.SectorDirty = d.sectors()
 }
 
 func (d *stateDecoder) cache() *cache.State {
-	st := &cache.State{}
-	if n := d.len(1); n > 0 {
-		st.Sets = make([][]cache.WayState, n)
-		for i := range st.Sets {
-			st.Sets[i] = d.ways()
+	st := &cache.State{NumSets: d.int(), Assoc: d.int()}
+	// A tag array's shape is positive; a directory cache's is 0 x 0.
+	if st.NumSets < 0 || st.Assoc < 0 || (st.NumSets == 0) != (st.Assoc == 0) {
+		d.fail("tag-array shape %d x %d", st.NumSets, st.Assoc)
+	}
+	if n := d.len(minLine); n > 0 {
+		st.Lines = make([]cache.LineState, n)
+		var idx keySeq
+		for i := range st.Lines {
+			l := &st.Lines[i]
+			k := d.key(&idx)
+			if d.err == nil && (st.Assoc == 0 || k/uint64(st.Assoc) >= uint64(st.NumSets)) {
+				d.fail("line index %d outside the %d x %d tag array", k, st.NumSets, st.Assoc)
+			}
+			l.Index = int(k)
+			l.Tag = d.uvarint()
+			d.way(&l.WayState)
+			if d.err == nil && l.WayState == (cache.WayState{}) {
+				d.fail("line index %d lists the zero way", l.Index)
+			}
 		}
 	}
-	st.Dir = d.ways()
+	if n := d.len(minDirWay); n > 0 {
+		if st.NumSets > 0 {
+			d.fail("a directory in a cache with a tag array")
+		}
+		st.Dir = make([]cache.WayState, n)
+		var tags keySeq
+		for i := range st.Dir {
+			w := &st.Dir[i]
+			w.Tag = d.key(&tags)
+			d.way(w)
+		}
+	}
 	st.Seq = d.uvarint()
 	if n := d.len(minMSHR); n > 0 {
 		st.MSHRs = make([]cache.MSHRState, n)
+		var lines keySeq
 		for i := range st.MSHRs {
 			m := &st.MSHRs[i]
-			m.LineAddr = d.uvarint()
+			m.LineAddr = d.key(&lines)
 			m.SectorPending, m.SectorWrite = d.sectors()
 			for s := range m.Tokens {
 				m.Tokens[s] = d.uint64s()
@@ -638,8 +720,9 @@ func (d *stateDecoder) cache() *cache.State {
 	st.MSHRFree = d.int()
 	if n := d.len(2); n > 0 {
 		st.PendingBypass = make([]cache.BypassState, n)
+		var units keySeq
 		for i := range st.PendingBypass {
-			st.PendingBypass[i] = cache.BypassState{Key: d.uvarint(), Count: d.int()}
+			st.PendingBypass[i] = cache.BypassState{Key: d.key(&units), Count: d.int()}
 		}
 	}
 	st.PSel = d.int()
@@ -708,9 +791,10 @@ func (d *stateDecoder) partition() *PartitionState {
 	st.MACFree3 = d.uvarint()
 	if n := d.len(minDest); n > 0 {
 		st.Dests = make([]DestState, n)
+		var toks keySeq
 		for i := range st.Dests {
 			ds := &st.Dests[i]
-			ds.Token = d.uvarint()
+			ds.Token = d.key(&toks)
 			ds.Kind = d.int()
 			ds.Addr = d.uvarint()
 			ds.ReadID = d.uvarint()
@@ -721,9 +805,10 @@ func (d *stateDecoder) partition() *PartitionState {
 	}
 	if n := d.len(minRead); n > 0 {
 		st.Reads = make([]ReadRecState, n)
+		var ids keySeq
 		for i := range st.Reads {
 			r := &st.Reads[i]
-			r.ID = d.uvarint()
+			r.ID = d.key(&ids)
 			r.GlobalAddr = d.uvarint()
 			r.LocalAddr = d.uvarint()
 			r.L2Token = d.uvarint()

@@ -154,10 +154,23 @@ func FuzzDecodeState(f *testing.F) {
 		f.Add(b[:len(b)/2])
 		f.Add(b[:len(b)-1])
 	}
+	// Forged states: duplicated and unordered keys, a listed zero way,
+	// out-of-range line indices and impossible tag-array shapes, from a
+	// tiny machine whose unlimited metadata caches keep directories.
+	cfg := tinyMachine(f, "ctr_mac_bmt")
+	cfg.Secure.UnlimitedMeta = true
+	forged, err := sim.ForgedStates(midRunState(f, cfg, "srad_v2", 600))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range forged {
+		f.Add(b)
+	}
 	f.Add([]byte("GSMSTATE"))
-	// A forged length: a version-3 header, an empty benchmark name and
-	// seven zero counters, then 1,000,000 loads backed by three bytes.
-	f.Add(append([]byte("GSMSTATE\x03\x00\x00\x00\x00\x00\x00\x00\x00"), 0xc0, 0x84, 0x3d, 1, 2, 3))
+	// A forged length: a current-version header, an empty benchmark name
+	// and seven zero counters, then 1,000,000 loads backed by three
+	// bytes.
+	f.Add(append([]byte("GSMSTATE"), sim.StateVersion, 0, 0, 0, 0, 0, 0, 0, 0, 0xc0, 0x84, 0x3d, 1, 2, 3))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		before := heapAllocated()
 		st, err := sim.DecodeState(b)
@@ -175,4 +188,39 @@ func FuzzDecodeState(f *testing.F) {
 			t.Fatalf("accepted input re-encodes differently: %d vs %d bytes", len(b), len(re))
 		}
 	})
+}
+
+// BenchmarkCheckpointRoundTrip measures one checkpoint's whole life,
+// Snapshot → EncodeState → DecodeState → Restore, for a SecureMem
+// srad_v2 machine at 1000 cycles, and reports the encoded state's size.
+func BenchmarkCheckpointRoundTrip(b *testing.B) {
+	cfg := sim.SecureMem()
+	cfg.MaxCycles = 1000
+	g := newMachine(b, cfg, "srad_v2")
+	if _, err := g.RunContext(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	into := newMachine(b, cfg, "srad_v2")
+	var size int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := g.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, err := sim.EncodeState(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		back, err := sim.DecodeState(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := into.Restore(back); err != nil {
+			b.Fatal(err)
+		}
+		size = len(raw)
+	}
+	b.ReportMetric(float64(size), "state-bytes")
 }
