@@ -8,10 +8,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"gpusecmem/internal/checkpoint"
 	"gpusecmem/internal/sim"
+	"gpusecmem/internal/statecodec"
+	"gpusecmem/internal/trace"
 )
 
 // The resume-identity net for checkpoint/restore: a run interrupted at
@@ -147,6 +150,81 @@ func TestResumeAtExactHorizon(t *testing.T) {
 	}
 }
 
+// restoreState restores raw into a fresh cfg machine running bench.
+func restoreState(t *testing.T, cfg Config, bench string, raw []byte) error {
+	t.Helper()
+	gen, err := trace.New(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := sim.New(cfg, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Restore(raw)
+}
+
+// sm0Greedy locates SM 0's greedy pointer in a machine state, reading
+// past the fields the GPU's walk puts before it.
+func sm0Greedy(t *testing.T, raw []byte) (at, end int) {
+	t.Helper()
+	d := statecodec.NewDecoder(raw, "GSMSTATE", sim.StateVersion)
+	var (
+		name string
+		u    uint64
+		i, n int
+		b    bool
+		us   []uint64
+		keys statecodec.KeySeq
+	)
+	d.String(&name)
+	for range 7 { // cycle, token and progress counters
+		d.U64(&u)
+	}
+	for d.Len(&n, 1); n > 0; n-- { // loads
+		d.Key(&keys, &u)
+		d.Int(&i)
+		d.Int(&i)
+		d.Bool(&b)
+	}
+	for range 3 { // activity bounds
+		d.U64s(&us)
+	}
+	for _, fields := range []int{4, 3} { // the two interconnect queues
+		for d.Len(&n, 1); n > 0; n-- {
+			for range 3 {
+				d.U64(&u)
+			}
+			if fields == 4 {
+				d.Bool(&b)
+			}
+		}
+		for range 4 { // queue stats
+			d.U64(&u)
+		}
+	}
+	d.Len(&n, 1) // the SM count, then SM 0's warps
+	for d.Len(&n, 1); n > 0; n-- {
+		for range 3 {
+			d.Int(&i)
+		}
+		d.U64s(&us)
+		d.Bool(&b)
+		for range 3 {
+			d.Int(&i)
+		}
+		d.U64(&u)
+		d.Int(&i)
+		d.U64(&u)
+	}
+	at = d.Offset()
+	d.Int(&i)
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	return at, d.Offset()
+}
+
 // Corrupt or foreign-version checkpoints must silently restart the run
 // from cycle 0 — never resume wrong, never fail the run.
 func TestBadCheckpointRestartsFromZero(t *testing.T) {
@@ -169,23 +247,19 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 	t.Run("foreign-version", func(t *testing.T) {
 		store := ckptStore(t)
 		// A real snapshot, re-stamped with a future StateVersion: the
-		// envelope validates, and DecodeState refuses it up front.
+		// envelope validates, and Restore refuses it up front.
 		seed := ckptStore(t)
 		runCheckpointed(t, cfg, bench, seed, 2000)
-		_, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
+		cycle, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
 		if !ok {
 			t.Fatal("no seed checkpoint")
 		}
-		st, err := sim.DecodeState(raw)
-		if err != nil {
-			t.Fatal(err)
+		reraw := bytes.Clone(raw)
+		reraw[len("GSMSTATE")] = sim.StateVersion + 1
+		if err := restoreState(t, cfg, bench, reraw); err == nil {
+			t.Fatal("restored a state with a foreign StateVersion")
 		}
-		st.Version = sim.StateVersion + 1
-		reraw, err := sim.EncodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		store.Put(CheckpointKey(cfg, bench), st.Now, reraw)
+		store.Put(CheckpointKey(cfg, bench), cycle, reraw)
 		res := runCheckpointed(t, cfg, bench, store, 1000)
 		if got := resultDigest(t, res); got != want {
 			t.Errorf("digest %s != plain %s", got, want)
@@ -198,46 +272,65 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 		store := ckptStore(t)
 		seed := ckptStore(t)
 		runCheckpointed(t, cfg, bench, seed, 2000)
-		_, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
+		cycle, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
 		if !ok {
 			t.Fatal("no seed checkpoint")
 		}
-		st, err := sim.DecodeState(raw)
-		if err != nil {
-			t.Fatal(err)
+		at, end := sm0Greedy(t, raw)
+		reraw := append(append(bytes.Clone(raw[:at]), 1), raw[end:]...) // zigzag -1
+		if err := restoreState(t, cfg, bench, reraw); err == nil || !strings.Contains(err.Error(), "greedy") {
+			t.Fatalf("restore error %v, want a refused greedy pointer", err)
 		}
-		st.SMs[0].Greedy = -1
-		reraw, err := sim.EncodeState(st)
-		if err != nil {
-			t.Fatal(err)
+		store.Put(CheckpointKey(cfg, bench), cycle, reraw)
+		res := runCheckpointed(t, cfg, bench, store, 1000)
+		if got := resultDigest(t, res); got != want {
+			t.Errorf("digest %s != plain %s", got, want)
 		}
-		store.Put(CheckpointKey(cfg, bench), st.Now, reraw)
+	})
+	t.Run("truncated-state", func(t *testing.T) {
+		// A real snapshot minus its last byte: Restore fails only at
+		// the end, with nearly the whole machine installed, so the run
+		// must start over on a rebuilt machine.
+		store := ckptStore(t)
+		seed := ckptStore(t)
+		runCheckpointed(t, cfg, bench, seed, 2000)
+		cycle, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
+		if !ok {
+			t.Fatal("no seed checkpoint")
+		}
+		cut := raw[:len(raw)-1]
+		err := restoreState(t, cfg, bench, cut)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("byte %d: truncated", len(cut))) {
+			t.Fatalf("restore error %v, want truncation at the last byte", err)
+		}
+		store.Put(CheckpointKey(cfg, bench), cycle, cut)
 		res := runCheckpointed(t, cfg, bench, store, 1000)
 		if got := resultDigest(t, res); got != want {
 			t.Errorf("digest %s != plain %s", got, want)
 		}
 	})
 	t.Run("gob-v2-state", func(t *testing.T) {
-		// What a StateVersion 2 build left in a store: the same state
-		// struct, gob-encoded. The run ignores it, matches the plain
-		// digest, and its own checkpoints replace it.
+		// What a StateVersion 2 build left in a store: its state
+		// struct, gob-encoded (its leading fields stand in for the
+		// rest). The run ignores it, matches the plain digest, and its
+		// own checkpoints replace it.
 		store := ckptStore(t)
 		seed := ckptStore(t)
 		runCheckpointed(t, cfg, bench, seed, 2000)
-		_, raw, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
+		cycle, _, ok := seed.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
 		if !ok {
 			t.Fatal("no seed checkpoint")
 		}
-		st, err := sim.DecodeState(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Version = 2
+		v2 := struct {
+			Version   int
+			Benchmark string
+			Now       uint64
+		}{2, bench, cycle}
 		var old bytes.Buffer
-		if err := gob.NewEncoder(&old).Encode(st); err != nil {
+		if err := gob.NewEncoder(&old).Encode(v2); err != nil {
 			t.Fatal(err)
 		}
-		store.Put(CheckpointKey(cfg, bench), st.Now, old.Bytes())
+		store.Put(CheckpointKey(cfg, bench), cycle, old.Bytes())
 		res := runCheckpointed(t, cfg, bench, store, 1000)
 		if got := resultDigest(t, res); got != want {
 			t.Errorf("digest %s != plain %s", got, want)
@@ -246,13 +339,13 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 		if !ok {
 			t.Fatal("no checkpoint after the run")
 		}
-		if _, err := sim.DecodeState(healed); err != nil {
+		if err := restoreState(t, cfg, bench, healed); err != nil {
 			t.Fatalf("store still serves an undecodable state: %v", err)
 		}
 	})
 	t.Run("v3-state", func(t *testing.T) {
 		// What a StateVersion 3 build left in a store: a GSMSTATE
-		// payload stamped version 3. DecodeState refuses it on the
+		// payload stamped version 3. Restore refuses it on the
 		// version, before the body, so the dense v3 tag arrays are never
 		// read; the run matches the plain digest, and its own checkpoint
 		// at the same cycle replaces the stale one.
@@ -268,8 +361,8 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 			t.Fatalf("version byte %d, want %d", v3[len("GSMSTATE")], sim.StateVersion)
 		}
 		v3[len("GSMSTATE")] = 3
-		if _, err := sim.DecodeState(v3); err == nil {
-			t.Fatal("DecodeState accepted a version-3 state")
+		if err := restoreState(t, cfg, bench, v3); err == nil {
+			t.Fatal("Restore accepted a version-3 state")
 		}
 		store.Put(CheckpointKey(cfg, bench), cycle, v3)
 		res := runCheckpointed(t, cfg, bench, store, 1000)
@@ -280,7 +373,7 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 		if !ok || at != cycle {
 			t.Fatalf("no checkpoint at cycle %d after the run", cycle)
 		}
-		if _, err := sim.DecodeState(healed); err != nil {
+		if err := restoreState(t, cfg, bench, healed); err != nil {
 			t.Fatalf("store still serves the version-3 state: %v", err)
 		}
 	})

@@ -58,6 +58,7 @@ var contractRequired = map[string]bool{
 	"internal/shard":       true,
 	"internal/sim":         true,
 	"internal/smcore":      true,
+	"internal/statecodec":  true,
 	"internal/stats":       true,
 	"internal/telemetry":   true,
 	"internal/trace":       true,

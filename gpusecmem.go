@@ -191,13 +191,7 @@ func SimulateCheckpointed(ctx context.Context, cfg Config, benchmark string, cs 
 		return sim.RunContext(ctx, cfg, benchmark)
 	}
 	key := CheckpointKey(cfg, benchmark)
-	sink := func(cycle uint64, st *sim.MachineState) {
-		b, err := sim.EncodeState(st)
-		if err != nil {
-			return
-		}
-		cs.Put(key, cycle, b)
-	}
+	sink := func(cycle uint64, state []byte) { cs.Put(key, cycle, state) }
 	build := func() (*sim.GPU, error) {
 		gen, err := trace.New(benchmark)
 		if err != nil {
@@ -215,14 +209,12 @@ func SimulateCheckpointed(ctx context.Context, cfg Config, benchmark string, cs 
 	}
 	if _, state, ok := cs.Latest(key, cfg.MaxCycles); ok {
 		// Any failure along the resume path — undecodable bytes, a stale
-		// StateVersion, a shape mismatch — degrades to a fresh run from
-		// cycle 0 on a rebuilt machine, never to wrong state.
-		st, err := sim.DecodeState(state)
-		if err == nil {
-			if err := g.Restore(st); err != nil {
-				if g, err = build(); err != nil {
-					return nil, err
-				}
+		// StateVersion, a shape mismatch — leaves the machine unusable and
+		// degrades to a fresh run from cycle 0 on a rebuilt one, never to
+		// wrong state.
+		if err := g.Restore(state); err != nil {
+			if g, err = build(); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -1,9 +1,10 @@
 // Package checkpoint is the content-addressed on-disk checkpoint
 // store behind crash-safe long-horizon runs and incremental horizon
 // extension (DESIGN.md §14). It keeps one internal/envelope entry per
-// (checkpoint key, snapshot cycle) holding the opaque sim.EncodeState
-// bytes; the key is the canonical RunKey with MaxCycles zeroed, so runs
-// of one machine at different horizons share a lineage. Any invalid
+// (checkpoint key, snapshot cycle) holding the opaque machine-state
+// bytes of sim.GPU.Snapshot; the key is the canonical RunKey with
+// MaxCycles zeroed, so runs of one machine at different horizons share
+// a lineage. Any invalid
 // file — torn, corrupt, foreign, or of another schema or cycle — is
 // removed and counted, so a bad checkpoint self-heals as "start from
 // cycle 0", never as wrong state.

@@ -107,7 +107,7 @@ func (s *Stats) addKind(kind, bytes int) {
 type pending struct {
 	req Request
 	// bank is req.Addr's bank, computed once by pendingFor at Enqueue
-	// (and Restore) so the per-cycle scans of Tick and NextEvent do no
+	// (and Walk) so the per-cycle scans of Tick and NextEvent do no
 	// division; it packs beside dead, keeping a pending at 48 bytes.
 	bank int32
 	dead bool // tombstone: issued and awaiting compaction

@@ -1,81 +1,70 @@
 package dram
 
-// Checkpoint snapshot/restore. Tombstoned queue entries are dropped:
-// the FR-FCFS scheduler and NextEvent skip dead entries and count only
-// live ones against the scan window, so a queue rebuilt from the live
-// entries in order behaves identically to the original (compaction
-// thresholds differ, but compaction is invisible to scheduling). The
-// completion heap is serialized in raw heap layout so equal-time
-// completions keep their pop order (see eventq.Elems).
+// Checkpointing (DESIGN.md §14). Tombstoned queue entries are left
+// out: the FR-FCFS scheduler and NextEvent skip dead entries and count
+// only live ones against the scan window, so a queue rebuilt from the
+// live entries in order behaves identically to the original
+// (compaction thresholds differ, but compaction is invisible to
+// scheduling). The completion heap is walked in raw heap layout so
+// equal-time completions keep their pop order (see eventq.Queue.Heap).
 
-import "fmt"
+import (
+	"slices"
 
-// CompletionState mirrors one pending completion event.
-type CompletionState struct {
-	At3   uint64
-	Token uint64
-}
+	"gpusecmem/internal/statecodec"
+)
 
-// State is a complete, detached snapshot of a DRAM channel.
-type State struct {
-	// Queue holds the live (unissued) requests in queue order.
-	Queue       []Request
-	BankBusy3   []uint64
-	BankRow     []uint64
-	BusFree3    uint64
-	Completions []CompletionState // raw heap layout
-	Stats       Stats
-}
-
-// Snapshot captures the channel's full behavioral state. The result
-// shares no memory with the channel.
-func (d *DRAM) Snapshot() *State {
-	st := &State{
-		BankBusy3: append([]uint64(nil), d.bankBusy3...),
-		BankRow:   append([]uint64(nil), d.bankRow...),
-		BusFree3:  d.busFree3,
-		Stats:     d.Stats,
+// Walk encodes or decodes the channel's state (see statecodec).
+// Decoding expects a channel built from the same Config and refuses a
+// foreign bank count, a request of no bytes or more than maxBytes, and
+// a traffic kind outside [0, kinds); on error the channel is unusable.
+func (d *DRAM) Walk(c *statecodec.Codec, kinds, maxBytes int) {
+	n := d.live
+	c.Len(&n, 5) // addr, bytes, write, token, kind
+	if c.Decoding() {
+		d.queue = slices.Grow(d.queue[:0], n)[:n]
+		clear(d.queue)
+		d.head, d.live = 0, n
 	}
-	st.Stats.RequestsByKind = append([]uint64(nil), d.Stats.RequestsByKind...)
-	st.Stats.BytesByKind = append([]uint64(nil), d.Stats.BytesByKind...)
-	if d.live > 0 {
-		st.Queue = make([]Request, 0, d.live)
-		for _, p := range d.queue[d.head:] {
-			if !p.dead {
-				st.Queue = append(st.Queue, p.req)
+	for i := d.head; i < len(d.queue); i++ {
+		p := &d.queue[i]
+		if p.dead {
+			continue
+		}
+		r := &p.req
+		c.U64(&r.Addr)
+		c.Int(&r.Bytes)
+		c.Bool(&r.Write)
+		c.U64(&r.Token)
+		c.Int(&r.Kind)
+		if c.Decoding() {
+			switch {
+			case r.Bytes <= 0 || r.Bytes > maxBytes:
+				c.Fail("dram: queued request of %d bytes, want 1..%d", r.Bytes, maxBytes)
+			case r.Kind < 0 || r.Kind >= kinds:
+				c.Fail("dram: queued request of kind %d, want 0..%d", r.Kind, kinds-1)
 			}
+			*p = d.pendingFor(*r)
 		}
 	}
-	for _, c := range d.compl.Elems() {
-		st.Completions = append(st.Completions, CompletionState{At3: c.at3, Token: c.token})
+	c.FixedU64s(d.bankBusy3, "bank busy times")
+	c.FixedU64s(d.bankRow, "open rows")
+	c.U64(&d.busFree3)
+	compl := d.compl.Heap()
+	statecodec.Slice(c, compl, 2)
+	for i := range *compl {
+		e := &(*compl)[i]
+		c.U64(&e.at3)
+		c.U64(&e.token)
 	}
-	return st
-}
-
-// Restore replaces the channel's state with a snapshot taken from a
-// channel of identical configuration (bank count is validated).
-func (d *DRAM) Restore(st *State) error {
-	if len(st.BankBusy3) != d.cfg.Banks || len(st.BankRow) != d.cfg.Banks {
-		return fmt.Errorf("dram: snapshot has %d/%d banks, channel has %d",
-			len(st.BankBusy3), len(st.BankRow), d.cfg.Banks)
+	s := &d.Stats
+	for _, p := range [...]*uint64{&s.Reads, &s.Writes, &s.BytesRead, &s.BytesWrite, &s.RowHits, &s.RowMisses} {
+		c.U64(p)
 	}
-	d.queue = d.queue[:0]
-	for _, r := range st.Queue {
-		d.queue = append(d.queue, d.pendingFor(r))
+	c.U64s(&s.RequestsByKind)
+	c.U64s(&s.BytesByKind)
+	if c.Decoding() && (len(s.RequestsByKind) != len(s.BytesByKind) || len(s.RequestsByKind) > kinds) {
+		c.Fail("dram: %d request and %d byte counters for %d kinds", len(s.RequestsByKind), len(s.BytesByKind), kinds)
 	}
-	d.head = 0
-	d.live = len(st.Queue)
-	copy(d.bankBusy3, st.BankBusy3)
-	copy(d.bankRow, st.BankRow)
-	d.busFree3 = st.BusFree3
-	compl := make([]completion, 0, len(st.Completions))
-	for _, c := range st.Completions {
-		compl = append(compl, completion{at3: c.At3, token: c.Token})
-	}
-	d.compl.SetElems(compl)
-	d.done = nil
-	d.Stats = st.Stats
-	d.Stats.RequestsByKind = append([]uint64(nil), st.Stats.RequestsByKind...)
-	d.Stats.BytesByKind = append([]uint64(nil), st.Stats.BytesByKind...)
-	return nil
+	c.Int(&s.PeakQueue)
 }

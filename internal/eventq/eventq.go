@@ -72,28 +72,14 @@ func (q *Queue[E]) Pop() E {
 	return e
 }
 
-// Elems returns a copy of the queue's backing array in raw heap
-// layout. It exists for checkpointing: the layout — not just the
-// multiset of elements — determines the pop order of equal-keyed
-// events, so serializing it verbatim and feeding it back through
-// SetElems reproduces the exact event order a never-snapshotted queue
-// would have produced. The copy shares nothing with the queue.
-func (q *Queue[E]) Elems() []E {
-	if len(q.a) == 0 {
-		return nil
-	}
-	out := make([]E, len(q.a))
-	copy(out, q.a)
-	return out
-}
-
-// SetElems replaces the queue's contents with a copy of a, which must
-// be an array previously captured by Elems (i.e. already in valid heap
-// layout — SetElems does not re-heapify).
-func (q *Queue[E]) SetElems(a []E) {
-	q.a = q.a[:0]
-	q.a = append(q.a, a...)
-}
+// Heap exposes the queue's backing array, in raw heap layout, to a
+// checkpoint walk. The layout — not just the multiset of elements —
+// determines the pop order of equal-keyed events, so walking it
+// verbatim in both directions reproduces the exact event order a
+// never-checkpointed queue would have produced. A caller that writes
+// through the pointer must leave a valid heap layout: the queue does
+// not re-heapify.
+func (q *Queue[E]) Heap() *[]E { return &q.a }
 
 func (q *Queue[E]) up(j int) {
 	for {

@@ -17,12 +17,14 @@
 // other within a window shorter than the latency.
 package icnt
 
+import "slices"
+
 // DelayQueue delivers items a fixed number of cycles after they are
 // pushed, preserving push order among items that become ready on the
 // same cycle. The zero value is not usable; use NewDelayQueue.
 type DelayQueue[T any] struct {
 	latency uint64
-	items   []entry[T]
+	items   []Delayed[T]
 	head    int
 	tap     func(T) int
 	// out is PopReady's reusable scratch; see the PopReady aliasing
@@ -41,9 +43,10 @@ type Stats struct {
 	Dropped, Duplicated uint64
 }
 
-type entry[T any] struct {
-	readyAt uint64
-	item    T
+// Delayed is one queued item with its absolute ready cycle.
+type Delayed[T any] struct {
+	ReadyAt uint64
+	Item    T
 }
 
 // NewDelayQueue creates a queue with the given latency in cycles.
@@ -60,13 +63,13 @@ func (q *DelayQueue[T]) SetTap(tap func(T) int) { q.tap = tap }
 // Push enqueues an item at cycle now; it becomes ready at now+latency.
 func (q *DelayQueue[T]) Push(now uint64, item T) {
 	q.Stats.Pushed++
-	q.items = append(q.items, entry[T]{readyAt: now + q.latency, item: item})
+	q.items = append(q.items, Delayed[T]{ReadyAt: now + q.latency, Item: item})
 }
 
 // PushAfter enqueues with an extra delay on top of the base latency.
 func (q *DelayQueue[T]) PushAfter(now uint64, extra uint64, item T) {
 	q.Stats.Pushed++
-	q.items = append(q.items, entry[T]{readyAt: now + q.latency + extra, item: item})
+	q.items = append(q.items, Delayed[T]{ReadyAt: now + q.latency + extra, Item: item})
 }
 
 // PushAt enqueues an item whose absolute ready cycle has already been
@@ -76,7 +79,7 @@ func (q *DelayQueue[T]) PushAfter(now uint64, extra uint64, item T) {
 // the item had been pushed with Push/PushAfter at its original cycle.
 func (q *DelayQueue[T]) PushAt(readyAt uint64, item T) {
 	q.Stats.Pushed++
-	q.items = append(q.items, entry[T]{readyAt: readyAt, item: item})
+	q.items = append(q.items, Delayed[T]{ReadyAt: readyAt, Item: item})
 }
 
 // PopReady returns all items ready at cycle now, in arrival order.
@@ -90,8 +93,8 @@ func (q *DelayQueue[T]) PushAt(readyAt uint64, item T) {
 // same step) and must not retain it or push-back items that alias it.
 func (q *DelayQueue[T]) PopReady(now uint64) []T {
 	out := q.out[:0]
-	for q.head < len(q.items) && q.items[q.head].readyAt <= now {
-		item := q.items[q.head].item
+	for q.head < len(q.items) && q.items[q.head].ReadyAt <= now {
+		item := q.items[q.head].Item
 		q.head++
 		copies := 1
 		if q.tap != nil {
@@ -147,8 +150,8 @@ func (q *DelayQueue[T]) DrainThrough(limit uint64, visit func(at uint64, item T)
 	eff := uint64(0)
 	for q.head < len(q.items) {
 		e := q.items[q.head]
-		if e.readyAt > eff {
-			eff = e.readyAt
+		if e.ReadyAt > eff {
+			eff = e.ReadyAt
 		}
 		if eff > limit {
 			break
@@ -156,7 +159,7 @@ func (q *DelayQueue[T]) DrainThrough(limit uint64, visit func(at uint64, item T)
 		q.head++
 		copies := 1
 		if q.tap != nil {
-			copies = q.tap(e.item)
+			copies = q.tap(e.Item)
 			switch {
 			case copies <= 0:
 				q.Stats.Dropped++
@@ -166,7 +169,7 @@ func (q *DelayQueue[T]) DrainThrough(limit uint64, visit func(at uint64, item T)
 		}
 		for c := 0; c < copies; c++ {
 			q.Stats.Delivered++
-			visit(eff, e.item)
+			visit(eff, e.Item)
 		}
 	}
 	q.maybeCompact()
@@ -174,50 +177,31 @@ func (q *DelayQueue[T]) DrainThrough(limit uint64, visit func(at uint64, item T)
 
 // clearTail zeroes vacated entries so pointer-bearing payloads do not
 // outlive their delivery.
-func clearTail[T any](s []entry[T]) {
-	var zero entry[T]
+func clearTail[T any](s []Delayed[T]) {
+	var zero Delayed[T]
 	for i := range s {
 		s[i] = zero
 	}
 }
 
-// Delayed is one undelivered queue item in a checkpoint snapshot:
-// the item together with its absolute ready cycle.
-type Delayed[T any] struct {
-	ReadyAt uint64
-	Item    T
-}
-
-// Snapshot returns the undelivered items — items[head:] with their
-// absolute ready cycles — as a fresh slice sharing nothing with the
-// queue. Restoring it into an empty queue reproduces delivery exactly:
+// Pending returns the undelivered items, items[head:] with their
+// absolute ready cycles, for a checkpoint walk. The slice aliases the
+// queue and is valid until its next push or delivery. Restoring them
+// into an empty queue (ResetPending) reproduces delivery exactly:
 // PopReady and DrainThrough only ever consume from the head, so the
 // consumed prefix carries no future behavior, and head-blocking (an
 // item behind a later-ready head waits for it) depends only on the
-// order and ready cycles of the remaining items, which the snapshot
-// preserves verbatim.
-func (q *DelayQueue[T]) Snapshot() []Delayed[T] {
-	if q.head >= len(q.items) {
-		return nil
-	}
-	out := make([]Delayed[T], 0, len(q.items)-q.head)
-	for _, e := range q.items[q.head:] {
-		out = append(out, Delayed[T]{ReadyAt: e.readyAt, Item: e.item})
-	}
-	return out
-}
+// order and ready cycles of the remaining items.
+func (q *DelayQueue[T]) Pending() []Delayed[T] { return q.items[q.head:] }
 
-// Restore replaces the queue's contents with the given snapshot and
-// statistics. The latency and any installed tap are kept; the scratch
-// buffer is reset.
-func (q *DelayQueue[T]) Restore(items []Delayed[T], stats Stats) {
-	q.items = q.items[:0]
-	for _, d := range items {
-		q.items = append(q.items, entry[T]{readyAt: d.ReadyAt, item: d.Item})
-	}
+// ResetPending empties the queue and returns n zero items for a
+// checkpoint walk to fill in delivery order, aliasing the queue as
+// Pending does. The latency, any installed tap and Stats are kept.
+func (q *DelayQueue[T]) ResetPending(n int) []Delayed[T] {
+	q.items = slices.Grow(q.items[:0], n)[:n]
+	clear(q.items)
 	q.head = 0
-	q.out = nil
-	q.Stats = stats
+	return q.items
 }
 
 // NextReady returns the cycle at which the head item becomes ready, or
@@ -229,7 +213,7 @@ func (q *DelayQueue[T]) NextReady() uint64 {
 	if q.head >= len(q.items) {
 		return ^uint64(0)
 	}
-	return q.items[q.head].readyAt
+	return q.items[q.head].ReadyAt
 }
 
 // Len reports items still queued.

@@ -1,28 +1,36 @@
 package sim
 
-// encodeUnchecked encodes st like EncodeState but carries on past an
-// unordered key, writing its gap modulo 2^64, so tests can hand the
-// decoder inputs EncodeState refuses to produce.
-func encodeUnchecked(st *MachineState) []byte {
-	e := stateEncoder{b: []byte(stateMagic)}
-	e.uvarint(uint64(st.Version))
-	e.machine(st)
-	return e.b
-}
+import (
+	"errors"
 
-// ForgedStates returns the unchecked encodings of every stateForgeries
-// entry that finds something to forge in the encoded state b, for the
-// decoder fuzzer's seed corpus.
-func ForgedStates(b []byte) ([][]byte, error) {
+	"gpusecmem/internal/trace"
+)
+
+// ForgedStates returns the byte-level forgery of every stateForgeries
+// entry that finds something to forge in state b of cfg running bench,
+// for the decoder fuzzer's seed corpus.
+func ForgedStates(cfg Config, bench string, b []byte) ([][]byte, error) {
 	var out [][]byte
 	for _, f := range stateForgeries {
-		st, err := DecodeState(b)
+		gen, err := trace.New(bench)
 		if err != nil {
 			return nil, err
 		}
-		if f.forge(st) {
-			out = append(out, encodeUnchecked(st))
+		g, err := New(cfg, gen)
+		if err != nil {
+			return nil, err
 		}
+		if err := g.Restore(b); err != nil {
+			return nil, err
+		}
+		forged, err := f.forge(g)
+		if errors.Is(err, errNothingToForge) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, forged)
 	}
 	return out, nil
 }

@@ -61,7 +61,7 @@ type GPU struct {
 	smLastTick []uint64
 	partNext   []uint64
 	// stepped counts cycles the SM side executed (<= now once idle
-	// stretches are skipped); it rides in MachineState.
+	// stretches are skipped); it rides in checkpoints.
 	stepped uint64
 	// oneTok backs single-token reply delivery without allocating.
 	oneTok [1]uint64
@@ -87,7 +87,7 @@ type GPU struct {
 	// when the loop lands on the same cycle twice. Inert (nil sink)
 	// unless SetCheckpoint armed it.
 	ckptEvery uint64
-	ckptSink  func(cycle uint64, st *MachineState)
+	ckptSink  func(cycle uint64, state []byte)
 	ckptLast  uint64
 
 	// completedLoads counts retirements; with issued instructions it
@@ -300,11 +300,12 @@ func (g *GPU) settleIdleStalls() {
 
 // SetCheckpoint arms periodic checkpointing: every `every` cycles (and
 // at run completion or cancellation) the run loop snapshots the
-// machine and calls sink(cycle, state). The call is a no-op — the run
+// machine and calls sink(cycle, state) with the encoded state, which
+// the sink owns. The call is a no-op — the run
 // stays checkpoint-free — when every is 0, sink is nil, or the
 // configuration fails Checkpointable. Arm it before Run; the sink runs
 // on the simulation goroutine.
-func (g *GPU) SetCheckpoint(every uint64, sink func(cycle uint64, st *MachineState)) {
+func (g *GPU) SetCheckpoint(every uint64, sink func(cycle uint64, state []byte)) {
 	if every == 0 || sink == nil || Checkpointable(g.cfg) != nil {
 		return
 	}

@@ -3,13 +3,18 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"gpusecmem/internal/cache"
+	"gpusecmem/internal/dram"
 	"gpusecmem/internal/faults"
-	"gpusecmem/internal/smcore"
+	"gpusecmem/internal/statecodec"
 	"gpusecmem/internal/trace"
 )
 
@@ -32,12 +37,8 @@ func captureAt(t *testing.T, cfg Config, bench string, every uint64) [][]byte {
 	t.Helper()
 	g := newGPU(t, cfg, bench)
 	var states [][]byte
-	g.SetCheckpoint(every, func(cycle uint64, st *MachineState) {
-		b, err := EncodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		states = append(states, b)
+	g.SetCheckpoint(every, func(cycle uint64, state []byte) {
+		states = append(states, state)
 	})
 	if _, err := g.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
@@ -45,54 +46,251 @@ func captureAt(t *testing.T, cfg Config, bench string, every uint64) [][]byte {
 	return states
 }
 
-// forgery turns a real mid-run state into one no Snapshot produces. It
-// reports false when the state holds nothing to forge.
+// restored returns a fresh cfg/bench machine restored from state b.
+func restored(t *testing.T, cfg Config, bench string, b []byte) *GPU {
+	t.Helper()
+	g := newGPU(t, cfg, bench)
+	if err := g.Restore(b); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// refuses requires Restore to refuse state b on a fresh cfg/bench
+// machine with an error that mentions want.
+func refuses(t *testing.T, cfg Config, bench string, b []byte, want string) {
+	t.Helper()
+	err := newGPU(t, cfg, bench).Restore(b)
+	switch {
+	case err == nil:
+		t.Fatal("restored a forged state")
+	case !strings.Contains(err.Error(), want):
+		t.Fatalf("refused for the wrong reason: %v (want %q)", err, want)
+	}
+}
+
+// uv is v's uvarint encoding; iv is v's zigzag varint encoding.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+func iv(v int64) []byte  { return binary.AppendVarint(nil, v) }
+
+// wrapped is the gap a duplicated key wraps to, 2^64-1: what an
+// encoder that did not check key order would write for it.
+var wrapped = uv(math.MaxUint64)
+
+// span is one field's or element's byte range in an encoding.
+type span struct{ at, end int }
+
+// splice returns b with s replaced by repl.
+func splice(b []byte, s span, repl ...[]byte) []byte {
+	out := slices.Clip(b[:s.at])
+	for _, r := range repl {
+		out = append(out, r...)
+	}
+	return append(out, b[s.end:]...)
+}
+
+// keyed is a gap-coded list in an encoding: its length field, then each
+// element's span and the span and value of the element's key.
+type keyed struct {
+	count      span
+	elems, key []span
+	keys       []uint64
+}
+
+// dupFirst returns b with the list's first element repeated right
+// after itself, its key written as the wrapped gap.
+func (l keyed) dupFirst(b []byte) []byte {
+	e, k := l.elems[0], l.key[0]
+	return splice(b, span{l.count.at, e.end},
+		uv(uint64(len(l.elems)+1)), b[l.count.end:e.end], wrapped, b[k.end:e.end])
+}
+
+// parser walks a standalone component encoding field by field,
+// recording where each field lies.
+type parser struct {
+	d    *statecodec.Codec
+	base int // the encoding's offset in the full state, less its header
+}
+
+// standalone encodes one component's walk alone and finds that
+// encoding in the full state b. Any occurrence will do: identical
+// bytes are an identical component state.
+func standalone(b []byte, walk func(*statecodec.Codec)) (*parser, error) {
+	e := statecodec.NewEncoder("", 0)
+	walk(e)
+	enc, err := e.Finish()
+	if err != nil {
+		return nil, err
+	}
+	at := bytes.Index(b, enc[1:])
+	if at < 0 {
+		return nil, errors.New("component encoding not found in the state")
+	}
+	return &parser{d: statecodec.NewDecoder(enc, "", 0), base: at - 1}, nil
+}
+
+func (p *parser) field(walk func(d *statecodec.Codec)) span {
+	at := p.d.Offset()
+	walk(p.d)
+	return span{p.base + at, p.base + p.d.Offset()}
+}
+
+func (p *parser) u64() span {
+	var v uint64
+	return p.field(func(d *statecodec.Codec) { d.U64(&v) })
+}
+
+func (p *parser) int() (span, int) {
+	var v int
+	return p.field(func(d *statecodec.Codec) { d.Int(&v) }), v
+}
+
+// skip passes over n raw bytes: bools, flag bytes, rrpv.
+func (p *parser) skip(n int) {
+	p.field(func(d *statecodec.Codec) {
+		var b byte
+		for range n {
+			d.Byte(&b)
+		}
+	})
+}
+
+// list parses a gap-coded list whose elements are a key followed by
+// rest's fields.
+func (p *parser) list(rest func()) keyed {
+	var l keyed
+	n := 0
+	l.count = p.field(func(d *statecodec.Codec) { d.Len(&n, 1) })
+	var ks statecodec.KeySeq
+	for range n {
+		var k uint64
+		at := p.d.Offset()
+		l.key = append(l.key, p.field(func(d *statecodec.Codec) { d.Key(&ks, &k) }))
+		rest()
+		l.keys = append(l.keys, k)
+		l.elems = append(l.elems, span{p.base + at, p.base + p.d.Offset()})
+	}
+	return l
+}
+
+// cacheFields are a cache's shape and gap-coded lists in a state.
+type cacheFields struct {
+	numSets, assoc    span
+	sets, ways        int
+	lines, dir, mshrs keyed
+}
+
+// parseCache locates c's fields in the full state b.
+func parseCache(b []byte, c *cache.Cache) (*cacheFields, error) {
+	p, err := standalone(b, c.Walk)
+	if err != nil {
+		return nil, err
+	}
+	var f cacheFields
+	f.numSets, f.sets = p.int()
+	f.assoc, f.ways = p.int()
+	f.lines = p.list(func() { p.u64(); p.skip(1); p.u64(); p.skip(2) }) // tag, valid, lastUse, rrpv, sectors
+	f.dir = p.list(func() { p.skip(1); p.u64(); p.skip(2) })
+	p.u64() // seq
+	f.mshrs = p.list(func() {
+		p.skip(1) // sectors
+		for range cache.SectorsPerLine {
+			var toks []uint64
+			p.field(func(d *statecodec.Codec) { d.U64s(&toks) })
+		}
+		p.int()
+	})
+	return &f, p.d.Err()
+}
+
+// allCaches lists g's caches: L1s, then each partition's L2 banks and
+// metadata caches.
+func allCaches(g *GPU) []*cache.Cache {
+	all := slices.Clone(g.l1s)
+	for _, p := range g.parts {
+		all = append(append(all, p.banks...), p.ctr, p.mac, p.tree)
+	}
+	return slices.DeleteFunc(all, func(c *cache.Cache) bool { return c == nil })
+}
+
+// forgeCache encodes g and splices the fields of its first cache that
+// satisfies ok.
+func forgeCache(g *GPU, ok func(*cacheFields) bool, forge func(b []byte, f *cacheFields) []byte) ([]byte, error) {
+	b, err := g.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range allCaches(g) {
+		f, err := parseCache(b, c)
+		if err != nil {
+			return nil, err
+		}
+		if ok(f) {
+			return forge(b, f), nil
+		}
+	}
+	return nil, errNothingToForge
+}
+
+func withLines(n int) func(*cacheFields) bool {
+	return func(f *cacheFields) bool { return len(f.lines.elems) >= n }
+}
+
+// errNothingToForge is a forgery's answer for a state that holds
+// nothing it could forge.
+var errNothingToForge = errors.New("the state holds nothing to forge")
+
+// marker is an improbable value planted in a tampered field so the
+// field can be found in the encoding.
+const marker = 0x5eedf00dcafe
+
+// plantAfterFirst encodes g with a marked element added to one of its
+// token-keyed maps right after that map's first key, and returns the
+// state with the new element's key spliced to the wrapped gap: a
+// duplicate of the first key. back is how far the new element's key
+// byte lies before the marker.
+func plantAfterFirst(g *GPU, plant func(p *partition) bool, back int) ([]byte, error) {
+	for _, p := range g.parts {
+		if !plant(p) {
+			continue
+		}
+		b, err := g.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		at := bytes.Index(b, uv(marker))
+		if at < back || b[at-back] != 0 {
+			return nil, errors.New("planted element not found")
+		}
+		return splice(b, span{at - back, at - back + 1}, wrapped), nil
+	}
+	return nil, errNothingToForge
+}
+
+// loadsList locates the GPU's loads in state b: they follow the
+// benchmark name and seven counters.
+func loadsList(b []byte) keyed {
+	d := statecodec.NewDecoder(b, stateMagic, StateVersion)
+	var name string
+	d.String(&name)
+	for range 7 {
+		var u uint64
+		d.U64(&u)
+	}
+	p := &parser{d: d}
+	return p.list(func() { p.int(); p.int(); p.skip(1) })
+}
+
+// forgery turns a real mid-run state into one no machine may restore:
+// forge tampers g, a live machine restored from that state, and returns
+// its encoding, spliced at the byte level where the forged form is one
+// no live machine can hold (a duplicated key, a listed zero way). It
+// returns errNothingToForge when the state holds nothing to forge.
+// want is a fragment of the error Restore must refuse the result with.
 type forgery struct {
 	name  string
-	forge func(st *MachineState) bool
-	// enc and dec say whether EncodeState and DecodeState still accept
-	// the forged state. Restore refuses every forgery.
-	enc, dec bool
-}
-
-// firstCache returns the first cache state in st, L1s then partitions,
-// that satisfies ok, or nil.
-func firstCache(st *MachineState, ok func(*cache.State) bool) *cache.State {
-	all := slices.Clone(st.L1s)
-	for _, p := range st.Parts {
-		all = append(append(all, p.Banks...), p.Ctr, p.MAC, p.Tree)
-	}
-	for _, c := range all {
-		if c != nil && ok(c) {
-			return c
-		}
-	}
-	return nil
-}
-
-// firstPart returns the first partition state that satisfies ok, or
-// nil.
-func firstPart(st *MachineState, ok func(*PartitionState) bool) *PartitionState {
-	for _, p := range st.Parts {
-		if ok(p) {
-			return p
-		}
-	}
-	return nil
-}
-
-// dupFirst repeats s[0] right after itself.
-func dupFirst[T any](s []T) []T { return slices.Insert(s, 1, s[0]) }
-
-// withLines forges the first cache listing at least n tag-array lines.
-func withLines(n int, forge func(c *cache.State)) func(*MachineState) bool {
-	return func(st *MachineState) bool {
-		c := firstCache(st, func(c *cache.State) bool { return len(c.Lines) >= n })
-		if c != nil {
-			forge(c)
-		}
-		return c != nil
-	}
+	forge func(g *GPU) ([]byte, error)
+	want  string
 }
 
 // stateForgeries are the duplicate keys, unordered keys and impossible
@@ -100,66 +298,114 @@ func withLines(n int, forge func(c *cache.State)) func(*MachineState) bool {
 // once restored silently, into a machine holding one load fewer than
 // its state listed.
 var stateForgeries = []forgery{
-	{name: "duplicate-load", forge: func(st *MachineState) bool {
-		if len(st.Loads) == 0 {
-			return false
+	{name: "duplicate-load", want: "overflows", forge: func(g *GPU) ([]byte, error) {
+		if len(g.loads) == 0 {
+			return nil, errNothingToForge
 		}
-		st.Loads = dupFirst(st.Loads)
-		return true
-	}},
-	{name: "unordered-loads", forge: func(st *MachineState) bool {
-		if len(st.Loads) < 2 {
-			return false
+		b, err := g.Snapshot()
+		if err != nil {
+			return nil, err
 		}
-		st.Loads[0], st.Loads[1] = st.Loads[1], st.Loads[0]
-		return true
+		return loadsList(b).dupFirst(b), nil
 	}},
-	{name: "duplicate-dest", forge: func(st *MachineState) bool {
-		p := firstPart(st, func(p *PartitionState) bool { return len(p.Dests) > 0 })
-		if p != nil {
-			p.Dests = dupFirst(p.Dests)
+	{name: "unordered-loads", want: "overflows", forge: func(g *GPU) ([]byte, error) {
+		if len(g.loads) < 2 {
+			return nil, errNothingToForge
 		}
-		return p != nil
-	}},
-	{name: "duplicate-read", forge: func(st *MachineState) bool {
-		p := firstPart(st, func(p *PartitionState) bool { return len(p.Reads) > 0 })
-		if p != nil {
-			p.Reads = dupFirst(p.Reads)
+		b, err := g.Snapshot()
+		if err != nil {
+			return nil, err
 		}
-		return p != nil
+		l := loadsList(b)
+		k0, k1 := l.keys[0], l.keys[1]
+		e0, e1 := l.elems[0], l.elems[1]
+		return splice(b, span{e0.at, e1.end},
+			uv(k1), b[l.key[1].end:e1.end], uv(k0-k1-1), b[l.key[0].end:e0.end]), nil
 	}},
-	{name: "duplicate-mshr", forge: func(st *MachineState) bool {
-		c := firstCache(st, func(c *cache.State) bool { return len(c.MSHRs) > 0 })
-		if c != nil {
-			c.MSHRs = dupFirst(c.MSHRs)
-		}
-		return c != nil
+	{name: "duplicate-dest", want: "overflows", forge: func(g *GPU) ([]byte, error) {
+		// The planted dest's key gap and kind are zero bytes before
+		// its marked address.
+		return plantAfterFirst(g, func(p *partition) bool {
+			if len(p.dests) == 0 {
+				return false
+			}
+			k := slices.Min(mapKeys(p.dests)) + 1
+			if _, taken := p.dests[k]; taken {
+				return false
+			}
+			p.dests[k] = dest{addr: marker}
+			return true
+		}, 2)
 	}},
-	{name: "duplicate-dir-tag", forge: func(st *MachineState) bool {
-		c := firstCache(st, func(c *cache.State) bool { return len(c.Dir) > 0 })
-		if c != nil {
-			c.Dir = dupFirst(c.Dir)
-		}
-		return c != nil
+	{name: "duplicate-read", want: "overflows", forge: func(g *GPU) ([]byte, error) {
+		return plantAfterFirst(g, func(p *partition) bool {
+			if len(p.reads) == 0 {
+				return false
+			}
+			k := slices.Min(mapKeys(p.reads)) + 1
+			if _, taken := p.reads[k]; taken {
+				return false
+			}
+			p.reads[k] = &readState{id: k, globalAddr: marker}
+			return true
+		}, 1)
 	}},
-	{name: "listed-zero-way", enc: true, forge: withLines(1, func(c *cache.State) {
-		c.Lines[0].WayState = cache.WayState{}
-	})},
-	{name: "line-index-past-end", enc: true, forge: withLines(1, func(c *cache.State) {
-		c.Lines[len(c.Lines)-1].Index = c.NumSets * c.Assoc
-	})},
-	{name: "line-index-repeated", forge: withLines(2, func(c *cache.State) {
-		c.Lines[1].Index = c.Lines[0].Index
-	})},
-	{name: "negative-shape", enc: true, forge: withLines(1, func(c *cache.State) {
-		c.NumSets, c.Assoc = -c.NumSets, -c.Assoc // a positive product
-	})},
-	{name: "shape-mismatch", enc: true, dec: true, forge: withLines(1, func(c *cache.State) {
-		c.NumSets *= 2
-	})},
-	{name: "directory-beside-tag-array", enc: true, forge: withLines(1, func(c *cache.State) {
-		c.Dir = []cache.WayState{{Valid: true, Tag: c.Lines[0].Tag}}
-	})},
+	{name: "duplicate-mshr", want: "overflows", forge: func(g *GPU) ([]byte, error) {
+		return forgeCache(g, func(f *cacheFields) bool { return len(f.mshrs.elems) > 0 },
+			func(b []byte, f *cacheFields) []byte { return f.mshrs.dupFirst(b) })
+	}},
+	{name: "duplicate-dir-tag", want: "overflows", forge: func(g *GPU) ([]byte, error) {
+		return forgeCache(g, func(f *cacheFields) bool { return len(f.dir.elems) > 0 },
+			func(b []byte, f *cacheFields) []byte { return f.dir.dupFirst(b) })
+	}},
+	{name: "listed-zero-way", want: "zero way", forge: func(g *GPU) ([]byte, error) {
+		return forgeCache(g, withLines(1), func(b []byte, f *cacheFields) []byte {
+			// tag, valid, lastUse, rrpv and sectors all zero.
+			return splice(b, span{f.lines.key[0].end, f.lines.elems[0].end}, make([]byte, 5))
+		})
+	}},
+	{name: "line-index-past-end", want: "outside the", forge: func(g *GPU) ([]byte, error) {
+		return forgeCache(g, withLines(1), func(b []byte, f *cacheFields) []byte {
+			last := len(f.lines.keys) - 1
+			next := uint64(0)
+			if last > 0 {
+				next = f.lines.keys[last-1] + 1
+			}
+			return splice(b, f.lines.key[last], uv(uint64(f.sets*f.ways)-next))
+		})
+	}},
+	{name: "line-index-repeated", want: "overflows", forge: func(g *GPU) ([]byte, error) {
+		return forgeCache(g, withLines(2), func(b []byte, f *cacheFields) []byte {
+			return splice(b, f.lines.key[1], wrapped)
+		})
+	}},
+	{name: "negative-shape", want: "sets of", forge: func(g *GPU) ([]byte, error) {
+		return forgeCache(g, withLines(1), func(b []byte, f *cacheFields) []byte {
+			// A positive product.
+			return splice(b, span{f.numSets.at, f.assoc.end}, iv(-int64(f.sets)), iv(-int64(f.ways)))
+		})
+	}},
+	{name: "shape-mismatch", want: "sets of", forge: func(g *GPU) ([]byte, error) {
+		return forgeCache(g, withLines(1), func(b []byte, f *cacheFields) []byte {
+			return splice(b, f.numSets, iv(2*int64(f.sets)))
+		})
+	}},
+	{name: "directory-beside-tag-array", want: "keeps none", forge: func(g *GPU) ([]byte, error) {
+		return forgeCache(g, withLines(1), func(b []byte, f *cacheFields) []byte {
+			// One valid directory line: tag 0, valid, lastUse, rrpv
+			// and sectors.
+			return splice(b, f.dir.count, uv(1), []byte{0, 1, 0, 0, 0})
+		})
+	}},
+}
+
+// mapKeys returns m's keys in no particular order.
+func mapKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 // forgeryBase is the state the forgery tables forge: SecureMem on
@@ -173,45 +419,62 @@ func forgeryBase(t *testing.T) (Config, []byte) {
 	return cfg, captureAt(t, cfg, "srad_v2", 600)[0]
 }
 
-// forged decodes b and applies f, failing the test if the state holds
-// nothing for f to forge.
-func forged(t *testing.T, b []byte, f forgery) *MachineState {
+// forged applies f to a machine restored from b, failing the test if
+// the state holds nothing for f to forge.
+func forged(t *testing.T, cfg Config, b []byte, f forgery) []byte {
 	t.Helper()
-	st, err := DecodeState(b)
+	out, err := f.forge(restored(t, cfg, "srad_v2", b))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", f.name, err)
 	}
-	if !f.forge(st) {
-		t.Fatalf("the state holds nothing for %s to forge", f.name)
-	}
-	return st
+	return out
 }
 
-// Each forgery must fail closed in the codec as the table says, and
-// any input the decoder still accepts must be refused by Restore.
+// Each forgery must be refused, for the reason the table names.
 func TestDecodeStateRejectsForgeries(t *testing.T) {
 	cfg, b := forgeryBase(t)
 	for _, f := range stateForgeries {
 		t.Run(f.name, func(t *testing.T) {
-			st := forged(t, b, f)
-			raw, err := EncodeState(st)
-			if (err == nil) != f.enc {
-				t.Fatalf("EncodeState error %v, want accepted=%v", err, f.enc)
-			}
-			if f.enc && !bytes.Equal(raw, encodeUnchecked(st)) {
-				t.Fatal("EncodeState and the unchecked encoder disagree")
-			}
-			got, err := DecodeState(encodeUnchecked(st))
-			if (err == nil) != f.dec {
-				t.Fatalf("DecodeState error %v, want accepted=%v", err, f.dec)
-			}
-			if err == nil {
-				if err := newGPU(t, cfg, "srad_v2").Restore(got); err == nil {
-					t.Fatal("restored a forged state the decoder accepted")
-				}
-			}
+			refuses(t, cfg, "srad_v2", forged(t, cfg, b, f), f.want)
 		})
 	}
+}
+
+// smFields locates SM 0's scheduler fields in the full state b: each
+// warp's phase, compute count and outstanding count, and the greedy
+// pointer.
+type smFields struct {
+	phase, computeLeft, outstanding []span
+	greedy                          span
+}
+
+func parseSM0(g *GPU, b []byte) (*smFields, error) {
+	p, err := standalone(b, g.sms[0].Walk)
+	if err != nil {
+		return nil, err
+	}
+	var f smFields
+	n := 0
+	p.field(func(d *statecodec.Codec) { d.Len(&n, 1) })
+	for range n {
+		p.int() // iter
+		p.int() // compute instructions
+		p.int() // compute spacing
+		var sectors []uint64
+		p.field(func(d *statecodec.Codec) { d.U64s(&sectors) })
+		p.skip(1) // write
+		p.int()   // active lanes
+		s, _ := p.int()
+		f.phase = append(f.phase, s)
+		s, _ = p.int()
+		f.computeLeft = append(f.computeLeft, s)
+		p.u64() // readyAt
+		s, _ = p.int()
+		f.outstanding = append(f.outstanding, s)
+		p.u64() // lastIssued
+	}
+	f.greedy, _ = p.int()
+	return &f, p.d.Err()
 }
 
 // Restore must reject snapshots from other machines rather than
@@ -220,80 +483,150 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	cfg := SecureMem()
 	cfg.MaxCycles = 2000
 	states := captureAt(t, cfg, "nw", 1000)
-	st, err := DecodeState(states[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := states[0]
 
 	t.Run("wrong-benchmark", func(t *testing.T) {
-		g := newGPU(t, cfg, "lbm")
-		if err := g.Restore(st); err == nil {
-			t.Fatal("restored an nw snapshot into an lbm machine")
-		}
+		refuses(t, cfg, "lbm", b, "benchmark")
 	})
 	t.Run("wrong-config-shape", func(t *testing.T) {
 		base := Baseline()
 		base.MaxCycles = 2000
-		g := newGPU(t, base, "nw")
-		if err := g.Restore(st); err == nil {
+		if err := newGPU(t, base, "nw").Restore(b); err == nil {
 			t.Fatal("restored a secure-memory snapshot into a baseline machine")
 		}
 	})
 	t.Run("wrong-version", func(t *testing.T) {
-		bad, err := DecodeState(states[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad.Version = StateVersion + 1
-		g := newGPU(t, cfg, "nw")
-		if err := g.Restore(bad); err == nil {
-			t.Fatal("restored a snapshot with a foreign StateVersion")
-		}
+		bad := bytes.Clone(b)
+		bad[len(stateMagic)] = StateVersion + 1
+		refuses(t, cfg, "nw", bad, "version")
 	})
 	// Scheduler state no SM can reach. Each of these once restored
 	// cleanly and then panicked the run: an index out of range, or a
 	// completion for a warp that is not blocked.
 	const phaseCompute, phaseBlocked = 0, 2 // smcore's warp phases
+	sm := restored(t, cfg, "nw", b)
+	f, err := parseSM0(sm, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.phase) == 0 {
+		t.Fatal("SM 0 has no warps to forge")
+	}
+	// setWarps writes phase and outstanding count of warps 0..n-1,
+	// last first so earlier spans stay put.
+	setWarps := func(n int, phase, outstanding int64) []byte {
+		out := b
+		for w := n - 1; w >= 0; w-- {
+			out = splice(out, f.outstanding[w], iv(outstanding))
+			out = splice(out, f.phase[w], iv(phase))
+		}
+		return out
+	}
 	for _, c := range []struct {
-		name  string
-		forge func(*smcore.State)
+		name, want string
+		forged     []byte
 	}{
-		{"sm-greedy-negative", func(s *smcore.State) { s.Greedy = -1 }},
-		{"sm-greedy-past-end", func(s *smcore.State) { s.Greedy = len(s.Warps) + 1 }},
-		{"sm-unknown-phase", func(s *smcore.State) { s.Warps[0].Phase = 7 }},
-		{"sm-negative-compute", func(s *smcore.State) { s.Warps[0].ComputeLeft = -1 }},
-		{"sm-blocked-without-loads", func(s *smcore.State) {
-			for w := range s.Warps {
-				s.Warps[w].Phase, s.Warps[w].Outstanding = phaseBlocked, 0
-			}
-		}},
-		{"sm-loads-while-ready", func(s *smcore.State) {
-			s.Warps[0].Phase, s.Warps[0].Outstanding = phaseCompute, 1
-		}},
+		{"sm-greedy-negative", "greedy", splice(b, f.greedy, iv(-1))},
+		{"sm-greedy-past-end", "greedy", splice(b, f.greedy, iv(int64(len(f.phase)+1)))},
+		{"sm-unknown-phase", "unknown phase", splice(b, f.phase[0], iv(7))},
+		{"sm-negative-compute", "negative compute", splice(b, f.computeLeft[0], iv(-1))},
+		{"sm-blocked-without-loads", "outstanding loads", setWarps(len(f.phase), phaseBlocked, 0)},
+		{"sm-loads-while-ready", "outstanding loads", setWarps(1, phaseCompute, 1)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			bad, err := DecodeState(states[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(bad.SMs[0].Warps) == 0 {
-				t.Fatal("SM 0 has no warps to forge")
-			}
-			c.forge(bad.SMs[0])
-			g := newGPU(t, cfg, "nw")
-			if err := g.Restore(bad); err == nil {
-				t.Fatal("restored forged scheduler state")
-			}
+			refuses(t, cfg, "nw", c.forged, c.want)
 		})
 	}
-	// Duplicate or unordered keys and impossible tag arrays, installed
-	// without the codec.
+	// Duplicate or unordered keys and impossible tag arrays.
 	ucfg, ub := forgeryBase(t)
 	for _, f := range stateForgeries {
 		t.Run(f.name, func(t *testing.T) {
-			if err := newGPU(t, ucfg, "srad_v2").Restore(forged(t, ub, f)); err == nil {
+			if err := newGPU(t, ucfg, "srad_v2").Restore(forged(t, ucfg, ub, f)); err == nil {
 				t.Fatalf("restored a state with a %s", f.name)
 			}
+		})
+	}
+}
+
+// Fields a live machine can hold but never reaches, each of which once
+// passed restore and then panicked the resumed run (an index out of
+// range), was silently dropped (an unknown DRAM transaction kind) or
+// left loads and warps out of step. Restore must refuse every one,
+// checked against the machine it fills.
+func TestRestoreRefusesStatesThatPanic(t *testing.T) {
+	cfg := SecureMem()
+	cfg.MaxCycles = 1500
+	b := captureAt(t, cfg, "srad_v2", 1000)[0]
+	firstRead := func(g *GPU) *readState {
+		for _, p := range g.parts {
+			for _, rs := range p.reads {
+				return rs
+			}
+		}
+		t.Fatal("no in-flight read to tamper")
+		return nil
+	}
+	firstLoad := func(g *GPU) uint64 {
+		for tok := range g.loads {
+			return tok
+		}
+		t.Fatal("no outstanding load to tamper")
+		return 0
+	}
+	for _, c := range []struct {
+		name, want string
+		tamper     func(g *GPU)
+	}{
+		{"read-l2-bank", "L2 bank", func(g *GPU) { firstRead(g).l2Bank = 99 }},
+		{"load-sm", "is for SM", func(g *GPU) {
+			tok := firstLoad(g)
+			lr := g.loads[tok]
+			lr.sm = 1000
+			g.loads[tok] = lr
+		}},
+		{"load-warp", "is for SM", func(g *GPU) {
+			tok := firstLoad(g)
+			lr := g.loads[tok]
+			lr.warp = -1
+			g.loads[tok] = lr
+		}},
+		{"dram-kind", "kind -3", func(g *GPU) {
+			g.parts[0].dram.Enqueue(dram.Request{Addr: 256, Bytes: 32, Kind: -3})
+		}},
+		{"dram-bytes", "bytes", func(g *GPU) {
+			g.parts[0].dram.Enqueue(dram.Request{Addr: 256, Bytes: 1 << 20, Kind: int(KindData)})
+		}},
+		{"dest-kind", "kind 77", func(g *GPU) {
+			for tok, d := range g.parts[0].dests {
+				d.kind = 77
+				g.parts[0].dests[tok] = d
+				return
+			}
+			t.Fatal("no DRAM transaction to tamper")
+		}},
+		{"unbalanced-loads", "completions", func(g *GPU) {
+			// One load fewer than its warp awaits: the warp would be
+			// completed by replies for loads no longer tracked, or a
+			// reply would complete a warp that is not blocked.
+			delete(g.loads, firstLoad(g))
+		}},
+		{"dest-kind-without-cache", "never issues", func(g *GPU) {
+			// A key-table fill, which only software encryption issues.
+			for tok := range g.parts[0].dests {
+				g.parts[0].dests[tok] = dest{kind: destKeyFill}
+				return
+			}
+			t.Fatal("no DRAM transaction to tamper")
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := restored(t, cfg, "srad_v2", b)
+			c.tamper(g)
+			forged, err := g.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refuses(t, cfg, "srad_v2", forged, c.want)
 		})
 	}
 }
@@ -310,7 +643,7 @@ func TestCheckpointRefusesUncoveredConfigs(t *testing.T) {
 		t.Fatal("snapshot succeeded with fault injection enabled")
 	}
 	fired := false
-	g.SetCheckpoint(500, func(uint64, *MachineState) { fired = true })
+	g.SetCheckpoint(500, func(uint64, []byte) { fired = true })
 	if _, err := g.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +665,7 @@ func TestCheckpointingIsResultTransparent(t *testing.T) {
 	ck := newGPU(t, cfg, "fdtd2d")
 	// A prime interval lands between fast-forward boundaries on
 	// purpose.
-	ck.SetCheckpoint(1237, func(uint64, *MachineState) {})
+	ck.SetCheckpoint(1237, func(uint64, []byte) {})
 	got, err := ck.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)

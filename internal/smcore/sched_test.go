@@ -3,6 +3,8 @@ package smcore
 import (
 	"reflect"
 	"testing"
+
+	"gpusecmem/internal/statecodec"
 )
 
 // The scheduler keeps its keys in the dense due/last arrays. The
@@ -184,7 +186,8 @@ func (l *lockstep) issuer(now uint64) func(MemIssue) int {
 // TestSchedulerMatchesReference drives seeded random scripts through
 // the SM and through the warpState-scan reference, cycle by cycle, and
 // requires the same picks, counters, wake cycles and warp state — also
-// across a Snapshot/Restore taken mid-run.
+// across a checkpoint walk (encode, then decode into a fresh SM) taken
+// mid-run.
 func TestSchedulerMatchesReference(t *testing.T) {
 	const cycles = 3000
 	for seed := uint64(1); seed <= 12; seed++ {
@@ -197,8 +200,16 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		want := &lockstep{sm: New(0, gen, width), seed: seed}
 		for now := uint64(1); now <= cycles; now++ {
 			if now == restoreAt {
+				enc := statecodec.NewEncoder("SM", 1)
+				got.sm.Walk(enc)
+				b, err := enc.Finish()
+				if err != nil {
+					t.Fatalf("seed %d: encode at cycle %d: %v", seed, now, err)
+				}
 				fresh := New(0, gen, width)
-				if err := fresh.Restore(got.sm.Snapshot()); err != nil {
+				dec := statecodec.NewDecoder(b, "SM", 1)
+				fresh.Walk(dec)
+				if _, err := dec.Finish(); err != nil {
 					t.Fatalf("seed %d: restore at cycle %d: %v", seed, now, err)
 				}
 				got.sm = fresh

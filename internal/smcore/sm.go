@@ -12,7 +12,7 @@
 // concurrency at all.
 package smcore
 
-import "fmt"
+import "gpusecmem/internal/statecodec"
 
 // WarpOp is one generator-produced step of a warp: a batch of compute
 // instructions followed by an optional memory operation.
@@ -88,7 +88,7 @@ type SM struct {
 	// of whole warpStates: due[w] is warps[w].readyAt, or ^uint64(0)
 	// while the warp is blocked, and last[w] is warps[w].lastIssued.
 	// They are derived state: sync refreshes them wherever readyAt,
-	// phase or lastIssued change, and Restore rebuilds them.
+	// phase or lastIssued change, and a decoding Walk rebuilds them.
 	due  []uint64
 	last []uint64
 
@@ -260,101 +260,61 @@ func (s *SM) Counters() (instructions, stalls, memOps uint64, blockedWarps int) 
 	return s.Instructions, s.Stalls, s.MemOps, s.BlockedWarps()
 }
 
-// WarpState mirrors one warp's scheduler state in a checkpoint
-// snapshot. Op is stored verbatim (post-normalization, Sectors
-// deep-copied) so Restore must not re-run loadOp's normalization.
-type WarpState struct {
-	Iter        int
-	Op          WarpOp
-	Phase       int
-	ComputeLeft int
-	ReadyAt     uint64
-	Outstanding int
-	LastIssued  uint64
-}
-
-// State is a complete, detached snapshot of an SM.
-type State struct {
-	Warps        []WarpState
-	Greedy       int
-	Instructions uint64
-	Stalls       uint64
-	MemOps       uint64
-}
-
-// Snapshot captures the SM's full behavioral state. The result shares
-// no memory with the SM (warp Sectors slices are deep-copied).
-func (s *SM) Snapshot() *State {
-	st := &State{
-		Warps:        make([]WarpState, len(s.warps)),
-		Greedy:       s.greedy,
-		Instructions: s.Instructions,
-		Stalls:       s.Stalls,
-		MemOps:       s.MemOps,
-	}
+// Walk encodes or decodes the SM's state for a checkpoint (see
+// statecodec). A warp's op is walked verbatim, already normalized by
+// loadOp, so decoding must not normalize it again. Decoding expects an
+// SM of the same shape (same generator and warp count) and refuses
+// scheduler state no SM can reach, because running it would panic: a
+// greedy pointer out of range, an unknown phase, a negative compute or
+// iteration count, or a warp that awaits completions without being
+// blocked or vice versa. On error the SM is unusable.
+func (s *SM) Walk(c *statecodec.Codec) {
+	c.FixedLen(len(s.warps), "warps")
 	for w := range s.warps {
+		if c.Err() != nil {
+			return
+		}
 		ws := &s.warps[w]
-		op := ws.op
-		op.Sectors = append([]uint64(nil), ws.op.Sectors...)
-		st.Warps[w] = WarpState{
-			Iter:        ws.iter,
-			Op:          op,
-			Phase:       int(ws.phase),
-			ComputeLeft: ws.computeLeft,
-			ReadyAt:     ws.readyAt,
-			Outstanding: ws.outstanding,
-			LastIssued:  ws.lastIssued,
+		c.Int(&ws.iter)
+		c.Int(&ws.op.ComputeInstrs)
+		c.Int(&ws.op.ComputeSpacing)
+		c.U64s(&ws.op.Sectors)
+		c.Bool(&ws.op.Write)
+		c.Int(&ws.op.ActiveLanes)
+		c.Int((*int)(&ws.phase))
+		c.Int(&ws.computeLeft)
+		c.U64(&ws.readyAt)
+		c.Int(&ws.outstanding)
+		c.U64(&ws.lastIssued)
+		if !c.Decoding() {
+			continue
 		}
-	}
-	return st
-}
-
-// Restore replaces the SM's state with a snapshot taken from an SM of
-// identical shape (same generator and warp count). The stored WarpOp
-// is installed verbatim — it was already normalized by loadOp when the
-// snapshot was taken. Scheduler state no SM can reach (a greedy
-// pointer out of range, an unknown phase, a negative compute count, or
-// a warp that awaits completions without being blocked or vice versa)
-// is rejected before anything is installed, because running it would
-// panic.
-func (s *SM) Restore(st *State) error {
-	if len(st.Warps) != len(s.warps) {
-		return fmt.Errorf("smcore: snapshot has %d warps, SM has %d", len(st.Warps), len(s.warps))
-	}
-	if st.Greedy < 0 || st.Greedy > len(st.Warps) {
-		return fmt.Errorf("smcore: snapshot greedy warp %d outside [0, %d]", st.Greedy, len(st.Warps))
-	}
-	for w := range st.Warps {
-		sw := &st.Warps[w]
 		switch {
-		case sw.Phase < int(phaseCompute) || sw.Phase > int(phaseBlocked):
-			return fmt.Errorf("smcore: snapshot warp %d has unknown phase %d", w, sw.Phase)
-		case sw.ComputeLeft < 0:
-			return fmt.Errorf("smcore: snapshot warp %d has negative compute count %d", w, sw.ComputeLeft)
-		case (sw.Outstanding > 0) != (warpPhase(sw.Phase) == phaseBlocked):
-			return fmt.Errorf("smcore: snapshot warp %d has %d outstanding loads in phase %d", w, sw.Outstanding, sw.Phase)
-		}
-	}
-	for w := range st.Warps {
-		sw := &st.Warps[w]
-		op := sw.Op
-		op.Sectors = append([]uint64(nil), sw.Op.Sectors...)
-		s.warps[w] = warpState{
-			iter:        sw.Iter,
-			op:          op,
-			phase:       warpPhase(sw.Phase),
-			computeLeft: sw.ComputeLeft,
-			readyAt:     sw.ReadyAt,
-			outstanding: sw.Outstanding,
-			lastIssued:  sw.LastIssued,
+		case ws.phase < phaseCompute || ws.phase > phaseBlocked:
+			c.Fail("smcore: SM %d warp %d has unknown phase %d", s.id, w, ws.phase)
+		case ws.computeLeft < 0 || ws.iter < 0:
+			c.Fail("smcore: SM %d warp %d has negative compute count %d or iteration %d", s.id, w, ws.computeLeft, ws.iter)
+		case (ws.outstanding > 0) != (ws.phase == phaseBlocked):
+			c.Fail("smcore: SM %d warp %d has %d outstanding loads in phase %d", s.id, w, ws.outstanding, ws.phase)
 		}
 		s.sync(w)
 	}
-	s.greedy = st.Greedy
-	s.Instructions = st.Instructions
-	s.Stalls = st.Stalls
-	s.MemOps = st.MemOps
-	return nil
+	c.Int(&s.greedy)
+	if c.Decoding() && (s.greedy < 0 || s.greedy > len(s.warps)) {
+		c.Fail("smcore: SM %d greedy warp %d outside [0, %d]", s.id, s.greedy, len(s.warps))
+	}
+	c.U64(&s.Instructions)
+	c.U64(&s.Stalls)
+	c.U64(&s.MemOps)
+}
+
+// Awaiting reports how many sector completions warp w waits for: its
+// outstanding count while blocked, else 0.
+func (s *SM) Awaiting(w int) int {
+	if s.warps[w].phase != phaseBlocked {
+		return 0
+	}
+	return s.warps[w].outstanding
 }
 
 // BlockedWarps reports how many warps are waiting on memory.
