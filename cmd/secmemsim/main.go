@@ -32,23 +32,33 @@ import (
 	"gpusecmem/internal/checkpoint"
 )
 
-func schemeConfig(scheme string, aesLatency, engines, metaKB, mshrs int, unified bool) (gpusecmem.Config, error) {
+// schemeConfig resolves scheme's preset and applies the secure-memory
+// knob flags the user set on fs. A flag left at its default never
+// overrides the preset: -scheme unified stays unified although
+// -unified defaults to false.
+func schemeConfig(scheme string, fs *flag.FlagSet) (gpusecmem.Config, error) {
 	cfg, err := gpusecmem.ConfigForScheme(scheme)
-	if err != nil {
+	if err != nil || cfg.Secure.Encryption == gpusecmem.EncNone {
 		return cfg, err
 	}
-	if cfg.Secure.Encryption != gpusecmem.EncNone {
-		cfg.Secure.AESLatency = aesLatency
-		cfg.Secure.AESEngines = engines
-		if metaKB != 0 {
-			if err := cfg.SetMetaCacheKB(metaKB); err != nil {
-				return cfg, err
+	fs.Visit(func(f *flag.Flag) {
+		v := f.Value.(flag.Getter).Get()
+		switch f.Name {
+		case "aes-latency":
+			cfg.Secure.AESLatency = v.(int)
+		case "aes-engines":
+			cfg.Secure.AESEngines = v.(int)
+		case "meta-kb":
+			if kb := v.(int); kb != 0 {
+				err = cfg.SetMetaCacheKB(kb)
 			}
+		case "mshrs":
+			cfg.Secure.MetaMSHRs = v.(int)
+		case "unified":
+			cfg.Secure.Unified = v.(bool)
 		}
-		cfg.Secure.MetaMSHRs = mshrs
-		cfg.Secure.Unified = unified
-	}
-	return cfg, nil
+	})
+	return cfg, err
 }
 
 func main() {
@@ -56,11 +66,6 @@ func main() {
 		bench      = flag.String("bench", "fdtd2d", "benchmark name (Table IV)")
 		scheme     = flag.String("scheme", "ctr_mac_bmt", "baseline|ctr|ctr_bmt|ctr_mac_bmt|direct|direct_mac|direct_mac_mt")
 		cycles     = flag.Uint64("cycles", 60000, "simulated cycles")
-		aesLatency = flag.Int("aes-latency", 40, "AES latency in cycles")
-		engines    = flag.Int("aes-engines", 2, "AES engines per partition")
-		metaKB     = flag.Int("meta-kb", 0, "metadata cache KB per type (0 = scheme default)")
-		mshrs      = flag.Int("mshrs", 64, "MSHRs per metadata cache")
-		unified    = flag.Bool("unified", false, "use a unified metadata cache")
 		faultSpec  = flag.String("faults", "", "fault-injection plan, e.g. seed=1,rate=1e-4,sites=data,meta,drop (empty = none)")
 		audit      = flag.Bool("audit", false, "run per-cycle invariant auditors")
 		watchdog   = flag.Uint64("watchdog", 0, "override watchdog stall threshold in cycles (0 = config default)")
@@ -76,6 +81,13 @@ func main() {
 		ckptDir    = flag.String("checkpoint-dir", "", "persist machine checkpoints in this directory; a rerun resumes from the newest valid one instead of restarting")
 		ckptEvery  = flag.Uint64("checkpoint-every", 5000, "checkpoint interval in cycles (with -checkpoint-dir)")
 	)
+	// The secure-memory knobs override the scheme's preset only when
+	// set (see schemeConfig), so their defaults are never applied.
+	flag.Int("aes-latency", 0, "AES latency in cycles (unset = scheme default)")
+	flag.Int("aes-engines", 0, "AES engines per partition (unset = scheme default)")
+	flag.Int("meta-kb", 0, "metadata cache KB per type (0 or unset = scheme default)")
+	flag.Int("mshrs", 0, "MSHRs per metadata cache (unset = scheme default)")
+	flag.Bool("unified", false, "use a unified metadata cache (unset = scheme default)")
 	flag.Parse()
 
 	if *list {
@@ -90,7 +102,7 @@ func main() {
 		return
 	}
 
-	cfg, err := schemeConfig(*scheme, *aesLatency, *engines, *metaKB, *mshrs, *unified)
+	cfg, err := schemeConfig(*scheme, flag.CommandLine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -166,15 +178,6 @@ func main() {
 		return gpusecmem.SimulateCheckpointed(ctx, cfg, bench, ckpt, *ckptEvery)
 	}
 
-	// The baseline comparison run stays fault-free and unaudited: it is
-	// only there to normalize IPC.
-	base := gpusecmem.BaselineConfig()
-	base.MaxCycles = *cycles
-	base.Shards = *shards
-	bres, err := simulate(base, *bench)
-	if err != nil {
-		fail(err)
-	}
 	res, err := simulate(cfg, *bench)
 	if err != nil {
 		fail(err)
@@ -202,6 +205,18 @@ func main() {
 		return
 	}
 
+	// The baseline comparison run stays fault-free and unaudited: it is
+	// only there to normalize IPC, and only the text report prints it.
+	// A fault-free baseline run is that run already.
+	bres := res
+	if *scheme != "baseline" || plan != nil {
+		base := gpusecmem.BaselineConfig()
+		base.MaxCycles = *cycles
+		base.Shards = *shards
+		if bres, err = simulate(base, *bench); err != nil {
+			fail(err)
+		}
+	}
 	fmt.Printf("benchmark        %s\n", *bench)
 	fmt.Printf("scheme           %s\n", *scheme)
 	fmt.Printf("cycles           %d\n", res.Cycles)

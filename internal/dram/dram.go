@@ -107,10 +107,9 @@ func (s *Stats) addKind(kind, bytes int) {
 type pending struct {
 	req Request
 	// bank is req.Addr's bank, computed once by pendingFor at Enqueue
-	// (and Walk) so the per-cycle scans of Tick and NextEvent do no
-	// division; it packs beside dead, keeping a pending at 48 bytes.
+	// (and Walk) so Tick's per-cycle scan does no division; it packs
+	// into the request's padding, keeping a pending at 48 bytes.
 	bank int32
-	dead bool // tombstone: issued and awaiting compaction
 }
 
 // scanDepth bounds how far past the queue head the FR-FCFS scheduler
@@ -128,10 +127,15 @@ func (c completion) When() uint64 { return c.at3 }
 
 // DRAM is one partition's channel. Drive it with Enqueue and Tick.
 type DRAM struct {
-	cfg       Config
-	queue     []pending
-	head      int // first live entry; issued entries become tombstones
-	live      int
+	cfg Config
+	// queue[head:] holds the waiting requests in age order, with no
+	// gaps: its first scanDepth entries are the FR-FCFS window, the
+	// rest the backlog that enters it as window entries issue.
+	queue []pending
+	head  int
+	// inWin counts the window's requests per bank, so NextEvent reads
+	// the banks rather than the window.
+	inWin     []int32
 	bankBusy3 []uint64
 	bankRow   []uint64
 	busFree3  uint64
@@ -150,6 +154,7 @@ func New(cfg Config) *DRAM {
 	}
 	return &DRAM{
 		cfg:       cfg,
+		inWin:     make([]int32, cfg.Banks),
 		bankBusy3: make([]uint64, cfg.Banks),
 		bankRow:   make([]uint64, cfg.Banks),
 	}
@@ -160,18 +165,26 @@ func (d *DRAM) Enqueue(r Request) {
 	if r.Bytes <= 0 {
 		panic("dram: request with no bytes")
 	}
-	d.queue = append(d.queue, d.pendingFor(r))
-	d.live++
-	if d.live > d.Stats.PeakQueue {
-		d.Stats.PeakQueue = d.live
+	// Slide the live entries to the front instead of growing the array
+	// once issued ones fill at least half of it.
+	if len(d.queue) == cap(d.queue) && 2*d.head >= len(d.queue) {
+		d.queue = d.queue[:copy(d.queue, d.queue[d.head:])]
+		d.head = 0
 	}
+	p := d.pendingFor(r)
+	d.queue = append(d.queue, p)
+	n := d.QueueLen()
+	if n <= scanDepth {
+		d.inWin[p.bank]++
+	}
+	d.Stats.PeakQueue = max(d.Stats.PeakQueue, n)
 }
 
 // QueueLen reports current queue occupancy.
-func (d *DRAM) QueueLen() int { return d.live }
+func (d *DRAM) QueueLen() int { return len(d.queue) - d.head }
 
 // InFlight reports queued plus issued-but-incomplete requests.
-func (d *DRAM) InFlight() int { return d.live + d.compl.Len() }
+func (d *DRAM) InFlight() int { return d.QueueLen() + d.compl.Len() }
 
 // BusyBanks reports how many banks are mid-access at core cycle now —
 // the probe timeline's bank-utilization gauge.
@@ -196,9 +209,11 @@ func (d *DRAM) rowOf(addr uint64) uint64 {
 	return addr >> 12 // 4 KB row granularity
 }
 
-// issue schedules queue[i] at time now3 and removes it from the queue.
+// issue schedules window entry i at time now3 and removes it from the
+// queue; the backlog's oldest request, if any, takes the freed window
+// slot.
 func (d *DRAM) issue(i int, now3 uint64) {
-	p := &d.queue[i]
+	p := &d.queue[d.head+i]
 	r := &p.req
 	bank := p.bank
 	row := d.rowOf(r.Addr)
@@ -236,22 +251,15 @@ func (d *DRAM) issue(i int, now3 uint64) {
 	if r.Token != 0 {
 		d.compl.Push(completion{at3: end3, token: r.Token})
 	}
-	p.dead = true
-	d.live--
-	for d.head < len(d.queue) && d.queue[d.head].dead {
-		d.head++
+	// Close the gap by moving the older entries up one slot.
+	copy(d.queue[d.head+1:d.head+i+1], d.queue[d.head:d.head+i])
+	d.head++
+	d.inWin[bank]--
+	if d.QueueLen() >= scanDepth {
+		d.inWin[d.queue[d.head+scanDepth-1].bank]++
 	}
-	// Compact once tombstones dominate (mid-queue ones accumulate when
-	// FR-FCFS issues out of order).
-	if dead := len(d.queue) - d.head - d.live; d.head+dead > 4096 && (d.head+dead)*2 > len(d.queue) {
-		out := d.queue[:0]
-		for _, p := range d.queue[d.head:] {
-			if !p.dead {
-				out = append(out, p)
-			}
-		}
-		d.queue = out
-		d.head = 0
+	if d.head == len(d.queue) {
+		d.queue, d.head = d.queue[:0], 0
 	}
 }
 
@@ -267,13 +275,9 @@ func (d *DRAM) Tick(now uint64) []uint64 {
 	// banks; second pass takes the oldest request on any free bank.
 	for issued := 0; issued < d.cfg.MaxIssuePerCycle; issued++ {
 		pick := -1
-		seen := 0
-		for i := d.head; i < len(d.queue) && seen < scanDepth; i++ {
-			p := &d.queue[i]
-			if p.dead {
-				continue
-			}
-			seen++
+		win := d.queue[d.head:min(len(d.queue), d.head+scanDepth)]
+		for i := range win {
+			p := &win[i]
 			if d.bankBusy3[p.bank] > now3 {
 				continue
 			}
@@ -303,9 +307,9 @@ func (d *DRAM) Tick(now uint64) []uint64 {
 // assuming no Enqueue happens in between. ^uint64(0) means the channel
 // is fully drained.
 //
-// The estimate is a lower bound by construction: it scans the same
-// scanDepth issue window as Tick and takes the earliest bank-free time
-// among those candidates plus the earliest completion. It may
+// The estimate is a lower bound by construction: it takes the earliest
+// bank-free time among the banks that hold a request of Tick's
+// scanDepth window (inWin), plus the earliest completion. It may
 // undershoot (a Tick at the returned cycle may still find nothing
 // issuable, e.g. when MaxIssuePerCycle arbitration defers a request),
 // which costs a no-op tick; it never overshoots, which would skip real
@@ -315,18 +319,9 @@ func (d *DRAM) NextEvent(now uint64) uint64 {
 	if d.compl.Len() > 0 {
 		next = (d.compl.Min().at3 + 2) / 3 // first cycle with at3 <= now*3
 	}
-	if d.live > 0 {
-		seen := 0
-		for i := d.head; i < len(d.queue) && seen < scanDepth; i++ {
-			p := &d.queue[i]
-			if p.dead {
-				continue
-			}
-			seen++
-			t := (d.bankBusy3[p.bank] + 2) / 3
-			if t < next {
-				next = t
-			}
+	for b, n := range d.inWin {
+		if n > 0 {
+			next = min(next, (d.bankBusy3[b]+2)/3)
 		}
 	}
 	if next <= now && next != ^uint64(0) {
@@ -336,4 +331,4 @@ func (d *DRAM) NextEvent(now uint64) uint64 {
 }
 
 // Drained reports whether no work remains.
-func (d *DRAM) Drained() bool { return d.live == 0 && d.compl.Len() == 0 }
+func (d *DRAM) Drained() bool { return d.QueueLen() == 0 && d.compl.Len() == 0 }

@@ -204,7 +204,7 @@ func TestPeakQueue(t *testing.T) {
 }
 
 // A queue entry carries its precomputed bank in the padding after the
-// request, so the scans of Tick and NextEvent stay at 48 bytes an
+// request, so Tick's window scan and issue's shifts move 48 bytes an
 // entry; a wider entry measurably raised a long run's peak RSS.
 func TestPendingPacks(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -222,5 +222,22 @@ func BenchmarkDRAMTick(b *testing.B) {
 			d.Enqueue(Request{Addr: uint64(i) * 32, Bytes: 32, Token: uint64(i + 1)})
 		}
 		d.Tick(uint64(i))
+	}
+}
+
+// BenchmarkDRAMTickDeep holds the queue at 120 requests spread over all
+// banks and a few rows each (a long run's average depth is about 122),
+// so every Tick and NextEvent works against a full window and a
+// backlog.
+func BenchmarkDRAMTickDeep(b *testing.B) {
+	d := New(DefaultConfig())
+	x := uint64(1)
+	for i := 0; i < b.N; i++ {
+		for d.QueueLen() < 120 {
+			x = x*6364136223846793005 + 1442695040888963407
+			d.Enqueue(Request{Addr: x>>62<<12 | x>>58&15<<8, Bytes: 32, Token: x | 1})
+		}
+		d.Tick(uint64(i))
+		d.NextEvent(uint64(i))
 	}
 }

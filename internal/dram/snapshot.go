@@ -1,12 +1,11 @@
 package dram
 
-// Checkpointing (DESIGN.md §14). Tombstoned queue entries are left
-// out: the FR-FCFS scheduler and NextEvent skip dead entries and count
-// only live ones against the scan window, so a queue rebuilt from the
-// live entries in order behaves identically to the original
-// (compaction thresholds differ, but compaction is invisible to
-// scheduling). The completion heap is walked in raw heap layout so
-// equal-time completions keep their pop order (see eventq.Queue.Heap).
+// Checkpointing (DESIGN.md §14). The waiting requests are walked in
+// age order, the FR-FCFS window first and then the backlog; a decode
+// rebuilds the queue from them at the array's front and recounts the
+// window's banks (inWin), derived state the wire does not carry. The
+// completion heap is walked in raw heap layout so equal-time
+// completions keep their pop order (see eventq.Queue.Heap).
 
 import (
 	"slices"
@@ -19,18 +18,16 @@ import (
 // foreign bank count, a request of no bytes or more than maxBytes, and
 // a traffic kind outside [0, kinds); on error the channel is unusable.
 func (d *DRAM) Walk(c *statecodec.Codec, kinds, maxBytes int) {
-	n := d.live
+	n := d.QueueLen()
 	c.Len(&n, 5) // addr, bytes, write, token, kind
 	if c.Decoding() {
 		d.queue = slices.Grow(d.queue[:0], n)[:n]
 		clear(d.queue)
-		d.head, d.live = 0, n
+		d.head = 0
+		clear(d.inWin)
 	}
 	for i := d.head; i < len(d.queue); i++ {
 		p := &d.queue[i]
-		if p.dead {
-			continue
-		}
 		r := &p.req
 		c.U64(&r.Addr)
 		c.Int(&r.Bytes)
@@ -45,6 +42,9 @@ func (d *DRAM) Walk(c *statecodec.Codec, kinds, maxBytes int) {
 				c.Fail("dram: queued request of kind %d, want 0..%d", r.Kind, kinds-1)
 			}
 			*p = d.pendingFor(*r)
+			if i < scanDepth {
+				d.inWin[p.bank]++
+			}
 		}
 	}
 	c.FixedU64s(d.bankBusy3, "bank busy times")
