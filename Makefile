@@ -95,8 +95,10 @@ audit:
 	$(GO) test -run 'TestAuditorsPassOnCatalogue|TestWatchdog' ./internal/sim
 	$(GO) run ./cmd/experiments -exp fig3 -cycles 8000 -audit -progress > /dev/null
 
-## fuzz: short fuzzing smoke over the secmem codecs, the XEX direct cipher and the machine-state decoder
+## fuzz: short fuzzing smoke over the secmem codecs, the XEX direct
+## cipher, the machine-state decoder and the run-knob query decoder
 fuzz:
 	$(GO) test -run Fuzz -fuzz FuzzCounterModeRoundTrip -fuzztime 10s ./internal/secmem
 	$(GO) test -run Fuzz -fuzz FuzzDirectCipherRoundTrip -fuzztime 10s ./internal/crypto
 	$(GO) test -run Fuzz -fuzz FuzzDecodeState -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+	$(GO) test -run Fuzz -fuzz FuzzRunQuery -fuzztime 10s .

@@ -68,7 +68,7 @@ func stampFor(expID string, cycles uint64, benchmarks, format string) string {
 func main() {
 	var (
 		exp        = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		cycles     = flag.Uint64("cycles", 24000, "simulated cycles per run")
+		cycles     = flag.Uint64("cycles", gpusecmem.DefaultCycles, "simulated cycles per run")
 		benchmarks = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all of Table IV)")
 		format     = flag.String("format", "text", "output format: text|csv|md")
 		outDir     = flag.String("out", "", "write one file per experiment into this directory instead of stdout")

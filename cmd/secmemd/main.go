@@ -12,6 +12,10 @@
 //	curl localhost:8080/healthz
 //	curl localhost:8080/metrics
 //
+// The /api/run query keys are gpusecmem's knob table, shared with
+// secmemsim's flags: scheme, bench, cycles, aes-latency, aes-engines,
+// meta-kb, mshrs, unified and audit.
+//
 // Every request is logged (one structured line via log/slog; pick
 // -log-format json for machine ingestion, -log-level debug to include
 // scrape routes) and tagged with a trace ID that appears on the

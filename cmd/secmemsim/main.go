@@ -1,6 +1,8 @@
 // Command secmemsim runs one benchmark on one secure-memory
 // configuration and prints the full statistics — the low-level tool
-// behind the experiment harness.
+// behind the experiment harness. Its run flags (-scheme, -bench, -cycles,
+// the secure-memory knobs and -audit) are gpusecmem's knob table, the
+// one secmemd's /api/run decodes.
 //
 // Usage:
 //
@@ -32,42 +34,11 @@ import (
 	"gpusecmem/internal/checkpoint"
 )
 
-// schemeConfig resolves scheme's preset and applies the secure-memory
-// knob flags the user set on fs. A flag left at its default never
-// overrides the preset: -scheme unified stays unified although
-// -unified defaults to false.
-func schemeConfig(scheme string, fs *flag.FlagSet) (gpusecmem.Config, error) {
-	cfg, err := gpusecmem.ConfigForScheme(scheme)
-	if err != nil || cfg.Secure.Encryption == gpusecmem.EncNone {
-		return cfg, err
-	}
-	fs.Visit(func(f *flag.Flag) {
-		v := f.Value.(flag.Getter).Get()
-		switch f.Name {
-		case "aes-latency":
-			cfg.Secure.AESLatency = v.(int)
-		case "aes-engines":
-			cfg.Secure.AESEngines = v.(int)
-		case "meta-kb":
-			if kb := v.(int); kb != 0 {
-				err = cfg.SetMetaCacheKB(kb)
-			}
-		case "mshrs":
-			cfg.Secure.MetaMSHRs = v.(int)
-		case "unified":
-			cfg.Secure.Unified = v.(bool)
-		}
-	})
-	return cfg, err
-}
-
 func main() {
+	args := gpusecmem.RunArgs{}
+	args.BindFlags(flag.CommandLine)
 	var (
-		bench      = flag.String("bench", "fdtd2d", "benchmark name (Table IV)")
-		scheme     = flag.String("scheme", "ctr_mac_bmt", "baseline|ctr|ctr_bmt|ctr_mac_bmt|direct|direct_mac|direct_mac_mt")
-		cycles     = flag.Uint64("cycles", 60000, "simulated cycles")
 		faultSpec  = flag.String("faults", "", "fault-injection plan, e.g. seed=1,rate=1e-4,sites=data,meta,drop (empty = none)")
-		audit      = flag.Bool("audit", false, "run per-cycle invariant auditors")
 		watchdog   = flag.Uint64("watchdog", 0, "override watchdog stall threshold in cycles (0 = config default)")
 		shards     = flag.Int("shards", 0, "shard goroutines advancing the memory partitions (0/1 = inline on one goroutine; results are bit-identical)")
 		asJSON     = flag.Bool("json", false, "emit the result as JSON")
@@ -81,13 +52,6 @@ func main() {
 		ckptDir    = flag.String("checkpoint-dir", "", "persist machine checkpoints in this directory; a rerun resumes from the newest valid one instead of restarting")
 		ckptEvery  = flag.Uint64("checkpoint-every", 5000, "checkpoint interval in cycles (with -checkpoint-dir)")
 	)
-	// The secure-memory knobs override the scheme's preset only when
-	// set (see schemeConfig), so their defaults are never applied.
-	flag.Int("aes-latency", 0, "AES latency in cycles (unset = scheme default)")
-	flag.Int("aes-engines", 0, "AES engines per partition (unset = scheme default)")
-	flag.Int("meta-kb", 0, "metadata cache KB per type (0 or unset = scheme default)")
-	flag.Int("mshrs", 0, "MSHRs per metadata cache (unset = scheme default)")
-	flag.Bool("unified", false, "use a unified metadata cache (unset = scheme default)")
 	flag.Parse()
 
 	if *list {
@@ -102,13 +66,12 @@ func main() {
 		return
 	}
 
-	cfg, err := schemeConfig(*scheme, flag.CommandLine)
+	run, err := args.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg.MaxCycles = *cycles
-	cfg.Audit = *audit
+	cfg := run.Config
 	cfg.Shards = *shards
 	if *watchdog > 0 {
 		cfg.WatchdogCycles = *watchdog
@@ -178,7 +141,7 @@ func main() {
 		return gpusecmem.SimulateCheckpointed(ctx, cfg, bench, ckpt, *ckptEvery)
 	}
 
-	res, err := simulate(cfg, *bench)
+	res, err := simulate(cfg, run.Benchmark)
 	if err != nil {
 		fail(err)
 	}
@@ -209,16 +172,16 @@ func main() {
 	// only there to normalize IPC, and only the text report prints it.
 	// A fault-free baseline run is that run already.
 	bres := res
-	if *scheme != "baseline" || plan != nil {
+	if run.Scheme != "baseline" || plan != nil {
 		base := gpusecmem.BaselineConfig()
-		base.MaxCycles = *cycles
+		base.MaxCycles = cfg.MaxCycles
 		base.Shards = *shards
-		if bres, err = simulate(base, *bench); err != nil {
+		if bres, err = simulate(base, run.Benchmark); err != nil {
 			fail(err)
 		}
 	}
-	fmt.Printf("benchmark        %s\n", *bench)
-	fmt.Printf("scheme           %s\n", *scheme)
+	fmt.Printf("benchmark        %s\n", run.Benchmark)
+	fmt.Printf("scheme           %s\n", run.Scheme)
 	fmt.Printf("cycles           %d\n", res.Cycles)
 	fmt.Printf("IPC              %.2f (baseline %.2f, normalized %.3f)\n",
 		res.IPC(), bres.IPC(), res.NormalizedIPC(bres))

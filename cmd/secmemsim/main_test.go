@@ -107,3 +107,28 @@ func TestBaselineSchemeNormalizesToOne(t *testing.T) {
 		t.Fatalf("baseline run not normalized to itself:\n%s", out)
 	}
 }
+
+// TestHelpNamesEveryScheme: the -scheme help lists every SchemeNames()
+// entry, so -h never hides a scheme the command accepts.
+func TestHelpNamesEveryScheme(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "SECMEMSIM_ARGS=-h")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("secmemsim -h: %v\n%s", err, out)
+	}
+	_, help, ok := strings.Cut(string(out), "  -scheme ")
+	if !ok {
+		t.Fatalf("secmemsim -h has no -scheme flag:\n%s", out)
+	}
+	help, _, _ = strings.Cut(help, "\n  -") // up to the next flag
+	listed := map[string]bool{}
+	for _, w := range strings.FieldsFunc(help, func(r rune) bool { return strings.ContainsRune(" \t\n|:()", r) }) {
+		listed[w] = true
+	}
+	for _, s := range gpusecmem.SchemeNames() {
+		if !listed[s] {
+			t.Errorf("secmemsim -h does not list scheme %s in:\n%s", s, help)
+		}
+	}
+}

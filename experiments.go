@@ -25,9 +25,9 @@ import (
 
 // Options controls how experiments run.
 type Options struct {
-	// Cycles per simulation (default 24000). The paper simulates 4M
-	// cycles; the workloads here reach steady state within a few
-	// thousand, so shorter windows preserve the comparisons.
+	// Cycles per simulation (default DefaultCycles). The paper
+	// simulates 4M cycles; the workloads here reach steady state within
+	// a few thousand, so shorter windows preserve the comparisons.
 	Cycles uint64
 	// Benchmarks to include (default: all of Table IV).
 	Benchmarks []string
@@ -47,7 +47,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Cycles == 0 {
-		o.Cycles = 24000
+		o.Cycles = DefaultCycles
 	}
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = Benchmarks()
@@ -549,10 +549,14 @@ func cfgCtrBMT() Config {
 
 // --- The per-benchmark normalized-IPC table shared by most figures ---
 
-func normalizedIPCTable(c *Context, title string, schemes []struct {
+// A namedConfig is one configuration a figure compares, under its
+// column label.
+type namedConfig struct {
 	Name string
 	Cfg  Config
-}) *report.Table {
+}
+
+func normalizedIPCTable(c *Context, title string, schemes []namedConfig) *report.Table {
 	headers := append([]string{"benchmark"}, func() []string {
 		out := make([]string, len(schemes))
 		for i, s := range schemes {
@@ -725,10 +729,7 @@ func expFig3() Experiment {
 		PaperFinding: "secureMem -65.9% gmean (up to -91% for lbm); 0_crypto does not help; perf/large metadata caches recover to ~baseline",
 		Run: func(c *Context) []*report.Table {
 			return []*report.Table{normalizedIPCTable(c, "Fig 3: normalized IPC (counter mode + BMT)",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"secureMem", cfgSecureNoMSHR()},
 					{"0_crypto", cfgZeroCrypto()},
 					{"perf_mdc", cfgPerfMdc()},
@@ -799,15 +800,9 @@ func expFig6() Experiment {
 		Title:        "Fig 6: Normalized IPC vs metadata-cache MSHR count",
 		PaperFinding: "64 MSHRs per metadata cache is the sweet spot of performance vs cost",
 		Run: func(c *Context) []*report.Table {
-			var schemes []struct {
-				Name string
-				Cfg  Config
-			}
+			var schemes []namedConfig
 			for _, n := range []int{0, 8, 16, 32, 64, 128} {
-				schemes = append(schemes, struct {
-					Name string
-					Cfg  Config
-				}{fmt.Sprintf("mshr_%d", n), cfgMSHR(n)})
+				schemes = append(schemes, namedConfig{fmt.Sprintf("mshr_%d", n), cfgMSHR(n)})
 			}
 			return []*report.Table{normalizedIPCTable(c, "Fig 6: normalized IPC vs MSHRs", schemes)}
 		},
@@ -820,15 +815,9 @@ func expFig7() Experiment {
 		Title:        "Fig 7: Normalized IPC vs metadata cache size",
 		PaperFinding: "even 64KB/type (6MB total) leaves 46.17% average degradation; kmeans/srad_v2/lbm stay >65% slower",
 		Run: func(c *Context) []*report.Table {
-			var schemes []struct {
-				Name string
-				Cfg  Config
-			}
+			var schemes []namedConfig
 			for _, kb := range []int{2, 4, 8, 16, 32, 64} {
-				schemes = append(schemes, struct {
-					Name string
-					Cfg  Config
-				}{fmt.Sprintf("%dKB", kb), cfgMetaSize(kb)})
+				schemes = append(schemes, namedConfig{fmt.Sprintf("%dKB", kb), cfgMetaSize(kb)})
 			}
 			return []*report.Table{normalizedIPCTable(c, "Fig 7: normalized IPC vs metadata cache size", schemes)}
 		},
@@ -842,10 +831,7 @@ func expFig8() Experiment {
 		PaperFinding: "separate metadata caches outperform a same-capacity unified cache on GPUs (opposite of CPUs)",
 		Run: func(c *Context) []*report.Table {
 			return []*report.Table{normalizedIPCTable(c, "Fig 8: unified vs separate metadata caches",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"separate", SecureMemConfig()},
 					{"unified", cfgUnified()},
 				})}
@@ -940,10 +926,7 @@ func expFig12() Experiment {
 		PaperFinding: "one pipelined AES engine per partition is enough; metadata traffic, not AES throughput, is the bottleneck",
 		Run: func(c *Context) []*report.Table {
 			return []*report.Table{normalizedIPCTable(c, "Fig 12: AES engines per partition",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"1 engine", cfgEngines(1)},
 					{"2 engines", cfgEngines(2)},
 				})}
@@ -997,15 +980,9 @@ func expFig13() Experiment {
 		Title:        "Fig 13: Normalized IPC with reduced L2 capacities (secureMem)",
 		PaperFinding: "a few medium-intensive benchmarks are L2-sensitive; compute- and fully-streaming ones are not",
 		Run: func(c *Context) []*report.Table {
-			var schemes []struct {
-				Name string
-				Cfg  Config
-			}
+			var schemes []namedConfig
 			for _, mb := range []int{4096, 4608, 5120, 5632, 6144} {
-				schemes = append(schemes, struct {
-					Name string
-					Cfg  Config
-				}{fmt.Sprintf("%.1fMB", float64(mb)/1024), cfgL2(mb, true)})
+				schemes = append(schemes, namedConfig{fmt.Sprintf("%.1fMB", float64(mb)/1024), cfgL2(mb, true)})
 			}
 			return []*report.Table{normalizedIPCTable(c, "Fig 13: secureMem IPC vs L2 capacity", schemes)}
 		},
@@ -1035,10 +1012,7 @@ func expFig15() Experiment {
 		PaperFinding: "slowdowns of only 1.33% / 3.02% / 5.93% at 40/80/160 cycles; >10% for b+tree, nw, streamcluster at 160",
 		Run: func(c *Context) []*report.Table {
 			return []*report.Table{normalizedIPCTable(c, "Fig 15: direct encryption latency sweep",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"direct_40", cfgDirect(40)},
 					{"direct_80", cfgDirect(80)},
 					{"direct_160", cfgDirect(160)},
@@ -1054,10 +1028,7 @@ func expFig16() Experiment {
 		PaperFinding: "counter mode without integrity already costs 33.06% (66.44% for lbm); +BMT raises it to 43.94%; direct is near-free",
 		Run: func(c *Context) []*report.Table {
 			return []*report.Table{normalizedIPCTable(c, "Fig 16: direct vs counter-mode encryption",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"direct_40", cfgDirect(40)},
 					{"ctr", cfgCtr()},
 					{"ctr_bmt", cfgCtrBMT()},
@@ -1073,10 +1044,7 @@ func expFig17() Experiment {
 		PaperFinding: "direct_mac -42.65% beats ctr_mac_bmt -63.45%; direct_mac_mt is worst at -71.87% (taller tree)",
 		Run: func(c *Context) []*report.Table {
 			return []*report.Table{normalizedIPCTable(c, "Fig 17: integrity protection designs",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"ctr_mac_bmt", SecureMemConfig()},
 					{"direct_mac", DirectMemConfig(40, true, false)},
 					{"direct_mac_mt", DirectMemConfig(40, true, true)},
@@ -1105,10 +1073,7 @@ func ablationBenchmarks(c *Context) []string {
 	return out
 }
 
-func ablationTable(c *Context, title string, schemes []struct {
-	Name string
-	Cfg  Config
-}) *report.Table {
+func ablationTable(c *Context, title string, schemes []namedConfig) *report.Table {
 	headers := append([]string{"benchmark"}, func() []string {
 		out := make([]string, len(schemes))
 		for i, s := range schemes {
@@ -1139,10 +1104,7 @@ func expAblationMergeCap() Experiment {
 			small.Secure.MergeCapMAC = 8
 			small.Secure.MergeCapTree = 8
 			return []*report.Table{ablationTable(c, "Ablation: MSHR merge capacity",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"cap 512/64/64", SecureMemConfig()},
 					{"cap 8/8/8", small},
 				})}
@@ -1159,10 +1121,7 @@ func expAblationAllocPolicy() Experiment {
 			aom := SecureMemConfig()
 			aom.Secure.AllocOnFill = false
 			return []*report.Table{ablationTable(c, "Ablation: metadata cache allocation policy",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"allocate-on-fill", SecureMemConfig()},
 					{"allocate-on-miss", aom},
 				})}
@@ -1179,10 +1138,7 @@ func expAblationSpecVerify() Experiment {
 			blocking := SecureMemConfig()
 			blocking.Secure.SpeculativeVerify = false
 			return []*report.Table{ablationTable(c, "Ablation: verification policy",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"speculative", SecureMemConfig()},
 					{"blocking", blocking},
 				})}
@@ -1199,10 +1155,7 @@ func expAblationLazyUpdate() Experiment {
 			eager := SecureMemConfig()
 			eager.Secure.LazyTreeUpdate = false
 			return []*report.Table{ablationTable(c, "Ablation: tree update policy",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"lazy", SecureMemConfig()},
 					{"eager", eager},
 				})}
@@ -1249,10 +1202,7 @@ func expExtSmartUnified() Experiment {
 				return cfg
 			}
 			return []*report.Table{normalizedIPCTable(c, "Extension: unified metadata cache replacement policies",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"separate (lru)", SecureMemConfig()},
 					{"unified lru", mkUnified(cache.PolicyLRU)},
 					{"unified srrip", mkUnified(cache.PolicySRRIP)},
@@ -1276,10 +1226,7 @@ func expExtSelective() Experiment {
 				return cfg
 			}
 			return []*report.Table{normalizedIPCTable(c, "Extension: fraction of memory protected (ctr_mac_bmt)",
-				[]struct {
-					Name string
-					Cfg  Config
-				}{
+				[]namedConfig{
 					{"100%", mk(1.0)},
 					{"50%", mk(0.5)},
 					{"25%", mk(0.25)},
@@ -1298,10 +1245,7 @@ func expExtFaultCoverage() Experiment {
 			"corruption — coverage falls as protection layers are removed",
 		Run: func(c *Context) []*report.Table {
 			plan := &faults.Plan{Seed: 0xfa17, Rate: 5e-3, Sites: faults.FlipSites}
-			levels := []struct {
-				Name string
-				Cfg  Config
-			}{
+			levels := []namedConfig{
 				{"baseline (no protection)", BaselineConfig()},
 				{"ctr (encryption only)", schemes["ctr"]()},
 				{"ctr_bmt (no data MACs)", schemes["ctr_bmt"]()},
@@ -1400,10 +1344,7 @@ func expExtLatency() Experiment {
 			"traffic, not AES latency — attribution shows metadata cycles dwarf AES cycles " +
 			"for ctr_mac_bmt on memory-bound workloads",
 		Run: func(c *Context) []*report.Table {
-			levels := []struct {
-				Name string
-				Cfg  Config
-			}{
+			levels := []namedConfig{
 				{"baseline", BaselineConfig()},
 				{"ctr", schemes["ctr"]()},
 				{"ctr_bmt", schemes["ctr_bmt"]()},
@@ -1480,10 +1421,7 @@ func expExtDesignspace() Experiment {
 			"memory traffic and critical-path serialization, not cipher strength — scattered's " +
 			"k-way fan-out behaves like a bandwidth tax, software crypto like a latency wall",
 		Run: func(c *Context) []*report.Table {
-			families := []struct {
-				Name string
-				Cfg  Config
-			}{
+			families := []namedConfig{
 				{"ctr_mac_bmt", SecureMemConfig()},
 				{"direct_mac_mt", schemes["direct_mac_mt"]()},
 				{"scattered_k2", ScatteredMemConfig(2)},

@@ -72,11 +72,11 @@ func clusterRunKey(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _, bench, err := parseRunConfig(q)
+	run, err := gpusecmem.ResolveQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gpusecmem.RunKey(cfg, bench)
+	return gpusecmem.RunKey(run.Config, run.Benchmark)
 }
 
 // pickOwnerNonOwner maps two member URLs onto (owner, nonOwner) for the
@@ -143,11 +143,11 @@ func TestClusterForwardByteIdentity(t *testing.T) {
 	}
 
 	q, _ := url.ParseQuery(clusterRunQuery)
-	cfg, _, bench, err := parseRunConfig(q)
+	run, err := gpusecmem.ResolveQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := gpusecmem.Simulate(cfg, bench)
+	direct, err := gpusecmem.Simulate(run.Config, run.Benchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +282,11 @@ func TestClusterCancelledForwardKeepsOwnerUp(t *testing.T) {
 	ls, urls := reserveListeners(t, 2)
 	const slowQuery = "bench=lbm&scheme=ctr_mac_bmt&cycles=200000"
 	q, _ := url.ParseQuery(slowQuery)
-	cfg, _, bench, err := parseRunConfig(q)
+	run, err := gpusecmem.ResolveQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ownerIdx, otherIdx := pickOwnerNonOwner(t, gpusecmem.RunKey(cfg, bench), urls)
+	ownerIdx, otherIdx := pickOwnerNonOwner(t, gpusecmem.RunKey(run.Config, run.Benchmark), urls)
 
 	nodes := make([]*Server, 2)
 	handled := make(chan struct{})

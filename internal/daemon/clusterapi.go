@@ -8,7 +8,6 @@ package daemon
 // lets another node write into this node's stores.
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 
@@ -17,8 +16,8 @@ import (
 )
 
 // handleCluster reports membership and per-peer health, and — when the
-// query also names a run (same knobs as /api/run) — where that key
-// lives: its digest, its owner, and whether the owner is up.
+// query sets any /api/run knob, decoded by the same table — where that
+// run's key lives: its digest, its owner, and whether the owner is up.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	cl := s.cfg.Cluster
 	if cl == nil {
@@ -29,27 +28,20 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		"self":  cl.Self(),
 		"nodes": cl.StatusAll(),
 	}
-	if q := r.URL.Query(); q.Get("scheme") != "" || q.Get("bench") != "" {
-		cfg, _, bench, err := parseRunConfig(q)
+	if q := r.URL.Query(); len(q) > 0 {
+		run, err := gpusecmem.ResolveQuery(q)
 		if err != nil {
 			httpError(w, r, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if !validBenchmark(bench) {
-			httpError(w, r, http.StatusBadRequest, "unknown benchmark %q (see /api/catalogue)", bench)
-			return
-		}
-		key := gpusecmem.RunKey(cfg, bench)
+		key := gpusecmem.RunKey(run.Config, run.Benchmark)
 		owner, self := cl.Owner(key)
 		payload["key"] = runner.KeyDigest(key)
 		payload["owner"] = owner
 		payload["owner_self"] = self
 		payload["owner_up"] = cl.Up(owner)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(payload)
+	writeJSON(w, payload)
 }
 
 // proxyResponse streams a forwarded peer's response back to the

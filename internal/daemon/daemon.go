@@ -17,6 +17,10 @@
 //	GET /metrics                   Prometheus text-format exposition
 //	GET /progress, /debug/...      the sweep debug layer (expvar, pprof)
 //
+// The run knobs of /api/run and /api/cluster, and /api/experiment's
+// cycles and audit, are gpusecmem's knob table (gpusecmem.ResolveQuery),
+// the same one secmemsim's flags bind; any other /api/run key is a 400.
+//
 // Admission is bounded: at most Workers simulations run concurrently
 // and at most QueueDepth more wait; beyond that requests are rejected
 // immediately with 429 and a Retry-After hint, so a burst degrades to
@@ -57,6 +61,7 @@
 package daemon
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -65,7 +70,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -301,6 +305,14 @@ func httpError(w http.ResponseWriter, r *http.Request, code int, format string, 
 	json.NewEncoder(w).Encode(payload)
 }
 
+// writeJSON answers with v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
 // admit claims a simulation slot, or answers the request itself (429
 // on a full queue, 503 after Abort) and reports ok=false. On ok the
 // caller runs with release deferred and a context that dies with the
@@ -423,10 +435,7 @@ func (s *Server) handleCatalogue(w http.ResponseWriter, r *http.Request) {
 	for _, e := range exps {
 		ces = append(ces, catalogueExperiment{ID: e.ID, Title: e.Title, PaperFinding: e.PaperFinding})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(map[string]any{
+	writeJSON(w, map[string]any{
 		"benchmarks":  gpusecmem.Benchmarks(),
 		"schemes":     gpusecmem.SchemeNames(),
 		"experiments": ces,
@@ -451,69 +460,6 @@ type runResponse struct {
 	Result    json.RawMessage `json:"result"`
 }
 
-// parseRunConfig resolves the /api/run query into a validated Config.
-// It accepts the same knobs as the secmemsim CLI.
-func parseRunConfig(q url.Values) (cfg gpusecmem.Config, scheme, bench string, err error) {
-	get := func(key, def string) string {
-		if v := q.Get(key); v != "" {
-			return v
-		}
-		return def
-	}
-	scheme = get("scheme", "ctr_mac_bmt")
-	bench = get("bench", "fdtd2d")
-	cfg, err = gpusecmem.ConfigForScheme(scheme)
-	if err != nil {
-		return cfg, scheme, bench, err
-	}
-	intArg := func(key string, def int) int {
-		if err != nil {
-			return def
-		}
-		v := get(key, "")
-		if v == "" {
-			return def
-		}
-		n, perr := strconv.Atoi(v)
-		if perr != nil {
-			err = fmt.Errorf("bad %s: %v", key, perr)
-			return def
-		}
-		return n
-	}
-	cycles := get("cycles", "24000")
-	if cfg.MaxCycles, err = strconv.ParseUint(cycles, 10, 64); err != nil {
-		return cfg, scheme, bench, fmt.Errorf("bad cycles: %v", err)
-	}
-	if cfg.Secure.Encryption != gpusecmem.EncNone {
-		cfg.Secure.AESLatency = intArg("aes-latency", cfg.Secure.AESLatency)
-		cfg.Secure.AESEngines = intArg("aes-engines", cfg.Secure.AESEngines)
-		if kb := intArg("meta-kb", 0); kb != 0 {
-			err = cfg.SetMetaCacheKB(kb)
-		}
-		cfg.Secure.MetaMSHRs = intArg("mshrs", cfg.Secure.MetaMSHRs)
-		if v := q.Get("unified"); v != "" {
-			cfg.Secure.Unified = v == "true" || v == "1"
-		}
-	}
-	if err != nil {
-		return cfg, scheme, bench, err
-	}
-	if q.Get("audit") == "true" || q.Get("audit") == "1" {
-		cfg.Audit = true
-	}
-	return cfg, scheme, bench, cfg.Validate()
-}
-
-func validBenchmark(name string) bool {
-	for _, b := range gpusecmem.Benchmarks() {
-		if b == name {
-			return true
-		}
-	}
-	return false
-}
-
 // writeRun renders one /api/run success: tier-attributed duration
 // metric, the X-Run-Source header, and the JSON payload.
 func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, res *gpusecmem.Result, source, scheme, bench, key string, wall time.Duration) {
@@ -524,10 +470,7 @@ func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, res *gpusecmem
 	}
 	met.runDur.With(source).Observe(uint64(wall.Microseconds()))
 	w.Header().Set("X-Run-Source", source)
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(runResponse{
+	writeJSON(w, runResponse{
 		Benchmark: bench,
 		Scheme:    scheme,
 		Key:       runner.KeyDigest(key),
@@ -546,22 +489,18 @@ func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, res *gpusecmem
 // the hop guard) or admits and simulates locally, with identical
 // concurrent misses sharing one flight.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	cfg, scheme, bench, err := parseRunConfig(r.URL.Query())
+	run, err := gpusecmem.ResolveQuery(r.URL.Query())
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !validBenchmark(bench) {
-		httpError(w, r, http.StatusBadRequest, "unknown benchmark %q (see /api/catalogue)", bench)
-		return
-	}
-	key := gpusecmem.RunKey(cfg, bench)
+	key := gpusecmem.RunKey(run.Config, run.Benchmark)
 	t0 := time.Now()
 
 	view := s.newView()
 	if res, ok := view.Get(key); ok {
 		view.count()
-		s.writeRun(w, r, res, view.source(), scheme, bench, key, time.Since(t0))
+		s.writeRun(w, r, res, view.source(), run.Scheme, run.Benchmark, key, time.Since(t0))
 		return
 	}
 	view.count()
@@ -598,8 +537,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The memo consults every cached tier before simulating, so a
 		// request that queued behind the worker pool may find its
 		// result already landed.
-		gctx, view, ck := s.newContext(gpusecmem.Options{Cycles: cfg.MaxCycles, Shards: s.cfg.Shards})
-		res, err := gctx.RunE(ctx, cfg, bench)
+		gctx, view, ck := s.newContext(gpusecmem.Options{Cycles: run.Config.MaxCycles, Shards: s.cfg.Shards})
+		res, err := gctx.RunE(ctx, run.Config, run.Benchmark)
 		view.count()
 		ck.count()
 		return outcome{res, ck.sourceOr(view.source())}, err
@@ -616,7 +555,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// waiter's wall time restates the same simulation.
 		observeRun(wall)
 	}
-	s.writeRun(w, r, o.res, o.source, scheme, bench, key, wall)
+	s.writeRun(w, r, o.res, o.source, run.Scheme, run.Benchmark, key, wall)
 }
 
 // outcome is one local simulation's answer, shared by every request
@@ -644,27 +583,18 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, "unknown format %q (text|csv|md)", format)
 		return
 	}
-	opts := gpusecmem.Options{
-		Audit:  q.Get("audit") == "true" || q.Get("audit") == "1",
-		Shards: s.cfg.Shards,
-	}
-	if v := q.Get("cycles"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			httpError(w, r, http.StatusBadRequest, "bad cycles %q", v)
-			return
-		}
-		opts.Cycles = n
-	}
-	if v := q.Get("benchmarks"); v != "" {
-		for _, b := range strings.Split(v, ",") {
-			if !validBenchmark(b) {
-				httpError(w, r, http.StatusBadRequest, "unknown benchmark %q (see /api/catalogue)", b)
-				return
-			}
-			opts.Benchmarks = append(opts.Benchmarks, b)
+	opts, err := gpusecmem.OptionsFromQuery(q)
+	if v := q.Get("benchmarks"); v != "" && err == nil {
+		opts.Benchmarks = strings.Split(v, ",")
+		for _, b := range opts.Benchmarks {
+			err = cmp.Or(err, gpusecmem.CheckBenchmark(b))
 		}
 	}
+	if err != nil {
+		httpError(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
+	opts.Shards = s.cfg.Shards
 
 	ctx, release, ok := s.admit(w, r)
 	if !ok {
@@ -714,9 +644,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // --- health ---
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	payload := map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),
@@ -728,5 +655,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for name, stats := range s.storeStats() {
 		payload[name] = stats()
 	}
-	enc.Encode(payload)
+	writeJSON(w, payload)
 }

@@ -135,11 +135,11 @@ func TestForgedCachePutRejected(t *testing.T) {
 	ts := newTestServer(t, Config{Cache: disk})
 	const query = "bench=nw&scheme=ctr_mac_bmt&cycles=1500"
 	q, _ := url.ParseQuery(query)
-	cfg, _, bench, err := parseRunConfig(q)
+	run, err := gpusecmem.ResolveQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := gpusecmem.RunKey(cfg, bench)
+	key := gpusecmem.RunKey(run.Config, run.Benchmark)
 
 	fake := gpusecmem.Result{Cycles: 1500, Instructions: 123456789}
 	var payload bytes.Buffer
@@ -170,7 +170,7 @@ func TestForgedCachePutRejected(t *testing.T) {
 	if got.Source != "simulated" {
 		t.Fatalf("run source = %q, want simulated (the forged entry was served)", got.Source)
 	}
-	honest, err := gpusecmem.Simulate(cfg, bench)
+	honest, err := gpusecmem.Simulate(run.Config, run.Benchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +187,44 @@ func TestForgedCachePutRejected(t *testing.T) {
 	}
 }
 
+// TestRunPresetsMatchLibrary is the HTTP half of secmemsim's
+// TestSchemePresetsMatchLibrary: with no knob in the query, every scheme
+// name serves exactly the library's result for its preset.
+func TestRunPresetsMatchLibrary(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, scheme := range gpusecmem.SchemeNames() {
+		var got struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if code := getJSON(t, ts.URL+"/api/run?bench=fdtd2d&cycles=3000&scheme="+scheme, &got); code != 200 {
+			t.Fatalf("scheme %s: status %d", scheme, code)
+		}
+		cfg, err := gpusecmem.ConfigForScheme(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MaxCycles = 3000
+		res, err := gpusecmem.Simulate(cfg, "fdtd2d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, got.Result); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("scheme %s: /api/run result differs from gpusecmem.Simulate of its preset", scheme)
+		}
+	}
+}
+
+// TestRunValidation: every query the knob table cannot decode, or that
+// resolves to an invalid Config, fails closed with a 400 and a message.
+// Rows that start with a path test that route instead of /api/run.
 func TestRunValidation(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	for _, tc := range []struct {
@@ -204,11 +242,28 @@ func TestRunValidation(t *testing.T) {
 		{"meta-kb=-1", 400},
 		{"meta-kb=50000000", 400},          // beyond one partition's metadata
 		{"meta-kb=18014398509481985", 400}, // kb*1024 would wrap to 1 KB
+		// Bools parse with strconv.ParseBool, as the flags do.
+		{"unified=yes", 400},
+		{"audit=on", 400},
+		// A value is parsed even where its knob does not apply.
+		{"scheme=baseline&aes-latency=banana", 400},
+		{"scheme=baseline&mshrs=-3", 400},
+		// A key that names no knob, or names one twice, is refused.
+		{"mshr=8", 400},
+		{"mshrs=8&mshrs=16", 400},
+		{"aes-engines=100000", 400}, // would allocate 100k engines per partition
+		{"/api/experiment/fig8?audit=yes", 400},
+		{"/api/experiment/fig8?cycles=0", 400},
+		{"/api/experiment/fig8?cycles=1500&cycles=1600", 400},
 	} {
 		var e struct {
 			Error string `json:"error"`
 		}
-		code := getJSON(t, ts.URL+"/api/run?"+tc.query, &e)
+		target := "/api/run?" + tc.query
+		if strings.HasPrefix(tc.query, "/") {
+			target = tc.query
+		}
+		code := getJSON(t, ts.URL+target, &e)
 		if code != tc.code {
 			t.Errorf("query %q: status %d, want %d", tc.query, code, tc.code)
 		}

@@ -348,8 +348,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: ProtectedBytes %d not divisible by %d partitions", c.ProtectedBytes, c.NumPartitions)
 	case c.Secure.Encryption == EncDirect && c.Secure.Tree && !c.Secure.MAC:
 		return fmt.Errorf("sim: direct encryption MT requires MACs (tree leaves)")
-	case (c.Secure.Encryption == EncCounter || c.Secure.Encryption == EncDirect) && c.Secure.AESEngines <= 0:
-		return fmt.Errorf("sim: AESEngines must be positive with hardware encryption enabled")
+	case (c.Secure.Encryption == EncCounter || c.Secure.Encryption == EncDirect) && (c.Secure.AESEngines <= 0 || c.Secure.AESEngines > 1024):
+		// Each partition allocates and scans its engines: bound the count.
+		return fmt.Errorf("sim: AESEngines %d outside [1,1024] with hardware encryption enabled", c.Secure.AESEngines)
 	case c.Secure.Encryption == EncScattered && (c.Secure.ScatterShares < 2 || c.Secure.ScatterShares > 8):
 		return fmt.Errorf("sim: ScatterShares %d outside [2,8] — scattered memory needs at least two shares, and more than eight models no published design", c.Secure.ScatterShares)
 	case c.Secure.Encryption == EncScattered && c.Secure.ScatterCombineLatency < 0:

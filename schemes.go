@@ -16,35 +16,24 @@ func SchemeNames() []string {
 	return names
 }
 
+// The presets are the experiments' own configurations (experiments.go),
+// so a scheme name simulates exactly what its figure does.
 var schemes = map[string]func() Config{
 	// baseline: no secure memory.
 	"baseline": BaselineConfig,
 	// ctr: counter-mode encryption, no integrity metadata.
-	"ctr": func() Config {
-		cfg := SecureMemConfig()
-		cfg.Secure.MAC = false
-		cfg.Secure.Tree = false
-		return cfg
-	},
+	"ctr": cfgCtr,
 	// ctr_bmt: counter-mode encryption with the BMT protecting
 	// counters, no data MACs.
-	"ctr_bmt": func() Config {
-		cfg := SecureMemConfig()
-		cfg.Secure.MAC = false
-		return cfg
-	},
+	"ctr_bmt": cfgCtrBMT,
 	// ctr_mac_bmt: the full counter-mode secure memory (alias:
 	// "secure").
 	"ctr_mac_bmt": SecureMemConfig,
 	"secure":      SecureMemConfig,
 	// secure_nomshr: the paper's Fig 3 secureMem (no metadata MSHRs).
-	"secure_nomshr": func() Config {
-		cfg := SecureMemConfig()
-		cfg.Secure.MetaMSHRs = 0
-		return cfg
-	},
+	"secure_nomshr": cfgSecureNoMSHR,
 	// direct: direct encryption only.
-	"direct": func() Config { return DirectMemConfig(40, false, false) },
+	"direct": func() Config { return cfgDirect(40) },
 	// direct_mac: direct encryption with sector MACs (6KB MAC cache).
 	"direct_mac": func() Config { return DirectMemConfig(40, true, false) },
 	// direct_mac_mt: direct encryption with MACs and the Merkle tree
@@ -52,11 +41,7 @@ var schemes = map[string]func() Config{
 	"direct_mac_mt": func() Config { return DirectMemConfig(40, true, true) },
 	// unified: the full counter-mode design with a unified 6KB
 	// metadata cache.
-	"unified": func() Config {
-		cfg := SecureMemConfig()
-		cfg.Secure.Unified = true
-		return cfg
-	},
+	"unified": cfgUnified,
 	// scattered: secret-shared line placement (Secure Scattered Memory,
 	// arXiv:2402.15824) with the default 2-way share fan-out and a 6KB
 	// share-map cache; no AES, MACs, or integrity tree.
