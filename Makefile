@@ -79,8 +79,9 @@ perf-gate:
 	code=$$?; cat "$$gate/compare.txt"; exit $$code
 
 ## gobench: package micro-benchmarks via go test: the experiment
-## benchmarks at the root, the cycle loop's per-layer ones and the
-## checkpoint round trip
+## benchmarks at the root, the cycle loop's per-layer ones (SM tick,
+## DRAM channel, cache access, token table) and the checkpoint round
+## trip
 gobench:
 	$(GO) test -bench=. -benchmem . ./internal/smcore ./internal/dram ./internal/cache ./internal/sim
 
@@ -96,9 +97,11 @@ audit:
 	$(GO) run ./cmd/experiments -exp fig3 -cycles 8000 -audit -progress > /dev/null
 
 ## fuzz: short fuzzing smoke over the secmem codecs, the XEX direct
-## cipher, the machine-state decoder and the run-knob query decoder
+## cipher, the machine-state decoder, the run-knob query decoder and
+## the store envelope parser
 fuzz:
 	$(GO) test -run Fuzz -fuzz FuzzCounterModeRoundTrip -fuzztime 10s ./internal/secmem
 	$(GO) test -run Fuzz -fuzz FuzzDirectCipherRoundTrip -fuzztime 10s ./internal/crypto
 	$(GO) test -run Fuzz -fuzz FuzzDecodeState -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run Fuzz -fuzz FuzzRunQuery -fuzztime 10s .
+	$(GO) test -run Fuzz -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/envelope

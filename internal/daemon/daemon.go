@@ -19,7 +19,9 @@
 //
 // The run knobs of /api/run and /api/cluster, and /api/experiment's
 // cycles and audit, are gpusecmem's knob table (gpusecmem.ResolveQuery),
-// the same one secmemsim's flags bind; any other /api/run key is a 400.
+// the same one secmemsim's flags bind; any other /api/run key is a 400,
+// as is any /api/experiment key but format, benchmarks, cycles and
+// audit.
 //
 // Admission is bounded: at most Workers simulations run concurrently
 // and at most QueueDepth more wait; beyond that requests are rejected
@@ -71,6 +73,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -567,6 +570,11 @@ type outcome struct {
 
 // --- experiment tables ---
 
+// experimentKeys are the query keys /api/experiment/{id} reads; any
+// other key is refused, so a misspelt one cannot silently run the
+// defaults.
+var experimentKeys = []string{"format", "benchmarks", "cycles", "audit"}
+
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e, ok := gpusecmem.ExperimentByID(id)
@@ -575,6 +583,18 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
+	var unknown []string
+	for k := range q {
+		if !slices.Contains(experimentKeys, k) {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		httpError(w, r, http.StatusBadRequest, "unknown query key(s) %s (known: %s)",
+			strings.Join(unknown, ", "), strings.Join(experimentKeys, ", "))
+		return
+	}
 	format := q.Get("format")
 	if format == "" {
 		format = "text"

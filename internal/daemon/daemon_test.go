@@ -255,6 +255,11 @@ func TestRunValidation(t *testing.T) {
 		{"/api/experiment/fig8?audit=yes", 400},
 		{"/api/experiment/fig8?cycles=0", 400},
 		{"/api/experiment/fig8?cycles=1500&cycles=1600", 400},
+		// /api/experiment refuses keys it does not read, misspelt or
+		// meant for /api/run, rather than rendering the defaults.
+		{"/api/experiment/table1?cylces=1500", 400},
+		{"/api/experiment/table1?fromat=csv", 400},
+		{"/api/experiment/table1?scheme=ctr_mac_bmt", 400},
 	} {
 		var e struct {
 			Error string `json:"error"`

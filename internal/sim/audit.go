@@ -53,16 +53,16 @@ func (g *GPU) audit(deep bool) error {
 	for _, sm := range g.sms {
 		smOutstanding += sm.OutstandingLoads()
 	}
-	if smOutstanding != len(g.loads) {
-		return g.auditErr("conservation", "SMs await %d sector completions but %d loads are tracked", smOutstanding, len(g.loads))
+	if smOutstanding != g.loads.len() {
+		return g.auditErr("conservation", "SMs await %d sector completions but %d loads are tracked", smOutstanding, g.loads.len())
 	}
-	if q := g.toSM.Len(); q > len(g.loads) {
-		return g.auditErr("queue-bound", "toSM holds %d replies for %d outstanding loads", q, len(g.loads))
+	if q := g.toSM.Len(); q > g.loads.len() {
+		return g.auditErr("queue-bound", "toSM holds %d replies for %d outstanding loads", q, g.loads.len())
 	}
 	for _, p := range g.parts {
-		if len(p.dests) > p.dram.InFlight() {
+		if p.dests.len() > p.dram.InFlight() {
 			return g.auditErr("queue-bound", "partition %d awaits %d DRAM fills but only %d transactions are live",
-				p.id, len(p.dests), p.dram.InFlight())
+				p.id, p.dests.len(), p.dram.InFlight())
 		}
 	}
 	if !deep {

@@ -27,10 +27,11 @@ type smReply struct {
 	token      uint64
 }
 
-// loadReq records an outstanding L1-level sector request.
+// loadReq records an outstanding L1-level sector request. The indices
+// are int32s to keep a token-table slot at 24 bytes.
 type loadReq struct {
-	sm         int
-	warp       int
+	sm         int32
+	warp       int32
 	fillBypass bool
 }
 
@@ -48,7 +49,7 @@ type GPU struct {
 
 	now      uint64
 	tokenSeq uint64
-	loads    map[uint64]loadReq
+	loads    tokTable[loadReq]
 
 	// Activity tracking for the cycle loop. smWake[i] and partNext[i]
 	// are conservative lower bounds on the next cycle SM i (resp.
@@ -65,6 +66,8 @@ type GPU struct {
 	stepped uint64
 	// oneTok backs single-token reply delivery without allocating.
 	oneTok [1]uint64
+	// walkKeys is the checkpoint walk's sorted-token scratch.
+	walkKeys []uint64
 
 	// stages holds one staging buffer per shard (partition i stages
 	// into stages[i%len(stages)]); smStage is the SM task's. windows
@@ -106,11 +109,10 @@ func New(cfg Config, gen smcore.Generator) (*GPU, error) {
 		return nil, err
 	}
 	g := &GPU{
-		cfg:   cfg,
-		gen:   gen,
-		toL2:  icnt.NewDelayQueue[l2Msg](cfg.IcntLatency),
-		toSM:  icnt.NewDelayQueue[smReply](cfg.IcntLatency),
-		loads: make(map[uint64]loadReq),
+		cfg:  cfg,
+		gen:  gen,
+		toL2: icnt.NewDelayQueue[l2Msg](cfg.IcntLatency),
+		toSM: icnt.NewDelayQueue[smReply](cfg.IcntLatency),
 	}
 	gen = g.wrapGenerator(gen)
 	g.gen = gen
@@ -223,20 +225,22 @@ func (g *GPU) issueMem(mi smcore.MemIssue) int {
 	for _, addr := range mi.Sectors {
 		tok := g.newToken()
 		acc := l1.Access(addr, false, tok)
+		lr := loadReq{sm: int32(mi.SM), warp: int32(mi.Warp)}
 		switch {
 		case acc.Outcome == cache.Hit:
 			outstanding++
-			g.loads[tok] = loadReq{sm: mi.SM, warp: mi.Warp}
+			g.loads.put(tok, lr)
 			// Hit latency reply through the local pipeline (no icnt).
 			g.oneTok[0] = tok
 			g.smStage.stageReply(g.now, g.now+g.cfg.L1Latency, addr, g.oneTok[:])
 		case acc.NeedFetch:
 			outstanding++
-			g.loads[tok] = loadReq{sm: mi.SM, warp: mi.Warp, fillBypass: acc.Bypass}
+			lr.fillBypass = acc.Bypass
+			g.loads.put(tok, lr)
 			g.toL2.Push(g.now, l2Msg{globalAddr: addr, token: tok})
 		default: // merged into an L1 MSHR
 			outstanding++
-			g.loads[tok] = loadReq{sm: mi.SM, warp: mi.Warp}
+			g.loads.put(tok, lr)
 		}
 	}
 	return outstanding
@@ -245,7 +249,7 @@ func (g *GPU) issueMem(mi smcore.MemIssue) int {
 // deliverReply processes one sector arriving back at an SM: fill the
 // L1 and wake every warp waiting on it.
 func (g *GPU) deliverReply(r smReply) {
-	lr, ok := g.loads[r.token]
+	lr, ok := g.loads.get(r.token)
 	if !ok {
 		return
 	}
@@ -273,13 +277,12 @@ func (g *GPU) deliverReply(r smReply) {
 }
 
 func (g *GPU) completeLoad(token uint64) {
-	lr, ok := g.loads[token]
+	lr, ok := g.loads.take(token)
 	if !ok {
 		return
 	}
-	delete(g.loads, token)
 	g.completedLoads++
-	g.sms[lr.sm].Complete(lr.warp, g.now)
+	g.sms[lr.sm].Complete(int(lr.warp), g.now)
 	// The woken warp is ready at now+1.
 	if g.smWake[lr.sm] > g.now+1 {
 		g.smWake[lr.sm] = g.now + 1

@@ -431,10 +431,9 @@ func (e *engine) smWindow(T, E uint64) {
 			}
 			st.setCtx(t, 2, uint64(i))
 			before := sm.Instructions
-			sm.Tick(t, g.issueMem)
+			g.smWake[i] = sm.Tick(t, g.issueMem)
 			e.instrTotal += sm.Instructions - before
 			g.smLastTick[i] = t
-			g.smWake[i] = sm.NextReady(t + 1)
 		}
 		if g.completedLoads != clBefore || e.instrTotal != instrBefore {
 			g.maxProgressGap = max(g.maxProgressGap, t-g.lastProgressAt)

@@ -10,7 +10,7 @@ import (
 )
 
 // destKind classifies what a completed DRAM transaction was for.
-type destKind int
+type destKind uint8
 
 const (
 	destDataFill destKind = iota
@@ -23,14 +23,16 @@ const (
 	destKeyFill
 )
 
+// dest is what a partition awaits from one DRAM transaction. The
+// small fields come last so a dest packs into 32 bytes.
 type dest struct {
-	kind   destKind
 	addr   uint64 // metadata line address (fills)
 	readID uint64 // waiting read for destDataFill / bypass metadata fetches
-	bypass bool
-	write  bool
 	// issuedAt is the enqueue cycle, kept for probe span attribution.
 	issuedAt uint64
+	kind     destKind
+	bypass   bool
+	write    bool
 }
 
 // readState tracks one in-flight L2 read miss through the secure
@@ -102,8 +104,8 @@ type partition struct {
 	aesFree3 []uint64
 	macFree3 uint64
 
-	dests   map[uint64]dest
-	reads   map[uint64]*readState
+	dests   tokTable[dest]
+	reads   tokTable[*readState]
 	replies eventq.Queue[replyEvent]
 	// rsPool recycles retired readStates; reads are the per-L2-miss
 	// hot-path allocation.
@@ -122,10 +124,10 @@ type partition struct {
 
 	// localTok seeds newToken: partition-owned tokens (readState ids,
 	// DRAM destination tokens) are generated locally so the parallel
-	// engine needs no shared counter. Snapshot sorts the token-keyed
-	// maps by token so a state encodes to the same bytes, but no
-	// Result depends on a token's value, so local generation changes
-	// no observable result.
+	// engine needs no shared counter. Snapshot sorts the token tables
+	// by token so a state encodes to the same bytes, but no Result
+	// depends on a token's value, so local generation changes no
+	// observable result.
 	localTok uint64
 	// stage is the owning shard's staging buffer: replies, probe spans
 	// and fault draws wait there for the window barrier.
@@ -137,12 +139,10 @@ type partition struct {
 func newPartition(id int, gpu *GPU) *partition {
 	cfg := &gpu.cfg
 	p := &partition{
-		id:    id,
-		gpu:   gpu,
-		cfg:   cfg,
-		dram:  dram.New(cfg.DRAM),
-		dests: make(map[uint64]dest),
-		reads: make(map[uint64]*readState),
+		id:   id,
+		gpu:  gpu,
+		cfg:  cfg,
+		dram: dram.New(cfg.DRAM),
 	}
 	for b := 0; b < cfg.L2BanksPerPartition; b++ {
 		p.banks = append(p.banks, cache.New(cache.Config{
@@ -347,7 +347,7 @@ func (p *partition) startRead(globalAddr, localAddr, token uint64, l2Bypass bool
 		l2Bank:     bank,
 		arrivedAt:  now,
 	}
-	p.reads[rs.id] = rs
+	p.reads.put(rs.id, rs)
 	sc := &p.cfg.Secure
 	protected := p.isProtected(localAddr)
 	if protected && sc.Encryption == EncScattered {
@@ -360,7 +360,7 @@ func (p *partition) startRead(globalAddr, localAddr, token uint64, l2Bypass bool
 	}
 	// Data fetch.
 	dt := p.newToken()
-	p.dests[dt] = dest{kind: destDataFill, readID: rs.id}
+	p.dests.put(dt, dest{kind: destDataFill, readID: rs.id})
 	p.dram.Enqueue(dram.Request{Addr: localAddr, Bytes: geometry.SectorSize, Token: dt, Kind: int(KindData)})
 
 	switch {
@@ -442,7 +442,7 @@ func (p *partition) smapAccess(rs *readState, now uint64) {
 		if acc.Bypass {
 			d.readID = rs.id
 		}
-		p.dests[dt] = d
+		p.dests.put(dt, d)
 		p.dram.Enqueue(dram.Request{Addr: mapAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(KindSMap)})
 	}
 	if rs.ctrDone {
@@ -463,7 +463,7 @@ func (p *partition) issueShares(rs *readState, now uint64) {
 			addr, kind = p.shareAddr(rs.localAddr, i), KindShare
 		}
 		dt := p.newToken()
-		p.dests[dt] = dest{kind: destDataFill, readID: rs.id}
+		p.dests.put(dt, dest{kind: destDataFill, readID: rs.id})
 		p.dram.Enqueue(dram.Request{Addr: addr, Bytes: geometry.SectorSize, Token: dt, Kind: int(kind)})
 	}
 }
@@ -493,7 +493,7 @@ func (p *partition) keyAccess(rs *readState, now uint64) {
 	}
 	ms.MissesPrimary++
 	dt := p.newToken()
-	p.dests[dt] = dest{kind: destKeyFill, addr: keyLine, readID: rs.id, issuedAt: now}
+	p.dests.put(dt, dest{kind: destKeyFill, addr: keyLine, readID: rs.id, issuedAt: now})
 	p.dram.Enqueue(dram.Request{Addr: keyLine, Bytes: geometry.LineSize, Token: dt, Kind: int(KindKey)})
 }
 
@@ -538,7 +538,7 @@ func (p *partition) counterAccess(rs *readState, now uint64) {
 		if acc.Bypass {
 			d.readID = rs.id
 		}
-		p.dests[dt] = d
+		p.dests.put(dt, d)
 		p.dram.Enqueue(dram.Request{Addr: ctrAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(KindCounter)})
 	}
 }
@@ -569,7 +569,7 @@ func (p *partition) macAccess(rs *readState, now uint64) {
 		if acc.Bypass {
 			d.readID = rs.id
 		}
-		p.dests[dt] = d
+		p.dests.put(dt, d)
 		p.dram.Enqueue(dram.Request{Addr: macLine, Bytes: geometry.LineSize, Token: dt, Kind: int(KindMAC)})
 	}
 }
@@ -651,10 +651,10 @@ func (p *partition) maybeReply(rs *readState, now uint64) {
 // maybeRetire frees the read state once the reply has fired and every
 // tracked fill has returned. The state returns to the pool; callers
 // must not touch rs after this (a recycled state gets a fresh token,
-// so stale IDs in late events simply miss the reads map).
+// so stale IDs in late events simply miss the reads table).
 func (p *partition) maybeRetire(rs *readState) {
 	if rs.finished && rs.dataDone && rs.ctrDone && rs.macDone {
-		delete(p.reads, rs.id)
+		p.reads.take(rs.id)
 		p.rsPool = append(p.rsPool, rs)
 	}
 }
@@ -711,7 +711,7 @@ func (p *partition) handleDataWriteback(ev *cache.Eviction, now uint64) {
 		if keyLine != p.lastKeyLine {
 			ms.MissesPrimary++
 			dt := p.newToken()
-			p.dests[dt] = dest{kind: destKeyFill, addr: keyLine, write: true, issuedAt: now}
+			p.dests.put(dt, dest{kind: destKeyFill, addr: keyLine, write: true, issuedAt: now})
 			p.dram.Enqueue(dram.Request{Addr: keyLine, Bytes: geometry.LineSize, Token: dt, Kind: int(KindKey)})
 		}
 		return
@@ -768,7 +768,7 @@ func (p *partition) metaWriteAccess(mk MetaKind, c *cache.Cache, addr uint64, fi
 	if acc.NeedFetch {
 		lineAddr := addr / geometry.LineSize * geometry.LineSize
 		dt := p.newToken()
-		p.dests[dt] = dest{kind: fillKind, addr: lineAddr, bypass: acc.Bypass, write: true, issuedAt: now}
+		p.dests.put(dt, dest{kind: fillKind, addr: lineAddr, bypass: acc.Bypass, write: true, issuedAt: now})
 		p.dram.Enqueue(dram.Request{Addr: lineAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(traffic)})
 	}
 }
@@ -839,7 +839,7 @@ func (p *partition) verifyWalk(level int, idx uint64, now uint64) {
 		}
 		if acc.NeedFetch {
 			dt := p.newToken()
-			p.dests[dt] = dest{kind: destTreeFill, addr: nodeAddr, bypass: acc.Bypass, issuedAt: now}
+			p.dests.put(dt, dest{kind: destTreeFill, addr: nodeAddr, bypass: acc.Bypass, issuedAt: now})
 			p.dram.Enqueue(dram.Request{Addr: nodeAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(KindTree)})
 			return // continue from the parent at fill time
 		}
@@ -871,17 +871,14 @@ func (p *partition) nextEvent(now uint64) uint64 {
 func (p *partition) tick(now uint64) {
 	for p.replies.Len() > 0 && p.replies.Min().at <= now {
 		ev := p.replies.Pop()
-		if rs, ok := p.reads[ev.readID]; ok {
+		if rs, ok := p.reads.get(ev.readID); ok {
 			p.finishRead(rs, now)
 		}
 	}
 	for _, tok := range p.dram.Tick(now) {
-		d, ok := p.dests[tok]
-		if !ok {
-			continue
+		if d, ok := p.dests.take(tok); ok {
+			p.dispatch(d, now)
 		}
-		delete(p.dests, tok)
-		p.dispatch(d, now)
 	}
 }
 
@@ -921,7 +918,7 @@ func (p *partition) dispatch(d dest, now uint64) {
 	sc := &p.cfg.Secure
 	switch d.kind {
 	case destDataFill:
-		if rs, ok := p.reads[d.readID]; ok {
+		if rs, ok := p.reads.get(d.readID); ok {
 			// A flipped data line is caught only by a MAC over a
 			// protected address; decryption alone scrambles silently.
 			p.fire(faults.SiteDRAMData, rs.localAddr, sc.MAC && !rs.unprotected)
@@ -1001,7 +998,7 @@ func (p *partition) dispatch(d dest, now uint64) {
 		// on the same line each pay their own fetch — the software path
 		// has no MSHRs to merge them.
 		p.lastKeyLine = d.addr
-		if rs, ok := p.reads[d.readID]; ok {
+		if rs, ok := p.reads.get(d.readID); ok {
 			rs.ctrDone = true
 			rs.ctrReady = now
 			p.maybeReply(rs, now)
@@ -1017,7 +1014,7 @@ func (p *partition) wakeCounterWaiters(tokens []uint64, d dest, now uint64) {
 		if tok == 0 {
 			continue
 		}
-		if rs, ok := p.reads[tok]; ok {
+		if rs, ok := p.reads.get(tok); ok {
 			rs.ctrDone = true
 			rs.ctrReady = now
 			if p.cfg.Secure.Encryption == EncScattered {
@@ -1039,7 +1036,7 @@ func (p *partition) wakeMACWaiters(tokens []uint64, d dest, now uint64) {
 		if tok == 0 {
 			continue
 		}
-		if rs, ok := p.reads[tok]; ok {
+		if rs, ok := p.reads.get(tok); ok {
 			rs.macDone = true
 			rs.macReady = now
 			p.maybeReply(rs, now)

@@ -51,8 +51,8 @@ func TestPartitionReadCriticalPath(t *testing.T) {
 	p := newTestPartition(t, nil)
 	// Prime the L2 bank with a miss for sector 0.
 	p.handleL2Read(0, 0, 777, 1)
-	if len(p.reads) != 1 {
-		t.Fatalf("reads = %d", len(p.reads))
+	if p.reads.len() != 1 {
+		t.Fatalf("reads = %d", p.reads.len())
 	}
 	// Data + counter line + MAC line fetches are enqueued; the tree
 	// walk only starts when the counter fill returns.
@@ -60,7 +60,7 @@ func TestPartitionReadCriticalPath(t *testing.T) {
 		t.Fatalf("DRAM requests = %d, want 3 (data, ctr, mac)", got)
 	}
 	drain(t, p, 2, 5000)
-	if len(p.reads) != 0 {
+	if p.reads.len() != 0 {
 		t.Fatal("read state not retired")
 	}
 	// Counter and MAC lines are now cached; a second read of the next

@@ -213,6 +213,6 @@ func (g *GPU) sampleProbe() {
 		inst.DRAMQueue += p.dram.QueueLen()
 		inst.BusyBanks += p.dram.BusyBanks(g.now)
 	}
-	inst.OutstandingLoads = len(g.loads)
+	inst.OutstandingLoads = g.loads.len()
 	tl.Observe(g.now, tot, inst)
 }

@@ -19,11 +19,14 @@ package sim
 // bit-identical to a never-interrupted run — the resume-identity tests
 // pin this against the golden digests.
 //
-// Maps are walked in ascending key order with gap-coded keys, caches
-// list only their live ways, and event heaps are walked in raw heap
-// layout, so (a) identical machine states always encode to identical
-// bytes, (b) equal-time event pop order survives the round trip and
-// (c) a duplicated or unordered key cannot be encoded at all.
+// Token tables and maps are walked in ascending key order with
+// gap-coded keys, caches list only their live ways, and event heaps
+// are walked in raw heap layout, so (a) identical machine states
+// always encode to identical bytes, (b) equal-time event pop order
+// survives the round trip and (c) a duplicated or unordered key cannot
+// be encoded at all. A decoded token table refuses token 0, which it
+// reserves, and a partition's tokens must carry its id prefix and lie
+// at or below its localTok.
 //
 // The wire format, in walk order (u = uvarint, i = zigzag varint,
 // b = bool byte, f = packed flag byte, k = gap-coded key, [..] = a
@@ -158,36 +161,28 @@ func (g *GPU) walk(c *statecodec.Codec) {
 		c.U64(p)
 	}
 
-	n, keys := statecodec.MapLen(c, &g.loads, minLoad)
 	warps := g.gen.WarpsPerSM()
-	var toks statecodec.KeySeq
-	for i := 0; i < n; i++ {
-		var tok uint64
-		var lr loadReq
-		if !c.Decoding() {
-			tok = keys[i]
-			lr = g.loads[tok]
-		}
-		c.Key(&toks, &tok)
-		c.Int(&lr.sm)
-		c.Int(&lr.warp)
+	walkTokens(c, &g.loads, &g.walkKeys, minLoad, "load", func(tok uint64, lr *loadReq) {
+		sm, warp := int(lr.sm), int(lr.warp)
+		c.Int(&sm)
+		c.Int(&warp)
 		c.Bool(&lr.fillBypass)
 		if c.Decoding() {
 			switch {
-			case lr.sm < 0 || lr.sm >= len(g.sms) || lr.warp < 0 || lr.warp >= warps:
-				c.Fail("load %d is for SM %d warp %d of %d x %d", tok, lr.sm, lr.warp, len(g.sms), warps)
+			case sm < 0 || sm >= len(g.sms) || warp < 0 || warp >= warps:
+				c.Fail("load %d is for SM %d warp %d of %d x %d", tok, sm, warp, len(g.sms), warps)
 			case tok > g.tokenSeq:
 				c.Fail("load token %d was never issued (last %d)", tok, g.tokenSeq)
 			}
-			g.loads[tok] = lr
+			lr.sm, lr.warp = int32(sm), int32(warp)
 		}
-	}
+	})
 	c.FixedU64s(g.smWake, "SM wake bounds")
 	c.FixedU64s(g.smLastTick, "SM last ticks")
 	c.FixedU64s(g.partNext, "partition bounds")
 
 	l2 := g.toL2.Pending()
-	n = len(l2)
+	n := len(l2)
 	c.Len(&n, minToL2)
 	if c.Decoding() {
 		l2 = g.toL2.ResetPending(n)
@@ -240,9 +235,9 @@ func (g *GPU) walk(c *statecodec.Codec) {
 // blocked.
 func (g *GPU) checkLoads(c *statecodec.Codec, warps int) {
 	pending := make([]int, len(g.sms)*warps)
-	for _, lr := range g.loads {
-		pending[lr.sm*warps+lr.warp]++
-	}
+	g.loads.each(func(_ uint64, lr *loadReq) {
+		pending[int(lr.sm)*warps+int(lr.warp)]++
+	})
 	for i, s := range g.sms {
 		for w := 0; w < warps; w++ {
 			if got, want := pending[i*warps+w], s.Awaiting(w); got != want {
@@ -296,41 +291,38 @@ func (p *partition) walk(c *statecodec.Codec) {
 	c.FixedU64s(p.aesFree3, "AES engines in a partition")
 	c.U64(&p.macFree3)
 
-	n, keys := statecodec.MapLen(c, &p.dests, minDest)
-	var toks statecodec.KeySeq
-	for i := 0; i < n; i++ {
-		var tok uint64
-		var d dest
-		if !c.Decoding() {
-			tok = keys[i]
-			d = p.dests[tok]
+	// A decoded partition token must carry the partition's prefix, and
+	// its low 40 bits count up to localTok, which is walked last; maxTok
+	// is checked against it then.
+	var maxTok uint64
+	checkTok := func(what string, tok uint64) {
+		if tok>>40 != uint64(p.id+1) {
+			c.Fail("partition %d: %s token %#x was not issued by this partition", p.id, what, tok)
 		}
-		c.Key(&toks, &tok)
-		c.Int((*int)(&d.kind))
+		maxTok = max(maxTok, tok)
+	}
+	walkTokens(c, &p.dests, &p.gpu.walkKeys, minDest, "DRAM transaction", func(tok uint64, d *dest) {
+		kind := int(d.kind)
+		c.Int(&kind)
 		c.U64(&d.addr)
 		c.U64(&d.readID)
 		c.Bools(&d.bypass, &d.write)
 		c.U64(&d.issuedAt)
 		if c.Decoding() {
-			if !p.fills(d.kind) {
-				c.Fail("partition %d: DRAM transaction %d has kind %d, which this machine never issues", p.id, tok, d.kind)
+			checkTok("DRAM transaction", tok)
+			if kind < 0 || kind > int(destKeyFill) || !p.fills(destKind(kind)) {
+				c.Fail("partition %d: DRAM transaction %d has kind %d, which this machine never issues", p.id, tok, kind)
 			}
-			p.dests[tok] = d
+			d.kind = destKind(kind)
 		}
-	}
+	})
 
-	n, keys = statecodec.MapLen(c, &p.reads, minRead)
-	var ids statecodec.KeySeq
-	for i := 0; i < n; i++ {
-		var rs *readState
-		var id uint64
-		if !c.Decoding() {
-			id = keys[i]
-			rs = p.reads[id]
-		} else {
+	walkTokens(c, &p.reads, &p.gpu.walkKeys, minRead, "read", func(id uint64, rsp **readState) {
+		rs := *rsp
+		if c.Decoding() {
 			rs = new(readState)
+			*rsp = rs
 		}
-		c.Key(&ids, &id)
 		c.U64(&rs.globalAddr)
 		c.U64(&rs.localAddr)
 		c.U64(&rs.l2Token)
@@ -342,13 +334,13 @@ func (p *partition) walk(c *statecodec.Codec) {
 		c.U64(&rs.ctrReady)
 		c.U64(&rs.macReady)
 		if c.Decoding() {
+			checkTok("read", id)
 			if rs.l2Bank < 0 || rs.l2Bank >= len(p.banks) {
 				c.Fail("partition %d: read %d is for L2 bank %d of %d", p.id, id, rs.l2Bank, len(p.banks))
 			}
 			rs.id = id
-			p.reads[id] = rs
 		}
-	}
+	})
 
 	replies := p.replies.Heap()
 	statecodec.Slice(c, replies, minReplyEv)
@@ -367,7 +359,49 @@ func (p *partition) walk(c *statecodec.Codec) {
 		c.U64(v)
 	}
 	if c.Decoding() {
+		if maxTok&(1<<40-1) > p.localTok {
+			c.Fail("partition %d: token %#x was never issued (last %#x)", p.id, maxTok, uint64(p.id+1)<<40|p.localTok)
+		}
 		p.rsPool = nil
+	}
+}
+
+// walkTokens walks a token table as an entry count, then each entry in
+// ascending token order: its gap-coded token, then what elem walks of
+// its value. An encoder sorts the tokens into *keys, scratch reused
+// across walks. Decoding refills t, refusing token 0, which the table
+// reserves and no counter issues; elem checks everything else.
+func walkTokens[V any](c *statecodec.Codec, t *tokTable[V], keys *[]uint64, minElem int, what string, elem func(tok uint64, v *V)) {
+	n := t.len()
+	c.Len(&n, minElem)
+	if c.Decoding() {
+		t.reset(n)
+	} else {
+		*keys = t.sortedKeys(*keys)
+	}
+	var seq statecodec.KeySeq
+	// One value for every entry: elem's pointer makes it escape.
+	var v, zero V
+	for i := 0; i < n; i++ {
+		var tok uint64
+		if c.Decoding() {
+			v = zero
+		} else {
+			tok = (*keys)[i]
+			v, _ = t.get(tok)
+		}
+		c.Key(&seq, &tok)
+		if c.Decoding() && tok == 0 {
+			c.Fail("%s token 0 is reserved", what)
+		}
+		elem(tok, &v)
+		if !c.Decoding() {
+			continue
+		}
+		if c.Err() != nil {
+			return
+		}
+		t.put(tok, v)
 	}
 }
 

@@ -267,6 +267,42 @@ func plantAfterFirst(g *GPU, plant func(p *partition) bool, back int) ([]byte, e
 	return nil, errNothingToForge
 }
 
+// zeroFirstToken encodes g with a marked element planted as the first
+// entry of one of its partitions' token tables, one below that table's
+// lowest token, and returns the state with the element's key (the
+// first gap, which is the token itself) spliced to 0. Each later key
+// is gap-coded from its predecessor, so the state stays well formed
+// and only the reserved token is wrong. back is how many bytes lie
+// between the key and the marker.
+func zeroFirstToken(g *GPU, plant func(p *partition) (uint64, bool), back int) ([]byte, error) {
+	for _, p := range g.parts {
+		tok, ok := plant(p)
+		if !ok {
+			continue
+		}
+		b, err := g.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		at := bytes.Index(b, uv(marker)) - back
+		key := span{at - len(uv(tok)), at}
+		if key.at < 0 || !bytes.Equal(b[key.at:key.end], uv(tok)) {
+			return nil, errors.New("planted element not found")
+		}
+		return splice(b, key, uv(0)), nil
+	}
+	return nil, errNothingToForge
+}
+
+// plantToken encodes g with an element added to one of its partitions'
+// token tables under the token tok(p) names. A live machine never
+// holds the token, yet the encoding is well formed.
+func plantToken(g *GPU, plant func(p *partition, tok uint64), tok func(p *partition) uint64) ([]byte, error) {
+	p := g.parts[0]
+	plant(p, tok(p))
+	return g.Snapshot()
+}
+
 // loadsList locates the GPU's loads in state b: they follow the
 // benchmark name and seven counters.
 func loadsList(b []byte) keyed {
@@ -299,7 +335,7 @@ type forgery struct {
 // its state listed.
 var stateForgeries = []forgery{
 	{name: "duplicate-load", want: "overflows", forge: func(g *GPU) ([]byte, error) {
-		if len(g.loads) == 0 {
+		if g.loads.len() == 0 {
 			return nil, errNothingToForge
 		}
 		b, err := g.Snapshot()
@@ -309,7 +345,7 @@ var stateForgeries = []forgery{
 		return loadsList(b).dupFirst(b), nil
 	}},
 	{name: "unordered-loads", want: "overflows", forge: func(g *GPU) ([]byte, error) {
-		if len(g.loads) < 2 {
+		if g.loads.len() < 2 {
 			return nil, errNothingToForge
 		}
 		b, err := g.Snapshot()
@@ -326,29 +362,74 @@ var stateForgeries = []forgery{
 		// The planted dest's key gap and kind are zero bytes before
 		// its marked address.
 		return plantAfterFirst(g, func(p *partition) bool {
-			if len(p.dests) == 0 {
+			if p.dests.len() == 0 {
 				return false
 			}
-			k := slices.Min(mapKeys(p.dests)) + 1
-			if _, taken := p.dests[k]; taken {
+			k := p.dests.sortedKeys(nil)[0] + 1
+			if _, taken := p.dests.get(k); taken {
 				return false
 			}
-			p.dests[k] = dest{addr: marker}
+			p.dests.put(k, dest{addr: marker})
 			return true
 		}, 2)
 	}},
 	{name: "duplicate-read", want: "overflows", forge: func(g *GPU) ([]byte, error) {
 		return plantAfterFirst(g, func(p *partition) bool {
-			if len(p.reads) == 0 {
+			if p.reads.len() == 0 {
 				return false
 			}
-			k := slices.Min(mapKeys(p.reads)) + 1
-			if _, taken := p.reads[k]; taken {
+			k := p.reads.sortedKeys(nil)[0] + 1
+			if _, taken := p.reads.get(k); taken {
 				return false
 			}
-			p.reads[k] = &readState{id: k, globalAddr: marker}
+			p.reads.put(k, &readState{id: k, globalAddr: marker})
 			return true
 		}, 1)
+	}},
+	// Token 0 is every table's empty-slot mark and the wake paths' "no
+	// waiter" sentinel; a key sequence may start at 0, but no counter
+	// issues it.
+	{name: "zero-load-token", want: "token 0 is reserved", forge: func(g *GPU) ([]byte, error) {
+		if g.loads.len() == 0 {
+			return nil, errNothingToForge
+		}
+		b, err := g.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		return splice(b, loadsList(b).key[0], uv(0)), nil
+	}},
+	{name: "zero-dest-token", want: "token 0 is reserved", forge: func(g *GPU) ([]byte, error) {
+		// The planted dest's kind is a zero byte before its marked
+		// address.
+		return zeroFirstToken(g, func(p *partition) (uint64, bool) {
+			if p.dests.len() == 0 {
+				return 0, false
+			}
+			k := p.dests.sortedKeys(nil)[0] - 1
+			p.dests.put(k, dest{addr: marker})
+			return k, true
+		}, 1)
+	}},
+	{name: "zero-read-token", want: "token 0 is reserved", forge: func(g *GPU) ([]byte, error) {
+		return zeroFirstToken(g, func(p *partition) (uint64, bool) {
+			if p.reads.len() == 0 {
+				return 0, false
+			}
+			k := p.reads.sortedKeys(nil)[0] - 1
+			p.reads.put(k, &readState{id: k, globalAddr: marker})
+			return k, true
+		}, 0)
+	}},
+	// Partition tokens are (partition id + 1) << 40 | a local count no
+	// higher than localTok.
+	{name: "foreign-dest-token", want: "not issued by this partition", forge: func(g *GPU) ([]byte, error) {
+		return plantToken(g, func(p *partition, tok uint64) { p.dests.put(tok, dest{}) },
+			func(p *partition) uint64 { return uint64(p.id+2)<<40 | 1 })
+	}},
+	{name: "unissued-read-token", want: "was never issued", forge: func(g *GPU) ([]byte, error) {
+		return plantToken(g, func(p *partition, tok uint64) { p.reads.put(tok, &readState{id: tok}) },
+			func(p *partition) uint64 { return uint64(p.id+1)<<40 | (p.localTok + 1) })
 	}},
 	{name: "duplicate-mshr", want: "overflows", forge: func(g *GPU) ([]byte, error) {
 		return forgeCache(g, func(f *cacheFields) bool { return len(f.mshrs.elems) > 0 },
@@ -397,15 +478,6 @@ var stateForgeries = []forgery{
 			return splice(b, f.dir.count, uv(1), []byte{0, 1, 0, 0, 0})
 		})
 	}},
-}
-
-// mapKeys returns m's keys in no particular order.
-func mapKeys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	return keys
 }
 
 // forgeryBase is the state the forgery tables forge: SecureMem on
@@ -559,7 +631,8 @@ func TestRestoreRefusesStatesThatPanic(t *testing.T) {
 	b := captureAt(t, cfg, "srad_v2", 1000)[0]
 	firstRead := func(g *GPU) *readState {
 		for _, p := range g.parts {
-			for _, rs := range p.reads {
+			if keys := p.reads.sortedKeys(nil); len(keys) > 0 {
+				rs, _ := p.reads.get(keys[0])
 				return rs
 			}
 		}
@@ -567,8 +640,8 @@ func TestRestoreRefusesStatesThatPanic(t *testing.T) {
 		return nil
 	}
 	firstLoad := func(g *GPU) uint64 {
-		for tok := range g.loads {
-			return tok
+		if keys := g.loads.sortedKeys(nil); len(keys) > 0 {
+			return keys[0]
 		}
 		t.Fatal("no outstanding load to tamper")
 		return 0
@@ -580,15 +653,15 @@ func TestRestoreRefusesStatesThatPanic(t *testing.T) {
 		{"read-l2-bank", "L2 bank", func(g *GPU) { firstRead(g).l2Bank = 99 }},
 		{"load-sm", "is for SM", func(g *GPU) {
 			tok := firstLoad(g)
-			lr := g.loads[tok]
+			lr, _ := g.loads.get(tok)
 			lr.sm = 1000
-			g.loads[tok] = lr
+			g.loads.put(tok, lr)
 		}},
 		{"load-warp", "is for SM", func(g *GPU) {
 			tok := firstLoad(g)
-			lr := g.loads[tok]
+			lr, _ := g.loads.get(tok)
 			lr.warp = -1
-			g.loads[tok] = lr
+			g.loads.put(tok, lr)
 		}},
 		{"dram-kind", "kind -3", func(g *GPU) {
 			g.parts[0].dram.Enqueue(dram.Request{Addr: 256, Bytes: 32, Kind: -3})
@@ -597,9 +670,11 @@ func TestRestoreRefusesStatesThatPanic(t *testing.T) {
 			g.parts[0].dram.Enqueue(dram.Request{Addr: 256, Bytes: 1 << 20, Kind: int(KindData)})
 		}},
 		{"dest-kind", "kind 77", func(g *GPU) {
-			for tok, d := range g.parts[0].dests {
+			dests := &g.parts[0].dests
+			for _, tok := range dests.sortedKeys(nil) {
+				d, _ := dests.get(tok)
 				d.kind = 77
-				g.parts[0].dests[tok] = d
+				dests.put(tok, d)
 				return
 			}
 			t.Fatal("no DRAM transaction to tamper")
@@ -608,12 +683,12 @@ func TestRestoreRefusesStatesThatPanic(t *testing.T) {
 			// One load fewer than its warp awaits: the warp would be
 			// completed by replies for loads no longer tracked, or a
 			// reply would complete a warp that is not blocked.
-			delete(g.loads, firstLoad(g))
+			g.loads.take(firstLoad(g))
 		}},
 		{"dest-kind-without-cache", "never issues", func(g *GPU) {
 			// A key-table fill, which only software encryption issues.
-			for tok := range g.parts[0].dests {
-				g.parts[0].dests[tok] = dest{kind: destKeyFill}
+			for _, tok := range g.parts[0].dests.sortedKeys(nil) {
+				g.parts[0].dests.put(tok, dest{kind: destKeyFill})
 				return
 			}
 			t.Fatal("no DRAM transaction to tamper")

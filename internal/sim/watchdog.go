@@ -36,7 +36,7 @@ func (g *GPU) checkWatchdog() error {
 	if g.cfg.WatchdogCycles == 0 {
 		return nil
 	}
-	if len(g.loads) == 0 || g.now-g.lastProgressAt < g.cfg.WatchdogCycles {
+	if g.loads.len() == 0 || g.now-g.lastProgressAt < g.cfg.WatchdogCycles {
 		return nil
 	}
 	blocked := 0
@@ -47,7 +47,7 @@ func (g *GPU) checkWatchdog() error {
 		Benchmark:         g.gen.Name(),
 		Cycle:             g.now,
 		LastProgressCycle: g.lastProgressAt,
-		OutstandingLoads:  len(g.loads),
+		OutstandingLoads:  g.loads.len(),
 		BlockedWarps:      blocked,
 		Dump:              g.dumpState(),
 	}
@@ -58,7 +58,7 @@ func (g *GPU) checkWatchdog() error {
 // partitions that still hold work.
 func (g *GPU) dumpState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cycle %d, %d loads outstanding\n", g.now, len(g.loads))
+	fmt.Fprintf(&b, "cycle %d, %d loads outstanding\n", g.now, g.loads.len())
 	fmt.Fprintf(&b, "icnt toL2: %d queued (pushed %d, delivered %d, dropped %d, duplicated %d)\n",
 		g.toL2.Len(), g.toL2.Stats.Pushed, g.toL2.Stats.Delivered, g.toL2.Stats.Dropped, g.toL2.Stats.Duplicated)
 	fmt.Fprintf(&b, "icnt toSM: %d queued (pushed %d, delivered %d, dropped %d, duplicated %d)\n",
@@ -86,7 +86,7 @@ func (g *GPU) dumpState() string {
 
 	busy := 0
 	for _, p := range g.parts {
-		if p.dram.InFlight() == 0 && len(p.reads) == 0 && len(p.dests) == 0 && p.replies.Len() == 0 {
+		if p.dram.InFlight() == 0 && p.reads.len() == 0 && p.dests.len() == 0 && p.replies.Len() == 0 {
 			continue
 		}
 		busy++
@@ -96,7 +96,7 @@ func (g *GPU) dumpState() string {
 				l2Pending += bank.PendingFills()
 			}
 			fmt.Fprintf(&b, "partition %d: dram queue %d, in flight %d, reads %d, fills awaited %d, replies scheduled %d, L2 MSHR fills %d\n",
-				p.id, p.dram.QueueLen(), p.dram.InFlight(), len(p.reads), len(p.dests), p.replies.Len(), l2Pending)
+				p.id, p.dram.QueueLen(), p.dram.InFlight(), p.reads.len(), p.dests.len(), p.replies.Len(), l2Pending)
 		}
 	}
 	fmt.Fprintf(&b, "partitions with work: %d/%d\n", busy, len(g.parts))

@@ -7,12 +7,13 @@ import (
 	"gpusecmem/internal/statecodec"
 )
 
-// The scheduler keeps its keys in the dense due/last arrays. The
-// functions below are the reference they must agree with: the
-// greedy-then-oldest scan over warpState that predates those arrays,
-// together with the Tick, Complete and NextReady built on it. They
-// read and write only warps, greedy and the counters, never due or
-// last.
+// The scheduler keeps its keys in the dense due/last arrays and ranks
+// a cycle's issue slots in one scan. The functions below are the
+// reference they must agree with: a full greedy-then-oldest scan over
+// warpState per issue slot, the scheduler that predates those arrays,
+// together with the Tick and Complete built on it and the wake cycle
+// Tick must return. They read and write only warps, greedy and the
+// counters, never due, last or rank.
 
 func refReady(s *SM, w int, now uint64) bool {
 	ws := &s.warps[w]
@@ -169,15 +170,18 @@ func (l *lockstep) deliver(now uint64, complete func(*SM, int, uint64)) {
 
 // issuer returns the memory side for cycle now, a pure function of
 // (seed, now, warp): stores and one load in five complete at once;
-// other loads wait for one completion per sector, each 1–60 cycles out.
+// other loads wait for one completion per sector, each 1 to 60 cycles
+// out per 8 warps, so an SM with many warps still runs out of ready
+// ones.
 func (l *lockstep) issuer(now uint64) func(MemIssue) int {
+	span := 60 * uint64(1+len(l.sm.warps)/8)
 	return func(mi MemIssue) int {
 		h := mix(l.seed ^ mix(now<<16|uint64(mi.Warp)))
 		if mi.Write || h%5 == 0 {
 			return 0
 		}
 		for k := range mi.Sectors {
-			l.pending = append(l.pending, inflight{warp: mi.Warp, at: now + 1 + mix(h+uint64(k))%60})
+			l.pending = append(l.pending, inflight{warp: mi.Warp, at: now + 1 + mix(h+uint64(k))%span})
 		}
 		return len(mi.Sectors)
 	}
@@ -187,13 +191,14 @@ func (l *lockstep) issuer(now uint64) func(MemIssue) int {
 // the SM and through the warpState-scan reference, cycle by cycle, and
 // requires the same picks, counters, wake cycles and warp state — also
 // across a checkpoint walk (encode, then decode into a fresh SM) taken
-// mid-run.
+// mid-run. Issue widths run 1–8 and warp counts 1–48, so some scripts
+// have more slots than warps.
 func TestSchedulerMatchesReference(t *testing.T) {
 	const cycles = 3000
-	for seed := uint64(1); seed <= 12; seed++ {
+	for seed := uint64(1); seed <= 24; seed++ {
 		h := mix(seed)
-		warps := 1 + int(h%16)
-		width := 1 + int(h>>8%3)
+		warps := 1 + int(h%48)
+		width := 1 + int(seed%8)
 		restoreAt := uint64(500 + h>>16%2000)
 		gen := &randGen{seed: seed, warps: warps}
 		got := &lockstep{sm: New(0, gen, width), seed: seed}
@@ -216,7 +221,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 			}
 			got.deliver(now, (*SM).Complete)
 			want.deliver(now, refComplete)
-			got.sm.Tick(now, got.issuer(now))
+			wake := got.sm.Tick(now, got.issuer(now))
 			picks := refTick(want.sm, now, want.issuer(now))
 
 			g, w := got.sm, want.sm
@@ -242,8 +247,8 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d cycle %d: counters (%d, %d, %d), reference (%d, %d, %d)", seed, now,
 					g.Instructions, g.Stalls, g.MemOps, w.Instructions, w.Stalls, w.MemOps)
 			}
-			if a, b := g.NextReady(now+1), refNextReady(w, now+1); a != b {
-				t.Fatalf("seed %d cycle %d: NextReady %d, reference %d", seed, now, a, b)
+			if ref := refNextReady(w, now+1); wake != ref {
+				t.Fatalf("seed %d cycle %d: Tick's wake cycle %d, reference %d", seed, now, wake, ref)
 			}
 			if g.greedy != w.greedy || !reflect.DeepEqual(g.warps, w.warps) {
 				t.Fatalf("seed %d cycle %d: scheduler state diverged from the reference", seed, now)
@@ -258,7 +263,8 @@ func TestSchedulerMatchesReference(t *testing.T) {
 
 // BenchmarkSMTick is one SM with the catalogue's largest warp count
 // (32) at the default issue width (2), running compute batches, stores,
-// and loads that return after 200 cycles.
+// and loads that return after 200 cycles. Each iteration is one Tick,
+// which also yields the SM's wake cycle.
 func BenchmarkSMTick(b *testing.B) {
 	g := &scriptGen{warps: 32, ops: []WarpOp{
 		{ComputeInstrs: 6, ComputeSpacing: 4, Sectors: []uint64{0, 32, 64, 96}, ActiveLanes: 32},
@@ -267,6 +273,7 @@ func BenchmarkSMTick(b *testing.B) {
 	sm := New(0, g, 2)
 	const latency = 200
 	var ring [latency + 1][]int
+	var wake uint64
 	for i := 0; i < b.N; i++ {
 		now := uint64(i + 1)
 		slot := &ring[now%(latency+1)]
@@ -274,7 +281,7 @@ func BenchmarkSMTick(b *testing.B) {
 			sm.Complete(w, now)
 		}
 		*slot = (*slot)[:0]
-		sm.Tick(now, func(mi MemIssue) int {
+		wake = sm.Tick(now, func(mi MemIssue) int {
 			if mi.Write {
 				return 0
 			}
@@ -284,6 +291,8 @@ func BenchmarkSMTick(b *testing.B) {
 			}
 			return len(mi.Sectors)
 		})
-		sm.NextReady(now + 1)
+	}
+	if wake <= uint64(b.N) {
+		b.Fatalf("wake cycle %d is not after the last tick", wake)
 	}
 }

@@ -84,13 +84,16 @@ type SM struct {
 	warps      []warpState
 	greedy     int // warp the scheduler is currently stuck to
 	// due and last are the scheduler's keys, one per warp, kept dense
-	// beside warps so pick and NextReady scan 16 bytes a warp instead
-	// of whole warpStates: due[w] is warps[w].readyAt, or ^uint64(0)
+	// beside warps so Tick's scan reads 16 bytes a warp instead of
+	// whole warpStates: due[w] is warps[w].readyAt, or ^uint64(0)
 	// while the warp is blocked, and last[w] is warps[w].lastIssued.
 	// They are derived state: sync refreshes them wherever readyAt,
 	// phase or lastIssued change, and a decoding Walk rebuilds them.
 	due  []uint64
 	last []uint64
+	// rank is Tick's scratch: the ready warps a cycle issues, in
+	// issue order. No more than min(issueWidth, warps) can issue.
+	rank []int
 
 	// Instructions counts issued thread-instructions (warp
 	// instructions x active lanes); IPC is Instructions / cycles.
@@ -105,7 +108,7 @@ type SM struct {
 func New(id int, gen Generator, issueWidth int) *SM {
 	n := gen.WarpsPerSM()
 	sm := &SM{id: id, gen: gen, issueWidth: issueWidth, warps: make([]warpState, n),
-		due: make([]uint64, n), last: make([]uint64, n)}
+		due: make([]uint64, n), last: make([]uint64, n), rank: make([]int, 0, min(issueWidth, n))}
 	for w := range sm.warps {
 		sm.loadOp(w)
 	}
@@ -143,98 +146,121 @@ func (s *SM) loadOp(w int) {
 	}
 }
 
-// Tick issues up to issueWidth instructions at cycle now. Memory
-// operations are handed to issueMem; loads block the warp until
-// Complete is called once per sector. issueMem returns how many
+// Tick issues up to issueWidth instructions at cycle now and returns
+// the SM's next wake cycle: the earliest cycle after now at which some
+// warp can issue, or ^uint64(0) when every warp is blocked on memory
+// (only a Complete can then wake the SM). A Tick before the wake cycle
+// would find no ready warp and only accrue full-stall cycles — which
+// AccountIdle settles in bulk — so the cycle loop may skip the SM until
+// then without changing any machine state.
+//
+// Memory operations are handed to issueMem; loads block the warp
+// until Complete is called once per sector. issueMem returns how many
 // completions the warp must wait for (0 for stores or fully
 // short-circuited loads).
-func (s *SM) Tick(now uint64, issueMem func(MemIssue) int) {
-	for slot := 0; slot < s.issueWidth; slot++ {
-		w := s.pick(now)
-		if w < 0 {
-			s.Stalls++
+//
+// Scheduling is greedy-then-oldest, one warp per issue slot: keep
+// issuing from the current warp while it is ready; otherwise choose
+// the ready warp that issued least recently (the lowest index among
+// equal lastIssued), which becomes the current warp. An issued warp is
+// never ready again in the same cycle (every path sets its readyAt
+// past now or blocks it), so the slots of one cycle take the current
+// warp, if ready, then the other ready warps in (lastIssued, index)
+// order, and one scan ranks them all. A blocked warp's due key is
+// ^uint64(0), so one comparison tests readiness.
+func (s *SM) Tick(now uint64, issueMem func(MemIssue) int) uint64 {
+	g := s.greedy
+	limit := min(s.issueWidth, cap(s.rank))
+	greedyReady := limit > 0 && g < len(s.due) && s.due[g] <= now
+	if greedyReady {
+		limit--
+	}
+	rank := s.rank[:0]
+	wake := ^uint64(0)
+	ready := 0
+	for w, t := range s.due {
+		if t > now {
+			wake = min(wake, t)
 			continue
 		}
-		ws := &s.warps[w]
-		ws.lastIssued = now
-		switch ws.phase {
-		case phaseCompute:
-			s.Instructions += uint64(ws.op.ActiveLanes)
-			ws.computeLeft--
-			ws.readyAt = now + uint64(ws.op.ComputeSpacing)
-			if ws.computeLeft == 0 {
-				if len(ws.op.Sectors) > 0 {
-					ws.phase = phaseMem
-				} else {
-					s.loadOp(w)
-				}
+		ready++
+		if w == g || limit == 0 {
+			continue
+		}
+		// Insert w after every ranked warp that issued no later,
+		// dropping the youngest once rank holds limit warps.
+		l := s.last[w]
+		i := len(rank)
+		if i == limit {
+			if l >= s.last[rank[i-1]] {
+				continue
 			}
-		case phaseMem:
-			s.Instructions += uint64(ws.op.ActiveLanes)
-			s.MemOps++
-			n := issueMem(MemIssue{SM: s.id, Warp: w, Sectors: ws.op.Sectors, Write: ws.op.Write})
-			if n > 0 {
-				ws.phase = phaseBlocked
-				ws.outstanding = n
+			i--
+		} else {
+			rank = rank[:i+1]
+		}
+		for ; i > 0 && s.last[rank[i-1]] > l; i-- {
+			rank[i] = rank[i-1]
+		}
+		rank[i] = w
+	}
+	issued := len(rank)
+	if greedyReady {
+		issued++
+		wake = min(wake, s.issue(g, now, issueMem))
+	}
+	for _, w := range rank {
+		wake = min(wake, s.issue(w, now, issueMem))
+		s.greedy = w
+	}
+	s.Stalls += uint64(s.issueWidth - issued)
+	if ready > issued {
+		// A ready warp found no slot; it is still ready next cycle.
+		wake = now + 1
+	}
+	return wake
+}
+
+// issue issues one instruction of ready warp w at cycle now and
+// returns the warp's new due key.
+func (s *SM) issue(w int, now uint64, issueMem func(MemIssue) int) uint64 {
+	ws := &s.warps[w]
+	ws.lastIssued = now
+	switch ws.phase {
+	case phaseCompute:
+		s.Instructions += uint64(ws.op.ActiveLanes)
+		ws.computeLeft--
+		ws.readyAt = now + uint64(ws.op.ComputeSpacing)
+		if ws.computeLeft == 0 {
+			if len(ws.op.Sectors) > 0 {
+				ws.phase = phaseMem
 			} else {
-				ws.readyAt = now + 1
 				s.loadOp(w)
 			}
 		}
-		s.sync(w)
-	}
-}
-
-// NextReady returns the earliest cycle >= now at which some warp can
-// issue, or ^uint64(0) when every warp is blocked on memory (the SM
-// can then only be woken by a Complete). A Tick before the returned
-// cycle would find no ready warp and only accrue full-stall cycles —
-// which AccountIdle settles in bulk — so the cycle loop may skip the
-// SM until then without changing any machine state.
-func (s *SM) NextReady(now uint64) uint64 {
-	next := ^uint64(0)
-	for _, t := range s.due {
-		if t < next {
-			next = t
+	case phaseMem:
+		s.Instructions += uint64(ws.op.ActiveLanes)
+		s.MemOps++
+		n := issueMem(MemIssue{SM: s.id, Warp: w, Sectors: ws.op.Sectors, Write: ws.op.Write})
+		if n > 0 {
+			ws.phase = phaseBlocked
+			ws.outstanding = n
+		} else {
+			ws.readyAt = now + 1
+			s.loadOp(w)
 		}
 	}
-	if next < now {
-		next = now
-	}
-	return next
+	s.sync(w)
+	return s.due[w]
 }
 
 // AccountIdle books `cycles` skipped full-stall cycles: a Tick with no
-// ready warp issues nothing, moves no scheduler state (pick leaves the
-// greedy pointer alone when it finds nothing), and adds exactly one
+// ready warp issues nothing, moves no scheduler state (the greedy
+// pointer only moves to a warp that issues), and adds exactly one
 // stall per issue slot — so skipping it and settling the stalls later
 // is state-identical to having ticked.
 func (s *SM) AccountIdle(cycles uint64) {
 	s.Stalls += cycles * uint64(s.issueWidth)
-}
-
-// pick implements greedy-then-oldest: keep issuing from the current
-// warp while it is ready; otherwise choose the ready warp that issued
-// least recently (the lowest index among equal lastIssued). A blocked
-// warp's due key is ^uint64(0), so one comparison tests readiness.
-func (s *SM) pick(now uint64) int {
-	if s.greedy < len(s.due) && s.due[s.greedy] <= now {
-		return s.greedy
-	}
-	best := -1
-	var bestLast uint64
-	for w, t := range s.due {
-		if t > now {
-			continue
-		}
-		if l := s.last[w]; best < 0 || l < bestLast {
-			best, bestLast = w, l
-		}
-	}
-	if best >= 0 {
-		s.greedy = best
-	}
-	return best
 }
 
 // Complete notifies the SM that one outstanding sector of warp w
