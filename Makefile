@@ -90,7 +90,8 @@ results:
 	$(GO) run ./cmd/experiments -exp all -cycles 24000 -format md -out results -progress
 
 ## audit: run every simulation with the invariant auditors enabled
-## (request conservation, MSHR accounting, queue bounds) — slower, but
+## (request conservation, MSHR accounting, queue bounds, metadata
+## writebacks) — slower, but
 ## any bookkeeping bug aborts the sweep with an *AuditError.
 audit:
 	$(GO) test -run 'TestAuditorsPassOnCatalogue|TestWatchdog' ./internal/sim

@@ -183,6 +183,19 @@ func (d *DRAM) Enqueue(r Request) {
 // QueueLen reports current queue occupancy.
 func (d *DRAM) QueueLen() int { return len(d.queue) - d.head }
 
+// QueuedOfKind reports how many queued (not yet issued) requests carry
+// Request.Kind kind; with Stats.RequestsByKind it counts every request
+// of that kind ever enqueued.
+func (d *DRAM) QueuedOfKind(kind int) int {
+	n := 0
+	for _, p := range d.queue[d.head:] {
+		if p.req.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // InFlight reports queued plus issued-but-incomplete requests.
 func (d *DRAM) InFlight() int { return d.QueueLen() + d.compl.Len() }
 

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"gpusecmem/internal/cache"
-)
+import "fmt"
 
 // auditDeepPeriod is how often (in cycles) the O(state) leak audits
 // run; the O(SMs) conservation and queue-bound audits run every cycle.
@@ -45,7 +41,10 @@ func (g *GPU) auditErr(check, format string, args ...interface{}) error {
 //
 // Deep (every auditDeepPeriod cycles and at the end of the run):
 //   - MSHR/line accounting in every L1, L2 bank, and metadata cache
-//     (free-list conservation, no phantom entries, no stale tokens).
+//     (free-list conservation, no phantom entries, no stale tokens);
+//   - metadata writebacks: every dirty line a partition's metadata
+//     caches evicted became a KindWB DRAM write, issued or still
+//     queued.
 //
 // Auditing only reads state; it cannot perturb timing.
 func (g *GPU) audit(deep bool) error {
@@ -79,16 +78,20 @@ func (g *GPU) audit(deep bool) error {
 				return g.auditErr("mshr-accounting", "partition %d bank %d: %v", p.id, bi, err)
 			}
 		}
-		// With a unified configuration ctr/mac/tree alias one cache.
-		seen := map[*cache.Cache]bool{}
-		for _, mc := range []*cache.Cache{p.ctr, p.mac, p.tree} {
-			if mc == nil || seen[mc] {
-				continue
-			}
-			seen[mc] = true
+		var evicted uint64
+		for _, mc := range p.metaCaches() {
 			if err := mc.AuditLeaks(); err != nil {
 				return g.auditErr("mshr-accounting", "partition %d: %v", p.id, err)
 			}
+			evicted += mc.Stats.Writebacks
+		}
+		wb := uint64(p.dram.QueuedOfKind(int(KindWB)))
+		if byKind := p.dram.Stats.RequestsByKind; int(KindWB) < len(byKind) {
+			wb += byKind[KindWB]
+		}
+		if evicted != wb {
+			return g.auditErr("meta-writeback", "partition %d: metadata caches evicted %d dirty lines but enqueued %d DRAM writebacks",
+				p.id, evicted, wb)
 		}
 	}
 	return nil

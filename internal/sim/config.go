@@ -200,9 +200,9 @@ type Config struct {
 	Probe *probe.Config
 
 	// Audit enables the per-cycle invariant auditors (request
-	// conservation, MSHR accounting, queue bounds). Auditing never
-	// changes timing; a violated invariant aborts the run with an
-	// *AuditError.
+	// conservation, MSHR accounting, queue bounds, metadata
+	// writebacks). Auditing never changes timing; a violated invariant
+	// aborts the run with an *AuditError.
 	Audit bool
 
 	// WatchdogCycles is the forward-progress stall threshold: if no

@@ -362,18 +362,11 @@ func (g *GPU) collect() *Result {
 			res.Meta[m].MissesPrimary += p.metaStats[m].MissesPrimary
 			res.Meta[m].MissesSecondary += p.metaStats[m].MissesSecondary
 		}
-		for _, mc := range []*cache.Cache{p.ctr, p.mac, p.tree} {
-			if mc != nil {
-				res.MetaCacheWritebacks += mc.Stats.Writebacks
-			}
+		for _, mc := range p.metaCaches() {
+			res.MetaCacheWritebacks += mc.Stats.Writebacks
 		}
-		if p.cfg.Secure.Unified && p.ctr != nil {
-			// The aliased unified cache was counted three times.
-			res.MetaCacheWritebacks -= 2 * p.ctr.Stats.Writebacks
-		}
-		if p.ctrReuse != nil {
-			res.CounterReuse = p.ctrReuse
-			res.MACReuse = p.macReuse
+		if p.reuse[MetaCounter] != nil {
+			res.CounterReuse, res.MACReuse = p.reuse[MetaCounter], p.reuse[MetaMAC]
 		}
 	}
 	res.Faults.Injected = g.inj.Stats().Injected

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"gpusecmem/internal/cache"
 	"gpusecmem/internal/dram"
 	"gpusecmem/internal/eventq"
@@ -27,7 +29,7 @@ const (
 // small fields come last so a dest packs into 32 bytes.
 type dest struct {
 	addr   uint64 // metadata line address (fills)
-	readID uint64 // waiting read for destDataFill / bypass metadata fetches
+	readID uint64 // waiting read for destDataFill, key and bypass metadata fetches
 	// issuedAt is the enqueue cycle, kept for probe span attribution.
 	issuedAt uint64
 	kind     destKind
@@ -76,6 +78,12 @@ func (e replyEvent) When() uint64 { return e.at }
 // partition is one memory partition: L2 banks, the secure memory
 // engine (metadata caches, AES engines, MAC unit), and the DRAM
 // channel.
+//
+// The read path (startRead), the write path (handleDataWriteback) and
+// the integrity-tree walks touch metadata cache lines only through
+// metaAccess, which books the per-kind statistics, writes back an
+// allocate-on-miss victim and issues the line fetch; every metadata
+// fetch, the key-table reads included, returns through metaFill.
 type partition struct {
 	id  int
 	gpu *GPU
@@ -88,8 +96,8 @@ type partition struct {
 	// Metadata caches. With a unified configuration all three point
 	// at the same cache; with EncDirect ctr is nil. EncScattered reuses
 	// the ctr slot for its share-map cache (the only metadata cache the
-	// scheme has), so the counter wake/fill machinery serves the map
-	// gate unchanged; EncSWCrypto has no metadata caches at all.
+	// scheme has), and the map gates a read through the counter fields
+	// of readState; EncSWCrypto has no metadata caches at all.
 	ctr, mac, tree *cache.Cache
 
 	// metaBase is where the extension schemes' partition-local metadata
@@ -133,7 +141,10 @@ type partition struct {
 	// and fault draws wait there for the window barrier.
 	stage *replyStage
 
-	ctrReuse, macReuse *stats.ReuseProfiler
+	// reuse holds the Figure 10/11 reuse-distance profilers, indexed by
+	// metadata kind: counter and MAC on partition 0 under
+	// Config.ProfileReuse, nil otherwise.
+	reuse [numMeta]*stats.ReuseProfiler
 }
 
 func newPartition(id int, gpu *GPU) *partition {
@@ -214,11 +225,23 @@ func newPartition(id int, gpu *GPU) *partition {
 			}
 		}
 		if id == 0 && cfg.ProfileReuse {
-			p.ctrReuse = stats.NewReuseProfiler()
-			p.macReuse = stats.NewReuseProfiler()
+			p.reuse[MetaCounter] = stats.NewReuseProfiler()
+			p.reuse[MetaMAC] = stats.NewReuseProfiler()
 		}
 	}
 	return p
+}
+
+// metaCaches lists the partition's metadata caches, each once: a
+// unified configuration's ctr, mac and tree alias one cache.
+func (p *partition) metaCaches() []*cache.Cache {
+	var out []*cache.Cache
+	for _, mc := range [...]*cache.Cache{p.ctr, p.mac, p.tree} {
+		if mc != nil && !slices.Contains(out, mc) {
+			out = append(out, mc)
+		}
+	}
+	return out
 }
 
 // layoutFor builds the partition-local metadata layout.
@@ -350,12 +373,17 @@ func (p *partition) startRead(globalAddr, localAddr, token uint64, l2Bypass bool
 	p.reads.put(rs.id, rs)
 	sc := &p.cfg.Secure
 	protected := p.isProtected(localAddr)
+	hitAt := now + p.cfg.MetaLatency
 	if protected && sc.Encryption == EncScattered {
 		// The share locations are unknown until the share map answers,
 		// so no data fetch is issued here: the map lookup gates the
-		// whole fan-out (a map hit issues the shares this cycle).
+		// whole fan-out (a map hit issues the shares this cycle, a miss
+		// at the map line's fill).
 		rs.macDone = true
-		p.smapAccess(rs, now)
+		if p.metaAccess(MetaSMap, p.smapLineAddr(localAddr), rs.id, false, now) {
+			rs.metaArrived(MetaSMap, hitAt)
+			p.issueShares(rs, now)
+		}
 		return
 	}
 	// Data fetch.
@@ -363,16 +391,25 @@ func (p *partition) startRead(globalAddr, localAddr, token uint64, l2Bypass bool
 	p.dests.put(dt, dest{kind: destDataFill, readID: rs.id})
 	p.dram.Enqueue(dram.Request{Addr: localAddr, Bytes: geometry.SectorSize, Token: dt, Kind: int(KindData)})
 
+	// The counter gates decryption; the MAC is verified in the
+	// background under speculative verification.
 	switch {
 	case protected && sc.Encryption == EncCounter:
-		p.counterAccess(rs, now)
+		ctrAddr := p.lay.CounterLineAddr(p.lay.CounterLine(localAddr))
+		if p.metaAccess(MetaCounter, ctrAddr, rs.id, false, now) {
+			rs.metaArrived(MetaCounter, hitAt)
+		}
 	case protected && sc.Encryption == EncSWCrypto:
-		p.keyAccess(rs, now)
+		if p.keyAccess(localAddr, rs.id, false, now) {
+			rs.metaArrived(MetaKey, hitAt)
+		}
 	default:
 		rs.ctrDone = true
 	}
 	if protected && sc.MAC {
-		p.macAccess(rs, now)
+		if p.metaAccess(MetaMAC, p.lay.MACSectorAddr(localAddr), rs.id, false, now) {
+			rs.metaArrived(MetaMAC, hitAt)
+		}
 	} else {
 		rs.macDone = true
 	}
@@ -380,6 +417,94 @@ func (p *partition) startRead(globalAddr, localAddr, token uint64, l2Bypass bool
 		rs.unprotected = true
 	}
 	p.maybeReply(rs, now)
+}
+
+// --- Metadata access ---
+
+// metaPath is how each metadata kind's line fetches travel: the dest
+// kind that routes the fill back to metaFill and the traffic kind DRAM
+// books them under. The share map lives in the ctr slot, so its fills
+// are counter fills.
+var metaPath = [numMeta]struct {
+	fill    destKind
+	traffic TrafficKind
+}{
+	MetaCounter: {destCtrFill, KindCounter},
+	MetaMAC:     {destMACFill, KindMAC},
+	MetaTree:    {destTreeFill, KindTree},
+	MetaSMap:    {destCtrFill, KindSMap},
+	MetaKey:     {destKeyFill, KindKey},
+}
+
+// metaCache is the cache holding mk's lines (nil for MetaKey, whose one
+// line lives in lastKeyLine).
+func (p *partition) metaCache(mk MetaKind) *cache.Cache {
+	switch mk {
+	case MetaCounter, MetaSMap:
+		return p.ctr
+	case MetaMAC:
+		return p.mac
+	case MetaTree:
+		return p.tree
+	}
+	return nil
+}
+
+// metaAccess is the one path by which the secure engine touches a
+// metadata cache: it looks addr up in mk's cache on behalf of read
+// readID (0 for write-path and verification accesses, which no read
+// waits on), books metaStats and mk's reuse profiler, writes back the
+// dirty victim an allocate-on-miss reservation evicts, and on a miss
+// fetches the line, whose fill metaFill completes. The writeback is
+// enqueued before the fetch. It reports whether the access hit.
+func (p *partition) metaAccess(mk MetaKind, addr, readID uint64, write bool, now uint64) bool {
+	if r := p.reuse[mk]; r != nil {
+		r.Touch(addr / geometry.LineSize)
+	}
+	ms := &p.metaStats[mk]
+	ms.Accesses++
+	acc := p.metaCache(mk).Access(addr, write, readID)
+	switch acc.Outcome {
+	case cache.Hit:
+		return true
+	case cache.MissPrimary:
+		ms.MissesPrimary++
+	default:
+		ms.MissesSecondary++
+	}
+	if acc.Writeback != nil {
+		p.handleMetaWriteback(acc.Writeback, now)
+	}
+	if !acc.NeedFetch {
+		return false // merged: the in-flight fetch's fill wakes readID
+	}
+	d := dest{addr: addr / geometry.LineSize * geometry.LineSize, bypass: acc.Bypass, write: write, issuedAt: now}
+	if acc.Bypass {
+		// No MSHR tracks the fetch, so the read rides on it.
+		d.readID = readID
+	}
+	p.fetch(mk, d)
+	return false
+}
+
+// fetch issues the DRAM read of metadata line d.addr as mk's traffic;
+// its completion dispatches d to metaFill.
+func (p *partition) fetch(mk MetaKind, d dest) {
+	d.kind = metaPath[mk].fill
+	dt := p.newToken()
+	p.dests.put(dt, d)
+	p.dram.Enqueue(dram.Request{Addr: d.addr, Bytes: geometry.LineSize, Token: dt, Kind: int(metaPath[mk].traffic)})
+}
+
+// metaArrived records that the read's mk line is available from cycle
+// at: the MAC gates verification, every other kind (counter, share
+// map, page key) the counter fields.
+func (rs *readState) metaArrived(mk MetaKind, at uint64) {
+	if mk == MetaMAC {
+		rs.macDone, rs.macReady = true, at
+	} else {
+		rs.ctrDone, rs.ctrReady = true, at
+	}
 }
 
 // --- EncScattered share-map + share fan-out ---
@@ -418,38 +543,6 @@ func (p *partition) shareAddr(localAddr uint64, i int) uint64 {
 	return h%dataLines*geometry.LineSize + localAddr%geometry.LineSize
 }
 
-// smapAccess probes the share-map cache on the read critical path. A
-// hit releases the share fan-out immediately; a miss defers it to the
-// map line's fill (wakeCounterWaiters — the map reuses the counter
-// gate in readState).
-func (p *partition) smapAccess(rs *readState, now uint64) {
-	mapAddr := p.smapLineAddr(rs.localAddr)
-	ms := &p.metaStats[MetaSMap]
-	ms.Accesses++
-	acc := p.ctr.Access(mapAddr, false, rs.id)
-	switch acc.Outcome {
-	case cache.Hit:
-		rs.ctrDone = true
-		rs.ctrReady = now + p.cfg.MetaLatency
-	case cache.MissPrimary:
-		ms.MissesPrimary++
-	default:
-		ms.MissesSecondary++
-	}
-	if acc.NeedFetch {
-		dt := p.newToken()
-		d := dest{kind: destCtrFill, addr: mapAddr, bypass: acc.Bypass, issuedAt: now}
-		if acc.Bypass {
-			d.readID = rs.id
-		}
-		p.dests.put(dt, d)
-		p.dram.Enqueue(dram.Request{Addr: mapAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(KindSMap)})
-	}
-	if rs.ctrDone {
-		p.issueShares(rs, now)
-	}
-}
-
 // issueShares launches the k-way share fetch once the placement is
 // known: the home-address share counts as ordinary data traffic, the
 // k-1 scattered shares as KindShare. All shares feed the same
@@ -477,24 +570,23 @@ func (p *partition) keyLineAddr(localAddr uint64) uint64 {
 	return p.metaBase + off/geometry.LineSize*geometry.LineSize
 }
 
-// keyAccess models the software driver's key lookup: one key-table
-// line is held in a register; any other page's key is a full uncached
-// DRAM line read. There are no MSHRs — concurrent misses to the same
-// key line each pay their own fetch, which is exactly the cost the
-// hardware metadata path exists to avoid.
-func (p *partition) keyAccess(rs *readState, now uint64) {
-	keyLine := p.keyLineAddr(rs.localAddr)
+// keyAccess models the software driver's lookup of localAddr's page
+// key on behalf of read readID (0 for a writeback's encryption) and
+// reports whether the key was held. One key-table line is held in a
+// register; any other page's key is a full uncached DRAM line read.
+// There are no MSHRs — concurrent misses to the same key line each pay
+// their own fetch, which is exactly the cost the hardware metadata
+// path exists to avoid.
+func (p *partition) keyAccess(localAddr, readID uint64, write bool, now uint64) bool {
+	keyLine := p.keyLineAddr(localAddr)
 	ms := &p.metaStats[MetaKey]
 	ms.Accesses++
 	if keyLine == p.lastKeyLine {
-		rs.ctrDone = true
-		rs.ctrReady = now + p.cfg.MetaLatency
-		return
+		return true
 	}
 	ms.MissesPrimary++
-	dt := p.newToken()
-	p.dests.put(dt, dest{kind: destKeyFill, addr: keyLine, readID: rs.id, issuedAt: now})
-	p.dram.Enqueue(dram.Request{Addr: keyLine, Bytes: geometry.LineSize, Token: dt, Kind: int(KindKey)})
+	p.fetch(MetaKey, dest{addr: keyLine, readID: readID, write: write, issuedAt: now})
+	return false
 }
 
 // swSchedule books one sector's software decrypt/encrypt pass through
@@ -512,66 +604,6 @@ func (p *partition) swSchedule(readyCycle uint64) uint64 {
 	}
 	p.macFree3 = start3 + 24
 	return start3/3 + uint64(sc.SWCryptoCycles)
-}
-
-// counterAccess probes the counter cache on the read critical path.
-func (p *partition) counterAccess(rs *readState, now uint64) {
-	ctrAddr := p.lay.CounterLineAddr(p.lay.CounterLine(rs.localAddr))
-	if p.ctrReuse != nil {
-		p.ctrReuse.Touch(ctrAddr / geometry.LineSize)
-	}
-	ms := &p.metaStats[MetaCounter]
-	ms.Accesses++
-	acc := p.ctr.Access(ctrAddr, false, rs.id)
-	switch acc.Outcome {
-	case cache.Hit:
-		rs.ctrDone = true
-		rs.ctrReady = now + p.cfg.MetaLatency
-	case cache.MissPrimary:
-		ms.MissesPrimary++
-	default:
-		ms.MissesSecondary++
-	}
-	if acc.NeedFetch {
-		dt := p.newToken()
-		d := dest{kind: destCtrFill, addr: ctrAddr, bypass: acc.Bypass, issuedAt: now}
-		if acc.Bypass {
-			d.readID = rs.id
-		}
-		p.dests.put(dt, d)
-		p.dram.Enqueue(dram.Request{Addr: ctrAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(KindCounter)})
-	}
-}
-
-// macAccess probes the MAC cache (background under speculative
-// verification).
-func (p *partition) macAccess(rs *readState, now uint64) {
-	macAddr := p.lay.MACSectorAddr(rs.localAddr)
-	macLine := macAddr / geometry.LineSize * geometry.LineSize
-	if p.macReuse != nil {
-		p.macReuse.Touch(macLine / geometry.LineSize)
-	}
-	ms := &p.metaStats[MetaMAC]
-	ms.Accesses++
-	acc := p.mac.Access(macAddr, false, rs.id)
-	switch acc.Outcome {
-	case cache.Hit:
-		rs.macDone = true
-		rs.macReady = now + p.cfg.MetaLatency
-	case cache.MissPrimary:
-		ms.MissesPrimary++
-	default:
-		ms.MissesSecondary++
-	}
-	if acc.NeedFetch {
-		dt := p.newToken()
-		d := dest{kind: destMACFill, addr: macLine, bypass: acc.Bypass, issuedAt: now}
-		if acc.Bypass {
-			d.readID = rs.id
-		}
-		p.dests.put(dt, d)
-		p.dram.Enqueue(dram.Request{Addr: macLine, Bytes: geometry.LineSize, Token: dt, Kind: int(KindMAC)})
-	}
 }
 
 // maybeReply checks whether rs can be scheduled for its L2 fill and
@@ -697,7 +729,7 @@ func (p *partition) handleDataWriteback(ev *cache.Eviction, now uint64) {
 		for i := 1; i < sc.ScatterShares; i++ {
 			p.dram.Enqueue(dram.Request{Addr: p.shareAddr(ev.LineAddr, i), Bytes: ev.DirtyBytes, Write: true, Kind: int(KindShare)})
 		}
-		p.metaWriteAccess(MetaSMap, p.ctr, p.smapLineAddr(ev.LineAddr), destCtrFill, KindSMap, now)
+		p.metaAccess(MetaSMap, p.smapLineAddr(ev.LineAddr), 0, true, now)
 		return
 	case EncSWCrypto:
 		// Software encryption of each dirty sector, after the driver
@@ -705,31 +737,20 @@ func (p *partition) handleDataWriteback(ev *cache.Eviction, now uint64) {
 		for b := 0; b < ev.DirtyBytes; b += geometry.SectorSize {
 			p.swSchedule(now)
 		}
-		keyLine := p.keyLineAddr(ev.LineAddr)
-		ms := &p.metaStats[MetaKey]
-		ms.Accesses++
-		if keyLine != p.lastKeyLine {
-			ms.MissesPrimary++
-			dt := p.newToken()
-			p.dests.put(dt, dest{kind: destKeyFill, addr: keyLine, write: true, issuedAt: now})
-			p.dram.Enqueue(dram.Request{Addr: keyLine, Bytes: geometry.LineSize, Token: dt, Kind: int(KindKey)})
-		}
+		p.keyAccess(ev.LineAddr, 0, true, now)
 		return
 	}
 	// Encryption occupancy, one AES pass per dirty sector.
 	for b := 0; b < ev.DirtyBytes; b += geometry.SectorSize {
 		p.aesSchedule(now)
 	}
+	// Counter increment and MAC update: read-modify-writes of their
+	// lines, and without lazy update of each line's tree parent too.
 	if sc.Encryption == EncCounter {
-		// Counter increment: read-modify-write of the counter line.
 		ctrAddr := p.lay.CounterLineAddr(p.lay.CounterLine(ev.LineAddr))
-		if p.ctrReuse != nil {
-			p.ctrReuse.Touch(ctrAddr / geometry.LineSize)
-		}
-		p.metaWriteAccess(MetaCounter, p.ctr, ctrAddr, destCtrFill, KindCounter, now)
-		if sc.Tree && !sc.LazyTreeUpdate {
-			level, idx, _ := p.lay.LeafParent(p.lay.CounterLine(ev.LineAddr))
-			p.treeWriteAccess(p.lay.TreeNodeAddr(level, idx), now)
+		p.metaAccess(MetaCounter, ctrAddr, 0, true, now)
+		if !sc.LazyTreeUpdate {
+			p.treeParentAccess(ctrAddr, true, now)
 		}
 	}
 	if sc.MAC {
@@ -737,115 +758,55 @@ func (p *partition) handleDataWriteback(ev *cache.Eviction, now uint64) {
 			p.macSchedule(now)
 		}
 		macAddr := p.lay.MACSectorAddr(ev.LineAddr)
-		macLine := macAddr / geometry.LineSize * geometry.LineSize
-		if p.macReuse != nil {
-			p.macReuse.Touch(macLine / geometry.LineSize)
-		}
-		p.metaWriteAccess(MetaMAC, p.mac, macAddr, destMACFill, KindMAC, now)
-		if sc.Encryption == EncDirect && sc.Tree && !sc.LazyTreeUpdate {
-			level, idx, _ := p.lay.LeafParent(p.lay.MACLine(ev.LineAddr))
-			p.treeWriteAccess(p.lay.TreeNodeAddr(level, idx), now)
+		p.metaAccess(MetaMAC, macAddr, 0, true, now)
+		if !sc.LazyTreeUpdate {
+			p.treeParentAccess(macAddr, true, now)
 		}
 	}
-}
-
-// metaWriteAccess performs a read-modify-write access to a metadata
-// cache, fetching the line on a miss.
-func (p *partition) metaWriteAccess(mk MetaKind, c *cache.Cache, addr uint64, fillKind destKind, traffic TrafficKind, now uint64) {
-	ms := &p.metaStats[mk]
-	ms.Accesses++
-	acc := c.Access(addr, true, 0)
-	switch acc.Outcome {
-	case cache.Hit:
-	case cache.MissPrimary:
-		ms.MissesPrimary++
-	default:
-		ms.MissesSecondary++
-	}
-	if acc.Writeback != nil { // allocate-on-miss reservation
-		p.handleMetaWriteback(acc.Writeback, now)
-	}
-	if acc.NeedFetch {
-		lineAddr := addr / geometry.LineSize * geometry.LineSize
-		dt := p.newToken()
-		p.dests.put(dt, dest{kind: fillKind, addr: lineAddr, bypass: acc.Bypass, write: true, issuedAt: now})
-		p.dram.Enqueue(dram.Request{Addr: lineAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(traffic)})
-	}
-}
-
-// treeWriteAccess updates a tree node in the tree cache (lazy-update
-// parent propagation).
-func (p *partition) treeWriteAccess(nodeAddr uint64, now uint64) {
-	p.metaWriteAccess(MetaTree, p.tree, nodeAddr, destTreeFill, KindTree, now)
 }
 
 // handleMetaWriteback processes a dirty metadata-cache eviction: the
-// DRAM writeback plus the lazy parent update it triggers.
+// DRAM writeback plus, under lazy update, the parent update it
+// triggers.
 func (p *partition) handleMetaWriteback(ev *cache.Eviction, now uint64) {
 	p.dram.Enqueue(dram.Request{Addr: ev.LineAddr, Bytes: ev.DirtyBytes, Write: true, Kind: int(KindWB)})
+	if p.cfg.Secure.LazyTreeUpdate {
+		p.treeParentAccess(ev.LineAddr, true, now)
+	}
+}
+
+// treeParentAccess accesses the tree node one level above metadata
+// line addr: an update on the write path, a verification step
+// otherwise. The integrity tree covers counter lines under the BMT, MAC
+// lines under the MT, and its own nodes; the root's hash sits in an
+// on-chip register, so a level-0 node has no parent to touch. A
+// verification walk climbs one level per fill: a hit ends it (cached
+// implies verified), a miss continues it when the node returns
+// (metaFill), a merge rides on the in-flight fetch's walk.
+func (p *partition) treeParentAccess(addr uint64, write bool, now uint64) {
 	sc := &p.cfg.Secure
-	if !sc.Tree || !sc.LazyTreeUpdate {
+	if !sc.Tree {
 		return
 	}
-	switch p.lay.RegionOf(ev.LineAddr) {
+	var level int
+	var idx uint64
+	switch p.lay.RegionOf(addr) {
 	case geometry.RegionCounter:
-		leaf := (ev.LineAddr - p.lay.CounterBase) / geometry.LineSize
-		level, idx, _ := p.lay.LeafParent(leaf)
-		p.treeWriteAccess(p.lay.TreeNodeAddr(level, idx), now)
+		level, idx, _ = p.lay.LeafParent((addr - p.lay.CounterBase) / geometry.LineSize)
 	case geometry.RegionMAC:
-		if sc.Encryption == EncDirect {
-			leaf := (ev.LineAddr - p.lay.MACBase) / geometry.LineSize
-			level, idx, _ := p.lay.LeafParent(leaf)
-			p.treeWriteAccess(p.lay.TreeNodeAddr(level, idx), now)
-		}
-	case geometry.RegionTree:
-		level, idx := p.lay.NodeByAddr(ev.LineAddr)
-		if plevel, pidx, _, ok := p.lay.Parent(level, idx); ok {
-			p.treeWriteAccess(p.lay.TreeNodeAddr(plevel, pidx), now)
-		}
-		// Level 0's hash lives in the on-chip root register: no
-		// further traffic.
-	}
-}
-
-// --- Integrity verification walks (background, speculative) ---
-
-// verifyWalkFromLeaf starts the tree walk that authenticates a freshly
-// fetched leaf (counter line under BMT, MAC line under MT).
-func (p *partition) verifyWalkFromLeaf(leaf uint64, now uint64) {
-	level, idx, _ := p.lay.LeafParent(leaf)
-	p.verifyWalk(level, idx, now)
-}
-
-// verifyWalk authenticates upward from node (level, idx): a cached
-// node terminates the walk (cached implies verified); a miss fetches
-// the node and continues from its parent when the fill returns.
-func (p *partition) verifyWalk(level int, idx uint64, now uint64) {
-	for {
-		nodeAddr := p.lay.TreeNodeAddr(level, idx)
-		ms := &p.metaStats[MetaTree]
-		ms.Accesses++
-		acc := p.tree.Access(nodeAddr, false, 0)
-		switch acc.Outcome {
-		case cache.Hit:
+		if sc.Encryption != EncDirect {
 			return
-		case cache.MissPrimary:
-			ms.MissesPrimary++
-		default:
-			ms.MissesSecondary++
 		}
-		if acc.Writeback != nil {
-			p.handleMetaWriteback(acc.Writeback, now)
+		level, idx, _ = p.lay.LeafParent((addr - p.lay.MACBase) / geometry.LineSize)
+	case geometry.RegionTree:
+		var ok bool
+		if level, idx, _, ok = p.lay.Parent(p.lay.NodeByAddr(addr)); !ok {
+			return
 		}
-		if acc.NeedFetch {
-			dt := p.newToken()
-			p.dests.put(dt, dest{kind: destTreeFill, addr: nodeAddr, bypass: acc.Bypass, issuedAt: now})
-			p.dram.Enqueue(dram.Request{Addr: nodeAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(KindTree)})
-			return // continue from the parent at fill time
-		}
-		// Merged into an in-flight fetch: that walk continues for us.
+	default:
 		return
 	}
+	p.metaAccess(MetaTree, p.lay.TreeNodeAddr(level, idx), 0, write, now)
 }
 
 // --- DRAM completion dispatch ---
@@ -915,131 +876,97 @@ func (p *partition) injectMeta(addr uint64, covered bool) {
 }
 
 func (p *partition) dispatch(d dest, now uint64) {
+	if d.kind != destDataFill {
+		p.metaFill(d, now)
+		return
+	}
+	rs, ok := p.reads.get(d.readID)
+	if !ok {
+		return
+	}
+	// A flipped data line is caught only by a MAC over a protected
+	// address; decryption alone scrambles silently.
+	p.fire(faults.SiteDRAMData, rs.localAddr, p.cfg.Secure.MAC && !rs.unprotected)
+	if rs.sharesLeft > 1 {
+		// EncScattered: more shares outstanding — the line is
+		// reconstructible only once the last one lands.
+		rs.sharesLeft--
+		return
+	}
+	rs.sharesLeft = 0
+	rs.dataDone = true
+	rs.dataReady = now
+	p.maybeReply(rs, now)
+}
+
+// metaFill completes every metadata line fetch: the fault plan's shots
+// at the returning line, its probe span, the cache fill and any dirty
+// victim, the reads waiting on the line, and the next step of the
+// verification walk.
+func (p *partition) metaFill(d dest, now uint64) {
 	sc := &p.cfg.Secure
+	// A flipped MAC always miscompares against the recomputed one, and
+	// a flipped tree node fails its parent's hash check.
+	mk, covered := MetaTree, true
 	switch d.kind {
-	case destDataFill:
-		if rs, ok := p.reads.get(d.readID); ok {
-			// A flipped data line is caught only by a MAC over a
-			// protected address; decryption alone scrambles silently.
-			p.fire(faults.SiteDRAMData, rs.localAddr, sc.MAC && !rs.unprotected)
-			if rs.sharesLeft > 1 {
-				// EncScattered: more shares outstanding — the line is
-				// reconstructible only once the last one lands.
-				rs.sharesLeft--
-				return
-			}
-			rs.sharesLeft = 0
-			rs.dataDone = true
-			rs.dataReady = now
-			p.maybeReply(rs, now)
-		}
 	case destCtrFill:
 		// A corrupt counter fails the tree check directly, or the
-		// (stateful) MAC check indirectly via the wrong OTP. (Under
-		// EncScattered this is the share map and neither exists: the
-		// flip lands silently.)
-		p.injectMeta(d.addr, sc.Tree || sc.MAC)
-		if p.gpu.probe != nil {
-			k := KindCounter
-			if sc.Encryption == EncScattered {
-				k = KindSMap
-			}
-			p.recordMetaSpan(d, k, now)
-		}
-		fill := p.ctr.Fill(d.addr, d.bypass, d.write)
-		if fill.Writeback != nil {
-			p.handleMetaWriteback(fill.Writeback, now)
-		}
-		p.wakeCounterWaiters(fill.Tokens, d, now)
-		if sc.Tree {
-			leaf := (d.addr - p.lay.CounterBase) / geometry.LineSize
-			p.verifyWalkFromLeaf(leaf, now)
+		// (stateful) MAC check indirectly via the wrong OTP. The share
+		// map has neither: its flips land silently.
+		mk, covered = MetaCounter, sc.Tree || sc.MAC
+		if sc.Encryption == EncScattered {
+			mk = MetaSMap
 		}
 	case destMACFill:
-		// A flipped stored MAC always miscompares against the
-		// recomputed one.
-		p.injectMeta(d.addr, true)
-		if p.gpu.probe != nil {
-			p.recordMetaSpan(d, KindMAC, now)
-		}
-		fill := p.mac.Fill(d.addr, d.bypass, d.write)
-		if fill.Writeback != nil {
-			p.handleMetaWriteback(fill.Writeback, now)
-		}
-		p.wakeMACWaiters(fill.Tokens, d, now)
-		if sc.Encryption == EncDirect && sc.Tree {
-			leaf := (d.addr - p.lay.MACBase) / geometry.LineSize
-			p.verifyWalkFromLeaf(leaf, now)
-		}
-	case destTreeFill:
-		// A flipped tree node fails its parent's hash check.
-		p.injectMeta(d.addr, true)
-		if p.gpu.probe != nil {
-			p.recordMetaSpan(d, KindTree, now)
-		}
-		fill := p.tree.Fill(d.addr, d.bypass, d.write)
-		if fill.Writeback != nil {
-			p.handleMetaWriteback(fill.Writeback, now)
-		}
-		// Continue the verification walk upward.
-		level, idx := p.lay.NodeByAddr(d.addr)
-		if plevel, pidx, _, ok := p.lay.Parent(level, idx); ok {
-			p.verifyWalk(plevel, pidx, now)
-		}
+		mk = MetaMAC
 	case destKeyFill:
 		// A flipped page key scrambles the plaintext with nothing to
 		// miscompare against: always silent.
-		p.injectMeta(d.addr, false)
-		if p.gpu.probe != nil {
-			p.recordMetaSpan(d, KindKey, now)
-		}
+		mk, covered = MetaKey, false
+	}
+	p.injectMeta(d.addr, covered)
+	if p.gpu.probe != nil {
+		p.recordMetaSpan(d, metaPath[mk].traffic, now)
+	}
+	var tokens []uint64
+	if mk == MetaKey {
 		// The driver's register holds this key line from the fill cycle
 		// on. Updating at fill (not issue) time means concurrent misses
 		// on the same line each pay their own fetch — the software path
 		// has no MSHRs to merge them.
 		p.lastKeyLine = d.addr
-		if rs, ok := p.reads.get(d.readID); ok {
-			rs.ctrDone = true
-			rs.ctrReady = now
-			p.maybeReply(rs, now)
+	} else {
+		fill := p.metaCache(mk).Fill(d.addr, d.bypass, d.write)
+		if fill.Writeback != nil {
+			p.handleMetaWriteback(fill.Writeback, now)
 		}
+		tokens = fill.Tokens
 	}
+	// Wake the reads waiting on the line: the MSHR's merged tokens,
+	// then the one read an untracked fetch (a bypass miss, or any key
+	// read) carries itself. Write-path and tree fetches carry none.
+	for _, tok := range tokens {
+		p.wakeMetaWaiter(mk, tok, now)
+	}
+	if d.bypass || mk == MetaKey {
+		p.wakeMetaWaiter(mk, d.readID, now)
+	}
+	p.treeParentAccess(d.addr, false, now)
 }
 
-func (p *partition) wakeCounterWaiters(tokens []uint64, d dest, now uint64) {
-	if d.bypass && d.readID != 0 {
-		tokens = append(tokens, d.readID)
+// wakeMetaWaiter hands a filled metadata line to read readID, if it is
+// still live.
+func (p *partition) wakeMetaWaiter(mk MetaKind, readID, now uint64) {
+	rs, ok := p.reads.get(readID)
+	if !ok {
+		return
 	}
-	for _, tok := range tokens {
-		if tok == 0 {
-			continue
-		}
-		if rs, ok := p.reads.get(tok); ok {
-			rs.ctrDone = true
-			rs.ctrReady = now
-			if p.cfg.Secure.Encryption == EncScattered {
-				// The placement just became known: release the share
-				// fan-out (the reply waits on the shares, not here).
-				p.issueShares(rs, now)
-			} else {
-				p.maybeReply(rs, now)
-			}
-		}
-	}
-}
-
-func (p *partition) wakeMACWaiters(tokens []uint64, d dest, now uint64) {
-	if d.bypass && d.readID != 0 {
-		tokens = append(tokens, d.readID)
-	}
-	for _, tok := range tokens {
-		if tok == 0 {
-			continue
-		}
-		if rs, ok := p.reads.get(tok); ok {
-			rs.macDone = true
-			rs.macReady = now
-			p.maybeReply(rs, now)
-		}
+	rs.metaArrived(mk, now)
+	if mk == MetaSMap {
+		// The placement just became known: release the share fan-out
+		// (the reply waits on the shares, not here).
+		p.issueShares(rs, now)
+	} else {
+		p.maybeReply(rs, now)
 	}
 }

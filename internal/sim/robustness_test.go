@@ -54,18 +54,35 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 }
 
 // TestAuditorsPassOnCatalogue: the invariant auditors must stay quiet
-// across the whole benchmark catalogue on both the baseline and the
-// full secure design. -short checks a representative subset.
+// across the whole benchmark catalogue on the baseline, the full
+// secure design, and that design with allocate-on-miss metadata
+// caches. -short checks a representative subset.
 func TestAuditorsPassOnCatalogue(t *testing.T) {
 	benches := trace.Names()
 	if testing.Short() {
 		benches = []string{"fdtd2d", "b+tree", "lbm"}
 	}
-	for _, cfg := range []Config{Baseline(), SecureMem()} {
+	allocOnMiss := SecureMem()
+	allocOnMiss.Secure.AllocOnFill = false
+	for _, cfg := range []Config{Baseline(), SecureMem(), allocOnMiss} {
 		cfg.Audit = true
 		for _, b := range benches {
 			runFor(t, cfg, b)
 		}
+	}
+}
+
+// TestAllocOnMissWritebacksReachDRAM: under allocate-on-miss a
+// metadata miss claims its victim way at access time, so a read-path
+// lookup can evict a dirty line too. The meta-writeback audit must
+// find every such eviction as a KindWB DRAM write.
+func TestAllocOnMissWritebacksReachDRAM(t *testing.T) {
+	cfg := SecureMem()
+	cfg.Secure.AllocOnFill = false
+	cfg.Audit = true
+	cfg.MaxCycles = 6000
+	if _, err := Run(cfg, "lbm"); err != nil {
+		t.Fatal(err)
 	}
 }
 
