@@ -83,6 +83,9 @@ func TestResumeIdentity(t *testing.T) {
 		{"direct_mac_mt", "srad_v2", 1237, 0, 0},
 		{"baseline", "fdtd2d", 1500, 0, 0},
 		{"unified", "bfs", 1237, 0, 0},
+		// The extension schemes: share-map fills and key-table fills.
+		{"scattered", "fdtd2d", 1237, 0, 0},
+		{"sw_crypto", "bfs", 1500, 0, 0},
 		// Cross-shard: barrier checkpoints are the same states at every
 		// shard count, in both directions.
 		{"ctr_mac_bmt", "fdtd2d", 1500, 4, 0},
@@ -178,7 +181,7 @@ func sm0Greedy(t *testing.T, raw []byte) (at, end int) {
 		keys statecodec.KeySeq
 	)
 	d.String(&name)
-	for range 7 { // cycle, token and progress counters
+	for range 5 { // cycle, token and progress counters
 		d.U64(&u)
 	}
 	for d.Len(&n, 1); n > 0; n-- { // loads

@@ -4,10 +4,11 @@
 // (checkpoint key, snapshot cycle) holding the opaque machine-state
 // bytes of sim.GPU.Snapshot; the key is the canonical RunKey with
 // MaxCycles zeroed, so runs of one machine at different horizons share
-// a lineage. Any invalid
-// file — torn, corrupt, foreign, or of another schema or cycle — is
-// removed and counted, so a bad checkpoint self-heals as "start from
-// cycle 0", never as wrong state.
+// a lineage. Any invalid file — torn, corrupt, foreign, of another
+// schema or cycle, or holding a state of another wire format than
+// sim.StateHeader names — is removed and counted, so a bad or stale
+// checkpoint self-heals as "start from cycle 0", never as wrong state
+// and never as a resume the run cannot make.
 //
 // Concurrency and aliasing contract: a Store is safe for concurrent
 // use by any number of goroutines and processes sharing one directory.
@@ -16,18 +17,29 @@
 package checkpoint
 
 import (
+	"bytes"
+	"errors"
 	"sort"
 	"strconv"
 	"strings"
 
 	"gpusecmem/internal/envelope"
+	"gpusecmem/internal/sim"
 )
 
 // Schema versions the on-disk envelope; bump it when the envelope
 // changes (the machine-state payload carries its own sim.StateVersion
-// inside the opaque bytes). Schema 2 moved to the internal/envelope
-// framing.
+// in its header, which Latest checks). Schema 2 moved to the
+// internal/envelope framing.
 const Schema = "gpusecmem-checkpoint/2"
+
+// stateHeader prefixes every machine state this build can restore.
+var stateHeader = sim.StateHeader()
+
+// errStaleState rejects an entry whose state another wire format
+// encoded: Restore would refuse it, so serving it would report a
+// resume that cannot happen.
+var errStaleState = errors.New("checkpoint: machine state of another wire format")
 
 // Store is a persistent checkpoint store rooted at one directory.
 type Store struct {
@@ -81,7 +93,8 @@ func (s *Store) Put(key string, cycle uint64, state []byte) error {
 }
 
 // Latest returns the newest valid checkpoint for key with cycle <=
-// maxCycle, or ok=false, removing invalid candidates on the way.
+// maxCycle, or ok=false, removing invalid candidates on the way. A
+// state whose header is not this build's sim.StateHeader is invalid.
 func (s *Store) Latest(key string, maxCycle uint64) (cycle uint64, state []byte, ok bool) {
 	var tags []string
 	for _, c := range s.cycles(key) {
@@ -90,6 +103,9 @@ func (s *Store) Latest(key string, maxCycle uint64) (cycle uint64, state []byte,
 		}
 	}
 	ok = s.store.Get(key, tags, func(t string, _, payload []byte) error {
+		if !bytes.HasPrefix(payload, stateHeader) {
+			return errStaleState
+		}
 		cycle, _ = strconv.ParseUint(t[1:], 10, 64)
 		state = payload
 		return nil

@@ -7,10 +7,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gpusecmem/internal/atomicfile"
+	"gpusecmem/internal/sim"
 )
+
+// machineState is a payload Latest accepts: this build's state header,
+// then body.
+func machineState(body string) []byte { return append(sim.StateHeader(), body...) }
 
 // path is the file holding key's checkpoint at cycle.
 func (s *Store) path(key string, cycle uint64) string { return s.store.Path(key, tag(cycle)) }
@@ -27,7 +33,7 @@ func open(t *testing.T) *Store {
 func TestPutLatestRoundTrip(t *testing.T) {
 	s := open(t)
 	const key = "cfg|nw"
-	state := []byte("machine state at 2000")
+	state := machineState("machine state at 2000")
 	s.Put(key, 2000, state)
 	cycle, got, ok := s.Latest(key, 6000)
 	if !ok || cycle != 2000 || !bytes.Equal(got, state) {
@@ -44,8 +50,8 @@ func TestPutLatestRoundTrip(t *testing.T) {
 func TestPutPrunesOlderCycles(t *testing.T) {
 	s := open(t)
 	const key = "cfg|nw"
-	s.Put(key, 1000, []byte("old"))
-	s.Put(key, 3000, []byte("new"))
+	s.Put(key, 1000, machineState("old"))
+	s.Put(key, 3000, machineState("new"))
 	if n := s.Len(); n != 1 {
 		t.Fatalf("Len = %d after prune, want 1", n)
 	}
@@ -65,7 +71,7 @@ func TestPutPrunesOlderCycles(t *testing.T) {
 func TestLatestRespectsMaxCycle(t *testing.T) {
 	s := open(t)
 	const key = "cfg|nw"
-	s.Put(key, 3000, []byte("state"))
+	s.Put(key, 3000, machineState("state"))
 	if _, _, ok := s.Latest(key, 2999); ok {
 		t.Fatal("Latest returned a checkpoint past maxCycle")
 	}
@@ -76,12 +82,12 @@ func TestLatestRespectsMaxCycle(t *testing.T) {
 
 func TestKeysDoNotCollide(t *testing.T) {
 	s := open(t)
-	s.Put("key-a", 1000, []byte("state-a"))
-	s.Put("key-b", 1000, []byte("state-b"))
-	if _, got, ok := s.Latest("key-a", 5000); !ok || string(got) != "state-a" {
+	s.Put("key-a", 1000, machineState("state-a"))
+	s.Put("key-b", 1000, machineState("state-b"))
+	if _, got, ok := s.Latest("key-a", 5000); !ok || !bytes.Equal(got, machineState("state-a")) {
 		t.Fatalf("key-a = (%q, %v)", got, ok)
 	}
-	if _, got, ok := s.Latest("key-b", 5000); !ok || string(got) != "state-b" {
+	if _, got, ok := s.Latest("key-b", 5000); !ok || !bytes.Equal(got, machineState("state-b")) {
 		t.Fatalf("key-b = (%q, %v)", got, ok)
 	}
 }
@@ -117,6 +123,34 @@ func TestSchemaMismatchIsMiss(t *testing.T) {
 	}
 }
 
+// A validly enveloped state of another wire format — another
+// StateVersion, or no machine state at all — reads as a miss, is
+// removed and counted, so a caller never reports a resume that Restore
+// would refuse.
+func TestStaleStateVersionIsMiss(t *testing.T) {
+	const key = "cfg|nw"
+	stale := machineState("body")
+	stale[len(stale)-len("body")-1]++ // the version byte
+	for name, payload := range map[string][]byte{
+		"other-version": stale,
+		"not-a-state":   []byte("machine state at 2000"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := open(t)
+			s.Put(key, 1000, payload)
+			if _, _, ok := s.Latest(key, 5000); ok {
+				t.Fatal("served a state of another wire format")
+			}
+			if _, err := os.Stat(s.path(key, 1000)); !os.IsNotExist(err) {
+				t.Fatalf("stale entry not removed (stat err %v)", err)
+			}
+			if st := s.Stats(); st.Errors != 1 || st.Misses != 1 || st.Hits != 0 {
+				t.Fatalf("stats = %+v, want 1 error + 1 miss", st)
+			}
+		})
+	}
+}
+
 // The torn-write table: a checkpoint file truncated or bit-flipped at
 // arbitrary byte offsets — the artifacts of crashes and bit rot — must
 // read as a clean miss, be removed, and bump the error counter, for
@@ -124,7 +158,7 @@ func TestSchemaMismatchIsMiss(t *testing.T) {
 // framing would survive.
 func TestTornWritesSelfHeal(t *testing.T) {
 	const key = "cfg|nw"
-	state := bytes.Repeat([]byte("machine state payload "), 64)
+	state := machineState(strings.Repeat("machine state payload ", 64))
 
 	type corruption struct {
 		name string
@@ -190,7 +224,7 @@ func TestTornWritesSelfHeal(t *testing.T) {
 func TestLatestFallsBackPastCorruption(t *testing.T) {
 	s := open(t)
 	const key = "cfg|nw"
-	s.Put(key, 1000, []byte("older"))
+	s.Put(key, 1000, machineState("older"))
 	// Plant a corrupt newer checkpoint beside the older one: the older
 	// entry's bytes under the 2000-cycle name, invalid on read because
 	// the envelope binds the cycle.
@@ -203,7 +237,7 @@ func TestLatestFallsBackPastCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	cycle, got, ok := s.Latest(key, 5000)
-	if !ok || cycle != 1000 || string(got) != "older" {
+	if !ok || cycle != 1000 || !bytes.Equal(got, machineState("older")) {
 		t.Fatalf("Latest = (%d, %q, %v), want fallback to (1000, older)", cycle, got, ok)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -213,7 +247,7 @@ func TestLatestFallsBackPastCorruption(t *testing.T) {
 
 func TestZeroAndEmptyPutsIgnored(t *testing.T) {
 	s := open(t)
-	s.Put("k", 0, []byte("state"))
+	s.Put("k", 0, machineState("state"))
 	s.Put("k", 100, nil)
 	if n := s.Len(); n != 0 {
 		t.Fatalf("Len = %d after degenerate Puts, want 0", n)

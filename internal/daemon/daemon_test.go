@@ -583,3 +583,49 @@ func TestIncrementalServing(t *testing.T) {
 		t.Fatal("healthz metrics.resumed not bumped by the resumed run")
 	}
 }
+
+// A checkpoint of another StateVersion, as every store holds after a
+// wire-format change, cannot be restored, so a run over it simulates
+// from cycle 0: the response must say "simulated" and the restores
+// counter must not move.
+func TestStaleVersionCheckpointIsSimulated(t *testing.T) {
+	cfg, err := gpusecmem.ConfigForScheme("ctr_mac_bmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxCycles = 2000
+	seed, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gpusecmem.SimulateCheckpointed(context.Background(), cfg, "nw", seed, 1000); err != nil {
+		t.Fatal(err)
+	}
+	key := gpusecmem.CheckpointKey(cfg, "nw")
+	cycle, state, ok := seed.Latest(key, cfg.MaxCycles)
+	if !ok {
+		t.Fatal("no seed checkpoint")
+	}
+	stale := bytes.Clone(state)
+	stale[len("GSMSTATE")]++ // the StateVersion byte
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(key, cycle, stale)
+
+	ts := newTestServer(t, Config{Checkpoints: store, CheckpointEvery: 1000})
+	before := met.resumed.Value()
+	var run struct {
+		Source string `json:"source"`
+	}
+	if code := getJSON(t, ts.URL+"/api/run?bench=nw&scheme=ctr_mac_bmt&cycles=6000", &run); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if run.Source != "simulated" {
+		t.Fatalf("source = %q over a stale-version checkpoint, want simulated", run.Source)
+	}
+	if n := met.resumed.Value() - before; n != 0 {
+		t.Fatalf("checkpoint restores counter moved by %d, want 0", n)
+	}
+}

@@ -74,7 +74,8 @@ func resultStore(t *testing.T) subject {
 }
 
 func checkpointStore(t *testing.T) subject {
-	state := bytes.Repeat([]byte("machine state payload "), 64)
+	// The store serves only states with this build's header.
+	state := append(sim.StateHeader(), bytes.Repeat([]byte("machine state payload "), 64)...)
 	s, err := checkpoint.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -8,10 +8,9 @@
 // state — all methods must be called from one goroutine at a time,
 // with any cross-goroutine handoff externally synchronized (the
 // parallel engine only touches its queues between windows, under the
-// shard pool's barrier). The slice PopReady returns is scratch owned
-// by the queue, valid only until the next PopReady on the same queue;
-// callers consume it immediately and never retain it. The fixed
-// latency also gives the parallel engine its conservative lookahead:
+// shard pool's barrier). DrainThrough, the one delivery path, hands
+// each item to its visit callback by value and retains nothing. The
+// fixed latency also gives the parallel engine its conservative lookahead:
 // nothing pushed at cycle t can be delivered before t+latency, so two
 // components that only communicate through a queue cannot affect each
 // other within a window shorter than the latency.
@@ -27,9 +26,6 @@ type DelayQueue[T any] struct {
 	items   []Delayed[T]
 	head    int
 	tap     func(T) int
-	// out is PopReady's reusable scratch; see the PopReady aliasing
-	// contract.
-	out []T
 
 	// Stats counts what the queue moved (and what a fault tap did to
 	// it); cheap enough to keep unconditionally.
@@ -66,54 +62,15 @@ func (q *DelayQueue[T]) Push(now uint64, item T) {
 	q.items = append(q.items, Delayed[T]{ReadyAt: now + q.latency, Item: item})
 }
 
-// PushAfter enqueues with an extra delay on top of the base latency.
-func (q *DelayQueue[T]) PushAfter(now uint64, extra uint64, item T) {
-	q.Stats.Pushed++
-	q.items = append(q.items, Delayed[T]{ReadyAt: now + q.latency + extra, Item: item})
-}
-
 // PushAt enqueues an item whose absolute ready cycle has already been
 // computed (push cycle + latency + extra). It exists for the parallel
 // engine's barrier merge, which replays a window's pushes in canonical
 // order after the fact; FIFO position is append order, exactly as if
-// the item had been pushed with Push/PushAfter at its original cycle.
+// the item had been pushed at its original cycle with its extra delay
+// on top of the base latency.
 func (q *DelayQueue[T]) PushAt(readyAt uint64, item T) {
 	q.Stats.Pushed++
 	q.items = append(q.items, Delayed[T]{ReadyAt: readyAt, Item: item})
-}
-
-// PopReady returns all items ready at cycle now, in arrival order.
-// Items are pushed with monotonically non-decreasing ready times as
-// long as callers push with non-decreasing now, which the simulator
-// guarantees; the queue exploits that for O(1) amortized pops.
-//
-// Aliasing contract: the returned slice is scratch owned by the queue
-// and is valid only until the next PopReady call on the same queue.
-// Callers must consume it immediately (the cycle loop drains it in the
-// same step) and must not retain it or push-back items that alias it.
-func (q *DelayQueue[T]) PopReady(now uint64) []T {
-	out := q.out[:0]
-	for q.head < len(q.items) && q.items[q.head].ReadyAt <= now {
-		item := q.items[q.head].Item
-		q.head++
-		copies := 1
-		if q.tap != nil {
-			copies = q.tap(item)
-			switch {
-			case copies <= 0:
-				q.Stats.Dropped++
-			case copies > 1:
-				q.Stats.Duplicated += uint64(copies - 1)
-			}
-		}
-		for c := 0; c < copies; c++ {
-			out = append(out, item)
-			q.Stats.Delivered++
-		}
-	}
-	q.maybeCompact()
-	q.out = out
-	return out
 }
 
 // maybeCompact reclaims the consumed prefix once it dominates the
@@ -129,13 +86,14 @@ func (q *DelayQueue[T]) maybeCompact() {
 
 // DrainThrough delivers ahead of time every item whose effective
 // delivery cycle is <= limit, calling visit(at, item) for each in FIFO
-// order, where at is the cycle a per-cycle PopReady loop would have
-// returned it. Because PopReady only pops from the head, an item
+// order, where at is the cycle a per-cycle pop from the head would
+// have returned it. Such a pop only takes from the head, so an item
 // behind a later-ready head is blocked until that head pops: the
 // effective delivery cycle of item j is the running maximum of ready
 // cycles from the head through j. DrainThrough reproduces that
 // exactly, so pre-draining a window at a barrier is observationally
-// identical to popping cycle-by-cycle inside it.
+// identical to popping cycle-by-cycle inside it (the package tests
+// keep that per-cycle pop as the reference).
 //
 // The running maximum needs no cross-call state: the drain stops at
 // the first item whose effective cycle exceeds limit, and since every
@@ -143,9 +101,8 @@ func (q *DelayQueue[T]) maybeCompact() {
 // ready cycle must exceed limit — it dominates the drained prefix, so
 // a later drain restarting the maximum from the new head is exact.
 //
-// A delivery tap (SetTap) is applied per item just as in PopReady:
-// visit runs once per surviving copy and Stats count drops and
-// duplicates identically.
+// A delivery tap (SetTap) is applied per item: visit runs once per
+// surviving copy, and Stats count the drops and duplicates.
 func (q *DelayQueue[T]) DrainThrough(limit uint64, visit func(at uint64, item T)) {
 	eff := uint64(0)
 	for q.head < len(q.items) {
@@ -188,8 +145,8 @@ func clearTail[T any](s []Delayed[T]) {
 // absolute ready cycles, for a checkpoint walk. The slice aliases the
 // queue and is valid until its next push or delivery. Restoring them
 // into an empty queue (ResetPending) reproduces delivery exactly:
-// PopReady and DrainThrough only ever consume from the head, so the
-// consumed prefix carries no future behavior, and head-blocking (an
+// DrainThrough only ever consumes from the head, so the consumed
+// prefix carries no future behavior, and head-blocking (an
 // item behind a later-ready head waits for it) depends only on the
 // order and ready cycles of the remaining items.
 func (q *DelayQueue[T]) Pending() []Delayed[T] { return q.items[q.head:] }
@@ -205,9 +162,9 @@ func (q *DelayQueue[T]) ResetPending(n int) []Delayed[T] {
 }
 
 // NextReady returns the cycle at which the head item becomes ready, or
-// ^uint64(0) when the queue is empty. Because PopReady only ever
-// delivers from the head, this is exactly the next cycle a PopReady
-// can return anything, even when PushAfter extras make ready times
+// ^uint64(0) when the queue is empty. Because delivery only ever takes
+// from the head, this is exactly the earliest cycle anything can be
+// delivered, even when PushAt's extra delays make ready times
 // non-monotone behind the head.
 func (q *DelayQueue[T]) NextReady() uint64 {
 	if q.head >= len(q.items) {

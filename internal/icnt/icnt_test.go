@@ -2,17 +2,43 @@ package icnt
 
 import "testing"
 
+// drain delivers, through DrainThrough, every item ready by cycle now.
+func drain[T any](q *DelayQueue[T], now uint64) []T {
+	var out []T
+	q.DrainThrough(now, func(_ uint64, it T) { out = append(out, it) })
+	return out
+}
+
+// pushAfter pushes item at cycle now with an extra delay on top of the
+// queue's latency, as the simulator's staged replies do through PushAt.
+func pushAfter[T any](q *DelayQueue[T], now, extra uint64, item T) {
+	q.PushAt(now+q.latency+extra, item)
+}
+
+// popReady is the per-cycle delivery DrainThrough replaced, kept as its
+// reference: the items at the head whose ready cycle is <= now, in
+// arrival order. It ignores any tap; TestDrainThroughTap checks the tap
+// against explicit deliveries.
+func popReady[T any](q *DelayQueue[T], now uint64) []T {
+	var out []T
+	for q.head < len(q.items) && q.items[q.head].ReadyAt <= now {
+		out = append(out, q.items[q.head].Item)
+		q.head++
+	}
+	return out
+}
+
 func TestFixedLatency(t *testing.T) {
 	q := NewDelayQueue[int](5)
 	q.Push(10, 42)
 	for now := uint64(10); now < 15; now++ {
-		if got := q.PopReady(now); len(got) != 0 {
+		if got := drain(q, now); len(got) != 0 {
 			t.Fatalf("item ready early at %d: %v", now, got)
 		}
 	}
-	got := q.PopReady(15)
+	got := drain(q, 15)
 	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("PopReady(15) = %v", got)
+		t.Fatalf("drain(15) = %v", got)
 	}
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d", q.Len())
@@ -24,23 +50,23 @@ func TestOrderPreserved(t *testing.T) {
 	q.Push(0, 1)
 	q.Push(0, 2)
 	q.Push(1, 3)
-	got := q.PopReady(2)
+	got := drain(q, 2)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("PopReady(2) = %v", got)
+		t.Fatalf("drain(2) = %v", got)
 	}
-	got = q.PopReady(3)
+	got = drain(q, 3)
 	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("PopReady(3) = %v", got)
+		t.Fatalf("drain(3) = %v", got)
 	}
 }
 
 func TestPushAfter(t *testing.T) {
 	q := NewDelayQueue[string](3)
-	q.PushAfter(10, 7, "x")
-	if got := q.PopReady(19); len(got) != 0 {
+	pushAfter(q, 10, 7, "x")
+	if got := drain(q, 19); len(got) != 0 {
 		t.Fatal("early")
 	}
-	if got := q.PopReady(20); len(got) != 1 || got[0] != "x" {
+	if got := drain(q, 20); len(got) != 1 || got[0] != "x" {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -48,7 +74,7 @@ func TestPushAfter(t *testing.T) {
 func TestZeroLatency(t *testing.T) {
 	q := NewDelayQueue[int](0)
 	q.Push(5, 9)
-	if got := q.PopReady(5); len(got) != 1 {
+	if got := drain(q, 5); len(got) != 1 {
 		t.Fatalf("zero-latency item not ready: %v", got)
 	}
 }
@@ -59,7 +85,7 @@ func TestCompaction(t *testing.T) {
 	q := NewDelayQueue[int](1)
 	for now := uint64(0); now < 100000; now++ {
 		q.Push(now, int(now))
-		q.PopReady(now) // drains the item pushed at now-1
+		drain(q, now) // drains the item pushed at now-1
 	}
 	if len(q.items) > 5000 {
 		t.Fatalf("queue buffer grew to %d entries", len(q.items))
@@ -76,24 +102,25 @@ func TestLen(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	q.PopReady(4)
+	drain(q, 4)
 	if q.Len() != 0 {
 		t.Fatalf("Len after drain = %d", q.Len())
 	}
 }
 
-// drainReference replays a queue cycle-by-cycle with PopReady and
-// records (cycle, item) pairs — the ground truth DrainThrough must
-// reproduce.
+// delivery is one item delivered at a cycle.
 type delivery struct {
 	at   uint64
 	item int
 }
 
+// popReference replays a queue cycle-by-cycle with popReady and
+// records (cycle, item) pairs — the ground truth DrainThrough must
+// reproduce.
 func popReference(q *DelayQueue[int], from, through uint64) []delivery {
 	var out []delivery
 	for now := from; now <= through; now++ {
-		for _, it := range q.PopReady(now) {
+		for _, it := range popReady(q, now) {
 			out = append(out, delivery{now, it})
 		}
 	}
@@ -103,16 +130,16 @@ func popReference(q *DelayQueue[int], from, through uint64) []delivery {
 // TestDrainThroughMatchesPopReady: pre-draining a window must deliver
 // the same items at the same effective cycles as popping every cycle,
 // including head-of-line blocking from out-of-order ready times
-// (PushAfter extras) and items left behind for the next window.
+// (extra delays) and items left behind for the next window.
 func TestDrainThroughMatchesPopReady(t *testing.T) {
 	build := func() *DelayQueue[int] {
 		q := NewDelayQueue[int](3)
-		q.Push(0, 1)         // ready 3
-		q.PushAfter(0, 9, 2) // ready 12, blocks...
-		q.Push(1, 3)         // ready 4, but behind 2 -> effective 12
-		q.PushAfter(2, 1, 4) // ready 6 -> effective 12
-		q.Push(11, 5)        // ready 14
-		q.Push(20, 6)        // ready 23, beyond the window
+		q.Push(0, 1)          // ready 3
+		pushAfter(q, 0, 9, 2) // ready 12, blocks...
+		q.Push(1, 3)          // ready 4, but behind 2 -> effective 12
+		pushAfter(q, 2, 1, 4) // ready 6 -> effective 12
+		q.Push(11, 5)         // ready 14
+		q.Push(20, 6)         // ready 23, beyond the window
 		return q
 	}
 	ref := popReference(build(), 0, 15)
@@ -148,7 +175,7 @@ func TestDrainThroughWindowed(t *testing.T) {
 	build := func() *DelayQueue[int] {
 		q := NewDelayQueue[int](2)
 		for i := 0; i < 40; i++ {
-			q.PushAfter(uint64(i), uint64((i*7)%5), i)
+			pushAfter(q, uint64(i), uint64((i*7)%5), i)
 		}
 		return q
 	}
@@ -170,9 +197,8 @@ func TestDrainThroughWindowed(t *testing.T) {
 	}
 }
 
-// TestDrainThroughTap: a delivery tap must behave identically under
-// DrainThrough and PopReady — drops vanish, duplicates visit twice,
-// stats count both.
+// TestDrainThroughTap: under a delivery tap, drops vanish, duplicates
+// visit twice, and the stats count both.
 func TestDrainThroughTap(t *testing.T) {
 	q := NewDelayQueue[int](1)
 	q.SetTap(func(it int) int {
@@ -209,14 +235,14 @@ func TestPushAt(t *testing.T) {
 	q := NewDelayQueue[int](5)
 	q.PushAt(12, 1) // as if pushed at 7
 	q.Push(8, 2)    // ready 13
-	if got := q.PopReady(11); len(got) != 0 {
+	if got := drain(q, 11); len(got) != 0 {
 		t.Fatalf("early delivery: %v", got)
 	}
-	if got := q.PopReady(12); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("PopReady(12) = %v", got)
+	if got := drain(q, 12); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("drain(12) = %v", got)
 	}
-	if got := q.PopReady(13); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("PopReady(13) = %v", got)
+	if got := drain(q, 13); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("drain(13) = %v", got)
 	}
 	if q.Stats.Pushed != 2 {
 		t.Fatalf("Pushed = %d", q.Stats.Pushed)

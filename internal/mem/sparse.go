@@ -16,10 +16,7 @@
 // out of it, so callers may reuse their buffers immediately.
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PageSize is the sparse-allocation granularity. It is an
 // implementation detail (not an architectural parameter) chosen to
@@ -133,56 +130,4 @@ func (s *Sparse) Snapshot(addr uint64, n int) []byte {
 	buf := make([]byte, n)
 	s.Read(addr, buf)
 	return buf
-}
-
-// PageState is one materialized page in a whole-store State.
-type PageState struct {
-	ID   uint64
-	Data []byte
-}
-
-// State is a complete, detached snapshot of a Sparse store, with pages
-// sorted by ID so identical contents always serialize identically.
-type State struct {
-	Size  uint64
-	Pages []PageState
-}
-
-// SaveState captures the whole store — size and every materialized
-// page — for checkpointing. The result shares no memory with the
-// store. (Snapshot, above, copies a byte range; SaveState copies the
-// store.)
-func (s *Sparse) SaveState() *State {
-	st := &State{Size: s.size}
-	if len(s.pages) == 0 {
-		return st
-	}
-	ids := make([]uint64, 0, len(s.pages))
-	for id := range s.pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	st.Pages = make([]PageState, 0, len(ids))
-	for _, id := range ids {
-		st.Pages = append(st.Pages, PageState{ID: id, Data: append([]byte(nil), s.pages[id][:]...)})
-	}
-	return st
-}
-
-// LoadState replaces the store's contents with a previously saved
-// State. The snapshot's size must match the store's.
-func (s *Sparse) LoadState(st *State) error {
-	if st.Size != s.size {
-		return fmt.Errorf("mem: snapshot size %d does not match store size %d", st.Size, s.size)
-	}
-	s.pages = make(map[uint64]*[PageSize]byte, len(st.Pages))
-	for _, p := range st.Pages {
-		if len(p.Data) != PageSize {
-			return fmt.Errorf("mem: snapshot page %d has %d bytes, want %d", p.ID, len(p.Data), PageSize)
-		}
-		page := new([PageSize]byte)
-		copy(page[:], p.Data)
-		s.pages[p.ID] = page
-	}
-	return nil
 }

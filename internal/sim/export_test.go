@@ -34,3 +34,15 @@ func ForgedStates(cfg Config, bench string, b []byte) ([][]byte, error) {
 	}
 	return out, nil
 }
+
+// MetaShape reports partition 0's metadata-cache table: the kinds with
+// a cache, in MetaKind order, and how many distinct caches hold them.
+func MetaShape(g *GPU) (kinds []MetaKind, caches int) {
+	p := g.parts[0]
+	for mk, mc := range p.meta {
+		if mc != nil {
+			kinds = append(kinds, MetaKind(mk))
+		}
+	}
+	return kinds, len(p.metaCaches())
+}

@@ -61,9 +61,6 @@ type GPU struct {
 	smWake     []uint64
 	smLastTick []uint64
 	partNext   []uint64
-	// stepped counts cycles the SM side executed (<= now once idle
-	// stretches are skipped); it rides in checkpoints.
-	stepped uint64
 	// oneTok backs single-token reply delivery without allocating.
 	oneTok [1]uint64
 	// walkKeys is the checkpoint walk's sorted-token scratch.
@@ -93,10 +90,10 @@ type GPU struct {
 	ckptSink  func(cycle uint64, state []byte)
 	ckptLast  uint64
 
-	// completedLoads counts retirements; with issued instructions it
-	// forms the watchdog's forward-progress metric.
+	// completedLoads counts retirements. lastProgressAt is the last
+	// cycle a load retired or an instruction issued: the watchdog's
+	// forward-progress mark.
 	completedLoads uint64
-	lastProgress   uint64
 	lastProgressAt uint64
 	// maxProgressGap is the longest observed stretch between progress
 	// events (diagnostics and tests).
@@ -230,7 +227,10 @@ func (g *GPU) issueMem(mi smcore.MemIssue) int {
 		case acc.Outcome == cache.Hit:
 			outstanding++
 			g.loads.put(tok, lr)
-			// Hit latency reply through the local pipeline (no icnt).
+			// The hit replies after L1Latency, then crosses the reply
+			// interconnect like an L2 reply: stageReply adds
+			// IcntLatency, so the load completes L1Latency+IcntLatency
+			// cycles after issue (40 with the defaults).
 			g.oneTok[0] = tok
 			g.smStage.stageReply(g.now, g.now+g.cfg.L1Latency, addr, g.oneTok[:])
 		case acc.NeedFetch:

@@ -120,10 +120,10 @@ func (st *replyStage) key() mergeKey {
 	return k
 }
 
-// stageReply records one toSM push: readyAt reproduces
-// DelayQueue.PushAfter's arithmetic (push cycle + latency + extra),
-// and the token slice — possibly cache-owned scratch — is copied
-// entry-by-entry.
+// stageReply records one toSM push whose payload leaves at cycle at
+// (never before now): it is ready the interconnect latency later, the
+// ready cycle the barrier hands to DelayQueue.PushAt. The token slice
+// — possibly cache-owned scratch — is copied entry-by-entry.
 func (st *replyStage) stageReply(now, at, globalAddr uint64, tokens []uint64) {
 	if at < now {
 		at = now
@@ -415,7 +415,6 @@ func (e *engine) smWindow(T, E uint64) {
 			break
 		}
 		g.now = t
-		g.stepped++
 		clBefore := g.completedLoads
 		instrBefore := e.instrTotal
 		for e.smHead < len(e.smInbox) && e.smInbox[e.smHead].at <= t {
@@ -437,7 +436,6 @@ func (e *engine) smWindow(T, E uint64) {
 		}
 		if g.completedLoads != clBefore || e.instrTotal != instrBefore {
 			g.maxProgressGap = max(g.maxProgressGap, t-g.lastProgressAt)
-			g.lastProgress = g.completedLoads + e.instrTotal
 			g.lastProgressAt = t
 		}
 		t++

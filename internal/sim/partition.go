@@ -11,30 +11,20 @@ import (
 	"gpusecmem/internal/stats"
 )
 
-// destKind classifies what a completed DRAM transaction was for.
-type destKind uint8
-
-const (
-	destDataFill destKind = iota
-	destCtrFill
-	destMACFill
-	destTreeFill
-	// destKeyFill is an EncSWCrypto key-table line returning from DRAM.
-	// Key fetches are uncached and unmerged (the software path has no
-	// MSHRs), so each carries at most one waiting read.
-	destKeyFill
-)
-
 // dest is what a partition awaits from one DRAM transaction. The
 // small fields come last so a dest packs into 32 bytes.
 type dest struct {
 	addr   uint64 // metadata line address (fills)
-	readID uint64 // waiting read for destDataFill, key and bypass metadata fetches
+	readID uint64 // waiting read for a data fill, key and bypass metadata fetches
 	// issuedAt is the enqueue cycle, kept for probe span attribution.
 	issuedAt uint64
-	kind     destKind
-	bypass   bool
-	write    bool
+	// fill is what the transaction fetches: 0 for a data sector,
+	// MetaKind+1 for a metadata line. A key-table fetch is uncached and
+	// unmerged (the software path has no MSHRs), so it carries at most
+	// one waiting read.
+	fill   uint8
+	bypass bool
+	write  bool
 }
 
 // readState tracks one in-flight L2 read miss through the secure
@@ -93,12 +83,13 @@ type partition struct {
 	banks []*cache.Cache
 	dram  *dram.DRAM
 
-	// Metadata caches. With a unified configuration all three point
-	// at the same cache; with EncDirect ctr is nil. EncScattered reuses
-	// the ctr slot for its share-map cache (the only metadata cache the
-	// scheme has), and the map gates a read through the counter fields
-	// of readState; EncSWCrypto has no metadata caches at all.
-	ctr, mac, tree *cache.Cache
+	// meta holds the metadata caches, indexed by the kind of line each
+	// holds; nil where the scheme caches no such kind. A unified
+	// configuration points counter, MAC and tree at one cache;
+	// EncDirect has no counter cache, EncScattered only its share-map
+	// cache, and EncSWCrypto none at all. MetaKey never has a cache:
+	// its one line lives in lastKeyLine.
+	meta [numMeta]*cache.Cache
 
 	// metaBase is where the extension schemes' partition-local metadata
 	// region starts: the first address past the partition's data space.
@@ -171,25 +162,29 @@ func newPartition(id int, gpu *GPU) *partition {
 	if sc.Encryption != EncNone {
 		p.protectedStripes = uint64(sc.ProtectedFraction*16 + 0.5)
 		p.metaBase = cfg.ProtectedBytes / uint64(cfg.NumPartitions)
-		metaCache := func(name string, mergeCap int) *cache.Cache {
+		metaCache := func(name string, size, mshrs, mergeCap int, policy cache.Policy) *cache.Cache {
 			return cache.New(cache.Config{
 				Name:        name,
-				SizeBytes:   sc.MetaCacheBytes,
+				SizeBytes:   size,
 				LineSize:    geometry.LineSize,
 				Assoc:       sc.MetaAssoc,
-				NumMSHRs:    sc.MetaMSHRs,
+				NumMSHRs:    mshrs,
 				MergeCap:    mergeCap,
 				AllocOnFill: sc.AllocOnFill,
 				Perfect:     sc.PerfectMeta,
 				Unlimited:   sc.UnlimitedMeta,
+				Policy:      policy,
 			})
+		}
+		perKind := func(name string, mergeCap int) *cache.Cache {
+			return metaCache(name, sc.MetaCacheBytes, sc.MetaMSHRs, mergeCap, cache.PolicyLRU)
 		}
 		switch sc.Encryption {
 		case EncScattered:
 			// One share-map cache; no AES pipeline, MAC unit, or
 			// counter/MAC/tree geometry — the placement map is the
 			// scheme's entire metadata footprint.
-			p.ctr = metaCache("smap$", sc.MergeCapCounter)
+			p.meta[MetaSMap] = perKind("smap$", sc.MergeCapCounter)
 			return p
 		case EncSWCrypto:
 			// No hardware metadata structures at all: the software
@@ -200,28 +195,17 @@ func newPartition(id int, gpu *GPU) *partition {
 		p.lay = layoutFor(cfg)
 		p.aesFree3 = make([]uint64, sc.AESEngines)
 		if sc.Unified {
-			u := cache.New(cache.Config{
-				Name:        "unified$",
-				SizeBytes:   sc.UnifiedBytes,
-				LineSize:    geometry.LineSize,
-				Assoc:       sc.MetaAssoc,
-				NumMSHRs:    sc.UnifiedMSHRs,
-				MergeCap:    sc.MergeCapCounter,
-				AllocOnFill: sc.AllocOnFill,
-				Perfect:     sc.PerfectMeta,
-				Unlimited:   sc.UnlimitedMeta,
-				Policy:      sc.UnifiedPolicy,
-			})
-			p.ctr, p.mac, p.tree = u, u, u
+			u := metaCache("unified$", sc.UnifiedBytes, sc.UnifiedMSHRs, sc.MergeCapCounter, sc.UnifiedPolicy)
+			p.meta[MetaCounter], p.meta[MetaMAC], p.meta[MetaTree] = u, u, u
 		} else {
 			if sc.Encryption == EncCounter {
-				p.ctr = metaCache("ctr$", sc.MergeCapCounter)
+				p.meta[MetaCounter] = perKind("ctr$", sc.MergeCapCounter)
 			}
 			if sc.MAC {
-				p.mac = metaCache("mac$", sc.MergeCapMAC)
+				p.meta[MetaMAC] = perKind("mac$", sc.MergeCapMAC)
 			}
 			if sc.Tree {
-				p.tree = metaCache("tree$", sc.MergeCapTree)
+				p.meta[MetaTree] = perKind("tree$", sc.MergeCapTree)
 			}
 		}
 		if id == 0 && cfg.ProfileReuse {
@@ -232,11 +216,12 @@ func newPartition(id int, gpu *GPU) *partition {
 	return p
 }
 
-// metaCaches lists the partition's metadata caches, each once: a
-// unified configuration's ctr, mac and tree alias one cache.
+// metaCaches lists the partition's metadata caches in kind order, each
+// once: a unified configuration's counter, MAC and tree kinds share
+// one cache.
 func (p *partition) metaCaches() []*cache.Cache {
 	var out []*cache.Cache
-	for _, mc := range [...]*cache.Cache{p.ctr, p.mac, p.tree} {
+	for _, mc := range p.meta {
 		if mc != nil && !slices.Contains(out, mc) {
 			out = append(out, mc)
 		}
@@ -388,7 +373,7 @@ func (p *partition) startRead(globalAddr, localAddr, token uint64, l2Bypass bool
 	}
 	// Data fetch.
 	dt := p.newToken()
-	p.dests.put(dt, dest{kind: destDataFill, readID: rs.id})
+	p.dests.put(dt, dest{readID: rs.id})
 	p.dram.Enqueue(dram.Request{Addr: localAddr, Bytes: geometry.SectorSize, Token: dt, Kind: int(KindData)})
 
 	// The counter gates decryption; the MAC is verified in the
@@ -421,33 +406,14 @@ func (p *partition) startRead(globalAddr, localAddr, token uint64, l2Bypass bool
 
 // --- Metadata access ---
 
-// metaPath is how each metadata kind's line fetches travel: the dest
-// kind that routes the fill back to metaFill and the traffic kind DRAM
-// books them under. The share map lives in the ctr slot, so its fills
-// are counter fills.
-var metaPath = [numMeta]struct {
-	fill    destKind
-	traffic TrafficKind
-}{
-	MetaCounter: {destCtrFill, KindCounter},
-	MetaMAC:     {destMACFill, KindMAC},
-	MetaTree:    {destTreeFill, KindTree},
-	MetaSMap:    {destCtrFill, KindSMap},
-	MetaKey:     {destKeyFill, KindKey},
-}
-
-// metaCache is the cache holding mk's lines (nil for MetaKey, whose one
-// line lives in lastKeyLine).
-func (p *partition) metaCache(mk MetaKind) *cache.Cache {
-	switch mk {
-	case MetaCounter, MetaSMap:
-		return p.ctr
-	case MetaMAC:
-		return p.mac
-	case MetaTree:
-		return p.tree
-	}
-	return nil
+// metaTraffic is the traffic kind DRAM books each metadata kind's line
+// fetches under.
+var metaTraffic = [numMeta]TrafficKind{
+	MetaCounter: KindCounter,
+	MetaMAC:     KindMAC,
+	MetaTree:    KindTree,
+	MetaSMap:    KindSMap,
+	MetaKey:     KindKey,
 }
 
 // metaAccess is the one path by which the secure engine touches a
@@ -463,7 +429,7 @@ func (p *partition) metaAccess(mk MetaKind, addr, readID uint64, write bool, now
 	}
 	ms := &p.metaStats[mk]
 	ms.Accesses++
-	acc := p.metaCache(mk).Access(addr, write, readID)
+	acc := p.meta[mk].Access(addr, write, readID)
 	switch acc.Outcome {
 	case cache.Hit:
 		return true
@@ -490,10 +456,10 @@ func (p *partition) metaAccess(mk MetaKind, addr, readID uint64, write bool, now
 // fetch issues the DRAM read of metadata line d.addr as mk's traffic;
 // its completion dispatches d to metaFill.
 func (p *partition) fetch(mk MetaKind, d dest) {
-	d.kind = metaPath[mk].fill
+	d.fill = uint8(mk) + 1
 	dt := p.newToken()
 	p.dests.put(dt, d)
-	p.dram.Enqueue(dram.Request{Addr: d.addr, Bytes: geometry.LineSize, Token: dt, Kind: int(metaPath[mk].traffic)})
+	p.dram.Enqueue(dram.Request{Addr: d.addr, Bytes: geometry.LineSize, Token: dt, Kind: int(metaTraffic[mk])})
 }
 
 // metaArrived records that the read's mk line is available from cycle
@@ -545,8 +511,8 @@ func (p *partition) shareAddr(localAddr uint64, i int) uint64 {
 
 // issueShares launches the k-way share fetch once the placement is
 // known: the home-address share counts as ordinary data traffic, the
-// k-1 scattered shares as KindShare. All shares feed the same
-// destDataFill wait; the last arrival completes the read's data.
+// k-1 scattered shares as KindShare. All shares feed the same data
+// fill wait; the last arrival completes the read's data.
 func (p *partition) issueShares(rs *readState, now uint64) {
 	k := p.cfg.Secure.ScatterShares
 	rs.sharesLeft = k
@@ -556,7 +522,7 @@ func (p *partition) issueShares(rs *readState, now uint64) {
 			addr, kind = p.shareAddr(rs.localAddr, i), KindShare
 		}
 		dt := p.newToken()
-		p.dests.put(dt, dest{kind: destDataFill, readID: rs.id})
+		p.dests.put(dt, dest{readID: rs.id})
 		p.dram.Enqueue(dram.Request{Addr: addr, Bytes: geometry.SectorSize, Token: dt, Kind: int(kind)})
 	}
 }
@@ -876,7 +842,7 @@ func (p *partition) injectMeta(addr uint64, covered bool) {
 }
 
 func (p *partition) dispatch(d dest, now uint64) {
-	if d.kind != destDataFill {
+	if d.fill != 0 {
 		p.metaFill(d, now)
 		return
 	}
@@ -904,29 +870,10 @@ func (p *partition) dispatch(d dest, now uint64) {
 // victim, the reads waiting on the line, and the next step of the
 // verification walk.
 func (p *partition) metaFill(d dest, now uint64) {
-	sc := &p.cfg.Secure
-	// A flipped MAC always miscompares against the recomputed one, and
-	// a flipped tree node fails its parent's hash check.
-	mk, covered := MetaTree, true
-	switch d.kind {
-	case destCtrFill:
-		// A corrupt counter fails the tree check directly, or the
-		// (stateful) MAC check indirectly via the wrong OTP. The share
-		// map has neither: its flips land silently.
-		mk, covered = MetaCounter, sc.Tree || sc.MAC
-		if sc.Encryption == EncScattered {
-			mk = MetaSMap
-		}
-	case destMACFill:
-		mk = MetaMAC
-	case destKeyFill:
-		// A flipped page key scrambles the plaintext with nothing to
-		// miscompare against: always silent.
-		mk, covered = MetaKey, false
-	}
-	p.injectMeta(d.addr, covered)
+	mk := MetaKind(d.fill - 1)
+	p.injectMeta(d.addr, p.covered(mk))
 	if p.gpu.probe != nil {
-		p.recordMetaSpan(d, metaPath[mk].traffic, now)
+		p.recordMetaSpan(d, metaTraffic[mk], now)
 	}
 	var tokens []uint64
 	if mk == MetaKey {
@@ -936,7 +883,7 @@ func (p *partition) metaFill(d dest, now uint64) {
 		// has no MSHRs to merge them.
 		p.lastKeyLine = d.addr
 	} else {
-		fill := p.metaCache(mk).Fill(d.addr, d.bypass, d.write)
+		fill := p.meta[mk].Fill(d.addr, d.bypass, d.write)
 		if fill.Writeback != nil {
 			p.handleMetaWriteback(fill.Writeback, now)
 		}
@@ -952,6 +899,23 @@ func (p *partition) metaFill(d dest, now uint64) {
 		p.wakeMetaWaiter(mk, d.readID, now)
 	}
 	p.treeParentAccess(d.addr, false, now)
+}
+
+// covered reports whether the configured protection level detects a
+// flipped mk line. A flipped MAC always miscompares against the
+// recomputed one, and a flipped tree node fails its parent's hash
+// check. A corrupt counter fails the tree check directly, or the
+// (stateful) MAC check indirectly via the wrong OTP. The share map and
+// a page key have nothing to miscompare against: their flips land
+// silently.
+func (p *partition) covered(mk MetaKind) bool {
+	switch mk {
+	case MetaCounter:
+		return p.cfg.Secure.Tree || p.cfg.Secure.MAC
+	case MetaSMap, MetaKey:
+		return false
+	}
+	return true
 }
 
 // wakeMetaWaiter hands a filled metadata line to read readID, if it is

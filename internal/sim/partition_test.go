@@ -142,7 +142,7 @@ func TestPartitionWritePathRMWAndWriteback(t *testing.T) {
 // still tracked separately.
 func TestPartitionUnifiedAliasing(t *testing.T) {
 	p := newTestPartition(t, func(c *Config) { c.Secure.Unified = true })
-	if p.ctr != p.mac || p.mac != p.tree {
+	if p.meta[MetaCounter] != p.meta[MetaMAC] || p.meta[MetaMAC] != p.meta[MetaTree] {
 		t.Fatal("unified caches do not alias")
 	}
 	p.handleL2Read(0, 0, 1, 1)
@@ -161,7 +161,7 @@ func TestPartitionDirectModeNoCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := g.parts[0]
-	if p.ctr != nil {
+	if p.meta[MetaCounter] != nil {
 		t.Fatal("direct mode allocated a counter cache")
 	}
 	p.handleL2Read(0, 0, 1, 1)

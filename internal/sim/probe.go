@@ -197,18 +197,8 @@ func (g *GPU) sampleProbe() {
 		for _, b := range p.banks {
 			inst.L2MSHRs += b.MSHRsInUse()
 		}
-		if p.ctr != nil {
-			inst.MetaMSHRs += p.ctr.MSHRsInUse()
-		}
-		if !p.cfg.Secure.Unified {
-			// With a unified cache ctr/mac/tree alias one instance;
-			// separate caches each contribute their own occupancy.
-			if p.mac != nil {
-				inst.MetaMSHRs += p.mac.MSHRsInUse()
-			}
-			if p.tree != nil {
-				inst.MetaMSHRs += p.tree.MSHRsInUse()
-			}
+		for _, mc := range p.metaCaches() {
+			inst.MetaMSHRs += mc.MSHRsInUse()
 		}
 		inst.DRAMQueue += p.dram.QueueLen()
 		inst.BusyBanks += p.dram.BusyBanks(g.now)

@@ -29,20 +29,20 @@ package sim
 // at or below its localTok.
 //
 // The wire format, in walk order (u = uvarint, i = zigzag varint,
-// b = bool byte, f = packed flag byte, k = gap-coded key, [..] = a
-// length, then that many elements):
+// b = bool byte, y = raw byte, f = packed flag byte, k = gap-coded key,
+// [..] = a length, then that many elements):
 //
 //	state     = "GSMSTATE" u:StateVersion machine
-//	machine   = benchmark-name u:now u:tokenSeq u:stepped
-//	            u:completedLoads u:lastProgress u:lastProgressAt
-//	            u:maxProgressGap [k:token i:sm i:warp b:fillBypass]
+//	machine   = benchmark-name u:now u:tokenSeq u:completedLoads
+//	            u:lastProgressAt u:maxProgressGap
+//	            [k:token i:sm i:warp b:fillBypass]
 //	            [u:smWake] [u:smLastTick] [u:partNext]
 //	            [u:readyAt u:addr u:token b:write] icnt-stats
 //	            [u:readyAt u:addr u:token] icnt-stats
 //	            [sm] [cache: L1s] [partition]
-//	partition = [cache: L2 banks] dram (b:present cache)x3 b:unified
+//	partition = [cache: L2 banks] dram [cache: metadata caches]
 //	            [u:aesFree3] u:macFree3
-//	            [k:token i:kind u:addr u:readID f:bypass,write u:issuedAt]
+//	            [k:token y:fill u:addr u:readID f:bypass,write u:issuedAt]
 //	            [k:id u:globalAddr u:localAddr u:l2Token i:l2Bank
 //	             i:sharesLeft f:7-flags u:arrivedAt u:dataReady
 //	             u:ctrReady u:macReady]
@@ -50,8 +50,10 @@ package sim
 //	            u:faultSilent u:localTok u:lastKeyLine
 //
 // sm, cache and dram are the walks in internal/smcore, internal/cache
-// and internal/dram. A unified metadata cache is walked once, in the
-// counter slot.
+// and internal/dram. The metadata caches are the partition's distinct
+// caches in MetaKind order (metaCaches), so a unified cache is walked
+// once; the machine's configuration fixes how many there are. A dest's
+// fill is 0 for a data sector and MetaKind+1 for a metadata line.
 //
 // Configurations whose auxiliary state is not captured — fault
 // injection, probes, reuse profiling — refuse to snapshot or restore;
@@ -59,9 +61,9 @@ package sim
 // auditors only read machine state at barriers.
 
 import (
+	"encoding/binary"
 	"fmt"
 
-	"gpusecmem/internal/cache"
 	"gpusecmem/internal/geometry"
 	"gpusecmem/internal/icnt"
 	"gpusecmem/internal/statecodec"
@@ -76,10 +78,22 @@ import (
 // for the scattered-memory and software-encryption schemes. 3 replaced
 // the gob encoding with the flat codec (same fields). 4 made cache tag
 // arrays sparse (the shape, then only the live ways by flat index) and
-// gap-codes every sorted key.
-const StateVersion = 4
+// gap-codes every sorted key. 5 walks the metadata caches as one
+// counted list in MetaKind order (the three presence bools and the
+// unified-alias bool are gone), encodes a DRAM transaction's fill as a
+// raw byte holding MetaKind+1 (the share map's fills are no longer
+// counter fills), and drops two counters only the walk read: the SM
+// side's stepped-cycle count and the last progress value.
+const StateVersion = 5
 
 const stateMagic = "GSMSTATE"
+
+// StateHeader returns the prefix of every state this build's Snapshot
+// encodes: the magic, then StateVersion as a uvarint. A state with any
+// other prefix is of another wire format, which Restore refuses.
+func StateHeader() []byte {
+	return binary.AppendUvarint([]byte(stateMagic), StateVersion)
+}
 
 // Checkpointable reports whether cfg's complete state is captured by a
 // checkpoint, for the GPU and the library's checkpointed runs alike.
@@ -156,8 +170,8 @@ func (g *GPU) walk(c *statecodec.Codec) {
 	if c.Decoding() && name != g.gen.Name() {
 		c.Fail("snapshot is for benchmark %q, machine runs %q", name, g.gen.Name())
 	}
-	for _, p := range [...]*uint64{&g.now, &g.tokenSeq, &g.stepped, &g.completedLoads,
-		&g.lastProgress, &g.lastProgressAt, &g.maxProgressGap} {
+	for _, p := range [...]*uint64{&g.now, &g.tokenSeq, &g.completedLoads,
+		&g.lastProgressAt, &g.maxProgressGap} {
 		c.U64(p)
 	}
 
@@ -266,27 +280,10 @@ func (p *partition) walk(c *statecodec.Codec) {
 		b.Walk(c)
 	}
 	p.dram.Walk(c, int(numKinds), geometry.LineSize)
-	// ctr, mac and tree alias one cache when unified; walk it once.
-	unified := p.cfg.Secure.Unified && p.ctr != nil
-	meta := [...]*cache.Cache{p.ctr, p.mac, p.tree}
-	if unified {
-		meta[1], meta[2] = nil, nil
-	}
+	meta := p.metaCaches()
+	c.FixedLen(len(meta), "metadata caches in a partition")
 	for _, m := range meta {
-		present := m != nil
-		c.Bool(&present)
-		if present != (m != nil) {
-			c.Fail("partition %d: metadata-cache shape does not match the configuration", p.id)
-			return
-		}
-		if m != nil {
-			m.Walk(c)
-		}
-	}
-	alias := unified
-	c.Bool(&alias)
-	if alias != unified {
-		c.Fail("partition %d: unified-cache shape does not match the configuration", p.id)
+		m.Walk(c)
 	}
 	c.FixedU64s(p.aesFree3, "AES engines in a partition")
 	c.U64(&p.macFree3)
@@ -302,18 +299,16 @@ func (p *partition) walk(c *statecodec.Codec) {
 		maxTok = max(maxTok, tok)
 	}
 	walkTokens(c, &p.dests, &p.gpu.walkKeys, minDest, "DRAM transaction", func(tok uint64, d *dest) {
-		kind := int(d.kind)
-		c.Int(&kind)
+		c.Byte(&d.fill)
 		c.U64(&d.addr)
 		c.U64(&d.readID)
 		c.Bools(&d.bypass, &d.write)
 		c.U64(&d.issuedAt)
 		if c.Decoding() {
 			checkTok("DRAM transaction", tok)
-			if kind < 0 || kind > int(destKeyFill) || !p.fills(destKind(kind)) {
-				c.Fail("partition %d: DRAM transaction %d has kind %d, which this machine never issues", p.id, tok, kind)
+			if !p.fills(d.fill) {
+				c.Fail("partition %d: DRAM transaction %d has fill kind %d, which this machine never issues", p.id, tok, d.fill)
 			}
-			d.kind = destKind(kind)
 		}
 	})
 
@@ -405,21 +400,17 @@ func walkTokens[V any](c *statecodec.Codec, t *tokTable[V], keys *[]uint64, minE
 	}
 }
 
-// fills reports whether the partition issues DRAM transactions of kind
-// k: data always, each metadata fill only with its cache, key-table
-// fills only under software encryption.
-func (p *partition) fills(k destKind) bool {
-	switch k {
-	case destDataFill:
+// fills reports whether the partition issues DRAM transactions that
+// fill f (see dest): data always, a metadata kind only with its cache,
+// key-table lines only under software encryption.
+func (p *partition) fills(f uint8) bool {
+	switch {
+	case f == 0:
 		return true
-	case destCtrFill:
-		return p.ctr != nil
-	case destMACFill:
-		return p.mac != nil
-	case destTreeFill:
-		return p.tree != nil
-	case destKeyFill:
+	case f > uint8(numMeta):
+		return false
+	case MetaKind(f-1) == MetaKey:
 		return p.cfg.Secure.Encryption == EncSWCrypto
 	}
-	return false
+	return p.meta[f-1] != nil
 }

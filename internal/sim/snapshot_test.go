@@ -208,9 +208,9 @@ func parseCache(b []byte, c *cache.Cache) (*cacheFields, error) {
 func allCaches(g *GPU) []*cache.Cache {
 	all := slices.Clone(g.l1s)
 	for _, p := range g.parts {
-		all = append(append(all, p.banks...), p.ctr, p.mac, p.tree)
+		all = append(append(all, p.banks...), p.metaCaches()...)
 	}
-	return slices.DeleteFunc(all, func(c *cache.Cache) bool { return c == nil })
+	return all
 }
 
 // forgeCache encodes g and splices the fields of its first cache that
@@ -304,12 +304,12 @@ func plantToken(g *GPU, plant func(p *partition, tok uint64), tok func(p *partit
 }
 
 // loadsList locates the GPU's loads in state b: they follow the
-// benchmark name and seven counters.
+// benchmark name and five counters.
 func loadsList(b []byte) keyed {
 	d := statecodec.NewDecoder(b, stateMagic, StateVersion)
 	var name string
 	d.String(&name)
-	for range 7 {
+	for range 5 {
 		var u uint64
 		d.U64(&u)
 	}
@@ -673,7 +673,7 @@ func TestRestoreRefusesStatesThatPanic(t *testing.T) {
 			dests := &g.parts[0].dests
 			for _, tok := range dests.sortedKeys(nil) {
 				d, _ := dests.get(tok)
-				d.kind = 77
+				d.fill = 77
 				dests.put(tok, d)
 				return
 			}
@@ -688,7 +688,7 @@ func TestRestoreRefusesStatesThatPanic(t *testing.T) {
 		{"dest-kind-without-cache", "never issues", func(g *GPU) {
 			// A key-table fill, which only software encryption issues.
 			for _, tok := range g.parts[0].dests.sortedKeys(nil) {
-				g.parts[0].dests.put(tok, dest{kind: destKeyFill})
+				g.parts[0].dests.put(tok, dest{fill: uint8(MetaKey) + 1})
 				return
 			}
 			t.Fatal("no DRAM transaction to tamper")
