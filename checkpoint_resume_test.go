@@ -14,7 +14,6 @@ import (
 	"gpusecmem/internal/checkpoint"
 	"gpusecmem/internal/sim"
 	"gpusecmem/internal/statecodec"
-	"gpusecmem/internal/trace"
 )
 
 // The resume-identity net for checkpoint/restore: a run interrupted at
@@ -54,13 +53,15 @@ func ckptStore(t *testing.T) *checkpoint.Store {
 	return s
 }
 
-func runCheckpointed(t *testing.T, cfg Config, bench string, cs CheckpointStore, every uint64) *Result {
+// runCheckpointed runs SimulateCheckpointed and returns its result and
+// the cycle it reports resuming from.
+func runCheckpointed(t *testing.T, cfg Config, bench string, cs CheckpointStore, every uint64) (*Result, uint64) {
 	t.Helper()
-	res, err := SimulateCheckpointed(context.Background(), cfg, bench, cs, every)
+	res, from, err := SimulateCheckpointed(context.Background(), cfg, bench, cs, every)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, from
 }
 
 // TestResumeIdentity interrupts runs at a shorter horizon and resumes
@@ -108,10 +109,10 @@ func TestResumeIdentity(t *testing.T) {
 
 			// Phase 2: the full-horizon run must resume, not restart.
 			full := schemeCfg(t, c.scheme, goldenCycles, c.shardsSecond)
-			if from := ResumedFrom(full, c.bench, store); from != goldenCycles/2 {
-				t.Fatalf("would resume from cycle %d, want %d", from, goldenCycles/2)
+			res, from := runCheckpointed(t, full, c.bench, store, c.every)
+			if from != goldenCycles/2 {
+				t.Fatalf("resumed from cycle %d, want %d", from, goldenCycles/2)
 			}
-			res := runCheckpointed(t, full, c.bench, store, c.every)
 			if got := resultDigest(t, res); got != want {
 				t.Errorf("resumed run digest %s != uninterrupted %s", got, want)
 			}
@@ -143,24 +144,23 @@ func referenceDigest(t *testing.T, scheme, bench string) string {
 func TestResumeAtExactHorizon(t *testing.T) {
 	store := ckptStore(t)
 	cfg := schemeCfg(t, "ctr_mac_bmt", 3000, 0)
-	first := runCheckpointed(t, cfg, "nw", store, 1000)
-	second := runCheckpointed(t, cfg, "nw", store, 1000)
+	first, from := runCheckpointed(t, cfg, "nw", store, 1000)
+	if from != 0 {
+		t.Fatalf("first run resumed from cycle %d over an empty store", from)
+	}
+	second, from := runCheckpointed(t, cfg, "nw", store, 1000)
 	if a, b := resultDigest(t, first), resultDigest(t, second); a != b {
 		t.Fatalf("resume-at-horizon digest %s != original %s", b, a)
 	}
-	if from := ResumedFrom(cfg, "nw", store); from != 3000 {
-		t.Fatalf("final checkpoint at %d, want 3000", from)
+	if from != 3000 {
+		t.Fatalf("second run resumed from cycle %d, want the final checkpoint at 3000", from)
 	}
 }
 
 // restoreState restores raw into a fresh cfg machine running bench.
 func restoreState(t *testing.T, cfg Config, bench string, raw []byte) error {
 	t.Helper()
-	gen, err := trace.New(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := sim.New(cfg, gen)
+	g, err := sim.Build(cfg, bench)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +238,23 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := resultDigest(t, plain)
+	// restarts runs over store, which holds a state Restore refuses:
+	// the run must report no resume and match the plain run.
+	restarts := func(t *testing.T, store CheckpointStore) {
+		t.Helper()
+		res, from := runCheckpointed(t, cfg, bench, store, 1000)
+		if from != 0 {
+			t.Errorf("resumed from cycle %d, want a fresh run from 0", from)
+		}
+		if got := resultDigest(t, res); got != want {
+			t.Errorf("digest %s != plain %s", got, want)
+		}
+	}
 
 	t.Run("undecodable-state", func(t *testing.T) {
 		store := ckptStore(t)
 		store.Put(CheckpointKey(cfg, bench), 2000, []byte("not a machine state"))
-		res := runCheckpointed(t, cfg, bench, store, 1000)
-		if got := resultDigest(t, res); got != want {
-			t.Errorf("digest %s != plain %s", got, want)
-		}
+		restarts(t, store)
 	})
 	t.Run("foreign-version", func(t *testing.T) {
 		store := ckptStore(t)
@@ -263,10 +272,7 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 			t.Fatal("restored a state with a foreign StateVersion")
 		}
 		store.Put(CheckpointKey(cfg, bench), cycle, reraw)
-		res := runCheckpointed(t, cfg, bench, store, 1000)
-		if got := resultDigest(t, res); got != want {
-			t.Errorf("digest %s != plain %s", got, want)
-		}
+		restarts(t, store)
 	})
 	t.Run("forged-sm-state", func(t *testing.T) {
 		// A real snapshot whose SM 0 greedy pointer is out of range,
@@ -285,10 +291,7 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 			t.Fatalf("restore error %v, want a refused greedy pointer", err)
 		}
 		store.Put(CheckpointKey(cfg, bench), cycle, reraw)
-		res := runCheckpointed(t, cfg, bench, store, 1000)
-		if got := resultDigest(t, res); got != want {
-			t.Errorf("digest %s != plain %s", got, want)
-		}
+		restarts(t, store)
 	})
 	t.Run("truncated-state", func(t *testing.T) {
 		// A real snapshot minus its last byte: Restore fails only at
@@ -307,10 +310,7 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 			t.Fatalf("restore error %v, want truncation at the last byte", err)
 		}
 		store.Put(CheckpointKey(cfg, bench), cycle, cut)
-		res := runCheckpointed(t, cfg, bench, store, 1000)
-		if got := resultDigest(t, res); got != want {
-			t.Errorf("digest %s != plain %s", got, want)
-		}
+		restarts(t, store)
 	})
 	t.Run("gob-v2-state", func(t *testing.T) {
 		// What a StateVersion 2 build left in a store: its state
@@ -334,10 +334,7 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		store.Put(CheckpointKey(cfg, bench), cycle, old.Bytes())
-		res := runCheckpointed(t, cfg, bench, store, 1000)
-		if got := resultDigest(t, res); got != want {
-			t.Errorf("digest %s != plain %s", got, want)
-		}
+		restarts(t, store)
 		_, healed, ok := store.Latest(CheckpointKey(cfg, bench), cfg.MaxCycles)
 		if !ok {
 			t.Fatal("no checkpoint after the run")
@@ -368,10 +365,7 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 			t.Fatal("Restore accepted a version-3 state")
 		}
 		store.Put(CheckpointKey(cfg, bench), cycle, v3)
-		res := runCheckpointed(t, cfg, bench, store, 1000)
-		if got := resultDigest(t, res); got != want {
-			t.Errorf("digest %s != plain %s", got, want)
-		}
+		restarts(t, store)
 		at, healed, ok := store.Latest(CheckpointKey(cfg, bench), cycle)
 		if !ok || at != cycle {
 			t.Fatalf("no checkpoint at cycle %d after the run", cycle)
@@ -405,7 +399,7 @@ func TestUncoveredConfigsRunPlain(t *testing.T) {
 			if sim.Checkpointable(cfg) == nil {
 				t.Fatal("instrumented config reported checkpointable")
 			}
-			res := runCheckpointed(t, cfg, "nw", store, 500)
+			res, _ := runCheckpointed(t, cfg, "nw", store, 500)
 			if res == nil || !c.report(res) {
 				t.Fatal("instrumented run lost its report through the checkpointed path")
 			}
@@ -439,10 +433,10 @@ func TestAuditedResumeIdentity(t *testing.T) {
 			short := cfg
 			short.MaxCycles = 1200
 			runCheckpointed(t, short, bench, store, 500)
-			if from := ResumedFrom(cfg, bench, store); from != 1200 {
-				t.Fatalf("would resume from cycle %d, want 1200", from)
+			res, from := runCheckpointed(t, cfg, bench, store, 500)
+			if from != 1200 {
+				t.Fatalf("resumed from cycle %d, want 1200", from)
 			}
-			res := runCheckpointed(t, cfg, bench, store, 500)
 			if got := resultDigest(t, res); got != want {
 				t.Errorf("resumed audited digest %s != uninterrupted %s", got, want)
 			}

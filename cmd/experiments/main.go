@@ -79,26 +79,11 @@ func main() {
 		statsOut   = flag.String("stats-out", "", "write machine-readable per-run stats (JSON) to this file")
 		audit      = flag.Bool("audit", false, "run every simulation with invariant auditors enabled (changes memo keys; slower)")
 		debugAddr  = flag.String("debug-addr", "", "serve the sweep debug HTTP endpoint (live progress, expvar, pprof) on this address, e.g. localhost:6060")
-		quick      = flag.Bool("quick", false, "CI smoke mode: 2000 cycles and a two-benchmark subset unless overridden explicitly")
 		cacheDir   = flag.String("cache-dir", "", "persist simulation results in this directory, keyed by canonical config digest")
 		ckptDir    = flag.String("checkpoint-dir", "", "persist mid-run machine checkpoints in this directory; interrupted sweeps resume instead of restarting")
 		ckptEvery  = flag.Uint64("checkpoint-every", 5000, "checkpoint interval in cycles (with -checkpoint-dir)")
 	)
 	flag.Parse()
-
-	if *quick {
-		// Smoke-test defaults: short horizon, two representative
-		// benchmarks. Explicit -cycles/-benchmarks still win, so -quick
-		// composes with a targeted invocation.
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if !set["cycles"] {
-			*cycles = 2000
-		}
-		if !set["benchmarks"] {
-			*benchmarks = "nw,fdtd2d"
-		}
-	}
 
 	if *list {
 		for _, e := range gpusecmem.Experiments() {
@@ -218,7 +203,7 @@ func main() {
 	if ckpt != nil {
 		cs := ckpt.Stats()
 		diskNote += fmt.Sprintf(", checkpoints %d resumed / %d saved / %d errors",
-			cs.Hits, cs.Puts, cs.Errors)
+			rep.Resumed, cs.Puts, cs.Errors)
 	}
 	fmt.Fprintf(os.Stderr,
 		"sweep: %d experiments (%d failed), %d runs planned / %d executed (%d failed), cache %d hits / %d misses%s, jobs %d, wall %s, %.0f cycles/sec aggregate\n",

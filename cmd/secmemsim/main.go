@@ -133,12 +133,11 @@ func main() {
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
 	simulate := func(cfg gpusecmem.Config, bench string) (*gpusecmem.Result, error) {
-		if ckpt != nil {
-			if from := gpusecmem.ResumedFrom(cfg, bench, ckpt); from > 0 {
-				fmt.Fprintf(os.Stderr, "resuming from checkpoint at cycle %d\n", from)
-			}
+		res, from, err := gpusecmem.SimulateCheckpointed(ctx, cfg, bench, ckpt, *ckptEvery)
+		if from > 0 {
+			fmt.Fprintf(os.Stderr, "resumed from checkpoint at cycle %d\n", from)
 		}
-		return gpusecmem.SimulateCheckpointed(ctx, cfg, bench, ckpt, *ckptEvery)
+		return res, err
 	}
 
 	res, err := simulate(cfg, run.Benchmark)

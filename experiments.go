@@ -124,11 +124,13 @@ type run struct {
 // Hits include requests that blocked on an in-flight run. DiskHits
 // counts memo misses that were then served from the persistent
 // ResultCache instead of simulating; cancelled attempts count as
-// misses (and miss again when retried).
+// misses (and miss again when retried). Resumed counts simulations
+// that started from a checkpoint Restore accepted (SetCheckpointStore).
 type CacheStats struct {
 	Hits     uint64
 	Misses   uint64
 	DiskHits uint64
+	Resumed  uint64
 }
 
 // ResultCache is a persistent result store layered under the in-memory
@@ -187,6 +189,7 @@ type Context struct {
 	hits     uint64
 	misses   uint64
 	diskHits uint64
+	resumed  uint64
 
 	// Planning mode: Run records specs instead of simulating, so a
 	// runner can pre-plan the deduplicated work set of a sweep.
@@ -224,17 +227,23 @@ func (c *Context) SetResultCache(rc ResultCache) { c.disk = rc }
 // SetCheckpointStore routes every fresh simulation this Context owns
 // through SimulateCheckpointed against cs, snapshotting every `every`
 // cycles: sweeps survive crashes and re-runs resume instead of
-// restarting. A nil store or zero interval restores the plain path.
-// Not safe to call while runs are in flight, and it replaces the
-// simulation entry point (tests that substitute it should not also
-// arm checkpointing).
+// restarting. Each run that resumed counts in CacheStats.Resumed. A
+// nil store or zero interval restores the plain path. Not safe to call
+// while runs are in flight, and it replaces the simulation entry point
+// (tests that substitute it should not also arm checkpointing).
 func (c *Context) SetCheckpointStore(cs CheckpointStore, every uint64) {
 	if cs == nil || every == 0 {
 		c.simulate = SimulateContext
 		return
 	}
 	c.simulate = func(ctx context.Context, cfg Config, benchmark string) (*Result, error) {
-		return SimulateCheckpointed(ctx, cfg, benchmark, cs, every)
+		res, from, err := SimulateCheckpointed(ctx, cfg, benchmark, cs, every)
+		if from > 0 {
+			c.mu.Lock()
+			c.resumed++
+			c.mu.Unlock()
+		}
+		return res, err
 	}
 }
 
@@ -410,7 +419,7 @@ func (c *Context) CachedRuns() int {
 func (c *Context) CacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits}
+	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Resumed: c.resumed}
 }
 
 // RunStats returns per-run observability records for every completed

@@ -20,7 +20,6 @@ package gpusecmem
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"gpusecmem/internal/faults"
@@ -184,58 +183,35 @@ func CheckpointKey(cfg Config, benchmark string) string {
 // or before the horizon (or cycle 0 when none exists), snapshots into
 // cs every `every` cycles and at completion or cancellation, and
 // produces a Result bit-identical to an uninterrupted SimulateContext
-// run. Configurations sim.Checkpointable refuses (instrumented runs), a
-// nil store and a zero interval silently run plain.
-func SimulateCheckpointed(ctx context.Context, cfg Config, benchmark string, cs CheckpointStore, every uint64) (*Result, error) {
+// run. resumedFrom is the cycle of the state Restore accepted, or 0
+// when the run started from cycle 0: it is the one report of a resume,
+// since only Restore can judge a stored state. Configurations
+// sim.Checkpointable refuses (instrumented runs), a nil store and a
+// zero interval silently run plain.
+func SimulateCheckpointed(ctx context.Context, cfg Config, benchmark string, cs CheckpointStore, every uint64) (res *Result, resumedFrom uint64, err error) {
 	if cs == nil || every == 0 || sim.Checkpointable(cfg) != nil {
-		return sim.RunContext(ctx, cfg, benchmark)
+		res, err = sim.RunContext(ctx, cfg, benchmark)
+		return res, 0, err
 	}
 	key := CheckpointKey(cfg, benchmark)
-	sink := func(cycle uint64, state []byte) { cs.Put(key, cycle, state) }
-	build := func() (*sim.GPU, error) {
-		gen, err := trace.New(benchmark)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		g, err := sim.New(cfg, gen)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		return g, nil
-	}
-	g, err := build()
+	g, err := sim.Build(cfg, benchmark)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if _, state, ok := cs.Latest(key, cfg.MaxCycles); ok {
+	if cycle, state, ok := cs.Latest(key, cfg.MaxCycles); ok {
 		// Any failure along the resume path — undecodable bytes, a stale
 		// StateVersion, a shape mismatch — leaves the machine unusable and
 		// degrades to a fresh run from cycle 0 on a rebuilt one, never to
 		// wrong state.
-		if err := g.Restore(state); err != nil {
-			if g, err = build(); err != nil {
-				return nil, err
-			}
+		if err := g.Restore(state); err == nil {
+			resumedFrom = cycle
+		} else if g, err = sim.Build(cfg, benchmark); err != nil {
+			return nil, 0, err
 		}
 	}
-	g.SetCheckpoint(every, sink)
-	return g.RunContext(ctx)
-}
-
-// ResumedFrom reports the cycle a SimulateCheckpointed run would
-// resume from given the store's current contents: the newest valid
-// checkpoint at or before the horizon, or 0 for a fresh run. It is a
-// read-only preview (no store counters change semantics beyond a
-// Latest probe) used for attribution and logging.
-func ResumedFrom(cfg Config, benchmark string, cs CheckpointStore) uint64 {
-	if cs == nil {
-		return 0
-	}
-	cycle, _, ok := cs.Latest(CheckpointKey(cfg, benchmark), cfg.MaxCycles)
-	if !ok {
-		return 0
-	}
-	return cycle
+	g.SetCheckpoint(every, func(cycle uint64, state []byte) { cs.Put(key, cycle, state) })
+	res, err = g.RunContext(ctx)
+	return res, resumedFrom, err
 }
 
 // --- Fault injection & self-checking ---

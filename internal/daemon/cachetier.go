@@ -144,67 +144,53 @@ func (v *cacheView) count() {
 	met.simulated.Add(v.puts.Load())
 }
 
-// ckptView is a per-request gpusecmem.CheckpointStore over the shared
-// store. Like cacheView it exists for exact attribution: a Latest hit
-// means this request's simulation started from a mid-run snapshot
-// instead of cycle 0, which the response reports as source "resumed".
+// ckptView is a gpusecmem.CheckpointStore over the shared store that
+// times every store call and counts the saves. It counts no resumes:
+// only Restore can judge the bytes a Latest hit returns, so whether a
+// run resumed is SimulateCheckpointed's report, counted by the
+// request's Context.
 type ckptView struct {
 	store gpusecmem.CheckpointStore
-
-	resumes, saves atomic.Uint64
 }
 
 // newContext builds a request's memo over a fresh cache view and, when
 // a checkpoint store is configured, routes its simulations through a
-// fresh checkpoint view (nil — and safe to use — when checkpointing is
-// off). Shutdown checkpointing needs no extra plumbing: cancelling a
-// checkpointed run snapshots it before the simulator returns.
-func (s *Server) newContext(opts gpusecmem.Options) (*gpusecmem.Context, *cacheView, *ckptView) {
-	gctx := gpusecmem.NewContext(opts)
+// checkpoint view. Shutdown checkpointing needs no extra plumbing:
+// cancelling a checkpointed run snapshots it before the simulator
+// returns. Call settle exactly once, after the request's runs: it
+// folds the request's tallies into the registry and returns where its
+// results came from — "resumed" when a simulation restarted from a
+// checkpoint, outranking the cache tiers, which only see whole-run
+// results, and the cache tier's source otherwise.
+func (s *Server) newContext(opts gpusecmem.Options) (gctx *gpusecmem.Context, settle func() string) {
+	gctx = gpusecmem.NewContext(opts)
 	view := s.newView()
 	gctx.SetResultCache(view)
-	var ck *ckptView
 	if s.cfg.Checkpoints != nil {
-		ck = &ckptView{store: s.cfg.Checkpoints}
-		gctx.SetCheckpointStore(ck, s.cfg.CheckpointEvery)
+		gctx.SetCheckpointStore(ckptView{store: s.cfg.Checkpoints}, s.cfg.CheckpointEvery)
 	}
-	return gctx, view, ck
+	return gctx, func() string {
+		view.count()
+		resumed := gctx.CacheStats().Resumed
+		met.resumed.Add(resumed)
+		if resumed > 0 {
+			return "resumed"
+		}
+		return view.source()
+	}
 }
 
-func (v *ckptView) Latest(key string, maxCycle uint64) (uint64, []byte, bool) {
+func (v ckptView) Latest(key string, maxCycle uint64) (uint64, []byte, bool) {
 	t0 := time.Now()
 	cycle, state, ok := v.store.Latest(key, maxCycle)
 	met.ckptRestoreUs.ObserveSince(t0)
-	if ok {
-		v.resumes.Add(1)
-	}
 	return cycle, state, ok
 }
 
-func (v *ckptView) Put(key string, cycle uint64, state []byte) error {
-	v.saves.Add(1)
+func (v ckptView) Put(key string, cycle uint64, state []byte) error {
+	met.saved.Inc()
 	t0 := time.Now()
 	err := v.store.Put(key, cycle, state)
 	met.ckptSaveUs.ObserveSince(t0)
 	return err
-}
-
-// sourceOr returns "resumed" when this request's simulation restarted
-// from a checkpoint — outranking the cache tiers, which only see
-// whole-run results — and the cache-tier source otherwise.
-func (v *ckptView) sourceOr(cacheSource string) string {
-	if v != nil && v.resumes.Load() > 0 {
-		return "resumed"
-	}
-	return cacheSource
-}
-
-// count folds the view's tallies into the registry's checkpoint
-// counters.
-func (v *ckptView) count() {
-	if v == nil {
-		return
-	}
-	met.resumed.Add(v.resumes.Load())
-	met.saved.Add(v.saves.Load())
 }

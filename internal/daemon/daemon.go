@@ -540,11 +540,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The memo consults every cached tier before simulating, so a
 		// request that queued behind the worker pool may find its
 		// result already landed.
-		gctx, view, ck := s.newContext(gpusecmem.Options{Cycles: run.Config.MaxCycles, Shards: s.cfg.Shards})
+		gctx, settle := s.newContext(gpusecmem.Options{Cycles: run.Config.MaxCycles, Shards: s.cfg.Shards})
 		res, err := gctx.RunE(ctx, run.Config, run.Benchmark)
-		view.count()
-		ck.count()
-		return outcome{res, ck.sourceOr(view.source())}, err
+		return outcome{res, settle()}, err
 	})
 	if err != nil {
 		httpError(w, r, s.failStatus(err), "%v", err)
@@ -622,15 +620,14 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	gctx, view, ckpt := s.newContext(opts)
-	defer view.count()
-	defer ckpt.count()
+	gctx, settle := s.newContext(opts)
 
 	// The runner gives us planning, panic recovery, and render-order
 	// determinism for free; one job keeps this request to its one
 	// admission slot.
 	t0 := time.Now()
 	rep := runner.Run(ctx, gctx, []gpusecmem.Experiment{e}, runner.Options{Jobs: 1})
+	source := settle()
 	if rep.Aborted {
 		httpError(w, r, s.failStatus(ctx.Err()), "experiment aborted: %v", ctx.Err())
 		return
@@ -642,7 +639,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	wall := time.Since(t0)
 	observeRun(wall)
-	source := ckpt.sourceOr(view.source())
 	met.runDur.With(source).Observe(uint64(wall.Microseconds()))
 
 	switch format {

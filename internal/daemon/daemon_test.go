@@ -584,10 +584,13 @@ func TestIncrementalServing(t *testing.T) {
 	}
 }
 
-// A checkpoint of another StateVersion, as every store holds after a
-// wire-format change, cannot be restored, so a run over it simulates
-// from cycle 0: the response must say "simulated" and the restores
-// counter must not move.
+// A checkpoint that Restore refuses cannot be resumed, so a run over it
+// simulates from cycle 0: the response must say "simulated" and the
+// restores counter must not move. Two such states: one of another
+// StateVersion, as every store holds after a wire-format change (the
+// store itself refuses it), and a current-version state cut by its
+// last byte, whose header and envelope are valid, so only Restore can
+// tell.
 func TestStaleVersionCheckpointIsSimulated(t *testing.T) {
 	cfg, err := gpusecmem.ConfigForScheme("ctr_mac_bmt")
 	if err != nil {
@@ -598,7 +601,7 @@ func TestStaleVersionCheckpointIsSimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gpusecmem.SimulateCheckpointed(context.Background(), cfg, "nw", seed, 1000); err != nil {
+	if _, _, err := gpusecmem.SimulateCheckpointed(context.Background(), cfg, "nw", seed, 1000); err != nil {
 		t.Fatal(err)
 	}
 	key := gpusecmem.CheckpointKey(cfg, "nw")
@@ -606,26 +609,38 @@ func TestStaleVersionCheckpointIsSimulated(t *testing.T) {
 	if !ok {
 		t.Fatal("no seed checkpoint")
 	}
-	stale := bytes.Clone(state)
-	stale[len("GSMSTATE")]++ // the StateVersion byte
-	store, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Put(key, cycle, stale)
+	for _, c := range []struct {
+		name  string
+		state func() []byte
+	}{
+		{"stale-version", func() []byte {
+			stale := bytes.Clone(state)
+			stale[len("GSMSTATE")]++ // the StateVersion byte
+			return stale
+		}},
+		{"truncated", func() []byte { return bytes.Clone(state[:len(state)-1]) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store, err := checkpoint.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			store.Put(key, cycle, c.state())
 
-	ts := newTestServer(t, Config{Checkpoints: store, CheckpointEvery: 1000})
-	before := met.resumed.Value()
-	var run struct {
-		Source string `json:"source"`
-	}
-	if code := getJSON(t, ts.URL+"/api/run?bench=nw&scheme=ctr_mac_bmt&cycles=6000", &run); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if run.Source != "simulated" {
-		t.Fatalf("source = %q over a stale-version checkpoint, want simulated", run.Source)
-	}
-	if n := met.resumed.Value() - before; n != 0 {
-		t.Fatalf("checkpoint restores counter moved by %d, want 0", n)
+			ts := newTestServer(t, Config{Checkpoints: store, CheckpointEvery: 1000})
+			before := met.resumed.Value()
+			var run struct {
+				Source string `json:"source"`
+			}
+			if code := getJSON(t, ts.URL+"/api/run?bench=nw&scheme=ctr_mac_bmt&cycles=6000", &run); code != 200 {
+				t.Fatalf("status %d", code)
+			}
+			if run.Source != "simulated" {
+				t.Fatalf("source = %q over a refused checkpoint, want simulated", run.Source)
+			}
+			if n := met.resumed.Value() - before; n != 0 {
+				t.Fatalf("checkpoint restores counter moved by %d, want 0", n)
+			}
+		})
 	}
 }

@@ -93,7 +93,10 @@ type Report struct {
 	// DiskHits counts runs served from the Context's persistent
 	// ResultCache instead of simulating.
 	DiskHits uint64
-	Wall     time.Duration
+	// Resumed counts simulations that started from a checkpoint
+	// Restore accepted.
+	Resumed uint64
+	Wall    time.Duration
 	// Aborted reports that the sweep's context was cancelled before the
 	// plan finished: Runs holds only the runs completed by then and no
 	// experiments were rendered.
@@ -282,7 +285,7 @@ dispatch:
 	}
 
 	stats := gctx.CacheStats()
-	rep.CacheHits, rep.CacheMisses, rep.DiskHits = stats.Hits, stats.Misses, stats.DiskHits
+	rep.CacheHits, rep.CacheMisses, rep.DiskHits, rep.Resumed = stats.Hits, stats.Misses, stats.DiskHits, stats.Resumed
 	rep.Wall = time.Since(start)
 
 	byKey := make(map[string]gpusecmem.RunStat)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"errors"
-
-	"gpusecmem/internal/trace"
-)
+import "errors"
 
 // ForgedStates returns the byte-level forgery of every stateForgeries
 // entry that finds something to forge in state b of cfg running bench,
@@ -12,11 +8,7 @@ import (
 func ForgedStates(cfg Config, bench string, b []byte) ([][]byte, error) {
 	var out [][]byte
 	for _, f := range stateForgeries {
-		gen, err := trace.New(bench)
-		if err != nil {
-			return nil, err
-		}
-		g, err := New(cfg, gen)
+		g, err := Build(cfg, bench)
 		if err != nil {
 			return nil, err
 		}

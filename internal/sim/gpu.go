@@ -403,6 +403,16 @@ func Run(cfg Config, benchmark string) (*Result, error) {
 // RunContext is Run with cooperative cancellation (see
 // GPU.RunContext).
 func RunContext(ctx context.Context, cfg Config, benchmark string) (*Result, error) {
+	g, err := Build(cfg, benchmark)
+	if err != nil {
+		return nil, err
+	}
+	return g.RunContext(ctx)
+}
+
+// Build constructs a GPU for cfg running the named benchmark's
+// generator, at cycle 0.
+func Build(cfg Config, benchmark string) (*GPU, error) {
 	gen, err := trace.New(benchmark)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -411,5 +421,5 @@ func RunContext(ctx context.Context, cfg Config, benchmark string) (*Result, err
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return g.RunContext(ctx)
+	return g, nil
 }

@@ -13,9 +13,13 @@ import "slices"
 // is, and a deletion shifts the rest of the run back only up to the
 // next entry that sits at its home. A window of in-order tokens is
 // one long run of entries at their homes, and both stay O(1) on it.
-// The array doubles before an insert would take it past 7/8 load and
-// never shrinks, so its size follows the live count's high-water
-// mark, not the worst case.
+// The array doubles before an insert would take it past 7/8 load, and
+// after an insert that probed more than tokMaxProbe slots: when some
+// tokens stay live long, the live ones span more values than the array
+// has slots, the window wraps onto itself and the runs grow, so the
+// array grows until the span fits. It never shrinks, so its size
+// follows the live count's and the live span's high-water marks, not
+// the worst case.
 //
 // Token 0 is reserved: it marks an empty slot, put refuses it, and
 // every lookup of it misses, as the metadata wake paths' "no waiter"
@@ -32,6 +36,10 @@ type tokSlot[V any] struct {
 
 // tokTableMin is the slot count of a table's first allocation.
 const tokTableMin = 16
+
+// tokMaxProbe is the longest probe an insert may take before the
+// table doubles.
+const tokMaxProbe = 32
 
 func (t *tokTable[V]) len() int { return t.n }
 
@@ -69,25 +77,27 @@ func (t *tokTable[V]) put(tok uint64, v V) {
 	if (t.n+1)*8 > len(t.slots)*7 {
 		t.resize(max(2*len(t.slots), tokTableMin))
 	}
-	t.insert(tokSlot[V]{tok: tok, val: v})
+	if t.insert(tokSlot[V]{tok: tok, val: v}) > tokMaxProbe {
+		t.resize(2 * len(t.slots))
+	}
 }
 
 // insert places e, or overwrites e.tok's value, in a table with a free
-// slot. Where e is farther from its home than a slot's occupant, e
-// takes the slot and the occupant moves on (Robin Hood); e.tok cannot
-// lie past such a slot.
-func (t *tokTable[V]) insert(e tokSlot[V]) {
+// slot, and returns how many slots it probed. Where e is farther from
+// its home than a slot's occupant, e takes the slot and the occupant
+// moves on (Robin Hood); e.tok cannot lie past such a slot.
+func (t *tokTable[V]) insert(e tokSlot[V]) int {
 	mask := uint64(len(t.slots) - 1)
-	for i, d := e.tok&mask, uint64(0); ; i, d = (i+1)&mask, d+1 {
+	for i, d, n := e.tok&mask, uint64(0), 1; ; i, d, n = (i+1)&mask, d+1, n+1 {
 		s := &t.slots[i]
 		switch {
 		case s.tok == 0:
 			*s = e
 			t.n++
-			return
+			return n
 		case s.tok == e.tok:
 			s.val = e.val
-			return
+			return n
 		}
 		if sd := (i - s.tok) & mask; sd < d {
 			e, *s = *s, e

@@ -183,6 +183,69 @@ func TestTokTableWrapAroundAndGrowth(t *testing.T) {
 	l.tab.put(0, 1)
 }
 
+// insertProbe is how many slots an insert of the absent token tok
+// would probe: from its home slot to the first empty slot, where a
+// Robin Hood insert always ends.
+func insertProbe(tab *tokTable[uint64], tok uint64) int {
+	if len(tab.slots) == 0 {
+		return 1
+	}
+	mask := uint64(len(tab.slots) - 1)
+	n := 1
+	for i := tok & mask; tab.slots[i].tok != 0; i = (i + 1) & mask {
+		n++
+	}
+	return n
+}
+
+// Tokens that stay live long, as loads queued behind a busy DRAM bank
+// do, make the live tokens span more values than the table has slots:
+// the window of young tokens wraps onto the old ones and the probe
+// runs grow with every lap. An insert must never probe more than
+// tokMaxProbe slots without the table doubling, and the doubling must
+// stop once the span fits.
+func TestTokTableLongLivedTokens(t *testing.T) {
+	const (
+		young   = 512  // most tokens retire this many tokens after issue
+		oldRate = 4    // every 4th token instead lives
+		oldLife = 8192 // this long, well past the table's capacity
+		issued  = 64 * 1024
+	)
+	var tab tokTable[uint64]
+	want := map[uint64]uint64{}
+	take := func(tok uint64) {
+		if _, ok := tab.take(tok); !ok {
+			t.Fatalf("live token %d missing", tok)
+		}
+		delete(want, tok)
+	}
+	for tok := uint64(1); tok <= issued; tok++ {
+		probe, size := insertProbe(&tab, tok), len(tab.slots)
+		tab.put(tok, tok*3)
+		want[tok] = tok * 3
+		if probe > tokMaxProbe && len(tab.slots) == size {
+			t.Fatalf("insert of %d probed %d slots of %d, and the table did not grow", tok, probe, size)
+		}
+		if tok > young && (tok-young)%oldRate != 0 {
+			take(tok - young)
+		}
+		if tok > oldLife && (tok-oldLife)%oldRate == 0 {
+			take(tok - oldLife)
+		}
+	}
+	if tab.len() != len(want) {
+		t.Fatalf("%d entries, want %d", tab.len(), len(want))
+	}
+	for tok, v := range want {
+		if got, ok := tab.get(tok); !ok || got != v {
+			t.Fatalf("get(%d) = %d, %v; want %d", tok, got, ok, v)
+		}
+	}
+	if len(tab.slots) > 2*oldLife {
+		t.Fatalf("%d slots for a live span of %d tokens", len(tab.slots), oldLife)
+	}
+}
+
 // reset must size a table for its live count alone and leave it empty.
 func TestTokTableReset(t *testing.T) {
 	var tab tokTable[uint64]
@@ -199,24 +262,44 @@ func TestTokTableReset(t *testing.T) {
 }
 
 // BenchmarkTokTable is one token table in the cycle loop's steady
-// state: 2,048 live tokens, issued and retired in order, each
-// iteration one put, one get and one take.
+// state, each iteration one put, one get and one take. in-order keeps
+// 2,048 live tokens, issued and retired in order. long-lived is
+// TestTokTableLongLivedTokens' shape: every 4th token stays live for
+// 8,192 tokens, so the live span outgrows the table it would need for
+// its live count alone.
 func BenchmarkTokTable(b *testing.B) {
-	const window = 2048
-	var tab tokTable[dest]
-	tok := uint64(0)
-	for tok < window {
-		tok++
-		tab.put(tok, dest{addr: tok})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tok++
-		tab.put(tok, dest{addr: tok})
-		if _, ok := tab.get(tok - window/2); !ok {
-			b.Fatal("live token missing")
-		}
-		tab.take(tok - window)
+	for _, c := range []struct {
+		name           string
+		young, oldLife uint64
+		oldRate        uint64
+	}{
+		{"in-order", 2048, 2048, 1},
+		{"long-lived", 512, 8192, 4},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var tab tokTable[dest]
+			tok := uint64(0)
+			step := func() {
+				tok++
+				tab.put(tok, dest{addr: tok})
+				if tok > c.young && (tok-c.young)%c.oldRate != 0 {
+					tab.take(tok - c.young)
+				}
+				if tok > c.oldLife && (tok-c.oldLife)%c.oldRate == 0 {
+					tab.take(tok - c.oldLife)
+				}
+			}
+			for tok < 4*c.oldLife {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+				if _, ok := tab.get(tok - c.young/2); !ok {
+					b.Fatal("live token missing")
+				}
+			}
+		})
 	}
 }
