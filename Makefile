@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify vet doc-lint build test race race-full smoke gobench results audit fuzz daemon perf-gate
+.PHONY: verify vet doc-lint build test race race-full smoke gobench results results-check audit fuzz daemon perf-gate
 
 ## verify: vet + doc-lint + build + full test suite + CLI smoke run (tier-1 gate)
 verify: vet doc-lint build test smoke
@@ -88,6 +88,15 @@ gobench:
 ## results: regenerate the committed results/ snapshot (see README)
 results:
 	$(GO) run ./cmd/experiments -exp all -cycles 24000 -format md -out results -progress
+
+## results-check: render the `make results` sweep into a temporary
+## directory and diff it against the committed results/ (whose
+## README.md is written by hand); CI's results job runs this. About
+## 200 s on 2 cores.
+results-check:
+	@out="$$(mktemp -d)"; trap 'rm -rf "$$out"' EXIT; \
+	$(GO) run ./cmd/experiments -exp all -cycles 24000 -format md -out "$$out" -jobs 2 && \
+	diff -r -x README.md results "$$out"
 
 ## audit: run every simulation with the invariant auditors enabled
 ## (request conservation, MSHR accounting, queue bounds, metadata

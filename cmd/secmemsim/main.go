@@ -132,15 +132,17 @@ func main() {
 	}
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
-	simulate := func(cfg gpusecmem.Config, bench string) (*gpusecmem.Result, error) {
+	// label names the run in its resume line; the requested run has
+	// none.
+	simulate := func(cfg gpusecmem.Config, bench, label string) (*gpusecmem.Result, error) {
 		res, from, err := gpusecmem.SimulateCheckpointed(ctx, cfg, bench, ckpt, *ckptEvery)
 		if from > 0 {
-			fmt.Fprintf(os.Stderr, "resumed from checkpoint at cycle %d\n", from)
+			fmt.Fprintf(os.Stderr, "resumed from checkpoint at cycle %d%s\n", from, label)
 		}
 		return res, err
 	}
 
-	res, err := simulate(cfg, run.Benchmark)
+	res, err := simulate(cfg, run.Benchmark, "")
 	if err != nil {
 		fail(err)
 	}
@@ -175,7 +177,7 @@ func main() {
 		base := gpusecmem.BaselineConfig()
 		base.MaxCycles = cfg.MaxCycles
 		base.Shards = *shards
-		if bres, err = simulate(base, run.Benchmark); err != nil {
+		if bres, err = simulate(base, run.Benchmark, " (baseline run)"); err != nil {
 			fail(err)
 		}
 	}

@@ -25,15 +25,23 @@ func TestMain(m *testing.M) {
 // secmemsim runs the command with args and returns its stdout.
 func secmemsim(t *testing.T, args ...string) []byte {
 	t.Helper()
+	out, _ := secmemsimStreams(t, args...)
+	return out
+}
+
+// secmemsimStreams runs the command with args and returns its stdout
+// and stderr.
+func secmemsimStreams(t *testing.T, args ...string) (stdout, stderr []byte) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(), "SECMEMSIM_ARGS="+strings.Join(args, " "))
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var errBuf bytes.Buffer
+	cmd.Stderr = &errBuf
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("secmemsim %v: %v\n%s", args, err, stderr.Bytes())
+		t.Fatalf("secmemsim %v: %v\n%s", args, err, errBuf.Bytes())
 	}
-	return out
+	return out, errBuf.Bytes()
 }
 
 // runJSON runs `secmemsim -json` on fdtd2d for 3,000 cycles, long
@@ -130,5 +138,28 @@ func TestHelpNamesEveryScheme(t *testing.T) {
 		if !listed[s] {
 			t.Errorf("secmemsim -h does not list scheme %s in:\n%s", s, help)
 		}
+	}
+}
+
+// TestResumeLinesNameTheirRun: a text-mode run resumes both the
+// requested simulation and its baseline normalization run, and each
+// says so on its own line; the baseline's is labeled.
+func TestResumeLinesNameTheirRun(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-bench", "nw", "-scheme", "ctr_mac_bmt", "-checkpoint-dir", dir}
+	secmemsimStreams(t, append(args, "-cycles", "2000")...)
+	_, stderr := secmemsimStreams(t, append(args, "-cycles", "4000")...)
+	var plain, baseline int
+	for _, line := range strings.Split(string(stderr), "\n") {
+		switch {
+		case !strings.HasPrefix(line, "resumed from checkpoint at cycle "):
+		case strings.HasSuffix(line, " (baseline run)"):
+			baseline++
+		default:
+			plain++
+		}
+	}
+	if plain != 1 || baseline != 1 {
+		t.Fatalf("got %d unlabeled and %d baseline resume lines, want 1 and 1:\n%s", plain, baseline, stderr)
 	}
 }

@@ -565,32 +565,41 @@ type namedConfig struct {
 	Cfg  Config
 }
 
-func normalizedIPCTable(c *Context, title string, schemes []namedConfig) *report.Table {
-	headers := append([]string{"benchmark"}, func() []string {
-		out := make([]string, len(schemes))
-		for i, s := range schemes {
-			out[i] = s.Name
-		}
-		return out
-	}()...)
+// normalizedIPCTableOf has a row per benchmark and a column per
+// scheme: the scheme's IPC normalized to the baseline's.
+func normalizedIPCTableOf(c *Context, title string, schemes []namedConfig, benchmarks []string) *report.Table {
+	headers := []string{"benchmark"}
+	for _, s := range schemes {
+		headers = append(headers, s.Name)
+	}
 	t := report.New(title, headers...)
-	perScheme := make([][]float64, len(schemes))
-	for _, b := range c.Benchmarks() {
+	for _, b := range benchmarks {
 		base := c.Run(BaselineConfig(), b)
-		row := []interface{}{b}
-		for i, s := range schemes {
-			n := c.Run(s.Cfg, b).NormalizedIPC(base)
-			perScheme[i] = append(perScheme[i], n)
-			row = append(row, report.F3(n))
+		row := []any{b}
+		for _, s := range schemes {
+			row = append(row, report.F3(c.Run(s.Cfg, b).NormalizedIPC(base)))
 		}
 		t.AddRow(row...)
 	}
-	grow := []interface{}{"gmean"}
-	for i := range schemes {
-		grow = append(grow, report.F3(geomean(perScheme[i])))
-	}
-	t.AddRow(grow...)
 	return t
+}
+
+// normalizedIPCTable covers the context's benchmarks and closes with a
+// gmean row over each scheme's column.
+func normalizedIPCTable(c *Context, title string, schemes []namedConfig) *report.Table {
+	t := normalizedIPCTableOf(c, title, schemes, c.Benchmarks())
+	gmean := []any{"gmean"}
+	for col := 1; col <= len(schemes); col++ {
+		gmean = append(gmean, report.F3(geomean(t.Column(col))))
+	}
+	t.AddRow(gmean...)
+	return t
+}
+
+// expRun is an experiment body that renders one table of the schemes
+// with table (normalizedIPCTable or ablationTable).
+func expRun(table func(*Context, string, []namedConfig) *report.Table, title string, schemes []namedConfig) func(*Context) []*report.Table {
+	return func(c *Context) []*report.Table { return []*report.Table{table(c, title, schemes)} }
 }
 
 // Experiments returns the full registry, in paper order.
@@ -626,14 +635,14 @@ func expTable1() Experiment {
 		Run: func(c *Context) []*report.Table {
 			cfg := BaselineConfig()
 			t := report.New("Table I: baseline GPU configuration", "parameter", "value")
-			t.AddRow("SMs", fmt.Sprintf("%d", cfg.NumSMs))
-			t.AddRow("issue width / SM", fmt.Sprintf("%d", cfg.IssueWidth))
+			t.AddRow("SMs", cfg.NumSMs)
+			t.AddRow("issue width / SM", cfg.IssueWidth)
 			t.AddRow("L1 D-cache / SM", fmt.Sprintf("%dKB, %d-way, sectored", cfg.L1Bytes/1024, cfg.L1Assoc))
 			t.AddRow("L2 cache", fmt.Sprintf("%d banks/partition, %dKB/bank, %dKB total",
 				cfg.L2BanksPerPartition, cfg.L2BankBytes/1024,
 				cfg.L2BanksPerPartition*cfg.NumPartitions*cfg.L2BankBytes/1024))
 			t.AddRow("DRAM", fmt.Sprintf("%d partitions, 24B/core-cycle each (868GB/s aggregate)", cfg.NumPartitions))
-			t.AddRow("DRAM banks / partition", fmt.Sprintf("%d", cfg.DRAM.Banks))
+			t.AddRow("DRAM banks / partition", cfg.DRAM.Banks)
 			t.AddRow("protected memory", fmt.Sprintf("%dGB", cfg.ProtectedBytes>>30))
 			return []*report.Table{t}
 		},
@@ -703,8 +712,8 @@ func expTable4() Experiment {
 				default:
 					cls = trace.MemoryIntensive
 				}
-				t.AddRow(b, report.Pct(bw), fmt.Sprintf("%.1f", r.IPC()),
-					fmt.Sprintf("%.1f", trace.PaperIPC(b)), cls.String(), trace.PaperClass(b).String())
+				t.AddRow(b, report.Pct(bw), report.Num{V: r.IPC(), F: report.Fixed1},
+					report.Num{V: trace.PaperIPC(b), F: report.Fixed1}, cls.String(), trace.PaperClass(b).String())
 			}
 			return []*report.Table{t}
 		},
@@ -736,15 +745,12 @@ func expFig3() Experiment {
 		ID:           "fig3",
 		Title:        "Fig 3: Normalized IPC of counter-mode encryption with BMT",
 		PaperFinding: "secureMem -65.9% gmean (up to -91% for lbm); 0_crypto does not help; perf/large metadata caches recover to ~baseline",
-		Run: func(c *Context) []*report.Table {
-			return []*report.Table{normalizedIPCTable(c, "Fig 3: normalized IPC (counter mode + BMT)",
-				[]namedConfig{
-					{"secureMem", cfgSecureNoMSHR()},
-					{"0_crypto", cfgZeroCrypto()},
-					{"perf_mdc", cfgPerfMdc()},
-					{"large_mdc", cfgLargeMdc()},
-				})}
-		},
+		Run: expRun(normalizedIPCTable, "Fig 3: normalized IPC (counter mode + BMT)", []namedConfig{
+			{"secureMem", cfgSecureNoMSHR()},
+			{"0_crypto", cfgZeroCrypto()},
+			{"perf_mdc", cfgPerfMdc()},
+			{"large_mdc", cfgLargeMdc()},
+		}),
 	}
 }
 
@@ -757,20 +763,15 @@ func expFig4() Experiment {
 			t := report.New("Fig 4: DRAM request distribution under secureMem",
 				"benchmark", "data", "ctr", "mac", "bmt", "wb")
 			cfg := cfgSecureNoMSHR()
-			var sums [5]float64
 			for _, b := range c.Benchmarks() {
 				r := c.Run(cfg, b)
-				row := []interface{}{b}
+				row := []any{b}
 				for k := sim.KindData; k <= sim.KindWB; k++ {
-					share := r.RequestShare(k)
-					sums[int(k)] += share
-					row = append(row, report.Pct(share))
+					row = append(row, report.Pct(r.RequestShare(k)))
 				}
 				t.AddRow(row...)
 			}
-			n := float64(len(c.Benchmarks()))
-			t.AddRow("mean", report.Pct(sums[0]/n), report.Pct(sums[1]/n),
-				report.Pct(sums[2]/n), report.Pct(sums[3]/n), report.Pct(sums[4]/n))
+			t.AddRow(expMeanRow(t)...)
 			return []*report.Table{t}
 		},
 	}
@@ -785,51 +786,57 @@ func expFig5() Experiment {
 			t := report.New("Fig 5: secondary-miss ratio of metadata cache misses",
 				"benchmark", "ctr", "mac", "bmt")
 			cfg := cfgSecureNoMSHR()
-			var sums [3]float64
 			for _, b := range c.Benchmarks() {
 				r := c.Run(cfg, b)
-				row := []interface{}{b}
+				row := []any{b}
 				for m := sim.MetaCounter; m <= sim.MetaTree; m++ {
-					v := r.Meta[m].SecondaryRatio()
-					sums[int(m)] += v
-					row = append(row, report.Pct(v))
+					row = append(row, report.Pct(r.Meta[m].SecondaryRatio()))
 				}
 				t.AddRow(row...)
 			}
-			n := float64(len(c.Benchmarks()))
-			t.AddRow("mean", report.Pct(sums[0]/n), report.Pct(sums[1]/n), report.Pct(sums[2]/n))
+			t.AddRow(expMeanRow(t)...)
 			return []*report.Table{t}
 		},
 	}
 }
 
+// expMeanRow is a "mean" row: each column's average over the rows
+// above, as a percentage.
+func expMeanRow(t *report.Table) []any {
+	row := []any{"mean"}
+	for col := 1; col < len(t.Headers); col++ {
+		sum, vs := 0.0, t.Column(col)
+		for _, v := range vs {
+			sum += v
+		}
+		row = append(row, report.Pct(sum/float64(len(vs))))
+	}
+	return row
+}
+
 func expFig6() Experiment {
+	var schemes []namedConfig
+	for _, n := range []int{0, 8, 16, 32, 64, 128} {
+		schemes = append(schemes, namedConfig{fmt.Sprintf("mshr_%d", n), cfgMSHR(n)})
+	}
 	return Experiment{
 		ID:           "fig6",
 		Title:        "Fig 6: Normalized IPC vs metadata-cache MSHR count",
 		PaperFinding: "64 MSHRs per metadata cache is the sweet spot of performance vs cost",
-		Run: func(c *Context) []*report.Table {
-			var schemes []namedConfig
-			for _, n := range []int{0, 8, 16, 32, 64, 128} {
-				schemes = append(schemes, namedConfig{fmt.Sprintf("mshr_%d", n), cfgMSHR(n)})
-			}
-			return []*report.Table{normalizedIPCTable(c, "Fig 6: normalized IPC vs MSHRs", schemes)}
-		},
+		Run:          expRun(normalizedIPCTable, "Fig 6: normalized IPC vs MSHRs", schemes),
 	}
 }
 
 func expFig7() Experiment {
+	var schemes []namedConfig
+	for _, kb := range []int{2, 4, 8, 16, 32, 64} {
+		schemes = append(schemes, namedConfig{fmt.Sprintf("%dKB", kb), cfgMetaSize(kb)})
+	}
 	return Experiment{
 		ID:           "fig7",
 		Title:        "Fig 7: Normalized IPC vs metadata cache size",
 		PaperFinding: "even 64KB/type (6MB total) leaves 46.17% average degradation; kmeans/srad_v2/lbm stay >65% slower",
-		Run: func(c *Context) []*report.Table {
-			var schemes []namedConfig
-			for _, kb := range []int{2, 4, 8, 16, 32, 64} {
-				schemes = append(schemes, namedConfig{fmt.Sprintf("%dKB", kb), cfgMetaSize(kb)})
-			}
-			return []*report.Table{normalizedIPCTable(c, "Fig 7: normalized IPC vs metadata cache size", schemes)}
-		},
+		Run:          expRun(normalizedIPCTable, "Fig 7: normalized IPC vs metadata cache size", schemes),
 	}
 }
 
@@ -838,13 +845,10 @@ func expFig8() Experiment {
 		ID:           "fig8",
 		Title:        "Fig 8: Unified vs separate metadata caches",
 		PaperFinding: "separate metadata caches outperform a same-capacity unified cache on GPUs (opposite of CPUs)",
-		Run: func(c *Context) []*report.Table {
-			return []*report.Table{normalizedIPCTable(c, "Fig 8: unified vs separate metadata caches",
-				[]namedConfig{
-					{"separate", SecureMemConfig()},
-					{"unified", cfgUnified()},
-				})}
-		},
+		Run: expRun(normalizedIPCTable, "Fig 8: unified vs separate metadata caches", []namedConfig{
+			{"separate", SecureMemConfig()},
+			{"unified", cfgUnified()},
+		}),
 	}
 }
 
@@ -857,7 +861,7 @@ func expFig9() Experiment {
 			t := report.New("Fig 9: metadata miss rates (averages over benchmarks)",
 				"metadata", "separate", "unified")
 			var sep, uni [3]float64
-			var sepWB, uniWB float64
+			var sepWB, uniWB uint64
 			for _, b := range c.Benchmarks() {
 				rs := c.Run(SecureMemConfig(), b)
 				ru := c.Run(cfgUnified(), b)
@@ -865,37 +869,37 @@ func expFig9() Experiment {
 					sep[m] += rs.Meta[m].MissRate()
 					uni[m] += ru.Meta[m].MissRate()
 				}
-				sepWB += float64(rs.MetaCacheWritebacks)
-				uniWB += float64(ru.MetaCacheWritebacks)
+				sepWB += rs.MetaCacheWritebacks
+				uniWB += ru.MetaCacheWritebacks
 			}
 			n := float64(len(c.Benchmarks()))
 			for m := sim.MetaCounter; m <= sim.MetaTree; m++ {
 				t.AddRow(m.String(), report.Pct(sep[m]/n), report.Pct(uni[m]/n))
 			}
-			ratio := 0.0
-			if sepWB > 0 {
-				ratio = uniWB / sepWB
-			}
-			t.AddRow("writeback ratio (unified/separate)", "1.000", report.F3(ratio))
+			t.AddRow("writeback ratio (unified/separate)", report.F3(1), report.F3(stats.Ratio(uniWB, sepWB)))
 			return []*report.Table{t}
 		},
 	}
 }
 
-func reuseTable(title string, p *stats.ReuseProfiler) *report.Table {
-	t := report.New(title, "reuse distance", "accesses", "fraction")
-	fr := p.Fractions()
-	for i, b := range stats.ReuseBuckets {
-		t.AddRow(b.Label, fmt.Sprintf("%d", p.Hist[i]), report.Pct(fr[i]))
+// reuseTableRun is an experiment body that tabulates the reuse
+// profile picked from a profiled secureMem run of fdtd2d.
+func reuseTableRun(title string, pick func(*Result) *stats.ReuseProfiler) func(*Context) []*report.Table {
+	return func(c *Context) []*report.Table {
+		cfg := SecureMemConfig()
+		cfg.ProfileReuse = true
+		p := pick(c.Run(cfg, "fdtd2d"))
+		if p == nil {
+			return nil
+		}
+		t := report.New(title, "reuse distance", "accesses", "fraction")
+		fr := p.Fractions()
+		for i, b := range stats.ReuseBuckets {
+			t.AddRow(b.Label, p.Hist[i], report.Pct(fr[i]))
+		}
+		t.AddRow("cold", p.Cold, "-")
+		return []*report.Table{t}
 	}
-	t.AddRow("cold", fmt.Sprintf("%d", p.Cold), "-")
-	return t
-}
-
-func profiledRun(c *Context, bench string) *Result {
-	cfg := SecureMemConfig()
-	cfg.ProfileReuse = true
-	return c.Run(cfg, bench)
 }
 
 func expFig10() Experiment {
@@ -903,13 +907,8 @@ func expFig10() Experiment {
 		ID:           "fig10",
 		Title:        "Fig 10: Reuse distance of counters (fdtd2d)",
 		PaperFinding: "most counter accesses have reuse distance 0 (streaming); a long [65,512] tail needs capacity",
-		Run: func(c *Context) []*report.Table {
-			r := profiledRun(c, "fdtd2d")
-			if r.CounterReuse == nil {
-				return nil
-			}
-			return []*report.Table{reuseTable("Fig 10: counter reuse distance, fdtd2d (partition 0)", r.CounterReuse)}
-		},
+		Run: reuseTableRun("Fig 10: counter reuse distance, fdtd2d (partition 0)",
+			func(r *Result) *stats.ReuseProfiler { return r.CounterReuse }),
 	}
 }
 
@@ -918,13 +917,8 @@ func expFig11() Experiment {
 		ID:           "fig11",
 		Title:        "Fig 11: Reuse distance of MACs (fdtd2d)",
 		PaperFinding: "MAC accesses mirror the counter pattern: distance 0 dominates",
-		Run: func(c *Context) []*report.Table {
-			r := profiledRun(c, "fdtd2d")
-			if r.MACReuse == nil {
-				return nil
-			}
-			return []*report.Table{reuseTable("Fig 11: MAC reuse distance, fdtd2d (partition 0)", r.MACReuse)}
-		},
+		Run: reuseTableRun("Fig 11: MAC reuse distance, fdtd2d (partition 0)",
+			func(r *Result) *stats.ReuseProfiler { return r.MACReuse }),
 	}
 }
 
@@ -933,13 +927,10 @@ func expFig12() Experiment {
 		ID:           "fig12",
 		Title:        "Fig 12: Normalized IPC with 1 vs 2 AES engines per partition",
 		PaperFinding: "one pipelined AES engine per partition is enough; metadata traffic, not AES throughput, is the bottleneck",
-		Run: func(c *Context) []*report.Table {
-			return []*report.Table{normalizedIPCTable(c, "Fig 12: AES engines per partition",
-				[]namedConfig{
-					{"1 engine", cfgEngines(1)},
-					{"2 engines", cfgEngines(2)},
-				})}
-		},
+		Run: expRun(normalizedIPCTable, "Fig 12: AES engines per partition", []namedConfig{
+			{"1 engine", cfgEngines(1)},
+			{"2 engines", cfgEngines(2)},
+		}),
 	}
 }
 
@@ -951,7 +942,7 @@ func expTable6() Experiment {
 		Run: func(c *Context) []*report.Table {
 			t := report.New("Table VI: published AES die areas", "source", "tech", "area (mm^2)")
 			for _, d := range area.PublishedAES() {
-				t.AddRow(d.Source, fmt.Sprintf("%.0fnm", d.TechNm), fmt.Sprintf("%g", d.AreaMM2))
+				t.AddRow(d.Source, fmt.Sprintf("%.0fnm", d.TechNm), report.Num{V: d.AreaMM2, F: report.Shortest})
 			}
 			return []*report.Table{t}
 		},
@@ -966,17 +957,17 @@ func expTable7() Experiment {
 		Run: func(c *Context) []*report.Table {
 			m := area.NewModel()
 			t := report.New("Table VII: scaled die areas (12nm)", "component", "area (mm^2)")
-			t.AddRow("AES engine", fmt.Sprintf("%.4f", m.AESEngineMM2))
-			t.AddRow("64KB cache", fmt.Sprintf("%.5f", m.Cache64KBMM2))
-			t.AddRow("96KB cache", fmt.Sprintf("%.5f", m.Cache96KBMM2))
+			t.AddRow("AES engine", report.Num{V: m.AESEngineMM2, F: report.Fixed4})
+			t.AddRow("64KB cache", report.Num{V: m.Cache64KBMM2, F: report.Fixed5})
+			t.AddRow("96KB cache", report.Num{V: m.Cache96KBMM2, F: report.Fixed5})
 
 			b := report.New("Section V-F: L2-capacity budget", "configuration", "area (mm^2)", "L2-equivalent (KB)", "% of 6MB L2")
 			for _, engines := range []int{1, 2} {
 				bud := m.SecureMemoryBudget(engines, 32)
 				b.AddRow(fmt.Sprintf("%d engine(s)/partition + MAC units + 3x64KB caches", engines),
-					fmt.Sprintf("%.4f", bud.TotalMM2),
-					fmt.Sprintf("%.0f", bud.L2ReducedKB),
-					fmt.Sprintf("%.2f%%", bud.L2ReducedPct))
+					report.Num{V: bud.TotalMM2, F: report.Fixed4},
+					report.Num{V: bud.L2ReducedKB, F: report.Fixed0},
+					report.Num{V: bud.L2ReducedPct, F: report.Points})
 			}
 			return []*report.Table{t, b}
 		},
@@ -984,17 +975,15 @@ func expTable7() Experiment {
 }
 
 func expFig13() Experiment {
+	var schemes []namedConfig
+	for _, mb := range []int{4096, 4608, 5120, 5632, 6144} {
+		schemes = append(schemes, namedConfig{fmt.Sprintf("%.1fMB", float64(mb)/1024), cfgL2(mb, true)})
+	}
 	return Experiment{
 		ID:           "fig13",
 		Title:        "Fig 13: Normalized IPC with reduced L2 capacities (secureMem)",
 		PaperFinding: "a few medium-intensive benchmarks are L2-sensitive; compute- and fully-streaming ones are not",
-		Run: func(c *Context) []*report.Table {
-			var schemes []namedConfig
-			for _, mb := range []int{4096, 4608, 5120, 5632, 6144} {
-				schemes = append(schemes, namedConfig{fmt.Sprintf("%.1fMB", float64(mb)/1024), cfgL2(mb, true)})
-			}
-			return []*report.Table{normalizedIPCTable(c, "Fig 13: secureMem IPC vs L2 capacity", schemes)}
-		},
+		Run:          expRun(normalizedIPCTable, "Fig 13: secureMem IPC vs L2 capacity", schemes),
 	}
 }
 
@@ -1007,7 +996,7 @@ func expFig14() Experiment {
 			t := report.New("Fig 14: baseline L2 miss rate", "benchmark", "L2 miss rate", "L2 accesses")
 			for _, b := range c.Benchmarks() {
 				r := c.Run(BaselineConfig(), b)
-				t.AddRow(b, report.Pct(r.L2.MissRate()), fmt.Sprintf("%d", r.L2.Accesses))
+				t.AddRow(b, report.Pct(r.L2.MissRate()), r.L2.Accesses)
 			}
 			return []*report.Table{t}
 		},
@@ -1019,14 +1008,11 @@ func expFig15() Experiment {
 		ID:           "fig15",
 		Title:        "Fig 15: Direct encryption with different latencies",
 		PaperFinding: "slowdowns of only 1.33% / 3.02% / 5.93% at 40/80/160 cycles; >10% for b+tree, nw, streamcluster at 160",
-		Run: func(c *Context) []*report.Table {
-			return []*report.Table{normalizedIPCTable(c, "Fig 15: direct encryption latency sweep",
-				[]namedConfig{
-					{"direct_40", cfgDirect(40)},
-					{"direct_80", cfgDirect(80)},
-					{"direct_160", cfgDirect(160)},
-				})}
-		},
+		Run: expRun(normalizedIPCTable, "Fig 15: direct encryption latency sweep", []namedConfig{
+			{"direct_40", cfgDirect(40)},
+			{"direct_80", cfgDirect(80)},
+			{"direct_160", cfgDirect(160)},
+		}),
 	}
 }
 
@@ -1035,14 +1021,11 @@ func expFig16() Experiment {
 		ID:           "fig16",
 		Title:        "Fig 16: Direct vs counter-mode encryption",
 		PaperFinding: "counter mode without integrity already costs 33.06% (66.44% for lbm); +BMT raises it to 43.94%; direct is near-free",
-		Run: func(c *Context) []*report.Table {
-			return []*report.Table{normalizedIPCTable(c, "Fig 16: direct vs counter-mode encryption",
-				[]namedConfig{
-					{"direct_40", cfgDirect(40)},
-					{"ctr", cfgCtr()},
-					{"ctr_bmt", cfgCtrBMT()},
-				})}
-		},
+		Run: expRun(normalizedIPCTable, "Fig 16: direct vs counter-mode encryption", []namedConfig{
+			{"direct_40", cfgDirect(40)},
+			{"ctr", cfgCtr()},
+			{"ctr_bmt", cfgCtrBMT()},
+		}),
 	}
 }
 
@@ -1051,14 +1034,11 @@ func expFig17() Experiment {
 		ID:           "fig17",
 		Title:        "Fig 17: Encryption with integrity protection",
 		PaperFinding: "direct_mac -42.65% beats ctr_mac_bmt -63.45%; direct_mac_mt is worst at -71.87% (taller tree)",
-		Run: func(c *Context) []*report.Table {
-			return []*report.Table{normalizedIPCTable(c, "Fig 17: integrity protection designs",
-				[]namedConfig{
-					{"ctr_mac_bmt", SecureMemConfig()},
-					{"direct_mac", DirectMemConfig(40, true, false)},
-					{"direct_mac_mt", DirectMemConfig(40, true, true)},
-				})}
-		},
+		Run: expRun(normalizedIPCTable, "Fig 17: integrity protection designs", []namedConfig{
+			{"ctr_mac_bmt", SecureMemConfig()},
+			{"direct_mac", DirectMemConfig(40, true, false)},
+			{"direct_mac_mt", DirectMemConfig(40, true, true)},
+		}),
 	}
 }
 
@@ -1083,92 +1063,64 @@ func ablationBenchmarks(c *Context) []string {
 }
 
 func ablationTable(c *Context, title string, schemes []namedConfig) *report.Table {
-	headers := append([]string{"benchmark"}, func() []string {
-		out := make([]string, len(schemes))
-		for i, s := range schemes {
-			out[i] = s.Name
-		}
-		return out
-	}()...)
-	t := report.New(title, headers...)
-	for _, b := range ablationBenchmarks(c) {
-		base := c.Run(BaselineConfig(), b)
-		row := []interface{}{b}
-		for _, s := range schemes {
-			row = append(row, report.F3(c.Run(s.Cfg, b).NormalizedIPC(base)))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return normalizedIPCTableOf(c, title, schemes, ablationBenchmarks(c))
 }
 
 func expAblationMergeCap() Experiment {
+	small := SecureMemConfig()
+	small.Secure.MergeCapCounter = 8
+	small.Secure.MergeCapMAC = 8
+	small.Secure.MergeCapTree = 8
 	return Experiment{
 		ID:           "ablation-mergecap",
 		Title:        "Ablation: MSHR merge capacity 512/64/64 vs uniform small caps",
 		PaperFinding: "(design choice) counter MSHRs must merge up to 512 requests (one counter line covers 512 sectors)",
-		Run: func(c *Context) []*report.Table {
-			small := SecureMemConfig()
-			small.Secure.MergeCapCounter = 8
-			small.Secure.MergeCapMAC = 8
-			small.Secure.MergeCapTree = 8
-			return []*report.Table{ablationTable(c, "Ablation: MSHR merge capacity",
-				[]namedConfig{
-					{"cap 512/64/64", SecureMemConfig()},
-					{"cap 8/8/8", small},
-				})}
-		},
+		Run: expRun(ablationTable, "Ablation: MSHR merge capacity", []namedConfig{
+			{"cap 512/64/64", SecureMemConfig()},
+			{"cap 8/8/8", small},
+		}),
 	}
 }
 
 func expAblationAllocPolicy() Experiment {
+	aom := SecureMemConfig()
+	aom.Secure.AllocOnFill = false
 	return Experiment{
 		ID:           "ablation-allocpolicy",
 		Title:        "Ablation: allocate-on-fill vs allocate-on-miss metadata caches",
 		PaperFinding: "(design choice) the paper uses allocate-on-fill",
-		Run: func(c *Context) []*report.Table {
-			aom := SecureMemConfig()
-			aom.Secure.AllocOnFill = false
-			return []*report.Table{ablationTable(c, "Ablation: metadata cache allocation policy",
-				[]namedConfig{
-					{"allocate-on-fill", SecureMemConfig()},
-					{"allocate-on-miss", aom},
-				})}
-		},
+		Run: expRun(ablationTable, "Ablation: metadata cache allocation policy", []namedConfig{
+			{"allocate-on-fill", SecureMemConfig()},
+			{"allocate-on-miss", aom},
+		}),
 	}
 }
 
 func expAblationSpecVerify() Experiment {
+	blocking := SecureMemConfig()
+	blocking.Secure.SpeculativeVerify = false
 	return Experiment{
 		ID:           "ablation-specverify",
 		Title:        "Ablation: speculative vs blocking integrity verification",
 		PaperFinding: "(design choice) state-of-the-art CPUs use speculative verification; blocking exposes MAC latency",
-		Run: func(c *Context) []*report.Table {
-			blocking := SecureMemConfig()
-			blocking.Secure.SpeculativeVerify = false
-			return []*report.Table{ablationTable(c, "Ablation: verification policy",
-				[]namedConfig{
-					{"speculative", SecureMemConfig()},
-					{"blocking", blocking},
-				})}
-		},
+		Run: expRun(ablationTable, "Ablation: verification policy", []namedConfig{
+			{"speculative", SecureMemConfig()},
+			{"blocking", blocking},
+		}),
 	}
 }
 
 func expAblationLazyUpdate() Experiment {
+	eager := SecureMemConfig()
+	eager.Secure.LazyTreeUpdate = false
 	return Experiment{
 		ID:           "ablation-lazyupdate",
 		Title:        "Ablation: lazy vs eager integrity-tree update",
 		PaperFinding: "(design choice) lazy update defers parent hashing to metadata eviction time",
-		Run: func(c *Context) []*report.Table {
-			eager := SecureMemConfig()
-			eager.Secure.LazyTreeUpdate = false
-			return []*report.Table{ablationTable(c, "Ablation: tree update policy",
-				[]namedConfig{
-					{"lazy", SecureMemConfig()},
-					{"eager", eager},
-				})}
-		},
+		Run: expRun(ablationTable, "Ablation: tree update policy", []namedConfig{
+			{"lazy", SecureMemConfig()},
+			{"eager", eager},
+		}),
 	}
 }
 
@@ -1199,49 +1151,43 @@ func expAblationSectoredL2() Experiment {
 }
 
 func expExtSmartUnified() Experiment {
+	mkUnified := func(p cache.Policy) Config {
+		cfg := cfgUnified()
+		cfg.Secure.UnifiedPolicy = p
+		return cfg
+	}
 	return Experiment{
 		ID:    "ext-smartunified",
 		Title: "Extension: smart replacement policies for the unified metadata cache",
 		PaperFinding: "(suggested future work, Section V-D) 'use separate metadata caches or adopt smart " +
 			"replacement policies to avoid the thrashing behavior'",
-		Run: func(c *Context) []*report.Table {
-			mkUnified := func(p cache.Policy) Config {
-				cfg := cfgUnified()
-				cfg.Secure.UnifiedPolicy = p
-				return cfg
-			}
-			return []*report.Table{normalizedIPCTable(c, "Extension: unified metadata cache replacement policies",
-				[]namedConfig{
-					{"separate (lru)", SecureMemConfig()},
-					{"unified lru", mkUnified(cache.PolicyLRU)},
-					{"unified srrip", mkUnified(cache.PolicySRRIP)},
-					{"unified brrip", mkUnified(cache.PolicyBRRIP)},
-					{"unified dip", mkUnified(cache.PolicyDIP)},
-				})}
-		},
+		Run: expRun(normalizedIPCTable, "Extension: unified metadata cache replacement policies", []namedConfig{
+			{"separate (lru)", SecureMemConfig()},
+			{"unified lru", mkUnified(cache.PolicyLRU)},
+			{"unified srrip", mkUnified(cache.PolicySRRIP)},
+			{"unified brrip", mkUnified(cache.PolicyBRRIP)},
+			{"unified dip", mkUnified(cache.PolicyDIP)},
+		}),
 	}
 }
 
 func expExtSelective() Experiment {
+	mk := func(frac float64) Config {
+		cfg := SecureMemConfig()
+		cfg.Secure.ProtectedFraction = frac
+		return cfg
+	}
 	return Experiment{
 		ID:    "ext-selective",
 		Title: "Extension: selective encryption coverage",
 		PaperFinding: "(related work, Zuo et al.) selective memory encryption trades coverage for " +
 			"overhead; the paper's design protects everything",
-		Run: func(c *Context) []*report.Table {
-			mk := func(frac float64) Config {
-				cfg := SecureMemConfig()
-				cfg.Secure.ProtectedFraction = frac
-				return cfg
-			}
-			return []*report.Table{normalizedIPCTable(c, "Extension: fraction of memory protected (ctr_mac_bmt)",
-				[]namedConfig{
-					{"100%", mk(1.0)},
-					{"50%", mk(0.5)},
-					{"25%", mk(0.25)},
-					{"0%", mk(0.0)},
-				})}
-		},
+		Run: expRun(normalizedIPCTable, "Extension: fraction of memory protected (ctr_mac_bmt)", []namedConfig{
+			{"100%", mk(1.0)},
+			{"50%", mk(0.5)},
+			{"25%", mk(0.25)},
+			{"0%", mk(0.0)},
+		}),
 	}
 }
 
@@ -1381,11 +1327,11 @@ func expExtLatency() Experiment {
 					if data == nil {
 						continue
 					}
-					share := func(stage string) string {
+					share := func(stage string) report.Num {
 						return report.Pct(stats.Ratio(sp.Stage("data", stage), data.TotalCycles))
 					}
 					stagesT.AddRow(lv.Name, b, data.Spans,
-						fmt.Sprintf("%.0f", data.MeanLatency), data.P95,
+						report.Num{V: data.MeanLatency, F: report.Fixed0}, data.P95,
 						share("queue"), share("l2"), share("dram"),
 						share("meta"), share("aes"), share("verify"),
 						share("share"), share("combine"))
@@ -1400,7 +1346,7 @@ func expExtLatency() Experiment {
 					smap, key := traffic("smap"), traffic("key")
 					metaTotal := dmeta + ctr + mac + bmt + smap + key
 					aes := sp.Stage("data", "aes")
-					ratio := "-"
+					var ratio any = "-"
 					if aes > 0 {
 						ratio = report.F3(float64(metaTotal) / float64(aes))
 					}
@@ -1448,11 +1394,11 @@ func expExtDesignspace() Experiment {
 				for _, b := range ablationBenchmarks(c) {
 					res := c.Run(f.Cfg, b)
 					base := c.Run(BaselineConfig(), b)
-					row := []interface{}{f.Name, b, res.TotalRequests()}
+					row := []any{f.Name, b, res.TotalRequests()}
 					for k := sim.KindData; k < sim.TrafficKind(len(res.RequestsByKind)); k++ {
 						row = append(row, report.Pct(res.RequestShare(k)))
 					}
-					overhead := "-"
+					var overhead any = "-"
 					if br := base.TotalRequests(); br > 0 {
 						overhead = report.F3(float64(res.TotalRequests()) / float64(br))
 					}
@@ -1494,13 +1440,9 @@ func SortedIDs() []string {
 
 // GmeanNormalizedIPC is a convenience used by benches and tests: the
 // geometric-mean normalized IPC of cfg across the context's
-// benchmarks.
+// benchmarks, read from the gmean cell of its normalized-IPC table.
 func GmeanNormalizedIPC(c *Context, cfg Config) float64 {
-	var vs []float64
-	for _, b := range c.Benchmarks() {
-		base := c.Run(BaselineConfig(), b)
-		vs = append(vs, c.Run(cfg, b).NormalizedIPC(base))
-	}
-	sort.Float64s(vs)
-	return geomean(vs)
+	t := normalizedIPCTable(c, "", []namedConfig{{"", cfg}})
+	g, _ := t.Value(len(t.Rows)-1, 1)
+	return g
 }

@@ -2,8 +2,14 @@ package gpusecmem
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
+
+	"gpusecmem/internal/report"
 )
 
 func testKeys() Keys {
@@ -177,8 +183,59 @@ func TestSimulatedExperimentShape(t *testing.T) {
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows: %d", len(tab.Rows))
 	}
-	if tab.Rows[2][0] != "gmean" {
+	if label, ok := tab.Rows[2][0].(string); !ok || label != "gmean" {
 		t.Fatalf("last row: %v", tab.Rows[2])
+	}
+	for r := range tab.Rows {
+		for c := 1; c < len(tab.Headers); c++ {
+			if v, ok := tab.Value(r, c); !ok || v <= 0 {
+				t.Errorf("row %d col %d = %v: want a positive normalized IPC", r, c, tab.Rows[r][c])
+			}
+		}
+	}
+}
+
+// TestMeasuredCellsAreNumbers: every measured cell of the
+// normalized-IPC, share and miss-rate tables reads back as a number
+// (only "-" placeholders and label columns are text), and
+// GmeanNormalizedIPC is the figure tables' gmean cell.
+func TestMeasuredCellsAreNumbers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a dozen figures")
+	}
+	labels := map[string]bool{"benchmark": true, "scheme": true, "metadata": true, "type": true}
+	ctx := NewContext(Options{Cycles: 1500, Benchmarks: []string{"nw", "fdtd2d"}})
+	figs := map[string]*report.Table{}
+	for _, e := range Experiments() {
+		switch {
+		case strings.HasPrefix(e.ID, "ablation-"), e.ID == "ext-selective",
+			e.ID == "ext-smartunified", e.ID == "ext-designspace":
+		case strings.HasPrefix(e.ID, "fig") && e.ID != "fig10" && e.ID != "fig11":
+		default:
+			continue
+		}
+		tables := e.Run(ctx)
+		figs[e.ID] = tables[0]
+		for _, tab := range tables {
+			for r, row := range tab.Rows {
+				for c, cell := range row {
+					if _, ok := tab.Value(r, c); !ok && !labels[tab.Headers[c]] && cell != "-" {
+						t.Errorf("%s %q row %d col %q: %#v is not a number", e.ID, tab.Title, r, tab.Headers[c], cell)
+					}
+				}
+			}
+		}
+	}
+	for _, g := range []struct {
+		fig string
+		col int
+		cfg Config
+	}{{"fig3", 1, cfgSecureNoMSHR()}, {"fig16", 2, cfgCtr()}, {"fig17", 1, SecureMemConfig()}} {
+		tab := figs[g.fig]
+		cell, _ := tab.Value(len(tab.Rows)-1, g.col)
+		if got := GmeanNormalizedIPC(ctx, g.cfg); got != cell {
+			t.Errorf("%s %s: GmeanNormalizedIPC = %v, gmean cell %v", g.fig, tab.Headers[g.col], got, cell)
+		}
 	}
 }
 
@@ -231,13 +288,32 @@ func TestSimulatePublicAPI(t *testing.T) {
 	}
 }
 
+// renderDigestPath pins the sha256 of every experiment's render in
+// each output format at TestEveryExperimentRuns' context, so a change
+// in how any cell prints fails the suite. After an intentional output
+// change, regenerate with:
+//
+//	go test -run TestEveryExperimentRuns -update-golden
+const renderDigestPath = "testdata/render_digests.json"
+
 // TestEveryExperimentRuns drives the complete registry end to end on
-// a minimal context: every experiment must produce non-empty,
-// renderable tables without panicking.
+// a minimal context: every experiment must produce non-empty tables,
+// and each format's render must match its pinned digest.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep")
 	}
+	want := map[string]string{}
+	if !*updateGolden {
+		raw, err := os.ReadFile(renderDigestPath)
+		if err != nil {
+			t.Fatalf("missing render digests (generate with -update-golden): %v", err)
+		}
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]string{}
 	ctx := NewContext(Options{Cycles: 1500, Benchmarks: []string{"fdtd2d"}})
 	for _, e := range Experiments() {
 		tables := e.Run(ctx)
@@ -249,21 +325,33 @@ func TestEveryExperimentRuns(t *testing.T) {
 			if len(tab.Headers) == 0 || len(tab.Rows) == 0 {
 				t.Errorf("%s: empty table %q", e.ID, tab.Title)
 			}
-			var b strings.Builder
-			if err := tab.WriteText(&b); err != nil {
-				t.Errorf("%s: text render: %v", e.ID, err)
+		}
+		for _, format := range report.Formats {
+			var b bytes.Buffer
+			for _, tab := range tables {
+				if err := tab.Write(&b, format); err != nil {
+					t.Errorf("%s: %s render: %v", e.ID, format, err)
+				}
 			}
-			b.Reset()
-			if err := tab.WriteCSV(&b); err != nil {
-				t.Errorf("%s: csv render: %v", e.ID, err)
-			}
-			b.Reset()
-			if err := tab.WriteMarkdown(&b); err != nil {
-				t.Errorf("%s: md render: %v", e.ID, err)
+			key := e.ID + "/" + format
+			sum := sha256.Sum256(b.Bytes())
+			got[key] = hex.EncodeToString(sum[:])
+			if !*updateGolden && got[key] != want[key] {
+				t.Errorf("%s: render digest %.12s, pinned %.12s", key, got[key], want[key])
 			}
 		}
 	}
 	if ctx.CachedRuns() == 0 {
 		t.Error("sweep simulated nothing")
+	}
+	if *updateGolden {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(renderDigestPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d digests)", renderDigestPath, len(got))
 	}
 }

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -68,11 +70,70 @@ func TestFloatFormatting(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if Pct(0.1234) != "12.34%" {
-		t.Errorf("Pct: %s", Pct(0.1234))
+	if got := Pct(0.1234); got != (Num{0.1234, Percent}) || cellText(got) != "12.34%" {
+		t.Errorf("Pct: %#v prints %q", got, cellText(got))
 	}
-	if F3(0.12345) != "0.123" {
-		t.Errorf("F3: %s", F3(0.12345))
+	if got := F3(0.12345); got != (Num{0.12345, Fixed3}) || cellText(got) != "0.123" {
+		t.Errorf("F3: %#v prints %q", got, cellText(got))
+	}
+}
+
+// TestCellMatchesOldHelpers pins every Format to the fmt layout its
+// cells were printed with before tables kept numbers, at rounding
+// boundaries, zero, one, negatives and large magnitudes.
+func TestCellMatchesOldHelpers(t *testing.T) {
+	values := []float64{0.99995, 0.00005, 0.000049, 0.125, 0, 1, -0.5, -0.99995,
+		-1234.5678, 100, 99.995, 0.0049, 0.013241, 1e12, 123456789.987, math.Copysign(0, -1)}
+	layouts := map[Format]func(float64) string{
+		Percent:  func(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) },
+		Points:   func(v float64) string { return fmt.Sprintf("%.2f%%", v) },
+		Shortest: func(v float64) string { return fmt.Sprintf("%g", v) },
+	}
+	for prec := 0; prec <= 5; prec++ {
+		layout := fmt.Sprintf("%%.%df", prec)
+		layouts[Fixed0+Format(prec)] = func(v float64) string { return fmt.Sprintf(layout, v) }
+	}
+	for f, old := range layouts {
+		for _, v := range values {
+			if got, want := cellText(Num{v, f}), old(v); got != want {
+				t.Errorf("format %d, %v: Cell = %q, old helper printed %q", f, v, got, want)
+			}
+		}
+	}
+	for _, v := range values {
+		if got, want := cellText(v), formatFloat(v); got != want {
+			t.Errorf("bare float64 %v: Cell = %q, formatFloat printed %q", v, got, want)
+		}
+	}
+	for v, want := range map[float64]string{0.99995: "100.00%", 0.00005: "0.01%", 0: "0.00%", 1: "100.00%", -0.5: "-50.00%"} {
+		if got := cellText(Pct(v)); got != want {
+			t.Errorf("Pct(%v) prints %q, want %q", v, got, want)
+		}
+	}
+	// Integers print as %v, at any size.
+	tab := New("", "a", "b", "c", "d")
+	tab.AddRow(uint64(math.MaxUint64), int64(math.MinInt64), 1<<53+1, -7)
+	for i, want := range []string{"18446744073709551615", "-9223372036854775808", "9007199254740993", "-7"} {
+		if got := cellText(tab.Rows[0][i]); got != want {
+			t.Errorf("integer cell %d prints %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestValueReadsBackUnrounded: a reader gets the quantity the table
+// was given, not the digits it prints.
+func TestValueReadsBackUnrounded(t *testing.T) {
+	tab := New("", "label", "pct", "ratio", "count", "float", "dash")
+	tab.AddRow("x", Pct(0.123456), F3(0.98765), uint64(42), 2.5, "-")
+	for col, want := range map[int]float64{1: 0.123456, 2: 0.98765, 3: 42, 4: 2.5} {
+		if v, ok := tab.Value(0, col); !ok || v != want {
+			t.Errorf("Value(0, %d) = %v, %v; want %v", col, v, ok, want)
+		}
+	}
+	for _, col := range []int{0, 5} {
+		if _, ok := tab.Value(0, col); ok {
+			t.Errorf("text cell %d read back as a number", col)
+		}
 	}
 }
 
