@@ -104,6 +104,10 @@ func (c *Cache) Walk(sc *statecodec.Codec) {
 
 	sc.U64(&c.seq)
 	n, keys = statecodec.MapLen(sc, &c.mshrs, minMSHR)
+	var entries []mshrEntry // decoded entries, one allocation for the table
+	if sc.Decoding() {
+		entries = make([]mshrEntry, n)
+	}
 	var lines statecodec.KeySeq
 	for i := 0; i < n; i++ {
 		var e *mshrEntry
@@ -112,7 +116,7 @@ func (c *Cache) Walk(sc *statecodec.Codec) {
 			line = keys[i]
 			e = c.mshrs[line]
 		} else {
-			e = new(mshrEntry)
+			e = &entries[i]
 		}
 		sc.Key(&lines, &line)
 		sc.Sectors(&e.sectorPending, &e.sectorWrite)
@@ -143,9 +147,14 @@ func (c *Cache) Walk(sc *statecodec.Codec) {
 	}
 	sc.Int(&c.psel)
 	sc.U64(&c.brripTick)
-	s := &c.Stats
+	c.Stats.Walk(sc)
+}
+
+// Walk encodes or decodes the counters in declaration order, for a
+// cache's checkpoint and a stored Result's L1 and L2 totals alike.
+func (s *Stats) Walk(c *statecodec.Codec) {
 	for _, p := range [...]*uint64{&s.Accesses, &s.Hits, &s.MissesPrimary, &s.MissesSecondary,
 		&s.MissesBypass, &s.Fills, &s.Evictions, &s.Writebacks} {
-		sc.U64(p)
+		c.U64(p)
 	}
 }

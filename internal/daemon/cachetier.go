@@ -10,10 +10,12 @@ import (
 )
 
 // memCache is the daemon's in-process result store: a bounded LRU
-// over canonical RunKeys, shared by every request. It only ever holds
-// pointers to immutable completed Results, so concurrent readers need
-// no copies. cap<=0 disables it (every Get misses, Put is a no-op) —
-// useful when a disk cache is the only tier wanted.
+// over canonical RunKeys, shared by every request. Each entry is an
+// answer: an immutable completed Result and its /api/run rendering,
+// made once when the entry is stored, so a memory hit re-renders
+// nothing and concurrent readers need no copies. cap<=0 disables it
+// (every get misses, put only renders) — useful when a disk cache is
+// the only tier wanted.
 type memCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -28,14 +30,14 @@ type memCache struct {
 
 type memEntry struct {
 	key string
-	res *gpusecmem.Result
+	ans *answer
 }
 
 func newMemCache(cap int) *memCache {
 	return &memCache{cap: cap, order: list.New(), entries: make(map[string]*list.Element)}
 }
 
-func (m *memCache) get(key string) (*gpusecmem.Result, bool) {
+func (m *memCache) get(key string) (*answer, bool) {
 	if m.cap <= 0 {
 		return nil, false
 	}
@@ -46,27 +48,31 @@ func (m *memCache) get(key string) (*gpusecmem.Result, bool) {
 		return nil, false
 	}
 	m.order.MoveToFront(el)
-	return el.Value.(*memEntry).res, true
+	return el.Value.(*memEntry).ans, true
 }
 
-func (m *memCache) put(key string, res *gpusecmem.Result) {
-	if m.cap <= 0 || res == nil {
-		return
+// put renders res's answer, outside the lock, keeps it under key and
+// returns it.
+func (m *memCache) put(key string, res *gpusecmem.Result) *answer {
+	ans := render(res)
+	if m.cap <= 0 {
+		return ans
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if el, ok := m.entries[key]; ok {
-		el.Value.(*memEntry).res = res
+		el.Value.(*memEntry).ans = ans
 		m.order.MoveToFront(el)
-		return
+		return ans
 	}
-	m.entries[key] = m.order.PushFront(&memEntry{key: key, res: res})
+	m.entries[key] = m.order.PushFront(&memEntry{key: key, ans: ans})
 	for m.order.Len() > m.cap {
 		oldest := m.order.Back()
 		m.order.Remove(oldest)
 		delete(m.entries, oldest.Value.(*memEntry).key)
 		m.evictions.Add(1)
 	}
+	return ans
 }
 
 func (m *memCache) len() int {
@@ -77,14 +83,20 @@ func (m *memCache) len() int {
 
 // cacheView is a per-request gpusecmem.ResultCache over the shared
 // tiers, consulted in cost order: memory, then the persistent store
-// (promoting disk hits into memory). Each request gets its own view so
-// hit attribution — the "source" field the smoke tests assert on — is
-// exact even under concurrent requests. In cluster mode a key missing
-// from both is forwarded whole to its owner by handleRun (DESIGN.md
-// §16); the view itself never talks to peers.
+// (rendering a disk hit's answer once and promoting it into memory).
+// Each request gets its own view so hit attribution — the "source"
+// field the smoke tests assert on — is exact even under concurrent
+// requests. In cluster mode a key missing from both is forwarded whole
+// to its owner by handleRun (DESIGN.md §16); the view itself never
+// talks to peers.
 type cacheView struct {
 	mem  *memCache
 	disk gpusecmem.ResultCache // nil when the daemon has no -cache-dir
+
+	// last is the answer of the view's latest hit or Put, so the
+	// request that simulated a result answers with the rendering its
+	// Put already made.
+	last atomic.Pointer[answer]
 
 	memHits, memMisses, diskHits, diskMisses, puts atomic.Uint64
 }
@@ -93,26 +105,47 @@ func (s *Server) newView() *cacheView {
 	return &cacheView{mem: s.mem, disk: s.cfg.Cache}
 }
 
-func (v *cacheView) Get(key string) (*gpusecmem.Result, bool) {
-	if res, ok := v.mem.get(key); ok {
+// lookup serves key's answer from memory, else from disk.
+func (v *cacheView) lookup(key string) (*answer, bool) {
+	ans, ok := v.mem.get(key)
+	if ok {
 		v.memHits.Add(1)
-		return res, true
-	}
-	v.memMisses.Add(1)
-	if v.disk != nil {
-		if res, ok := v.disk.Get(key); ok {
-			v.diskHits.Add(1)
-			v.mem.put(key, res)
-			return res, true
+	} else {
+		v.memMisses.Add(1)
+		if v.disk == nil {
+			return nil, false
 		}
-		v.diskMisses.Add(1)
+		res, ok := v.disk.Get(key)
+		if !ok {
+			v.diskMisses.Add(1)
+			return nil, false
+		}
+		v.diskHits.Add(1)
+		ans = v.mem.put(key, res)
+	}
+	v.last.Store(ans)
+	return ans, true
+}
+
+func (v *cacheView) Get(key string) (*gpusecmem.Result, bool) {
+	if ans, ok := v.lookup(key); ok {
+		return ans.res, true
 	}
 	return nil, false
 }
 
+// answer returns res's answer: the one this view last served or
+// stored when it is res's, else a fresh rendering.
+func (v *cacheView) answer(res *gpusecmem.Result) *answer {
+	if ans := v.last.Load(); ans != nil && ans.res == res {
+		return ans
+	}
+	return render(res)
+}
+
 func (v *cacheView) Put(key string, res *gpusecmem.Result) {
 	v.puts.Add(1)
-	v.mem.put(key, res)
+	v.last.Store(v.mem.put(key, res))
 	if v.disk != nil {
 		v.disk.Put(key, res)
 	}
@@ -153,23 +186,23 @@ type ckptView struct {
 	store gpusecmem.CheckpointStore
 }
 
-// newContext builds a request's memo over a fresh cache view and, when
-// a checkpoint store is configured, routes its simulations through a
-// checkpoint view. Shutdown checkpointing needs no extra plumbing:
-// cancelling a checkpointed run snapshots it before the simulator
-// returns. Call settle exactly once, after the request's runs: it
+// newContext builds a request's memo over a fresh cache view, which it
+// also returns, and, when a checkpoint store is configured, routes its
+// simulations through a checkpoint view. Shutdown checkpointing needs
+// no extra plumbing: cancelling a checkpointed run snapshots it before
+// the simulator returns. Call settle exactly once, after the request's runs: it
 // folds the request's tallies into the registry and returns where its
 // results came from — "resumed" when a simulation restarted from a
 // checkpoint, outranking the cache tiers, which only see whole-run
 // results, and the cache tier's source otherwise.
-func (s *Server) newContext(opts gpusecmem.Options) (gctx *gpusecmem.Context, settle func() string) {
+func (s *Server) newContext(opts gpusecmem.Options) (gctx *gpusecmem.Context, view *cacheView, settle func() string) {
 	gctx = gpusecmem.NewContext(opts)
-	view := s.newView()
+	view = s.newView()
 	gctx.SetResultCache(view)
 	if s.cfg.Checkpoints != nil {
 		gctx.SetCheckpointStore(ckptView{store: s.cfg.Checkpoints}, s.cfg.CheckpointEvery)
 	}
-	return gctx, func() string {
+	return gctx, view, func() string {
 		view.count()
 		resumed := gctx.CacheStats().Resumed
 		met.resumed.Add(resumed)

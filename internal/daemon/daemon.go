@@ -63,6 +63,7 @@
 package daemon
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -448,40 +449,73 @@ func (s *Server) handleCatalogue(w http.ResponseWriter, r *http.Request) {
 
 // --- ad-hoc runs ---
 
-// runResponse is the /api/run payload. Source records where the
-// result came from — "memory", "disk", "resumed", or "simulated" — so
-// callers (and the CI smoke tests) can assert cache
-// and cluster behaviour. TraceID repeats the X-Secmem-Trace-Id header
-// for clients that only keep bodies.
+// runResponse is the head of the /api/run payload; writeRun appends
+// the run's answer as its last member, "result". Source records where
+// the result came from — "memory", "disk", "resumed", or "simulated" —
+// so callers (and the CI smoke tests) can assert cache and cluster
+// behaviour. TraceID repeats the X-Secmem-Trace-Id header for clients
+// that only keep bodies.
 type runResponse struct {
-	Benchmark string          `json:"benchmark"`
-	Scheme    string          `json:"scheme"`
-	Key       string          `json:"key"`
-	Source    string          `json:"source"`
-	TraceID   string          `json:"trace_id,omitempty"`
-	WallMS    float64         `json:"wall_ms"`
-	Result    json.RawMessage `json:"result"`
+	Benchmark string  `json:"benchmark"`
+	Scheme    string  `json:"scheme"`
+	Key       string  `json:"key"`
+	Source    string  `json:"source"`
+	TraceID   string  `json:"trace_id,omitempty"`
+	WallMS    float64 `json:"wall_ms"`
+}
+
+// answer is a completed Result with its /api/run rendering, made once
+// and served as often as the result is: the memory tier keeps answers,
+// not bare Results.
+type answer struct {
+	res *gpusecmem.Result
+	// body is the result's JSON indented as the response's "result"
+	// member: what writeJSON makes of json.Marshal(res) held one level
+	// deep as a json.RawMessage.
+	body []byte
+	err  error // why res could not be rendered; answered with a 500
+}
+
+// render makes res's answer.
+func render(res *gpusecmem.Result) *answer {
+	compact, err := json.Marshal(res)
+	if err != nil {
+		return &answer{res: res, err: err}
+	}
+	var body bytes.Buffer
+	body.Grow(2 * len(compact))
+	json.Indent(&body, compact, "  ", "  ") // compact is valid JSON
+	return &answer{res: res, body: body.Bytes()}
 }
 
 // writeRun renders one /api/run success: tier-attributed duration
-// metric, the X-Run-Source header, and the JSON payload.
-func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, res *gpusecmem.Result, source, scheme, bench, key string, wall time.Duration) {
-	body, err := json.Marshal(res)
-	if err != nil {
-		httpError(w, r, http.StatusInternalServerError, "encode result: %v", err)
+// metric, the X-Run-Source header, and the JSON payload — the bytes
+// writeJSON makes of runResponse with the result as its last member,
+// assembled from the head and the answer's rendering.
+func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, ans *answer, source, scheme, bench, key string, wall time.Duration) {
+	if ans.err != nil {
+		httpError(w, r, http.StatusInternalServerError, "encode result: %v", ans.err)
 		return
 	}
 	met.runDur.With(source).Observe(uint64(wall.Microseconds()))
 	w.Header().Set("X-Run-Source", source)
-	writeJSON(w, runResponse{
+	// Strings and a finite float: the head always marshals.
+	head, _ := json.MarshalIndent(runResponse{
 		Benchmark: bench,
 		Scheme:    scheme,
 		Key:       runner.KeyDigest(key),
 		Source:    source,
 		TraceID:   telemetry.TraceID(r.Context()),
 		WallMS:    float64(wall.Microseconds()) / 1000,
-		Result:    body,
-	})
+	}, "", "  ")
+	// The head ends "\n}"; reopen it for the result member.
+	body := make([]byte, 0, len(head)+len(ans.body)+16)
+	body = append(body, head[:len(head)-2]...)
+	body = append(body, ",\n  \"result\": "...)
+	body = append(body, ans.body...)
+	body = append(body, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 // handleRun serves one simulation in escalating cost order. The local
@@ -501,9 +535,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 
 	view := s.newView()
-	if res, ok := view.Get(key); ok {
+	if ans, ok := view.lookup(key); ok {
 		view.count()
-		s.writeRun(w, r, res, view.source(), run.Scheme, run.Benchmark, key, time.Since(t0))
+		s.writeRun(w, r, ans, view.source(), run.Scheme, run.Benchmark, key, time.Since(t0))
 		return
 	}
 	view.count()
@@ -540,9 +574,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// The memo consults every cached tier before simulating, so a
 		// request that queued behind the worker pool may find its
 		// result already landed.
-		gctx, settle := s.newContext(gpusecmem.Options{Cycles: run.Config.MaxCycles, Shards: s.cfg.Shards})
+		gctx, view, settle := s.newContext(gpusecmem.Options{Cycles: run.Config.MaxCycles, Shards: s.cfg.Shards})
 		res, err := gctx.RunE(ctx, run.Config, run.Benchmark)
-		return outcome{res, settle()}, err
+		source := settle()
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{view.answer(res), source}, nil
 	})
 	if err != nil {
 		httpError(w, r, s.failStatus(err), "%v", err)
@@ -556,13 +594,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// waiter's wall time restates the same simulation.
 		observeRun(wall)
 	}
-	s.writeRun(w, r, o.res, o.source, run.Scheme, run.Benchmark, key, wall)
+	s.writeRun(w, r, o.ans, o.source, run.Scheme, run.Benchmark, key, wall)
 }
 
 // outcome is one local simulation's answer, shared by every request
 // coalesced onto its flight.
 type outcome struct {
-	res    *gpusecmem.Result
+	ans    *answer
 	source string
 }
 
@@ -620,7 +658,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	gctx, settle := s.newContext(opts)
+	gctx, _, settle := s.newContext(opts)
 
 	// The runner gives us planning, panic recovery, and render-order
 	// determinism for free; one job keeps this request to its one

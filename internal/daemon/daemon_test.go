@@ -3,12 +3,13 @@ package daemon
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,8 @@ import (
 	"gpusecmem/internal/checkpoint"
 	"gpusecmem/internal/envelope"
 	"gpusecmem/internal/resultcache"
+	"gpusecmem/internal/sim"
+	"gpusecmem/internal/telemetry"
 )
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
@@ -142,11 +145,18 @@ func TestForgedCachePutRejected(t *testing.T) {
 	key := gpusecmem.RunKey(run.Config, run.Benchmark)
 
 	fake := gpusecmem.Result{Cycles: 1500, Instructions: 123456789}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&fake); err != nil {
+	payload, err := sim.EncodeResult(&fake)
+	if err != nil {
 		t.Fatal(err)
 	}
-	forged := envelope.Encode(resultcache.Schema, key, payload.Bytes())
+	forged := envelope.Encode(resultcache.Schema, key, payload)
+	// The forgery is a valid entry down to its payload: a store that
+	// held it would serve it.
+	if other, err := resultcache.Open(t.TempDir()); err != nil {
+		t.Fatal(err)
+	} else if err := other.PutRaw(key, forged); err != nil {
+		t.Fatalf("the forged entry is not a valid one: %v", err)
+	}
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/api/cache?key="+url.QueryEscape(key), bytes.NewReader(forged))
 	if err != nil {
 		t.Fatal(err)
@@ -184,6 +194,131 @@ func TestForgedCachePutRejected(t *testing.T) {
 	}
 	if buf.String() != string(want) {
 		t.Fatal("served result differs from an honest library run")
+	}
+}
+
+// oldRunResponse is the /api/run payload as one struct, the result a
+// json.RawMessage member: what the daemon rendered on every request
+// before answers were rendered once.
+type oldRunResponse struct {
+	Benchmark string          `json:"benchmark"`
+	Scheme    string          `json:"scheme"`
+	Key       string          `json:"key"`
+	Source    string          `json:"source"`
+	TraceID   string          `json:"trace_id,omitempty"`
+	WallMS    float64         `json:"wall_ms"`
+	Result    json.RawMessage `json:"result"`
+}
+
+// TestRunAnswerBytes pins the served bytes: from every tier — a fresh
+// simulation, the memory LRU, and the disk store after a restart — and
+// with or without a trace ID, an /api/run response's headers and body
+// are exactly what writeJSON makes of oldRunResponse around
+// json.Marshal of an honest library run.
+func TestRunAnswerBytes(t *testing.T) {
+	const query = "bench=nw&scheme=ctr_mac_bmt&cycles=1500"
+	q, _ := url.ParseQuery(query)
+	run, err := gpusecmem.ResolveQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := gpusecmem.Simulate(run.Config, run.Benchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := json.Marshal(honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			dir := t.TempDir()
+			serve := func(s *Server, want string) {
+				t.Helper()
+				req := httptest.NewRequest(http.MethodGet, "/api/run?"+query, nil)
+				var h http.Handler = s.mux // no middleware: no trace ID
+				if traced {
+					req.Header.Set(telemetry.TraceHeader, "0123456789abcdef")
+					h = s.Handler()
+				}
+				got := httptest.NewRecorder()
+				h.ServeHTTP(got, req)
+				if got.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", want, got.Code, got.Body)
+				}
+				var head oldRunResponse
+				if err := json.Unmarshal(got.Body.Bytes(), &head); err != nil {
+					t.Fatal(err)
+				}
+				if head.Source != want {
+					t.Fatalf("source %q, want %q", head.Source, want)
+				}
+				old := httptest.NewRecorder()
+				if traced {
+					old.Header().Set(telemetry.TraceHeader, head.TraceID)
+				}
+				old.Header().Set("X-Run-Source", head.Source)
+				head.Result = result
+				writeJSON(old, head)
+				if !reflect.DeepEqual(got.Header(), old.Header()) {
+					t.Errorf("%s: headers %v, want %v", want, got.Header(), old.Header())
+				}
+				if !bytes.Equal(got.Body.Bytes(), old.Body.Bytes()) {
+					t.Errorf("%s: body differs from the old rendering:\n%s\nwant\n%s", want, got.Body, old.Body)
+				}
+			}
+			open := func() *Server {
+				disk, err := resultcache.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return New(Config{Cache: disk})
+			}
+			s := open()
+			serve(s, "simulated")
+			serve(s, "memory")
+			serve(open(), "disk")
+		})
+	}
+}
+
+// BenchmarkRunCached times /api/run answered from each cached tier,
+// cycling over a 200-cycle fdtd2d run of every scheme: "memory" from
+// the LRU, "disk" from the persistent store with the LRU disabled.
+func BenchmarkRunCached(b *testing.B) {
+	disk, err := resultcache.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var urls []string
+	for _, scheme := range gpusecmem.SchemeNames() {
+		u := "/api/run?bench=fdtd2d&cycles=200&scheme=" + scheme
+		urls = append(urls, u)
+		w := httptest.NewRecorder()
+		New(Config{Cache: disk, MemCacheEntries: -1}).Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, u, nil))
+		if w.Code != http.StatusOK {
+			b.Fatalf("%s: status %d", u, w.Code)
+		}
+	}
+	for _, tier := range []struct {
+		name    string
+		entries int
+	}{{"memory", 0}, {"disk", -1}} {
+		b.Run(tier.name, func(b *testing.B) {
+			h := New(Config{Cache: disk, MemCacheEntries: tier.entries}).Handler()
+			for _, u := range urls { // warm the memory tier
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, u, nil))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, urls[i%len(urls)], nil))
+				if src := w.Header().Get("X-Run-Source"); src != tier.name {
+					b.Fatalf("served from %q, want %s", src, tier.name)
+				}
+			}
+		})
 	}
 }
 

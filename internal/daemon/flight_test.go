@@ -16,9 +16,12 @@ import (
 func do(g *flight.Group[outcome], ctx context.Context, key string, fn func() (*gpusecmem.Result, string, error)) (*gpusecmem.Result, string, bool, error) {
 	o, shared, err := g.Do(ctx, key, func() (outcome, error) {
 		res, source, err := fn()
-		return outcome{res, source}, err
+		return outcome{&answer{res: res}, source}, err
 	})
-	return o.res, o.source, shared, err
+	if o.ans == nil {
+		return nil, o.source, shared, err
+	}
+	return o.ans.res, o.source, shared, err
 }
 
 // TestFlightGroupShares pins the coalescing contract: concurrent

@@ -4,8 +4,13 @@
 // any configuration change addresses a different entry, and repeated
 // requests across process restarts are served from disk
 // bit-identically. Each is an internal/envelope entry holding a
-// gob-encoded sim.Result. The store is local to one node: cluster
-// members never exchange entries (DESIGN.md §16). GetRaw/PutRaw, the
+// sim.Result in its stored form (sim.EncodeResult: a flat
+// internal/statecodec walk, no reflection). The files keep the ".gob"
+// extension of the gob-encoded schemas before it, so an entry of an
+// older schema sits at the very path its replacement takes: a Get
+// finds it, reads it as a miss and removes it, and the next Put
+// rewrites the slot. The store is local to one node: cluster members
+// never exchange entries (DESIGN.md §16). GetRaw/PutRaw, the
 // raw-envelope face, are kept only for the benchmark suite's traced
 // store (benchsuite/trace.go). Only successful runs are stored —
 // errors stay in the memo where retry policy lives — and the retained
@@ -21,8 +26,6 @@
 package resultcache
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"gpusecmem/internal/envelope"
@@ -32,31 +35,29 @@ import (
 // Schema versions the entry format; bump it when the encoding changes
 // and old entries become unreadable (they then read as misses and are
 // replaced on the next Put). Schema 3 moved to the checksummed
-// internal/envelope framing.
-const Schema = "gpusecmem-resultcache/3"
+// internal/envelope framing; 4 replaced the gob payload with
+// sim.EncodeResult's.
+const Schema = "gpusecmem-resultcache/4"
 
 // untagged is the one tag a result entry is stored under.
 var untagged = []string{""}
 
 func decode(payload []byte) (*sim.Result, error) {
-	var res sim.Result
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&res); err != nil {
-		return nil, fmt.Errorf("resultcache: decode: %w", err)
+	res, err := sim.DecodeResult(payload)
+	if err != nil {
+		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	return &res, nil
+	return res, nil
 }
 
 // encodeEnvelope renders the on-disk form of one entry: what Put
 // writes and GetRaw returns.
 func encodeEnvelope(key string, res *sim.Result) ([]byte, error) {
-	if res == nil {
-		return nil, fmt.Errorf("resultcache: nil result")
+	payload, err := sim.EncodeResult(res)
+	if err != nil {
+		return nil, fmt.Errorf("resultcache: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-		return nil, fmt.Errorf("resultcache: encode: %w", err)
-	}
-	return envelope.Encode(Schema, key, buf.Bytes()), nil
+	return envelope.Encode(Schema, key, payload), nil
 }
 
 // Cache is a persistent result store rooted at one directory.
@@ -100,8 +101,7 @@ func (c *Cache) GetRaw(key string) (raw []byte, ok bool) {
 // is counted and swallowed — the cache must never fail the run that
 // produced the result.
 func (c *Cache) Put(key string, res *sim.Result) {
-	// A gob encode failure would be a sim.Result shape the round-trip
-	// test rejects; a nil result has nothing to store.
+	// Only a nil result fails to encode, and it has nothing to store.
 	if raw, err := encodeEnvelope(key, res); err == nil {
 		c.store.PutRaw(key, "", raw, nil)
 	}

@@ -1,11 +1,16 @@
 package resultcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
 
+	"gpusecmem"
+	"gpusecmem/internal/envelope"
+	"gpusecmem/internal/faults"
+	"gpusecmem/internal/probe"
 	"gpusecmem/internal/sim"
 )
 
@@ -52,6 +57,77 @@ func TestRoundTripByteIdentical(t *testing.T) {
 	st := c.Stats()
 	if st.Puts != 1 || st.Hits != 1 || st.Errors != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// Every scheme's result, plain and with probes, reuse profiling and
+// fault injection all on, survives Put and Get: the canonical JSON and
+// the fault statistics are unchanged, and the decoded result encodes
+// to the stored bytes.
+func TestEveryResultRoundTrips(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range gpusecmem.SchemeNames() {
+		for _, instrumented := range []bool{false, true} {
+			cfg, err := gpusecmem.ConfigForScheme(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.MaxCycles = 1500
+			if instrumented {
+				cfg.Probe = &probe.Config{Spans: true, TimelineInterval: 250}
+				cfg.ProfileReuse = true
+				cfg.Faults = &faults.Plan{Seed: 7, Rate: 0.01, Sites: faults.FlipSites}
+			}
+			res, err := sim.Run(cfg, "fdtd2d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("%s|%v", scheme, instrumented)
+			c.Put(key, res)
+			got, ok := c.Get(key)
+			if !ok {
+				t.Fatalf("%s: Get missed after Put", key)
+			}
+			want, _ := json.Marshal(res)
+			have, _ := json.Marshal(got)
+			if !bytes.Equal(have, want) {
+				t.Errorf("%s: round trip changed canonical JSON:\nwant %s\nhave %s", key, want, have)
+			}
+			if got.Faults != res.Faults {
+				t.Errorf("%s: fault stats %+v, want %+v", key, got.Faults, res.Faults)
+			}
+			if instrumented && (got.Probe == nil || got.Probe.Spans == nil || len(got.Probe.Timeline) == 0) {
+				t.Errorf("%s: instrumented result has no probe report", key)
+			}
+			stored, _ := sim.EncodeResult(res)
+			again, _ := sim.EncodeResult(got)
+			if !bytes.Equal(again, stored) {
+				t.Errorf("%s: the decoded result re-encodes differently", key)
+			}
+		}
+	}
+}
+
+// An entry of an older schema at the same path — what a store written
+// by the gob-encoding builds holds — reads as a miss and is removed.
+func TestOlderSchemaEntryIsMiss(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "older|nw"
+	c.Put(key, simulate(t, 1000))
+	if err := os.WriteFile(c.path(key), envelope.Encode("gpusecmem-resultcache/3", key, []byte("a gob payload")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(key); ok {
+		t.Fatal("served an entry of an older schema")
+	}
+	if _, err := os.Stat(c.path(key)); !os.IsNotExist(err) {
+		t.Fatalf("older entry not removed (stat err %v)", err)
 	}
 }
 

@@ -176,7 +176,7 @@ func (g *GPU) walk(c *statecodec.Codec) {
 	}
 
 	warps := g.gen.WarpsPerSM()
-	walkTokens(c, &g.loads, &g.walkKeys, minLoad, "load", func(tok uint64, lr *loadReq) {
+	walkTokens(c, &g.loads, &g.walkKeys, minLoad, "load", nil, func(tok uint64, lr *loadReq) {
 		sm, warp := int(lr.sm), int(lr.warp)
 		c.Int(&sm)
 		c.Int(&warp)
@@ -298,7 +298,7 @@ func (p *partition) walk(c *statecodec.Codec) {
 		}
 		maxTok = max(maxTok, tok)
 	}
-	walkTokens(c, &p.dests, &p.gpu.walkKeys, minDest, "DRAM transaction", func(tok uint64, d *dest) {
+	walkTokens(c, &p.dests, &p.gpu.walkKeys, minDest, "DRAM transaction", nil, func(tok uint64, d *dest) {
 		c.Byte(&d.fill)
 		c.U64(&d.addr)
 		c.U64(&d.readID)
@@ -312,10 +312,16 @@ func (p *partition) walk(c *statecodec.Codec) {
 		}
 	})
 
-	walkTokens(c, &p.reads, &p.gpu.walkKeys, minRead, "read", func(id uint64, rsp **readState) {
+	// Decoded reads share one slab: a resumed run allocates them once,
+	// not one by one.
+	var slab []readState
+	walkTokens(c, &p.reads, &p.gpu.walkKeys, minRead, "read", func(n int) {
+		slab = make([]readState, n)
+	}, func(id uint64, rsp **readState) {
 		rs := *rsp
 		if c.Decoding() {
-			rs = new(readState)
+			rs = &slab[0]
+			slab = slab[1:]
 			*rsp = rs
 		}
 		c.U64(&rs.globalAddr)
@@ -365,12 +371,16 @@ func (p *partition) walk(c *statecodec.Codec) {
 // ascending token order: its gap-coded token, then what elem walks of
 // its value. An encoder sorts the tokens into *keys, scratch reused
 // across walks. Decoding refills t, refusing token 0, which the table
-// reserves and no counter issues; elem checks everything else.
-func walkTokens[V any](c *statecodec.Codec, t *tokTable[V], keys *[]uint64, minElem int, what string, elem func(tok uint64, v *V)) {
+// reserves and no counter issues; elem checks everything else. A
+// decoder first tells start, when set, how many entries follow.
+func walkTokens[V any](c *statecodec.Codec, t *tokTable[V], keys *[]uint64, minElem int, what string, start func(n int), elem func(tok uint64, v *V)) {
 	n := t.len()
 	c.Len(&n, minElem)
 	if c.Decoding() {
 		t.reset(n)
+		if start != nil {
+			start(n)
+		}
 	} else {
 		*keys = t.sortedKeys(*keys)
 	}

@@ -1,14 +1,16 @@
-// Package statecodec is the wire format of a simulator checkpoint and
-// the bidirectional walk that reads and writes it (DESIGN.md §14).
+// Package statecodec is the wire format of simulator checkpoints and
+// stored results, and the bidirectional walk that reads and writes
+// them (DESIGN.md §12, §14). Each format starts with its own magic and
+// version.
 //
-// Each stateful component has one walk method that visits its live
-// fields in a fixed order, handing each field's address to a Codec. An
-// encoding Codec appends the field's value; a decoding Codec reads the
-// value from its input straight into the field, so one walk serves
-// both directions and a field is added to a checkpoint with one line.
-// The walk checks what it decoded against the freshly built machine it
-// fills, where the value lands, and calls Fail on anything that
-// machine cannot hold.
+// Each stateful component, and a run's Result, has one walk method
+// that visits its fields in a fixed order, handing each field's
+// address to a Codec. An encoding Codec appends the field's value; a
+// decoding Codec reads the value from its input straight into the
+// field, so one walk serves both directions and a field is added to
+// the format with one line. A checkpoint's walk checks what it decoded
+// against the freshly built machine it fills, where the value lands,
+// and calls Fail on anything that machine cannot hold.
 //
 // The format is flat and reflection-free. A uint64 is a uvarint, an
 // int a zigzag varint, a bool one byte (0 or 1), a byte one raw byte,
@@ -33,12 +35,12 @@
 // buffer that Finish returns; the bytes Finish hands back are a fresh
 // copy owned by the caller. A decoder only reads its input, which must
 // not change during the walk. The key slice MapLen returns is scratch
-// owned by the Codec, valid until the next MapLen.
+// owned by the Codec, valid until the next MapLen. The lists a decoder
+// returns share one slab (see U64s) and stay valid after the walk.
 package statecodec
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -59,7 +61,12 @@ type Codec struct {
 	err  error
 	buf  *[]byte  // the pooled buffer an encoder borrowed
 	keys []uint64 // MapLen's sorted-key scratch
+	slab []uint64 // the unused tail of the decoder's list slab
 }
+
+// slabChunk is how many uint64s a decoder's list slab grows by: most
+// decoded lists are a few elements long, so one chunk serves hundreds.
+const slabChunk = 1024
 
 // NewEncoder returns an encoder whose output starts with magic and
 // version.
@@ -75,14 +82,14 @@ func NewEncoder(magic string, version uint64) *Codec {
 func NewDecoder(b []byte, magic string, version uint64) *Codec {
 	c := &Codec{b: b, dec: true}
 	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
-		c.err = errors.New("not a machine state (bad magic)")
+		c.err = fmt.Errorf("input does not start with %q (bad magic)", magic)
 		return c
 	}
 	c.off = len(magic)
 	var v uint64
 	c.U64(&v)
 	if c.err == nil && v != version {
-		c.err = fmt.Errorf("snapshot version %d, want %d", v, version)
+		c.err = fmt.Errorf("%s version %d, want %d", magic, v, version)
 	}
 	return c
 }
@@ -319,15 +326,21 @@ func Slice[E any](c *Codec, s *[]E, minElem int) {
 	}
 }
 
-// U64s walks a variable-length uint64 slice. A decoder allocates it
-// afresh, nil when empty.
+// U64s walks a variable-length uint64 slice. A decoder carves it from
+// the walk's slab, nil when empty, with its capacity capped at its
+// length so that an append reallocates instead of writing into the
+// next list.
 func (c *Codec) U64s(p *[]uint64) {
 	n := len(*p)
 	c.Len(&n, 1)
 	if c.dec {
 		*p = nil
 		if n > 0 {
-			*p = make([]uint64, n)
+			if len(c.slab) < n {
+				c.slab = make([]uint64, max(n, slabChunk))
+			}
+			*p = c.slab[:n:n]
+			c.slab = c.slab[n:]
 		}
 	}
 	for i := range *p {

@@ -210,3 +210,32 @@ func TestMapLenRefusesEntriesForNilMap(t *testing.T) {
 		t.Fatalf("error %v, want a refusal", err)
 	}
 }
+
+// Decoded lists share the walk's slab, each capped at its length, so
+// an append to one reallocates instead of overwriting the next.
+func TestDecodedListsDoNotAlias(t *testing.T) {
+	lists := [2][]uint64{{1, 2}, {3, 4, 5}}
+	c := NewEncoder(testMagic, testVersion)
+	for i := range lists {
+		c.U64s(&lists[i])
+	}
+	b, err := c.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2][]uint64
+	d := NewDecoder(b, testMagic, testVersion)
+	for i := range got {
+		d.U64s(&got[i])
+	}
+	if _, err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(got[0]) != len(got[0]) {
+		t.Fatalf("decoded list has capacity %d past its length %d", cap(got[0]), len(got[0]))
+	}
+	got[0] = append(got[0], 99)
+	if got[1][0] != 3 || got[0][1] != 2 {
+		t.Fatalf("an append to one decoded list changed another: %v", got)
+	}
+}
