@@ -80,8 +80,8 @@ perf-gate:
 
 ## gobench: package micro-benchmarks via go test: the experiment
 ## benchmarks at the root, the cycle loop's per-layer ones (SM tick,
-## DRAM channel, cache access, token table) and the checkpoint round
-## trip
+## DRAM channel, cache access, token table), one short run's fixed
+## cost and the checkpoint round trip
 gobench:
 	$(GO) test -bench=. -benchmem . ./internal/smcore ./internal/dram ./internal/cache ./internal/sim
 

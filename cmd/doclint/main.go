@@ -53,6 +53,7 @@ var contractRequired = map[string]bool{
 	"internal/icnt":        true,
 	"internal/mem":         true,
 	"internal/probe":       true,
+	"internal/recycle":     true,
 	"internal/resultcache": true,
 	"internal/runner":      true,
 	"internal/shard":       true,

@@ -205,12 +205,17 @@ func SimulateCheckpointed(ctx context.Context, cfg Config, benchmark string, cs 
 		// wrong state.
 		if err := g.Restore(state); err == nil {
 			resumedFrom = cycle
-		} else if g, err = sim.Build(cfg, benchmark); err != nil {
-			return nil, 0, err
+		} else {
+			g.Release()
+			if g, err = sim.Build(cfg, benchmark); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
 	g.SetCheckpoint(every, func(cycle uint64, state []byte) { cs.Put(key, cycle, state) })
 	res, err = g.RunContext(ctx)
+	// Not deferred: see GPU.Release.
+	g.Release()
 	return res, resumedFrom, err
 }
 

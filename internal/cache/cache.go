@@ -22,7 +22,11 @@
 // goroutine that owns that component for the window.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"gpusecmem/internal/recycle"
+)
 
 // SectorsPerLine is the fixed sector count of sectored caches (128 B
 // line, 32 B sectors).
@@ -182,7 +186,14 @@ type mshrEntry struct {
 	sectorWrite [SectorsPerLine]bool
 	tokens      [SectorsPerLine][]uint64
 	merged      int
+	// inline is where a fresh entry's token lists start, so a sector
+	// with few waiters never allocates one.
+	inline [SectorsPerLine][mshrInline]uint64
 }
+
+// mshrInline is how many tokens a sector's list holds before it moves
+// to an allocated array.
+const mshrInline = 2
 
 // Cache is one cache instance. Not safe for concurrent use; the
 // simulator is single-threaded per partition.
@@ -208,6 +219,11 @@ type Cache struct {
 	// entryPool recycles retired MSHR entries (and their token-slice
 	// capacity) so the miss path stops allocating in steady state.
 	entryPool []*mshrEntry
+	// slabs are the arrays every MSHR entry lives in, drawn from the
+	// recycler mshrSlab entries at a time; fresh is the unused tail of
+	// the newest one.
+	slabs [][]mshrEntry
+	fresh []mshrEntry
 	// tokScratch backs FillResult.Tokens; see the Fill aliasing
 	// contract.
 	tokScratch []uint64
@@ -252,8 +268,30 @@ func New(cfg Config) *Cache {
 	numSets = p2
 	c.numSets = numSets
 	c.assoc = lines / numSets
-	c.ways = make([]way, numSets*c.assoc)
+	c.ways = recycle.Make[way](numSets * c.assoc)
 	return c
+}
+
+// mshrSlab is how many MSHR entries one recycled array holds.
+const mshrSlab = 16
+
+// Release hands the cache's tag array and MSHR entries to the
+// recycler, for the next cache of the same shape to reuse. The cache
+// is unusable afterwards; nothing may hold a pointer into it.
+func (c *Cache) Release() {
+	recycle.Put(c.ways)
+	for _, s := range c.slabs {
+		recycle.Put(s)
+	}
+	c.ways, c.slabs, c.fresh, c.entryPool, c.mshrs = nil, nil, nil, nil, nil
+}
+
+// slab draws an array of n MSHR entries from the recycler and keeps it
+// for Release.
+func (c *Cache) slab(n int) []mshrEntry {
+	s := recycle.Make[mshrEntry](n)
+	c.slabs = append(c.slabs, s)
+	return s
 }
 
 // Config returns the cache's configuration.
@@ -275,7 +313,16 @@ func (c *Cache) newEntry(lineAddr uint64) *mshrEntry {
 		}
 		return e
 	}
-	return &mshrEntry{lineAddr: lineAddr}
+	if len(c.fresh) == 0 {
+		c.fresh = c.slab(mshrSlab)
+	}
+	e := &c.fresh[0]
+	c.fresh = c.fresh[1:]
+	e.lineAddr = lineAddr
+	for s := range e.tokens {
+		e.tokens[s] = e.inline[s][:0]
+	}
+	return e
 }
 
 // evict books a dirty victim into the eviction scratch. The returned

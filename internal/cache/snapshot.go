@@ -104,9 +104,9 @@ func (c *Cache) Walk(sc *statecodec.Codec) {
 
 	sc.U64(&c.seq)
 	n, keys = statecodec.MapLen(sc, &c.mshrs, minMSHR)
-	var entries []mshrEntry // decoded entries, one allocation for the table
-	if sc.Decoding() {
-		entries = make([]mshrEntry, n)
+	var entries []mshrEntry // decoded entries, one array for the table
+	if sc.Decoding() && n > 0 {
+		entries = c.slab(n)
 	}
 	var lines statecodec.KeySeq
 	for i := 0; i < n; i++ {

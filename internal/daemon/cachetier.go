@@ -54,7 +54,7 @@ func (m *memCache) get(key string) (*answer, bool) {
 // put renders res's answer, outside the lock, keeps it under key and
 // returns it.
 func (m *memCache) put(key string, res *gpusecmem.Result) *answer {
-	ans := render(res)
+	ans := render(key, res)
 	if m.cap <= 0 {
 		return ans
 	}
@@ -134,13 +134,14 @@ func (v *cacheView) Get(key string) (*gpusecmem.Result, bool) {
 	return nil, false
 }
 
-// answer returns res's answer: the one this view last served or
-// stored when it is res's, else a fresh rendering.
-func (v *cacheView) answer(res *gpusecmem.Result) *answer {
+// answer returns the answer of res, the result of the run keyed key:
+// the one this view last served or stored when it is res's, else a
+// fresh rendering.
+func (v *cacheView) answer(key string, res *gpusecmem.Result) *answer {
 	if ans := v.last.Load(); ans != nil && ans.res == res {
 		return ans
 	}
-	return render(res)
+	return render(key, res)
 }
 
 func (v *cacheView) Put(key string, res *gpusecmem.Result) {

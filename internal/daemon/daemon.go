@@ -469,6 +469,9 @@ type runResponse struct {
 // not bare Results.
 type answer struct {
 	res *gpusecmem.Result
+	// digest is runner.KeyDigest of the run's key: the response head's
+	// "key", hashed once per answer rather than once per request.
+	digest string
 	// body is the result's JSON indented as the response's "result"
 	// member: what writeJSON makes of json.Marshal(res) held one level
 	// deep as a json.RawMessage.
@@ -476,23 +479,26 @@ type answer struct {
 	err  error // why res could not be rendered; answered with a 500
 }
 
-// render makes res's answer.
-func render(res *gpusecmem.Result) *answer {
+// render makes the answer of res, the result of the run keyed key.
+func render(key string, res *gpusecmem.Result) *answer {
+	ans := &answer{res: res, digest: runner.KeyDigest(key)}
 	compact, err := json.Marshal(res)
 	if err != nil {
-		return &answer{res: res, err: err}
+		ans.err = err
+		return ans
 	}
 	var body bytes.Buffer
 	body.Grow(2 * len(compact))
 	json.Indent(&body, compact, "  ", "  ") // compact is valid JSON
-	return &answer{res: res, body: body.Bytes()}
+	ans.body = body.Bytes()
+	return ans
 }
 
 // writeRun renders one /api/run success: tier-attributed duration
 // metric, the X-Run-Source header, and the JSON payload — the bytes
 // writeJSON makes of runResponse with the result as its last member,
 // assembled from the head and the answer's rendering.
-func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, ans *answer, source, scheme, bench, key string, wall time.Duration) {
+func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, ans *answer, source, scheme, bench string, wall time.Duration) {
 	if ans.err != nil {
 		httpError(w, r, http.StatusInternalServerError, "encode result: %v", ans.err)
 		return
@@ -503,7 +509,7 @@ func (s *Server) writeRun(w http.ResponseWriter, r *http.Request, ans *answer, s
 	head, _ := json.MarshalIndent(runResponse{
 		Benchmark: bench,
 		Scheme:    scheme,
-		Key:       runner.KeyDigest(key),
+		Key:       ans.digest,
 		Source:    source,
 		TraceID:   telemetry.TraceID(r.Context()),
 		WallMS:    float64(wall.Microseconds()) / 1000,
@@ -537,7 +543,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	view := s.newView()
 	if ans, ok := view.lookup(key); ok {
 		view.count()
-		s.writeRun(w, r, ans, view.source(), run.Scheme, run.Benchmark, key, time.Since(t0))
+		s.writeRun(w, r, ans, view.source(), run.Scheme, run.Benchmark, time.Since(t0))
 		return
 	}
 	view.count()
@@ -580,7 +586,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{view.answer(res), source}, nil
+		return outcome{view.answer(key, res), source}, nil
 	})
 	if err != nil {
 		httpError(w, r, s.failStatus(err), "%v", err)
@@ -594,7 +600,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// waiter's wall time restates the same simulation.
 		observeRun(wall)
 	}
-	s.writeRun(w, r, o.ans, o.source, run.Scheme, run.Benchmark, key, wall)
+	s.writeRun(w, r, o.ans, o.source, run.Scheme, run.Benchmark, wall)
 }
 
 // outcome is one local simulation's answer, shared by every request

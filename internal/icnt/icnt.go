@@ -16,7 +16,7 @@
 // other within a window shorter than the latency.
 package icnt
 
-import "slices"
+import "gpusecmem/internal/recycle"
 
 // DelayQueue delivers items a fixed number of cycles after they are
 // pushed, preserving push order among items that become ready on the
@@ -58,8 +58,7 @@ func (q *DelayQueue[T]) SetTap(tap func(T) int) { q.tap = tap }
 
 // Push enqueues an item at cycle now; it becomes ready at now+latency.
 func (q *DelayQueue[T]) Push(now uint64, item T) {
-	q.Stats.Pushed++
-	q.items = append(q.items, Delayed[T]{ReadyAt: now + q.latency, Item: item})
+	q.PushAt(now+q.latency, item)
 }
 
 // PushAt enqueues an item whose absolute ready cycle has already been
@@ -70,7 +69,18 @@ func (q *DelayQueue[T]) Push(now uint64, item T) {
 // on top of the base latency.
 func (q *DelayQueue[T]) PushAt(readyAt uint64, item T) {
 	q.Stats.Pushed++
-	q.items = append(q.items, Delayed[T]{ReadyAt: readyAt, Item: item})
+	q.items = append(recycle.Grow(q.items, queueMin), Delayed[T]{ReadyAt: readyAt, Item: item})
+}
+
+// queueMin is a queue's first capacity; a full queue doubles through
+// the recycler.
+const queueMin = 64
+
+// Release hands the queue's array to the recycler; the queue is
+// unusable afterwards.
+func (q *DelayQueue[T]) Release() {
+	recycle.Put(q.items)
+	q.items, q.head = nil, 0
 }
 
 // maybeCompact reclaims the consumed prefix once it dominates the
@@ -155,7 +165,11 @@ func (q *DelayQueue[T]) Pending() []Delayed[T] { return q.items[q.head:] }
 // checkpoint walk to fill in delivery order, aliasing the queue as
 // Pending does. The latency, any installed tap and Stats are kept.
 func (q *DelayQueue[T]) ResetPending(n int) []Delayed[T] {
-	q.items = slices.Grow(q.items[:0], n)[:n]
+	if cap(q.items) < n {
+		recycle.Put(q.items)
+		q.items = recycle.Make[Delayed[T]](n)
+	}
+	q.items = q.items[:n]
 	clear(q.items)
 	q.head = 0
 	return q.items

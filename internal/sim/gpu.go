@@ -9,6 +9,7 @@ import (
 	"gpusecmem/internal/geometry"
 	"gpusecmem/internal/icnt"
 	"gpusecmem/internal/probe"
+	"gpusecmem/internal/recycle"
 	"gpusecmem/internal/smcore"
 	"gpusecmem/internal/trace"
 )
@@ -75,6 +76,9 @@ type GPU struct {
 	smStage  *replyStage
 	windows  uint64
 	lockstep bool
+	// eng is the latest RunContext's engine, kept so Release can hand
+	// its inboxes back.
+	eng *engine
 
 	// inj executes cfg.Faults; nil on the (zero-cost) no-fault path.
 	inj *faults.Injector
@@ -301,6 +305,44 @@ func (g *GPU) settleIdleStalls() {
 	}
 }
 
+// Release hands the machine's storage — cache tag arrays, MSHR
+// entries, read states, warp arrays, the interconnect queues and the
+// engine's inboxes — to the recycler for the next machine to reuse,
+// and leaves g unusable: any later Run, Snapshot, Restore or Release
+// panics instead of running on storage another machine may own. Call
+// it only once nothing can touch g again, after RunContext (or a
+// refused Restore) has returned, and never from a defer: a panicking
+// run would run the defer while shard workers may still be inside the
+// machine. What the run returned stays valid, because no Result or
+// error aliases recycled storage (DESIGN.md §10).
+func (g *GPU) Release() {
+	g.mustLive()
+	for _, sm := range g.sms {
+		sm.Release()
+	}
+	for _, l1 := range g.l1s {
+		l1.Release()
+	}
+	for _, p := range g.parts {
+		p.release()
+	}
+	g.toL2.Release()
+	g.toSM.Release()
+	if e := g.eng; e != nil {
+		for i := range e.inboxes {
+			recycle.Put(e.inboxes[i].items)
+		}
+	}
+	g.sms, g.l1s, g.parts, g.toL2, g.toSM, g.eng = nil, nil, nil, nil, nil, nil
+}
+
+// mustLive panics on a released machine.
+func (g *GPU) mustLive() {
+	if g.parts == nil {
+		panic("sim: GPU used after Release")
+	}
+}
+
 // SetCheckpoint arms periodic checkpointing: every `every` cycles (and
 // at run completion or cancellation) the run loop snapshots the
 // machine and calls sink(cycle, state) with the encoded state, which
@@ -401,13 +443,16 @@ func Run(cfg Config, benchmark string) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation (see
-// GPU.RunContext).
+// GPU.RunContext). The machine's storage goes back to the recycler
+// once the run returns, whether it succeeded or failed.
 func RunContext(ctx context.Context, cfg Config, benchmark string) (*Result, error) {
 	g, err := Build(cfg, benchmark)
 	if err != nil {
 		return nil, err
 	}
-	return g.RunContext(ctx)
+	res, err := g.RunContext(ctx)
+	g.Release()
+	return res, err
 }
 
 // Build constructs a GPU for cfg running the named benchmark's

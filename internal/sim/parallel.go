@@ -43,6 +43,7 @@ import (
 
 	"gpusecmem/internal/faults"
 	"gpusecmem/internal/probe"
+	"gpusecmem/internal/recycle"
 	"gpusecmem/internal/shard"
 )
 
@@ -149,9 +150,12 @@ type inboxMsg struct {
 }
 
 type inbox struct {
-	items []inboxMsg
+	items []inboxMsg // drawn from the recycler, handed back by Release
 	head  int
 }
+
+// inboxMin is an inbox's first capacity.
+const inboxMin = 16
 
 type smDelivery struct {
 	at uint64
@@ -192,7 +196,9 @@ func (g *GPU) Run() (*Result, error) { return g.RunContext(context.Background())
 // polled at window barriers, so a run that is never cancelled produces
 // bit-identical results to Run.
 func (g *GPU) RunContext(ctx context.Context) (*Result, error) {
+	g.mustLive()
 	e := &engine{g: g, inboxes: make([]inbox, len(g.parts))}
+	g.eng = e
 	if len(g.stages) > 1 {
 		e.pool = shard.NewPool(len(g.stages))
 		defer e.pool.Close()
@@ -318,7 +324,7 @@ func (e *engine) window(T, E uint64) {
 	g.toL2.DrainThrough(E, func(at uint64, m l2Msg) {
 		part, local := g.partitionOf(m.globalAddr)
 		ib := &e.inboxes[part]
-		ib.items = append(ib.items, inboxMsg{at: at, seq: seq, local: local, m: m})
+		ib.items = append(recycle.Grow(ib.items, inboxMin), inboxMsg{at: at, seq: seq, local: local, m: m})
 		seq++
 		partWork = true
 	})

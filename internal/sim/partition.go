@@ -8,6 +8,7 @@ import (
 	"gpusecmem/internal/eventq"
 	"gpusecmem/internal/faults"
 	"gpusecmem/internal/geometry"
+	"gpusecmem/internal/recycle"
 	"gpusecmem/internal/stats"
 )
 
@@ -107,8 +108,12 @@ type partition struct {
 	reads   tokTable[*readState]
 	replies eventq.Queue[replyEvent]
 	// rsPool recycles retired readStates; reads are the per-L2-miss
-	// hot-path allocation.
-	rsPool []*readState
+	// hot-path allocation. Every readState lives in one of rsSlabs,
+	// arrays drawn from the recycler; rsFresh is the unused tail of the
+	// newest.
+	rsPool  []*readState
+	rsSlabs [][]readState
+	rsFresh []readState
 
 	metaStats [numMeta]MetaStats
 
@@ -214,6 +219,33 @@ func newPartition(id int, gpu *GPU) *partition {
 		}
 	}
 	return p
+}
+
+// readSlab is how many readStates one recycled array holds.
+const readSlab = 32
+
+// rsSlab draws an array of n readStates from the recycler and keeps it
+// for release.
+func (p *partition) rsSlab(n int) []readState {
+	s := recycle.Make[readState](n)
+	p.rsSlabs = append(p.rsSlabs, s)
+	return s
+}
+
+// release hands the partition's storage to the recycler (see
+// GPU.Release).
+func (p *partition) release() {
+	for _, b := range p.banks {
+		b.Release()
+	}
+	for _, mc := range p.metaCaches() {
+		mc.Release()
+	}
+	for _, s := range p.rsSlabs {
+		recycle.Put(s)
+	}
+	p.reads = tokTable[*readState]{} // its values point into the slabs
+	p.rsPool, p.rsSlabs, p.rsFresh = nil, nil, nil
 }
 
 // metaCaches lists the partition's metadata caches in kind order, each
@@ -344,7 +376,11 @@ func (p *partition) startRead(globalAddr, localAddr, token uint64, l2Bypass bool
 		rs = p.rsPool[n-1]
 		p.rsPool = p.rsPool[:n-1]
 	} else {
-		rs = new(readState)
+		if len(p.rsFresh) == 0 {
+			p.rsFresh = p.rsSlab(readSlab)
+		}
+		rs = &p.rsFresh[0]
+		p.rsFresh = p.rsFresh[1:]
 	}
 	*rs = readState{
 		id:         p.newToken(),

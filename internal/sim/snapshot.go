@@ -119,6 +119,7 @@ func Checkpointable(cfg Config) error {
 // bytes. It returns Checkpointable's error for an instrumented
 // configuration.
 func (g *GPU) Snapshot() ([]byte, error) {
+	g.mustLive()
 	if err := Checkpointable(g.cfg); err != nil {
 		return nil, err
 	}
@@ -138,6 +139,7 @@ func (g *GPU) Snapshot() ([]byte, error) {
 // a freshly constructed instance and fall back to a rebuilt one, from
 // cycle 0, on failure.
 func (g *GPU) Restore(b []byte) error {
+	g.mustLive()
 	if err := Checkpointable(g.cfg); err != nil {
 		return err
 	}
@@ -312,11 +314,11 @@ func (p *partition) walk(c *statecodec.Codec) {
 		}
 	})
 
-	// Decoded reads share one slab: a resumed run allocates them once,
+	// Decoded reads share one slab: a resumed run draws them once,
 	// not one by one.
 	var slab []readState
 	walkTokens(c, &p.reads, &p.gpu.walkKeys, minRead, "read", func(n int) {
-		slab = make([]readState, n)
+		slab = p.rsSlab(n)
 	}, func(id uint64, rsp **readState) {
 		rs := *rsp
 		if c.Decoding() {

@@ -12,7 +12,10 @@
 // concurrency at all.
 package smcore
 
-import "gpusecmem/internal/statecodec"
+import (
+	"gpusecmem/internal/recycle"
+	"gpusecmem/internal/statecodec"
+)
 
 // WarpOp is one generator-produced step of a warp: a batch of compute
 // instructions followed by an optional memory operation.
@@ -107,12 +110,21 @@ type SM struct {
 // New builds an SM running gen with the given issue width.
 func New(id int, gen Generator, issueWidth int) *SM {
 	n := gen.WarpsPerSM()
-	sm := &SM{id: id, gen: gen, issueWidth: issueWidth, warps: make([]warpState, n),
-		due: make([]uint64, n), last: make([]uint64, n), rank: make([]int, 0, min(issueWidth, n))}
+	sm := &SM{id: id, gen: gen, issueWidth: issueWidth, warps: recycle.Make[warpState](n),
+		due: recycle.Make[uint64](n), last: recycle.Make[uint64](n), rank: make([]int, 0, min(issueWidth, n))}
 	for w := range sm.warps {
 		sm.loadOp(w)
 	}
 	return sm
+}
+
+// Release hands the warp arrays to the recycler; the SM is unusable
+// afterwards.
+func (s *SM) Release() {
+	recycle.Put(s.warps)
+	recycle.Put(s.due)
+	recycle.Put(s.last)
+	s.warps, s.due, s.last = nil, nil, nil
 }
 
 // sync refreshes warp w's dense scheduler keys from its warpState.
