@@ -376,35 +376,88 @@ func TestBadCheckpointRestartsFromZero(t *testing.T) {
 	})
 }
 
-// Configurations checkpointing does not cover run plain: correct
-// results with their instrument's report, no checkpoints written.
-func TestUncoveredConfigsRunPlain(t *testing.T) {
-	faults, err := ParseFaultPlan("seed=7,rate=0.01,sites=flips")
+// Instrumented runs checkpoint like plain ones: the fault injector's
+// counters, the reuse profilers' histories and the probe's spans,
+// trace records and timeline ride the state. A run checkpointed at
+// 1200 cycles and resumed to 3000 must report the uninterrupted run's
+// Result (JSON and stored bytes) and Chrome trace, at one shard, at
+// four, and written at four then resumed at one. The probe's caps are
+// small enough that trace records drop and the timeline ring wraps
+// before the checkpoint.
+func TestInstrumentedResumeIdentity(t *testing.T) {
+	const bench = "nw"
+	plan, err := ParseFaultPlan("seed=1,rate=1e-3,sites=all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name   string
-		set    func(*Config)
-		report func(*Result) bool
-	}{
-		{"probe", func(c *Config) { c.Probe = &ProbeConfig{Spans: true} }, func(r *Result) bool { return r.Probe != nil }},
-		{"faults", func(c *Config) { c.Faults = faults }, func(r *Result) bool { return r.Faults.Corruptions() > 0 }},
-		{"reuse", func(c *Config) { c.ProfileReuse = true }, func(r *Result) bool { return r.CounterReuse != nil }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
+	probe := func(c *Config) {
+		c.Probe = &ProbeConfig{Spans: true, Trace: true, TraceCap: 64, TimelineInterval: 100, TimelineCap: 8}
+	}
+	faults := func(c *Config) { c.Faults = plan }
+	reuse := func(c *Config) { c.ProfileReuse = true }
+	all := func(c *Config) { probe(c); faults(c); reuse(c); c.Audit = true }
+	type row struct {
+		name                      string
+		set                       func(*Config)
+		shardsFirst, shardsSecond int
+	}
+	var rows []row
+	for _, r := range []struct {
+		name string
+		set  func(*Config)
+	}{{"probe", probe}, {"faults", faults}, {"reuse", reuse}, {"all", all}} {
+		for _, shards := range []int{0, 4} {
+			rows = append(rows, row{r.name, r.set, shards, shards})
+		}
+	}
+	rows = append(rows, row{"all", all, 4, 1})
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("%s/shards=%d-%d", r.name, r.shardsFirst, r.shardsSecond), func(t *testing.T) {
+			cfg := schemeCfg(t, "ctr_mac_bmt", 3000, r.shardsSecond)
+			r.set(&cfg)
+			plain, err := Simulate(cfg, bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := plain.CounterReuse != nil || plain.Faults.Injected != [len(plain.Faults.Injected)]uint64{} ||
+				plain.Probe != nil && plain.Probe.TimelineDropped > 0 && plain.Probe.Spans.Dropped > 0
+			if !live {
+				t.Fatal("the instrument reported nothing to carry across the checkpoint")
+			}
+
 			store := ckptStore(t)
-			cfg := schemeCfg(t, "ctr_mac_bmt", 2000, 0)
-			c.set(&cfg)
-			if sim.Checkpointable(cfg) == nil {
-				t.Fatal("instrumented config reported checkpointable")
+			short := cfg
+			short.MaxCycles, short.Shards = 1200, r.shardsFirst
+			runCheckpointed(t, short, bench, store, 500)
+			res, from := runCheckpointed(t, cfg, bench, store, 500)
+			if from != 1200 {
+				t.Fatalf("resumed from cycle %d, want 1200", from)
 			}
-			res, _ := runCheckpointed(t, cfg, "nw", store, 500)
-			if res == nil || !c.report(res) {
-				t.Fatal("instrumented run lost its report through the checkpointed path")
+			if got, want := resultDigest(t, res), resultDigest(t, plain); got != want {
+				t.Errorf("resumed digest %s != uninterrupted %s", got, want)
 			}
-			if n := store.Len(); n != 0 {
-				t.Fatalf("store holds %d checkpoints for an uncoverable config, want 0", n)
+			for _, f := range []func(*Result) ([]byte, error){
+				sim.EncodeResult,
+				func(r *Result) ([]byte, error) {
+					var b bytes.Buffer
+					if r.Probe == nil {
+						return nil, nil
+					}
+					err := WriteChromeTrace(&b, r.Probe)
+					return b.Bytes(), err
+				},
+			} {
+				got, err := f(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := f(plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("resumed run's bytes differ from the uninterrupted run's: %d vs %d", len(got), len(want))
+				}
 			}
 		})
 	}
@@ -420,9 +473,6 @@ func TestAuditedResumeIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := schemeCfg(t, "ctr_mac_bmt", 3000, shards)
 			cfg.Audit = true
-			if err := sim.Checkpointable(cfg); err != nil {
-				t.Fatal(err)
-			}
 			plain, err := Simulate(cfg, bench)
 			if err != nil {
 				t.Fatal(err)

@@ -185,11 +185,13 @@ func CheckpointKey(cfg Config, benchmark string) string {
 // produces a Result bit-identical to an uninterrupted SimulateContext
 // run. resumedFrom is the cycle of the state Restore accepted, or 0
 // when the run started from cycle 0: it is the one report of a resume,
-// since only Restore can judge a stored state. Configurations
-// sim.Checkpointable refuses (instrumented runs), a nil store and a
-// zero interval silently run plain.
+// since only Restore can judge a stored state. Every configuration
+// checkpoints, instrumented ones included: fault counters, reuse
+// histories and probe reports ride the state, so a resumed run reports
+// what the uninterrupted one does. Only a nil store or a zero interval
+// runs plain.
 func SimulateCheckpointed(ctx context.Context, cfg Config, benchmark string, cs CheckpointStore, every uint64) (res *Result, resumedFrom uint64, err error) {
-	if cs == nil || every == 0 || sim.Checkpointable(cfg) != nil {
+	if cs == nil || every == 0 {
 		res, err = sim.RunContext(ctx, cfg, benchmark)
 		return res, 0, err
 	}

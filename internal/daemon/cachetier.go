@@ -221,10 +221,13 @@ func (v ckptView) Latest(key string, maxCycle uint64) (uint64, []byte, bool) {
 	return cycle, state, ok
 }
 
+// Put counts a save only once the store has written it.
 func (v ckptView) Put(key string, cycle uint64, state []byte) error {
-	met.saved.Inc()
 	t0 := time.Now()
 	err := v.store.Put(key, cycle, state)
 	met.ckptSaveUs.ObserveSince(t0)
+	if err == nil {
+		met.saved.Inc()
+	}
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -777,5 +778,46 @@ func TestStaleVersionCheckpointIsSimulated(t *testing.T) {
 				t.Fatalf("checkpoint restores counter moved by %d, want 0", n)
 			}
 		})
+	}
+}
+
+// failingStore is a checkpoint store that holds nothing and fails
+// every write.
+type failingStore struct{}
+
+func (failingStore) Latest(string, uint64) (uint64, []byte, bool) { return 0, nil, false }
+func (failingStore) Put(string, uint64, []byte) error             { return errors.New("disk full") }
+
+// A checkpoint the store failed to write is not a save: a run whose
+// every Put errors must leave /healthz's checkpointed count and
+// gpusecmem_checkpoint_saves_total where they were.
+func TestFailedCheckpointWritesAreNotCounted(t *testing.T) {
+	ts := newTestServer(t, Config{Checkpoints: failingStore{}, CheckpointEvery: 500})
+	saves := func() (healthz uint64, metric string) {
+		t.Helper()
+		var h struct {
+			Metrics struct {
+				Checkpointed uint64 `json:"checkpointed"`
+			} `json:"metrics"`
+		}
+		if code := getJSON(t, ts.URL+"/healthz", &h); code != 200 {
+			t.Fatalf("healthz status %d", code)
+		}
+		for _, line := range strings.Split(scrapeMetrics(t, ts.URL), "\n") {
+			if v, ok := strings.CutPrefix(line, "gpusecmem_checkpoint_saves_total "); ok {
+				metric = v
+			}
+		}
+		if metric == "" {
+			t.Fatal("/metrics has no gpusecmem_checkpoint_saves_total")
+		}
+		return h.Metrics.Checkpointed, metric
+	}
+	h0, m0 := saves()
+	if code := getJSON(t, ts.URL+"/api/run?bench=nw&scheme=ctr_mac_bmt&cycles=2000", nil); code != 200 {
+		t.Fatalf("run status %d", code)
+	}
+	if h1, m1 := saves(); h1 != h0 || m1 != m0 {
+		t.Fatalf("four failed writes counted as saves: healthz %d -> %d, metric %s -> %s", h0, h1, m0, m1)
 	}
 }

@@ -29,6 +29,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"gpusecmem/internal/statecodec"
 )
 
 // Site identifies one class of injection point in the memory
@@ -317,6 +319,28 @@ func (in *Injector) Stats() Stats {
 		return Stats{}
 	}
 	return in.stats
+}
+
+// Walk encodes or decodes the injector's run state for a checkpoint
+// (internal/statecodec): the per-site opportunity counters, then the
+// per-site injection counts. The plan itself is the machine's
+// configuration. Decoding expects an injector built from the same
+// plan and refuses opportunities at a site the plan does not attack
+// (Fire never counts them) and more injections than opportunities.
+func (in *Injector) Walk(c *statecodec.Codec) {
+	c.FixedU64s(in.events[:], "fault sites")
+	c.FixedU64s(in.stats.Injected[:], "fault sites")
+	if !c.Decoding() {
+		return
+	}
+	for s := Site(0); s < NumSites; s++ {
+		switch {
+		case !in.sites.Has(s) && in.events[s] != 0:
+			c.Fail("%d opportunities at fault site %s, which the plan does not attack", in.events[s], s)
+		case in.stats.Injected[s] > in.events[s]:
+			c.Fail("%d injections at fault site %s from %d opportunities", in.stats.Injected[s], s, in.events[s])
+		}
+	}
 }
 
 // FlipAddrs derives n deterministic byte addresses (with a bit index

@@ -345,13 +345,12 @@ func (g *GPU) mustLive() {
 
 // SetCheckpoint arms periodic checkpointing: every `every` cycles (and
 // at run completion or cancellation) the run loop snapshots the
-// machine and calls sink(cycle, state) with the encoded state, which
-// the sink owns. The call is a no-op — the run
-// stays checkpoint-free — when every is 0, sink is nil, or the
-// configuration fails Checkpointable. Arm it before Run; the sink runs
-// on the simulation goroutine.
+// machine, instruments included, and calls sink(cycle, state) with the
+// encoded state, which the sink owns. The call is a no-op — the run
+// stays checkpoint-free — only when every is 0 or sink is nil. Arm it
+// before Run; the sink runs on the simulation goroutine.
 func (g *GPU) SetCheckpoint(every uint64, sink func(cycle uint64, state []byte)) {
-	if every == 0 || sink == nil || Checkpointable(g.cfg) != nil {
+	if every == 0 || sink == nil {
 		return
 	}
 	g.ckptEvery = every

@@ -39,15 +39,15 @@ package sim
 //	          i:l2MSHRs i:dramQueue i:busyBanks i:outstandingLoads
 //	          i:blockedWarps
 //
-// cache-stats is cache.Stats.Walk. The fixed-size arrays carry their
-// length, so a result from a build with another number of traffic
-// kinds, metadata kinds, reuse buckets or fault sites is refused. A
-// sample's maps list their keys in strictly ascending order.
+// cache-stats is cache.Stats.Walk, reuse is stats.ReuseProfiler
+// .WalkCounts and sample is probe.Sample.Walk, the forms checkpoints
+// walk too. The fixed-size arrays carry their length, so a result from
+// a build with another number of traffic kinds, metadata kinds, reuse
+// buckets or fault sites is refused. A sample's maps list their keys
+// in strictly ascending order.
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"gpusecmem/internal/probe"
 	"gpusecmem/internal/statecodec"
@@ -64,10 +64,8 @@ const resultMagic = "GSMRESULT"
 // Minimum encoded sizes of the variable-length elements, one byte per
 // walked field.
 const (
-	minKindBreakdown = 9  // kind, seven numbers, stages
-	minStageShare    = 3  // stage, cycles, share
-	minSample        = 17 // fifteen numbers, two maps
-	minCount         = 2  // key, value
+	minKindBreakdown = 9 // kind, seven numbers, stages
+	minStageShare    = 3 // stage, cycles, share
 )
 
 // EncodeResult returns r's stored form.
@@ -126,17 +124,13 @@ func (r *Result) walk(c *statecodec.Codec) {
 	walkPtr(c, &r.Probe, walkProbe)
 }
 
-func walkReuse(c *statecodec.Codec, p *stats.ReuseProfiler) {
-	c.FixedU64s(p.Hist[:], "reuse buckets")
-	c.U64(&p.Cold)
-	c.U64(&p.Total)
-}
+func walkReuse(c *statecodec.Codec, p *stats.ReuseProfiler) { p.WalkCounts(c) }
 
 func walkProbe(c *statecodec.Codec, p *probe.Report) {
 	walkPtr(c, &p.Spans, walkSpans)
-	walkSlice(c, &p.Timeline, minSample)
+	walkSlice(c, &p.Timeline, probe.MinSampleBytes)
 	for i := range p.Timeline {
-		walkSample(c, &p.Timeline[i])
+		p.Timeline[i].Walk(c)
 	}
 	c.U64(&p.TimelineDropped)
 }
@@ -151,7 +145,7 @@ func walkSpans(c *statecodec.Codec, s *probe.SpansReport) {
 		c.String(&k.Kind)
 		c.U64(&k.Spans)
 		c.U64(&k.TotalCycles)
-		walkFloat(c, &k.MeanLatency)
+		c.F64(&k.MeanLatency)
 		for _, p := range [...]*uint64{&k.P50, &k.P95, &k.P99, &k.MaxLatency} {
 			c.U64(p)
 		}
@@ -160,35 +154,8 @@ func walkSpans(c *statecodec.Codec, s *probe.SpansReport) {
 			st := &k.Stages[j]
 			c.String(&st.Stage)
 			c.U64(&st.Cycles)
-			walkFloat(c, &st.Share)
+			c.F64(&st.Share)
 		}
-	}
-}
-
-func walkSample(c *statecodec.Codec, s *probe.Sample) {
-	c.U64(&s.Cycle)
-	c.U64(&s.Instructions)
-	walkFloat(c, &s.IPC)
-	c.U64(&s.DRAMReads)
-	c.U64(&s.DRAMWrites)
-	walkFloat(c, &s.RowHitRate)
-	walkCounts(c, &s.Bytes)
-	walkCounts(c, &s.Requests)
-	for _, p := range [...]*float64{&s.CtrMissRate, &s.MACMissRate, &s.TreeMissRate} {
-		walkFloat(c, p)
-	}
-	for _, p := range [...]*int{&s.MetaMSHRs, &s.L2MSHRs, &s.DRAMQueue, &s.BusyBanks, &s.OutstandingLoads, &s.BlockedWarps} {
-		c.Int(p)
-	}
-}
-
-// walkFloat walks a float64 as its IEEE 754 bits. Only a decoder
-// writes the field: an encoder reads results other goroutines share.
-func walkFloat(c *statecodec.Codec, f *float64) {
-	b := math.Float64bits(*f)
-	c.U64(&b)
-	if c.Decoding() {
-		*f = math.Float64frombits(b)
 	}
 }
 
@@ -217,44 +184,5 @@ func walkSlice[E any](c *statecodec.Codec, s *[]E, minElem int) {
 	statecodec.Slice(c, s, minElem)
 	if c.Decoding() && *s == nil {
 		*s = []E{}
-	}
-}
-
-// walkCounts walks a per-kind counter map: whether it is nil, then its
-// entries in strictly ascending key order. A decoder refuses any other
-// order, which would give the map a second encoding.
-func walkCounts(c *statecodec.Codec, m *map[string]uint64) {
-	some := *m != nil
-	c.Bool(&some)
-	if !some {
-		return
-	}
-	n := len(*m)
-	c.Len(&n, minCount)
-	if !c.Decoding() {
-		keys := make([]string, 0, n)
-		for k := range *m {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			v := (*m)[k]
-			c.String(&k)
-			c.U64(&v)
-		}
-		return
-	}
-	*m = make(map[string]uint64, n)
-	var prev string
-	for i := 0; i < n; i++ {
-		var k string
-		var v uint64
-		c.String(&k)
-		c.U64(&v)
-		if i > 0 && k <= prev {
-			c.Fail("counter key %q is out of order or duplicated", k)
-		}
-		prev = k
-		(*m)[k] = v
 	}
 }

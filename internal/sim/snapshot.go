@@ -30,7 +30,9 @@ package sim
 //
 // The wire format, in walk order (u = uvarint, i = zigzag varint,
 // b = bool byte, y = raw byte, f = packed flag byte, k = gap-coded key,
-// [..] = a length, then that many elements):
+// [..] = a length, then that many elements, (..) = a section present
+// only when the machine's configuration has that instrument, with no
+// byte to mark it):
 //
 //	state     = "GSMSTATE" u:StateVersion machine
 //	machine   = benchmark-name u:now u:tokenSeq u:completedLoads
@@ -39,7 +41,7 @@ package sim
 //	            [u:smWake] [u:smLastTick] [u:partNext]
 //	            [u:readyAt u:addr u:token b:write] icnt-stats
 //	            [u:readyAt u:addr u:token] icnt-stats
-//	            [sm] [cache: L1s] [partition]
+//	            [sm] [cache: L1s] [partition] (faults) (probe)
 //	partition = [cache: L2 banks] dram [cache: metadata caches]
 //	            [u:aesFree3] u:macFree3
 //	            [k:token y:fill u:addr u:readID f:bypass,write u:issuedAt]
@@ -48,17 +50,38 @@ package sim
 //	             u:ctrReady u:macReady]
 //	            [u:at u:readID] metaStats u:faultDetected
 //	            u:faultSilent u:localTok u:lastKeyLine
+//	            (reuse: counter) (reuse: MAC)
+//	reuse     = [u:hist] u:cold u:total [k:line u:rank]
+//	faults    = [u:opportunities by site] [u:injections by site]
+//	probe     = (spans) (timeline)
+//	spans     = [hist:latency stages(hist) [u:stage cycles]]
+//	            u:spans u:unbalanced u:dropped
+//	            [y:kind u:part u:start stages(u:cycles)]
+//	hist      = [u:bucket] u:count u:sum u:max
+//	timeline  = [sample] u:dropped (totals)
+//	totals    = u:instructions u:dramReads u:dramWrites u:rowHits
+//	            u:rowMisses [u:bytes by kind] [u:requests by kind]
+//	            [u:metaAccesses] [u:metaMisses]
 //
 // sm, cache and dram are the walks in internal/smcore, internal/cache
-// and internal/dram. The metadata caches are the partition's distinct
-// caches in MetaKind order (metaCaches), so a unified cache is walked
-// once; the machine's configuration fixes how many there are. A dest's
-// fill is 0 for a data sector and MetaKind+1 for a metadata line.
+// and internal/dram; reuse is stats.ReuseProfiler.Walk (partition 0
+// profiles under Config.ProfileReuse), faults is faults.Injector.Walk,
+// and probe is probe.State.Walk, whose sample is the stored result's
+// (probe.Sample.Walk). The metadata caches are the partition's
+// distinct caches in MetaKind order (metaCaches), so a unified cache
+// is walked once; the machine's configuration fixes how many there
+// are. A dest's fill is 0 for a data sector and MetaKind+1 for a
+// metadata line. stages(x) is one x for each probe stage, with no
+// length before them. A timeline's totals follow only once it holds a
+// sample.
 //
-// Configurations whose auxiliary state is not captured — fault
-// injection, probes, reuse profiling — refuse to snapshot or restore;
-// callers fall back to running from cycle 0. Auditing is covered: the
-// auditors only read machine state at barriers.
+// Every configuration checkpoints. The instruments' state — fault
+// injector counters, reuse histories, span histograms and records,
+// timeline windows — rides the walk, each section checked against the
+// instrument it fills, so an instrumented run resumes to the Result,
+// report and trace of the uninterrupted run. An uninstrumented
+// machine walks no instrument section. The auditors keep no state:
+// they only read the machine at barriers.
 
 import (
 	"encoding/binary"
@@ -83,7 +106,10 @@ import (
 // unified-alias bool are gone), encodes a DRAM transaction's fill as a
 // raw byte holding MetaKind+1 (the share map's fills are no longer
 // counter fills), and drops two counters only the walk read: the SM
-// side's stepped-cycle count and the last progress value.
+// side's stepped-cycle count and the last progress value. The
+// instrument sections came within 5: only an instrumented machine
+// walks them, and no build before them wrote an instrumented state,
+// so no existing state changed meaning.
 const StateVersion = 5
 
 const stateMagic = "GSMSTATE"
@@ -95,34 +121,11 @@ func StateHeader() []byte {
 	return binary.AppendUvarint([]byte(stateMagic), StateVersion)
 }
 
-// Checkpointable reports whether cfg's complete state is captured by a
-// checkpoint, for the GPU and the library's checkpointed runs alike.
-// Fault injectors (per-site event counters), probes (span/timeline
-// buffers) and reuse profilers hang state off the run that a snapshot
-// does not carry, so checkpointing refuses rather than resume wrong.
-// The auditors keep no state of their own, so audited runs are
-// covered.
-func Checkpointable(cfg Config) error {
-	switch {
-	case cfg.Faults.Enabled():
-		return fmt.Errorf("sim: checkpointing is unavailable with fault injection enabled")
-	case cfg.Probe.Enabled():
-		return fmt.Errorf("sim: checkpointing is unavailable with probes enabled")
-	case cfg.ProfileReuse:
-		return fmt.Errorf("sim: checkpointing is unavailable with reuse profiling enabled")
-	}
-	return nil
-}
-
 // Snapshot encodes the machine's full state at the current
-// end-of-cycle boundary. Identical machine states encode to identical
-// bytes. It returns Checkpointable's error for an instrumented
-// configuration.
+// end-of-cycle boundary, its instruments' state included. Identical
+// machine states encode to identical bytes.
 func (g *GPU) Snapshot() ([]byte, error) {
 	g.mustLive()
-	if err := Checkpointable(g.cfg); err != nil {
-		return nil, err
-	}
 	c := statecodec.NewEncoder(stateMagic, StateVersion)
 	g.walk(c)
 	b, err := c.Finish()
@@ -140,9 +143,6 @@ func (g *GPU) Snapshot() ([]byte, error) {
 // cycle 0, on failure.
 func (g *GPU) Restore(b []byte) error {
 	g.mustLive()
-	if err := Checkpointable(g.cfg); err != nil {
-		return err
-	}
 	c := statecodec.NewDecoder(b, stateMagic, StateVersion)
 	if c.Err() == nil {
 		g.walk(c)
@@ -243,6 +243,12 @@ func (g *GPU) walk(c *statecodec.Codec) {
 	if c.Decoding() && c.Err() == nil {
 		g.checkLoads(c, warps)
 	}
+	if g.inj != nil {
+		g.inj.Walk(c)
+	}
+	if g.probe != nil {
+		g.probe.Walk(c, g.now)
+	}
 }
 
 // checkLoads refuses a decoded machine whose loads and warps disagree:
@@ -272,10 +278,9 @@ func walkIcntStats(c *statecodec.Codec, s *icnt.Stats) {
 }
 
 // walk encodes or decodes one partition (see GPU.walk). Transient
-// fields — the staging pointer (its buffers are empty at a barrier),
-// the readState pool, reuse profilers (gated off by Checkpointable) —
-// are left out, and the layout and protectedStripes fields are derived
-// from Config at construction.
+// fields — the staging pointer (its buffers are empty at a barrier)
+// and the readState pool — are left out, and the layout and
+// protectedStripes fields are derived from Config at construction.
 func (p *partition) walk(c *statecodec.Codec) {
 	c.FixedLen(len(p.banks), "L2 banks in a partition")
 	for _, b := range p.banks {
@@ -366,6 +371,16 @@ func (p *partition) walk(c *statecodec.Codec) {
 			c.Fail("partition %d: token %#x was never issued (last %#x)", p.id, maxTok, uint64(p.id+1)<<40|p.localTok)
 		}
 		p.rsPool = nil
+	}
+	// Every access to a profiled kind's cache touches its profiler.
+	for mk, r := range p.reuse {
+		if r == nil {
+			continue
+		}
+		r.Walk(c)
+		if c.Decoding() && r.Total != p.metaStats[mk].Accesses {
+			c.Fail("partition %d: the %s reuse profiler counts %d accesses, its cache %d", p.id, MetaKind(mk), r.Total, p.metaStats[mk].Accesses)
+		}
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 	"gpusecmem/internal/cache"
 	"gpusecmem/internal/dram"
 	"gpusecmem/internal/faults"
+	"gpusecmem/internal/probe"
 	"gpusecmem/internal/statecodec"
+	"gpusecmem/internal/stats"
 	"gpusecmem/internal/trace"
 )
 
@@ -234,6 +236,203 @@ func forgeCache(g *GPU, ok func(*cacheFields) bool, forge func(b []byte, f *cach
 
 func withLines(n int) func(*cacheFields) bool {
 	return func(f *cacheFields) bool { return len(f.lines.elems) >= n }
+}
+
+// val is the uvarint at s in b.
+func val(b []byte, s span) uint64 {
+	v, _ := binary.Uvarint(b[s.at:s.end])
+	return v
+}
+
+// listed is a plain list in an encoding: its length field, then each
+// element's span.
+type listed struct {
+	count span
+	elems []span
+}
+
+// dupFirst returns b with the list's first element repeated right
+// after itself.
+func (l listed) dupFirst(b []byte) []byte {
+	e := l.elems[0]
+	return splice(b, span{l.count.at, e.end}, uv(uint64(len(l.elems)+1)), b[l.count.end:e.end], b[e.at:e.end])
+}
+
+// plain parses a list whose elements elem walks.
+func (p *parser) plain(elem func()) listed {
+	var l listed
+	n := 0
+	l.count = p.field(func(d *statecodec.Codec) { d.Len(&n, 1) })
+	for range n {
+		at := p.d.Offset()
+		elem()
+		l.elems = append(l.elems, span{p.base + at, p.base + p.d.Offset()})
+	}
+	return l
+}
+
+// tailSection locates the instrument sections that end state b: walk
+// encodes them alone, and they must be b's last bytes.
+func tailSection(b []byte, walk func(*statecodec.Codec)) (*parser, error) {
+	e := statecodec.NewEncoder("", 0)
+	walk(e)
+	enc, err := e.Finish()
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.HasSuffix(b, enc[1:]) {
+		return nil, errors.New("the instrument sections do not end the state")
+	}
+	return &parser{d: statecodec.NewDecoder(enc, "", 0), base: len(b) - len(enc)}, nil
+}
+
+// reuseFields are a reuse profiler's fields in a state: its buckets,
+// counts and access history.
+type reuseFields struct {
+	hist        []span
+	cold, total span
+	history     keyed
+}
+
+// rank is history entry i's rank.
+func (f *reuseFields) rank(i int) span {
+	return span{f.history.key[i].end, f.history.elems[i].end}
+}
+
+// forgeReuse encodes g and splices the fields of partition 0's counter
+// reuse profiler, once its history holds two lines.
+func forgeReuse(g *GPU, forge func(b []byte, f *reuseFields) []byte) ([]byte, error) {
+	r := g.parts[0].reuse[MetaCounter]
+	if r == nil {
+		return nil, errNothingToForge
+	}
+	b, err := g.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	p, err := standalone(b, r.Walk)
+	if err != nil {
+		return nil, err
+	}
+	var f reuseFields
+	p.u64() // the bucket count
+	for range stats.ReuseBuckets {
+		f.hist = append(f.hist, p.u64())
+	}
+	f.cold, f.total = p.u64(), p.u64()
+	f.history = p.list(func() { p.u64() })
+	if err := p.d.Err(); err != nil {
+		return nil, err
+	}
+	if len(f.history.elems) < 2 {
+		return nil, errNothingToForge
+	}
+	return forge(b, &f), nil
+}
+
+// forgeFaults encodes g and splices its injector's per-site
+// opportunity and injection counts, which follow the partitions.
+func forgeFaults(g *GPU, forge func(b []byte, events, injected []span) []byte) ([]byte, error) {
+	if g.inj == nil {
+		return nil, errNothingToForge
+	}
+	b, err := g.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	p, err := tailSection(b, func(c *statecodec.Codec) {
+		g.inj.Walk(c)
+		if g.probe != nil {
+			g.probe.Walk(c, g.now)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	var events, injected []span
+	for _, out := range []*[]span{&events, &injected} {
+		p.u64() // the site count
+		for range faults.NumSites {
+			*out = append(*out, p.u64())
+		}
+	}
+	if err := p.d.Err(); err != nil {
+		return nil, err
+	}
+	return forge(b, events, injected), nil
+}
+
+// probeFields are the probe's fields in a state: the span count, the
+// trace records and the timeline samples.
+type probeFields struct {
+	spans            span
+	records, samples listed
+}
+
+// cycle is timeline sample i's cycle, its first field.
+func (f *probeFields) cycle(b []byte, i int) span {
+	e := f.samples.elems[i]
+	_, n := binary.Uvarint(b[e.at:e.end])
+	return span{e.at, e.at + n}
+}
+
+// forgeProbe encodes g and splices its probe's fields, which end the
+// state. A nil forge result means the state holds nothing to forge.
+func forgeProbe(g *GPU, forge func(b []byte, f *probeFields) []byte) ([]byte, error) {
+	if g.probe == nil || g.probe.Spans == nil || g.probe.Timeline == nil {
+		return nil, errNothingToForge
+	}
+	b, err := g.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	p, err := tailSection(b, func(c *statecodec.Codec) { g.probe.Walk(c, g.now) })
+	if err != nil {
+		return nil, err
+	}
+	var f probeFields
+	hist := func() {
+		for range len(probe.Hist{}.Buckets) + 4 { // bucket count, buckets, count, sum, max
+			p.u64()
+		}
+	}
+	kinds := 0
+	p.field(func(d *statecodec.Codec) { d.Len(&kinds, 1) })
+	for range kinds {
+		for range probe.NumStages + 1 { // latency, then each stage
+			hist()
+		}
+		for range probe.NumStages + 1 { // stage count, stage cycles
+			p.u64()
+		}
+	}
+	f.spans = p.u64()
+	p.u64() // unbalanced
+	p.u64() // dropped
+	f.records = p.plain(func() {
+		// The kind byte, then part, start and the stages.
+		p.skip(1)
+		for range probe.NumStages + 2 {
+			p.u64()
+		}
+	})
+	f.samples = p.plain(func() {
+		p.field(func(d *statecodec.Codec) {
+			var s probe.Sample
+			s.Walk(d)
+		})
+	})
+	if err := p.d.Err(); err != nil {
+		return nil, err
+	}
+	if len(f.records.elems) == 0 || len(f.samples.elems) == 0 {
+		return nil, errNothingToForge
+	}
+	out := forge(b, &f)
+	if out == nil {
+		return nil, errNothingToForge
+	}
+	return out, nil
 }
 
 // errNothingToForge is a forgery's answer for a state that holds
@@ -478,16 +677,95 @@ var stateForgeries = []forgery{
 			return splice(b, f.dir.count, uv(1), []byte{0, 1, 0, 0, 0})
 		})
 	}},
+	// Instrument sections, each checked against the instrument it
+	// fills.
+	{name: "reuse-bucket-sum", want: "reuse buckets and cold touches sum", forge: func(g *GPU) ([]byte, error) {
+		return forgeReuse(g, func(b []byte, f *reuseFields) []byte {
+			return splice(b, f.hist[0], uv(val(b, f.hist[0])+1))
+		})
+	}},
+	{name: "reuse-history-short", want: "cold touches", forge: func(g *GPU) ([]byte, error) {
+		return forgeReuse(g, func(b []byte, f *reuseFields) []byte {
+			l := f.history
+			n := len(l.elems)
+			return splice(splice(b, l.elems[n-1]), l.count, uv(uint64(n-1)))
+		})
+	}},
+	{name: "reuse-rank-repeated", want: "twice", forge: func(g *GPU) ([]byte, error) {
+		return forgeReuse(g, func(b []byte, f *reuseFields) []byte {
+			return splice(b, f.rank(1), b[f.rank(0).at:f.rank(0).end])
+		})
+	}},
+	{name: "reuse-rank-out-of-range", want: "outside 1..", forge: func(g *GPU) ([]byte, error) {
+		return forgeReuse(g, func(b []byte, f *reuseFields) []byte {
+			return splice(b, f.rank(0), uv(uint64(len(f.history.elems)+1)))
+		})
+	}},
+	{name: "reuse-total-off-cache", want: "reuse profiler counts", forge: func(g *GPU) ([]byte, error) {
+		// One more access in both the buckets and the total: the
+		// profiler is consistent, but its cache saw one access fewer.
+		return forgeReuse(g, func(b []byte, f *reuseFields) []byte {
+			b = splice(b, f.total, uv(val(b, f.total)+1))
+			return splice(b, f.hist[0], uv(val(b, f.hist[0])+1))
+		})
+	}},
+	{name: "fault-injections-past-opportunities", want: "injections at fault site", forge: func(g *GPU) ([]byte, error) {
+		return forgeFaults(g, func(b []byte, events, injected []span) []byte {
+			s := faults.SiteDRAMData
+			return splice(b, injected[s], uv(val(b, events[s])+1))
+		})
+	}},
+	{name: "fault-site-off-plan", want: "does not attack", forge: func(g *GPU) ([]byte, error) {
+		return forgeFaults(g, func(b []byte, events, _ []span) []byte {
+			return splice(b, events[faults.SiteIcntDrop], uv(1))
+		})
+	}},
+	{name: "span-kind-counts", want: "per-kind span counts", forge: func(g *GPU) ([]byte, error) {
+		return forgeProbe(g, func(b []byte, f *probeFields) []byte {
+			return splice(b, f.spans, uv(val(b, f.spans)+1))
+		})
+	}},
+	{name: "trace-past-cap", want: "the trace cap", forge: func(g *GPU) ([]byte, error) {
+		return forgeProbe(g, func(b []byte, f *probeFields) []byte {
+			return f.records.dupFirst(b)
+		})
+	}},
+	{name: "timeline-past-capacity", want: "the ring holds", forge: func(g *GPU) ([]byte, error) {
+		return forgeProbe(g, func(b []byte, f *probeFields) []byte {
+			return f.samples.dupFirst(b)
+		})
+	}},
+	{name: "timeline-unordered", want: "does not follow", forge: func(g *GPU) ([]byte, error) {
+		return forgeProbe(g, func(b []byte, f *probeFields) []byte {
+			if len(f.samples.elems) < 2 {
+				return nil
+			}
+			return splice(b, f.cycle(b, 1), b[f.cycle(b, 0).at:f.cycle(b, 0).end])
+		})
+	}},
+	{name: "timeline-sample-ahead", want: "after the machine's cycle", forge: func(g *GPU) ([]byte, error) {
+		return forgeProbe(g, func(b []byte, f *probeFields) []byte {
+			last := len(f.samples.elems) - 1
+			return splice(b, f.cycle(b, last), uv(g.now+1))
+		})
+	}},
 }
 
 // forgeryBase is the state the forgery tables forge: SecureMem on
 // srad_v2 at 600 of 1000 cycles, with unlimited metadata caches so its
-// partitions carry directories beside the L1 and L2 tag arrays.
+// partitions carry directories beside the L1 and L2 tag arrays, and
+// every instrument on: reuse profiling, bit flips (no drops or
+// duplicates, so the interconnect sites stay outside the plan), and
+// probes whose trace has dropped records and whose timeline ring has
+// wrapped. None of them changes the machine's state.
 func forgeryBase(t *testing.T) (Config, []byte) {
 	t.Helper()
 	cfg := SecureMem()
 	cfg.MaxCycles = 1000
 	cfg.Secure.UnlimitedMeta = true
+	cfg.ProfileReuse = true
+	cfg.Faults = &faults.Plan{Seed: 7, Rate: 0.01, Sites: faults.FlipSites}
+	cfg.Probe = &probe.Config{Spans: true, Trace: true, TraceCap: 16, TimelineInterval: 50, TimelineCap: 4}
 	return cfg, captureAt(t, cfg, "srad_v2", 600)[0]
 }
 
@@ -703,27 +981,6 @@ func TestRestoreRefusesStatesThatPanic(t *testing.T) {
 			}
 			refuses(t, cfg, "srad_v2", forged, c.want)
 		})
-	}
-}
-
-// Configurations whose auxiliary state is not captured refuse to
-// checkpoint: Snapshot errors and SetCheckpoint stays unarmed, so runs
-// silently fall back to starting from cycle 0.
-func TestCheckpointRefusesUncoveredConfigs(t *testing.T) {
-	cfg := SecureMem()
-	cfg.MaxCycles = 1000
-	cfg.Faults = &faults.Plan{Seed: 7, Rate: 0.01, Sites: faults.FlipSites}
-	g := newGPU(t, cfg, "nw")
-	if _, err := g.Snapshot(); err == nil {
-		t.Fatal("snapshot succeeded with fault injection enabled")
-	}
-	fired := false
-	g.SetCheckpoint(500, func(uint64, []byte) { fired = true })
-	if _, err := g.RunContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("checkpoint sink fired for a faulted run")
 	}
 }
 

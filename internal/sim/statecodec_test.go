@@ -193,6 +193,25 @@ func FuzzDecodeState(f *testing.F) {
 	for _, b := range forged {
 		f.Add(b)
 	}
+	// An instrumented state: probe spans, trace and timeline, faults at
+	// every site and reuse profiling, with its instrument forgeries.
+	cfg = tinyMachine(f, "ctr_mac_bmt")
+	cfg.ProfileReuse = true
+	plan, err := gpusecmem.ParseFaultPlan("seed=1,rate=1e-3,sites=all")
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg.Faults = plan
+	cfg.Probe = &gpusecmem.ProbeConfig{Spans: true, Trace: true, TraceCap: 32, TimelineInterval: 100, TimelineCap: 4}
+	targets = append(targets, fuzzTarget{cfg, "nw"})
+	base, _ = midRunState(f, cfg, "nw", 1000)
+	f.Add(base)
+	if forged, err = sim.ForgedStates(cfg, "nw", base); err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range forged {
+		f.Add(b)
+	}
 	f.Add([]byte("GSMSTATE"))
 	// A forged length: a current-version header, an empty benchmark name
 	// and five zero counters, then 1,000,000 loads backed by three

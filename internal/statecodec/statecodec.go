@@ -197,6 +197,17 @@ func (c *Codec) Int(p *int) {
 	*p = int(v)
 }
 
+// F64 walks a float64 as its IEEE 754 bits, a uvarint, so every value
+// round-trips exactly. Only a decoder writes the field: an encoder may
+// walk values other goroutines share.
+func (c *Codec) F64(p *float64) {
+	b := math.Float64bits(*p)
+	c.U64(&b)
+	if c.dec {
+		*p = math.Float64frombits(b)
+	}
+}
+
 // Byte walks one raw byte.
 func (c *Codec) Byte(p *byte) {
 	if !c.dec {

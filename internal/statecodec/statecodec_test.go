@@ -25,6 +25,7 @@ type record struct {
 	fixed  [2]uint64
 	keys   map[uint64]int
 	slice  []uint64
+	f      float64
 }
 
 func (r *record) walk(c *Codec) {
@@ -55,6 +56,7 @@ func (r *record) walk(c *Codec) {
 	for i := range r.slice {
 		c.U64(&r.slice[i])
 	}
+	c.F64(&r.f)
 }
 
 func encode(t *testing.T, r *record) []byte {
@@ -86,6 +88,7 @@ func sample() *record {
 		name: "srad_v2", list: []uint64{1, 300, 1 << 40}, fixed: [2]uint64{7, 1 << 63},
 		keys:  map[uint64]int{0: 1, 5: -2, 6: 3, math.MaxUint64: 4},
 		slice: []uint64{9, 8},
+		f:     math.Copysign(0, -1),
 	}
 }
 
@@ -100,7 +103,7 @@ func TestWalkRoundTrip(t *testing.T) {
 	if !bytes.Equal(encode(t, r), b) {
 		t.Fatal("decoded record re-encodes differently")
 	}
-	if r.u != math.MaxUint64 || r.i != -12345 || r.name != "srad_v2" || r.keys[math.MaxUint64] != 4 || len(r.keys) != 4 {
+	if r.u != math.MaxUint64 || r.i != -12345 || r.name != "srad_v2" || r.keys[math.MaxUint64] != 4 || len(r.keys) != 4 || !math.Signbit(r.f) {
 		t.Fatalf("decoded %+v", r)
 	}
 }

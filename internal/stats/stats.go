@@ -11,6 +11,8 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+
+	"gpusecmem/internal/statecodec"
 )
 
 // Ratio returns a/b as a float, 0 when b is 0.
@@ -144,6 +146,73 @@ func (p *ReuseProfiler) Fractions() [6]float64 {
 		out[i] = float64(v) / float64(reuse)
 	}
 	return out
+}
+
+// WalkCounts encodes or decodes the profiler's counts
+// (internal/statecodec): Hist, Cold and Total. It is all a stored
+// result keeps of a profiler.
+func (p *ReuseProfiler) WalkCounts(c *statecodec.Codec) {
+	c.FixedU64s(p.Hist[:], "reuse buckets")
+	c.U64(&p.Cold)
+	c.U64(&p.Total)
+}
+
+// Walk encodes or decodes the profiler for a checkpoint: its counts,
+// then its access history, each line once in ascending line order
+// with the rank of its latest access among the history's (1 for the
+// oldest). Reuse distances depend only on that order, so the raw
+// timestamps are not encoded, and a decoder rebuilds the Fenwick tree
+// over the ranks: sized by the lines the state holds, not by the
+// access count it claims. Decoding expects a fresh profiler and
+// refuses counts whose buckets and cold touches do not make up Total,
+// a history of other than Cold lines (each line's first touch is its
+// only cold one), and ranks that are not each of 1..Cold once.
+func (p *ReuseProfiler) Walk(c *statecodec.Codec) {
+	p.WalkCounts(c)
+	n, lines := statecodec.MapLen(c, &p.lastAccess, 2)
+	if c.Decoding() {
+		sum := p.Cold
+		for _, h := range p.Hist {
+			sum += h
+		}
+		switch {
+		case sum != p.Total:
+			c.Fail("reuse buckets and cold touches sum to %d, the profiler counts %d accesses", sum, p.Total)
+		case uint64(n) != p.Cold:
+			c.Fail("%d lines in the reuse history, %d cold touches", n, p.Cold)
+		}
+		if c.Err() != nil {
+			return
+		}
+		p.time = n
+		p.grow(n)
+	}
+	var seq statecodec.KeySeq
+	for i := 0; i < n; i++ {
+		var line, rank uint64
+		if !c.Decoding() {
+			// The tree marks each line's latest access, so the marks up
+			// to it count the latest accesses no later than it.
+			line = lines[i]
+			rank = uint64(p.bitSum(p.lastAccess[line]))
+		}
+		c.Key(&seq, &line)
+		c.U64(&rank)
+		if !c.Decoding() {
+			continue
+		}
+		switch {
+		case rank == 0 || rank > uint64(n):
+			c.Fail("line %#x has reuse rank %d, outside 1..%d", line, rank, n)
+		case p.raw[rank] != 0:
+			c.Fail("line %#x has reuse rank %d, which another line holds: a rank twice", line, rank)
+		}
+		if c.Err() != nil {
+			return
+		}
+		p.lastAccess[line] = int(rank)
+		p.bitAdd(int(rank), 1)
+	}
 }
 
 // reuseBucketJSON is one labelled histogram bucket in the wire form.
