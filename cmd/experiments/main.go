@@ -78,7 +78,7 @@ func main() {
 		progress   = flag.Bool("progress", false, "print a periodic progress line to stderr")
 		statsOut   = flag.String("stats-out", "", "write machine-readable per-run stats (JSON) to this file")
 		audit      = flag.Bool("audit", false, "run every simulation with invariant auditors enabled (changes memo keys; slower)")
-		debugAddr  = flag.String("debug-addr", "", "serve the sweep debug HTTP endpoint (live progress, expvar, pprof) on this address, e.g. localhost:6060")
+		debugAddr  = flag.String("debug-addr", "", "serve the sweep debug HTTP endpoint (/metrics with live sweep progress, pprof) on this address, e.g. localhost:6060")
 		cacheDir   = flag.String("cache-dir", "", "persist simulation results in this directory, keyed by canonical config digest")
 		ckptDir    = flag.String("checkpoint-dir", "", "persist mid-run machine checkpoints in this directory; interrupted sweeps resume instead of restarting")
 		ckptEvery  = flag.Uint64("checkpoint-every", 5000, "checkpoint interval in cycles (with -checkpoint-dir)")
@@ -96,9 +96,21 @@ func main() {
 		os.Exit(2)
 	}
 
+	// Bad sweep options fail closed before any simulation, as
+	// /api/experiment answers them with a 400.
+	if *cycles == 0 {
+		fmt.Fprintln(os.Stderr, "-cycles must be positive")
+		os.Exit(2)
+	}
 	opts := gpusecmem.Options{Cycles: *cycles, Audit: *audit, Shards: *shards}
 	if *benchmarks != "" {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")
+		for _, b := range opts.Benchmarks {
+			if err := gpusecmem.CheckBenchmark(b); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+		}
 	}
 	gctx := gpusecmem.NewContext(opts)
 	if *cacheDir != "" {

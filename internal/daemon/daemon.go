@@ -13,9 +13,9 @@
 //	GET /api/run                   one (scheme, benchmark) simulation as JSON
 //	GET /api/experiment/{id}       a paper table/figure, rendered text|csv|md
 //	GET /api/cluster               membership, health, and key placement
-//	GET /healthz                   liveness + counters
+//	GET /healthz                   liveness: status, uptime, workers, queue depth
 //	GET /metrics                   Prometheus text-format exposition
-//	GET /progress, /debug/...      the sweep debug layer (expvar, pprof)
+//	GET /debug/pprof/...           profiles, from the sweep debug layer
 //
 // The run knobs of /api/run and /api/cluster, and /api/experiment's
 // cycles and audit, are gpusecmem's knob table (gpusecmem.ResolveQuery),
@@ -48,8 +48,7 @@
 // simulator's cancellation context, and appears on the response
 // header, in every log line (via telemetry.ContextHandler), and in
 // every JSON error body. All counters live in the process-wide
-// telemetry registry; /healthz, the gpusecmem_daemon expvar, and
-// /metrics are views over the same instruments (see DESIGN.md
+// telemetry registry, and /metrics is their one view (see DESIGN.md
 // "Serving telemetry").
 //
 // Concurrency and aliasing contract: a Server's handlers run on
@@ -68,7 +67,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"math"
@@ -77,7 +75,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gpusecmem"
@@ -161,52 +158,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// metricsSnapshot is the JSON view served by /healthz — a read-out of
-// the telemetry registry's instruments, kept in the daemon's
-// historical field names. It holds no state of its own: the registry
-// is the single source, so this view, the expvar view, and /metrics
-// cannot disagree.
-type metricsSnapshot struct {
-	Requests      uint64  `json:"requests"`
-	Rejected      uint64  `json:"rejected"`
-	Failed        uint64  `json:"failed"`
-	Cancelled     uint64  `json:"cancelled"`
-	MemHits       uint64  `json:"mem_hits"`
-	DiskHits      uint64  `json:"disk_hits"`
-	Simulated     uint64  `json:"simulated"`
-	Resumed       uint64  `json:"resumed"`
-	Checkpointed  uint64  `json:"checkpointed"`
-	WatchdogFires uint64  `json:"watchdog_fires"`
-	Running       int64   `json:"running"`
-	Queued        int64   `json:"queued"`
-	CompletedRuns uint64  `json:"completed_runs"`
-	MeanRunMS     float64 `json:"mean_run_ms"`
-}
-
-// snapshotMetrics reads the current values out of the registry
-// handles.
-func snapshotMetrics() metricsSnapshot {
-	s := metricsSnapshot{
-		Requests:      met.admitted.Value(),
-		Rejected:      met.rejected.Value(),
-		Failed:        met.failed.Value(),
-		Cancelled:     met.cancelled.Value(),
-		MemHits:       met.memHits.Value(),
-		DiskHits:      met.diskHits.Value(),
-		Simulated:     met.simulated.Value(),
-		Resumed:       met.resumed.Value(),
-		Checkpointed:  met.saved.Value(),
-		WatchdogFires: met.watchdog.Value(),
-		Running:       int64(met.running.Value()),
-		Queued:        int64(met.queued.Value()),
-		CompletedRuns: met.completed.Value(),
-	}
-	if s.CompletedRuns > 0 {
-		s.MeanRunMS = float64(met.wallMS.Value()) / float64(s.CompletedRuns)
-	}
-	return s
-}
-
 // observeRun folds one completed request's simulation wall time into
 // the Retry-After estimate.
 func observeRun(wall time.Duration) {
@@ -236,12 +187,8 @@ type Server struct {
 	cancel context.CancelFunc
 }
 
-var publishOnce sync.Once
-
 // New builds a Server. The daemon's counters live in the process-wide
-// telemetry registry (telemetry.Default); the gpusecmem_daemon expvar
-// republishes a snapshot of that registry so the existing /debug/vars
-// route keeps exposing them.
+// telemetry registry (telemetry.Default), which GET /metrics exposes.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	initInstruments()
@@ -254,16 +201,6 @@ func New(cfg Config) *Server {
 		log:       cfg.Logger,
 	}
 	s.base, s.cancel = context.WithCancel(context.Background())
-
-	// The registry replaces the old per-Server counter struct, so the
-	// expvar needs no handle on the newest Server (the activeServer
-	// workaround this code used to carry): per-instance state is wired
-	// in as replace-on-reregister Func views instead.
-	publishOnce.Do(func() {
-		expvar.Publish("gpusecmem_daemon", expvar.Func(func() any {
-			return telemetry.Default.Snapshot()
-		}))
-	})
 	s.registerServerViews()
 
 	mux := http.NewServeMux()
@@ -273,11 +210,8 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /api/cluster", s.handleCluster)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", telemetry.Default.Handler())
-	// The existing sweep debug layer: /progress, /debug/vars (which
-	// now includes gpusecmem_daemon), /debug/pprof/*.
-	dbg := runner.NewDebugHandler()
-	mux.Handle("/progress", dbg)
-	mux.Handle("/debug/", dbg)
+	// The sweep debug layer's profiles: /debug/pprof/*.
+	mux.Handle("/debug/", runner.NewDebugHandler())
 	s.mux = mux
 	s.handler = s.withTelemetry(mux)
 	return s
@@ -703,17 +637,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 // --- health ---
 
+// handleHealthz is the liveness route cluster probes and wait loops
+// poll. Counters are served by /metrics only.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	payload := map[string]any{
+	writeJSON(w, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"workers":        s.cfg.Workers,
 		"queue_depth":    s.cfg.QueueDepth,
-		"metrics":        snapshotMetrics(),
-		"mem_cache_len":  s.mem.len(),
-	}
-	for name, stats := range s.storeStats() {
-		payload[name] = stats()
-	}
-	writeJSON(w, payload)
+	})
 }

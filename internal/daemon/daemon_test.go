@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -458,21 +459,13 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 }
 
-// waitRunning polls /healthz until the daemon reports n running
+// waitRunning polls /metrics until the daemon reports n running
 // simulations.
 func waitRunning(t *testing.T, url string, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		var h struct {
-			Metrics struct {
-				Running int64 `json:"running"`
-			} `json:"metrics"`
-		}
-		if code := getJSON(t, url+"/healthz", &h); code != 200 {
-			t.Fatalf("healthz status %d", code)
-		}
-		if h.Metrics.Running == n {
+		if metricValue(t, url, "gpusecmem_admission_running") == float64(n) {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -580,26 +573,34 @@ func TestAbortFailsInFlight(t *testing.T) {
 }
 
 func TestHealthzAndDebugRoutes(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	var h struct {
-		Status string `json:"status"`
+	ts := newTestServer(t, Config{Workers: 3, QueueDepth: 5})
+	// /healthz is liveness only; every counter is served by /metrics.
+	var h map[string]any
+	if code := getJSON(t, ts.URL+"/healthz", &h); code != 200 || h["status"] != "ok" {
+		t.Fatalf("healthz: code %d body %v", code, h)
 	}
-	if code := getJSON(t, ts.URL+"/healthz", &h); code != 200 || h.Status != "ok" {
-		t.Fatalf("healthz: code %d status %q", code, h.Status)
+	var keys []string
+	for k := range h {
+		keys = append(keys, k)
 	}
-	// The reused debug layer must be mounted and include the daemon
-	// expvar.
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	slices.Sort(keys)
+	if want := []string{"queue_depth", "status", "uptime_seconds", "workers"}; !slices.Equal(keys, want) {
+		t.Fatalf("healthz members %v, want %v", keys, want)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || !strings.Contains(string(body), "gpusecmem_daemon") {
-		t.Fatalf("/debug/vars missing daemon metrics (status %d)", resp.StatusCode)
+	if h["workers"] != 3.0 || h["queue_depth"] != 5.0 {
+		t.Fatalf("healthz workers %v queue_depth %v, want 3 and 5", h["workers"], h["queue_depth"])
 	}
-	if code := getJSON(t, ts.URL+"/progress", nil); code != 200 {
-		t.Fatalf("/progress status %d", code)
+	// /metrics is the one metrics view: no expvar or progress route
+	// answers, and the debug layer serves only profiles.
+	for path, want := range map[string]int{
+		"/metrics":      200,
+		"/debug/pprof/": 200,
+		"/debug/vars":   404,
+		"/progress":     404,
+	} {
+		if code := getJSON(t, ts.URL+path, nil); code != want {
+			t.Fatalf("%s status %d, want %d", path, code, want)
+		}
 	}
 }
 
@@ -667,6 +668,7 @@ func TestIncrementalServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts2 := newTestServer(t, Config{Checkpoints: store2, CheckpointEvery: 1000})
+	restores := metricValue(t, ts2.URL, "gpusecmem_checkpoint_restores_total")
 	var long struct {
 		Source string          `json:"source"`
 		Result json.RawMessage `json:"result"`
@@ -699,24 +701,15 @@ func TestIncrementalServing(t *testing.T) {
 		t.Fatal("resumed daemon result differs from an uninterrupted simulation")
 	}
 
-	// The checkpoint store's counters surface in /healthz.
-	var h struct {
-		Checkpoints *struct {
-			Hits uint64 `json:"hits"`
-			Puts uint64 `json:"puts"`
-		} `json:"checkpoint_store"`
-		Metrics struct {
-			Resumed uint64 `json:"resumed"`
-		} `json:"metrics"`
+	// The restarted daemon's checkpoint store counters and the
+	// restores counter surface in /metrics.
+	if n := metricValue(t, ts2.URL, "gpusecmem_checkpoint_restores_total") - restores; n != 1 {
+		t.Fatalf("gpusecmem_checkpoint_restores_total moved by %v over one resumed run, want 1", n)
 	}
-	if code := getJSON(t, ts2.URL+"/healthz", &h); code != 200 {
-		t.Fatalf("healthz status %d", code)
-	}
-	if h.Checkpoints == nil || h.Checkpoints.Hits == 0 || h.Checkpoints.Puts == 0 {
-		t.Fatalf("healthz checkpoint_store stats missing or empty: %+v", h.Checkpoints)
-	}
-	if h.Metrics.Resumed == 0 {
-		t.Fatal("healthz metrics.resumed not bumped by the resumed run")
+	for _, series := range []string{"gpusecmem_checkpoint_store_hits_total", "gpusecmem_checkpoint_store_puts_total"} {
+		if v := metricValue(t, ts2.URL, series); v == 0 {
+			t.Fatalf("%s = 0 after a resumed, checkpointed run", series)
+		}
 	}
 }
 
@@ -789,35 +782,16 @@ func (failingStore) Latest(string, uint64) (uint64, []byte, bool) { return 0, ni
 func (failingStore) Put(string, uint64, []byte) error             { return errors.New("disk full") }
 
 // A checkpoint the store failed to write is not a save: a run whose
-// every Put errors must leave /healthz's checkpointed count and
-// gpusecmem_checkpoint_saves_total where they were.
+// every Put errors must leave gpusecmem_checkpoint_saves_total where
+// it was.
 func TestFailedCheckpointWritesAreNotCounted(t *testing.T) {
 	ts := newTestServer(t, Config{Checkpoints: failingStore{}, CheckpointEvery: 500})
-	saves := func() (healthz uint64, metric string) {
-		t.Helper()
-		var h struct {
-			Metrics struct {
-				Checkpointed uint64 `json:"checkpointed"`
-			} `json:"metrics"`
-		}
-		if code := getJSON(t, ts.URL+"/healthz", &h); code != 200 {
-			t.Fatalf("healthz status %d", code)
-		}
-		for _, line := range strings.Split(scrapeMetrics(t, ts.URL), "\n") {
-			if v, ok := strings.CutPrefix(line, "gpusecmem_checkpoint_saves_total "); ok {
-				metric = v
-			}
-		}
-		if metric == "" {
-			t.Fatal("/metrics has no gpusecmem_checkpoint_saves_total")
-		}
-		return h.Metrics.Checkpointed, metric
-	}
-	h0, m0 := saves()
+	const saves = "gpusecmem_checkpoint_saves_total"
+	m0 := metricValue(t, ts.URL, saves)
 	if code := getJSON(t, ts.URL+"/api/run?bench=nw&scheme=ctr_mac_bmt&cycles=2000", nil); code != 200 {
 		t.Fatalf("run status %d", code)
 	}
-	if h1, m1 := saves(); h1 != h0 || m1 != m0 {
-		t.Fatalf("four failed writes counted as saves: healthz %d -> %d, metric %s -> %s", h0, h1, m0, m1)
+	if m1 := metricValue(t, ts.URL, saves); m1 != m0 {
+		t.Fatalf("four failed writes counted as saves: %s %v -> %v", saves, m0, m1)
 	}
 }

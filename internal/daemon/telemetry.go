@@ -13,10 +13,8 @@ import (
 )
 
 // instruments holds the daemon's handles into the telemetry registry.
-// These are the *only* request counters the daemon keeps: the
-// /healthz JSON, the gpusecmem_daemon expvar, and the /metrics
-// exposition are all views over these same instruments, so the three
-// surfaces cannot drift apart.
+// These are the *only* request counters the daemon keeps, and the
+// /metrics exposition is their one view.
 type instruments struct {
 	admitted  *telemetry.Counter
 	rejected  *telemetry.Counter
@@ -110,8 +108,7 @@ func initInstruments() {
 // registerServerViews wires the per-instance state of this Server —
 // the memory-LRU fill level and the persistent stores' own counters —
 // into the registry as Func views. Re-registration replaces the
-// callback, so the newest Server wins: exactly the semantics the old
-// activeServer expvar workaround existed to provide.
+// callback, so the newest Server wins.
 func (s *Server) registerServerViews() {
 	reg := telemetry.Default
 	reg.GaugeFunc("gpusecmem_memcache_entries", "entries in the in-process result LRU", func() float64 {
@@ -120,8 +117,7 @@ func (s *Server) registerServerViews() {
 	reg.CounterFunc("gpusecmem_cache_evictions_total", "results evicted from the in-process LRU by capacity pressure", func() float64 {
 		return float64(s.mem.evictions.Load())
 	})
-	for name, stats := range s.storeStats() {
-		prefix := storeMetricPrefix[name]
+	for prefix, stats := range s.storeStats() {
 		reg.CounterFunc(prefix+"_hits_total", "persistent store lookups that found a valid entry", func() float64 { return float64(stats().Hits) })
 		reg.CounterFunc(prefix+"_misses_total", "persistent store lookups that found none", func() float64 { return float64(stats().Misses) })
 		reg.CounterFunc(prefix+"_puts_total", "persistent store writes", func() float64 { return float64(stats().Puts) })
@@ -129,19 +125,14 @@ func (s *Server) registerServerViews() {
 	}
 }
 
-// storeMetricPrefix names each persistent store's /metrics families by
-// its /healthz key.
-var storeMetricPrefix = map[string]string{"result_cache": "gpusecmem_resultcache", "checkpoint_store": "gpusecmem_checkpoint_store"}
-
 // storeStats returns the counters of the configured persistent stores
 // that expose them — the on-disk stores do; test doubles need not —
-// keyed by their /healthz name, so /healthz and /metrics read one
-// source.
+// keyed by the prefix of their /metrics families.
 func (s *Server) storeStats() map[string]func() envelope.Stats {
 	out := map[string]func() envelope.Stats{}
-	for name, store := range map[string]any{"result_cache": s.cfg.Cache, "checkpoint_store": s.cfg.Checkpoints} {
+	for prefix, store := range map[string]any{"gpusecmem_resultcache": s.cfg.Cache, "gpusecmem_checkpoint_store": s.cfg.Checkpoints} {
 		if st, ok := store.(interface{ Stats() envelope.Stats }); ok {
-			out[name] = st.Stats
+			out[prefix] = st.Stats
 		}
 	}
 	return out
@@ -164,8 +155,6 @@ func routeLabel(path string) string {
 		return "/healthz"
 	case path == "/metrics":
 		return "/metrics"
-	case path == "/progress":
-		return "/progress"
 	case strings.HasPrefix(path, "/debug/"):
 		return "/debug"
 	default:
@@ -212,7 +201,7 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		// Scrape and liveness chatter logs at Debug; real work at Info.
 		level := slog.LevelInfo
 		switch route {
-		case "/healthz", "/metrics", "/progress", "/debug":
+		case "/healthz", "/metrics", "/debug":
 			level = slog.LevelDebug
 		}
 		attrs := []slog.Attr{

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +29,23 @@ func scrapeMetrics(t *testing.T, base string) string {
 		t.Fatalf("/metrics Content-Type = %q", ct)
 	}
 	return string(body)
+}
+
+// metricValue scrapes base's /metrics and returns the value of one
+// series, named as the exposition prints it (labels included).
+func metricValue(t *testing.T, base, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(scrapeMetrics(t, base), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }
 
 // TestMetricsEndpoint drives a run through the daemon and asserts the

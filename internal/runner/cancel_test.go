@@ -112,38 +112,3 @@ func TestRunAfterCancelCompletes(t *testing.T) {
 		t.Fatal("re-run rendered no tables")
 	}
 }
-
-// TestActiveSweepClearedAfterRun is the stale-progress bugfix: a
-// finished sweep must not keep publishing its final snapshot through
-// /progress and the gpusecmem_sweep expvar in a long-lived process.
-func TestActiveSweepClearedAfterRun(t *testing.T) {
-	gctx := gpusecmem.NewContext(gpusecmem.Options{Cycles: 1000, Benchmarks: []string{"nw"}})
-	var out bytes.Buffer
-	rep := Run(context.Background(), gctx, fig8(t), Options{Jobs: 2, DebugAddr: "localhost:0", ProgressOut: &out})
-	if rep.Aborted || len(rep.Results) != 1 {
-		t.Fatalf("sweep failed: %+v", rep)
-	}
-	if s := activeSweep.Load(); s != nil {
-		t.Fatalf("activeSweep still set after Run: %+v", s.snapshot())
-	}
-}
-
-// TestActiveSweepClearedAfterAbort covers the same fix on the
-// cancelled path, where the defer is the only thing standing between
-// a long-lived daemon and a frozen progress endpoint.
-func TestActiveSweepClearedAfterAbort(t *testing.T) {
-	gctx := gpusecmem.NewContext(gpusecmem.Options{Cycles: 1 << 40, Benchmarks: []string{"nw"}})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	var out bytes.Buffer
-	rep := Run(ctx, gctx, fig8(t), Options{Jobs: 2, DebugAddr: "localhost:0", ProgressOut: &out})
-	if !rep.Aborted {
-		t.Fatal("sweep not aborted")
-	}
-	if s := activeSweep.Load(); s != nil {
-		t.Fatalf("activeSweep still set after aborted Run: %+v", s.snapshot())
-	}
-}

@@ -1,14 +1,11 @@
 package runner
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -26,53 +23,22 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 }
 
 func TestDebugHandlerRoutes(t *testing.T) {
-	activeSweep.Store(nil)
 	srv := httptest.NewServer(NewDebugHandler())
 	defer srv.Close()
 
 	code, body := get(t, srv, "/")
-	if code != http.StatusOK || !strings.Contains(body, "/progress") {
+	if code != http.StatusOK || !strings.Contains(body, "/metrics") || !strings.Contains(body, "/debug/pprof/") {
 		t.Fatalf("index: code %d body %q", code, body)
 	}
-	if code, _ := get(t, srv, "/not-a-route"); code != http.StatusNotFound {
-		t.Fatalf("unknown path returned %d", code)
+	// /metrics is the one metrics view: no expvar or progress route
+	// answers, and the index names none.
+	if strings.Contains(body, "/progress") || strings.Contains(body, "/debug/vars") {
+		t.Fatalf("index names a deleted route:\n%s", body)
 	}
-
-	// No sweep active: /progress serves JSON null.
-	code, body = get(t, srv, "/progress")
-	if code != http.StatusOK || strings.TrimSpace(body) != "null" {
-		t.Fatalf("idle progress: code %d body %q", code, body)
-	}
-
-	// With an active sweep the snapshot carries the live counters.
-	var done, failed atomic.Int64
-	done.Store(7)
-	failed.Store(1)
-	activeSweep.Store(&sweepState{
-		jobs: 4, planned: 20, done: &done, failed: &failed,
-		start: time.Now().Add(-2 * time.Second),
-	})
-	defer activeSweep.Store(nil)
-
-	code, body = get(t, srv, "/progress")
-	if code != http.StatusOK {
-		t.Fatalf("progress returned %d", code)
-	}
-	var snap ProgressSnapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("progress not JSON: %v\n%s", err, body)
-	}
-	if snap.Jobs != 4 || snap.PlannedRuns != 20 || snap.DoneRuns != 7 || snap.FailedRuns != 1 {
-		t.Fatalf("snapshot %+v", snap)
-	}
-	if snap.ElapsedSeconds <= 0 || snap.RunsPerSec <= 0 {
-		t.Fatalf("derived rates missing: %+v", snap)
-	}
-
-	// expvar carries the same snapshot under gpusecmem_sweep.
-	code, body = get(t, srv, "/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, `"gpusecmem_sweep"`) {
-		t.Fatalf("expvar: code %d, gpusecmem_sweep missing", code)
+	for _, path := range []string{"/not-a-route", "/progress", "/debug/vars"} {
+		if code, _ := get(t, srv, path); code != http.StatusNotFound {
+			t.Fatalf("%s returned %d, want 404", path, code)
+		}
 	}
 
 	// pprof index responds (profiles themselves are too slow for a unit
@@ -82,26 +48,22 @@ func TestDebugHandlerRoutes(t *testing.T) {
 	}
 
 	// /metrics serves the Prometheus exposition of the shared registry,
-	// including the sweep counters once a sweep has registered them.
+	// including the sweep progress families once a sweep has
+	// registered them.
 	initSweepInstruments()
 	code, body = get(t, srv, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics returned %d", code)
 	}
-	if !strings.Contains(body, "# TYPE gpusecmem_sweep_planned_runs gauge") ||
-		!strings.Contains(body, "gpusecmem_sweeps_total") {
-		t.Fatalf("/metrics missing sweep families:\n%s", body)
+	for _, want := range []string{
+		"# TYPE gpusecmem_sweep_planned_runs gauge",
+		"# TYPE gpusecmem_sweep_runs_total counter",
+		"gpusecmem_sweeps_total",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
 	}
-	if !strings.Contains(get2(t, srv, "/"), "/metrics") {
-		t.Fatal("index missing /metrics route")
-	}
-}
-
-// get2 is get returning only the body, for inline assertions.
-func get2(t *testing.T, srv *httptest.Server, path string) string {
-	t.Helper()
-	_, body := get(t, srv, path)
-	return body
 }
 
 func TestStartDebugServerBindFailure(t *testing.T) {
@@ -123,12 +85,22 @@ func TestStartDebugServerServes(t *testing.T) {
 	}
 	addr := strings.TrimPrefix(strings.Fields(out)[2], "http://")
 	addr = strings.TrimSuffix(addr, "/")
-	resp, err := http.Get("http://" + addr + "/progress")
-	if err != nil {
-		t.Fatal(err)
+	for path, want := range map[string]int{
+		"/metrics":      http.StatusOK,
+		"/debug/pprof/": http.StatusOK,
+		"/progress":     http.StatusNotFound,
+		"/debug/vars":   http.StatusNotFound,
+	} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("live server %s returned %d, want %d", path, resp.StatusCode, want)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("live server returned %d", resp.StatusCode)
+	if strings.Contains(out, "/progress") || strings.Contains(out, "/debug/vars") {
+		t.Fatalf("serving line names a deleted route: %q", out)
 	}
 }

@@ -50,8 +50,8 @@ type Options struct {
 	// ProgressInterval is the ticker period (default 1s).
 	ProgressInterval time.Duration
 	// DebugAddr, when non-empty, serves the sweep debug HTTP endpoint
-	// (live progress, expvar, pprof) on that address for the duration
-	// of the sweep. See NewDebugHandler.
+	// (/metrics, pprof) on that address for the duration of the sweep.
+	// See NewDebugHandler.
 	DebugAddr string
 }
 
@@ -219,22 +219,15 @@ func Run(ctx context.Context, gctx *gpusecmem.Context, exps []gpusecmem.Experime
 	sweepMet.sweeps.Inc()
 	sweepMet.planned.Set(float64(len(plan)))
 
-	var done, failed atomic.Int64
 	if opts.DebugAddr != "" {
 		out := opts.ProgressOut
 		if out == nil {
 			out = os.Stderr
 		}
-		state := &sweepState{jobs: jobs, planned: len(plan), done: &done, failed: &failed, start: start}
-		activeSweep.Store(state)
-		// Clear the live-progress state once this sweep returns so a
-		// long-lived process (library use, secmemd) does not keep
-		// reporting a finished sweep; the CAS leaves a newer overlapping
-		// sweep's state alone.
-		defer activeSweep.CompareAndSwap(state, nil)
 		stopDebug := startDebugServer(opts.DebugAddr, out)
 		defer stopDebug()
 	}
+	var done, failed atomic.Int64
 	stopProgress := startProgress(opts, len(plan), &done, &failed, start)
 
 	specs := make(chan gpusecmem.RunSpec)

@@ -6,12 +6,12 @@ import (
 	"gpusecmem/internal/telemetry"
 )
 
-// sweepInstruments mirrors the sweep's progress counters into the
-// process-wide telemetry registry so the /metrics exposition (on the
+// sweepInstruments are the sweep's progress counters in the
+// process-wide telemetry registry, so the /metrics exposition (on the
 // runner's -debug-addr or on secmemd) shows sweep progress alongside
-// the serving metrics. The atomics behind /progress remain the
-// authoritative live view; these registry handles are written from the
-// same worker goroutines and are safe for concurrent scrapes.
+// the serving metrics. The -progress ticker reads two run-local
+// atomics instead; both are written from the same worker goroutines,
+// and the registry handles are safe for concurrent scrapes.
 type sweepInstruments struct {
 	planned *telemetry.Gauge
 	runs    *telemetry.CounterVec // outcome: ok|failed|cancelled

@@ -234,7 +234,6 @@ func TestConcurrentScrape(t *testing.T) {
 		if err := r.WritePrometheus(&sb); err != nil {
 			t.Fatalf("scrape %d: %v", i, err)
 		}
-		r.Snapshot()
 	}
 	close(stop)
 	wg.Wait()

@@ -9,9 +9,8 @@
 // never consulted by the simulator, so simulation results are
 // byte-identical whether or not anything scrapes /metrics — the golden
 // digest suite enforces it. All serving-layer counters live in one
-// Registry (normally Default) so the JSON /healthz view, the expvar
-// view, and the /metrics exposition are views over the same
-// instruments and can never drift apart.
+// Registry (normally Default), and the /metrics exposition is its one
+// view.
 //
 // Cardinality contract: label values must come from small fixed sets
 // (route buckets, cache tiers, status codes, outcomes) — never from
@@ -28,8 +27,7 @@
 // family by name returns the same family (a kind or label-arity
 // mismatch panics, a programmer error) — and Func collectors replace
 // their callback on re-registration, which is what lets a restarted
-// server re-arm per-instance views without the expvar republish
-// workaround.
+// server re-arm its per-instance collectors.
 package telemetry
 
 import (
@@ -341,75 +339,6 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 // HistogramVec registers (or returns) a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
 	return &HistogramVec{r.family(name, help, kindHistogram, labels)}
-}
-
-// --- Snapshots (the expvar / healthz view) ---
-
-// Snapshot renders every family as plain JSON-ready values: scalars
-// for unlabeled counters/gauges/funcs, a map keyed by joined label
-// values for labeled families, and {count,sum,max,mean} objects for
-// histograms. This is the single source the expvar view publishes.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	fams := make([]*family, 0, len(r.families))
-	for n, f := range r.families {
-		names = append(names, n)
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-
-	out := make(map[string]any, len(names))
-	for i, f := range fams {
-		out[names[i]] = f.snapshotValue()
-	}
-	return out
-}
-
-func (f *family) snapshotValue() any {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if isFunc(f.kind) {
-		if f.fn == nil {
-			return 0.0
-		}
-		return f.fn()
-	}
-	one := func(s *series) any {
-		switch f.kind {
-		case kindCounter:
-			return s.c.Load()
-		case kindGauge:
-			return math.Float64frombits(s.g.Load())
-		default: // histogram
-			s.hmu.Lock()
-			h := s.h
-			s.hmu.Unlock()
-			return map[string]any{"count": h.Count, "sum": h.Sum, "max": h.Max, "mean": h.Mean()}
-		}
-	}
-	if len(f.labels) == 0 {
-		if s, ok := f.series[""]; ok {
-			return one(s)
-		}
-		return 0
-	}
-	m := make(map[string]any, len(f.series))
-	for _, s := range f.series {
-		m[joinValues(s.values)] = one(s)
-	}
-	return m
-}
-
-func joinValues(values []string) string {
-	out := ""
-	for i, v := range values {
-		if i > 0 {
-			out += ","
-		}
-		out += v
-	}
-	return out
 }
 
 // sortedFamilies returns the families in name order for deterministic

@@ -105,14 +105,13 @@ func TestFuncCollectorsReplaceOnReregister(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("f", "help", func() float64 { return 1 })
 	r.GaugeFunc("f", "help", func() float64 { return 2 })
-	snap := r.Snapshot()
-	if got := snap["f"]; got != 2.0 {
-		t.Fatalf("replaced GaugeFunc = %v, want 2", got)
+	if _, samples := scrape(t, r); samples["f"] != 2 {
+		t.Fatalf("replaced GaugeFunc = %v, want 2", samples["f"])
 	}
 	r.CounterFunc("cf", "help", func() float64 { return 7 })
 	r.CounterFunc("cf", "help", func() float64 { return 8 })
-	if got := r.Snapshot()["cf"]; got != 8.0 {
-		t.Fatalf("replaced CounterFunc = %v, want 8", got)
+	if _, samples := scrape(t, r); samples["cf"] != 8 {
+		t.Fatalf("replaced CounterFunc = %v, want 8", samples["cf"])
 	}
 }
 
@@ -133,30 +132,6 @@ func TestSeriesOverflowFoldsIntoOther(t *testing.T) {
 	}
 	if got := v.With("a").Value(); got != 1 {
 		t.Fatalf("a count = %d, want 1", got)
-	}
-}
-
-func TestSnapshotShapes(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "help").Add(3)
-	r.Gauge("g", "help").Set(1.5)
-	r.CounterVec("v_total", "help", "tier").With("memory").Add(2)
-	h := r.Histogram("h_us", "help")
-	h.Observe(8)
-	snap := r.Snapshot()
-	if got := snap["c_total"]; got != uint64(3) {
-		t.Fatalf("c_total = %v (%T), want uint64(3)", got, got)
-	}
-	if got := snap["g"]; got != 1.5 {
-		t.Fatalf("g = %v, want 1.5", got)
-	}
-	m, ok := snap["v_total"].(map[string]any)
-	if !ok || m["memory"] != uint64(2) {
-		t.Fatalf("v_total = %v, want map with memory=2", snap["v_total"])
-	}
-	hm, ok := snap["h_us"].(map[string]any)
-	if !ok || hm["count"] != uint64(1) || hm["sum"] != uint64(8) {
-		t.Fatalf("h_us = %v, want histogram summary", snap["h_us"])
 	}
 }
 
