@@ -116,3 +116,4 @@ fuzz:
 	$(GO) test -run Fuzz -fuzz FuzzDecodeResult -fuzztime 10s ./internal/sim
 	$(GO) test -run Fuzz -fuzz FuzzRunQuery -fuzztime 10s .
 	$(GO) test -run Fuzz -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/envelope
+	$(GO) test -run Fuzz -fuzz FuzzCacheReference -fuzztime 10s ./internal/cache

@@ -190,12 +190,6 @@ type Context struct {
 	misses   uint64
 	diskHits uint64
 	resumed  uint64
-
-	// Planning mode: Run records specs instead of simulating, so a
-	// runner can pre-plan the deduplicated work set of a sweep.
-	planning bool
-	planSeen map[string]bool
-	plan     []RunSpec
 }
 
 // NewContext builds a run context.
@@ -285,14 +279,6 @@ func (c *Context) RunE(ctx context.Context, cfg Config, benchmark string) (*Resu
 	key := RunKey(cfg, benchmark)
 
 	c.mu.Lock()
-	if c.planning {
-		if !c.planSeen[key] {
-			c.planSeen[key] = true
-			c.plan = append(c.plan, RunSpec{Cfg: cfg, Benchmark: benchmark, Key: key})
-		}
-		c.mu.Unlock()
-		return planPlaceholder(benchmark), nil
-	}
 	if r, ok := c.runs[key]; ok && r.done {
 		c.hits++
 		c.mu.Unlock()
@@ -386,18 +372,19 @@ func (c *Context) Run(cfg Config, benchmark string) *Result {
 	return r
 }
 
-// PlanRuns replays the experiments against a recording shadow context
-// and returns the deduplicated (config, benchmark) pairs they need, in
-// first-request order. Nothing is simulated. An experiment that
-// chokes on placeholder results simply contributes the requests it
-// made before bailing; any runs it hides are discovered (and memoized)
-// at render time.
+// PlanRuns replays the experiments against a shadow context whose
+// simulations record their spec and return a placeholder, and returns
+// the (config, benchmark) pairs they need, in first-request order. The
+// shadow's memo drops repeated requests, and nothing is simulated. An
+// experiment that chokes on placeholder results simply contributes the
+// requests it made before bailing; any runs it hides are discovered
+// (and memoized) at render time.
 func (c *Context) PlanRuns(exps []Experiment) []RunSpec {
-	shadow := &Context{
-		opts:     c.opts,
-		base:     context.Background(),
-		planning: true,
-		planSeen: make(map[string]bool),
+	var plan []RunSpec
+	shadow := NewContext(c.opts)
+	shadow.simulate = func(_ context.Context, cfg Config, benchmark string) (*Result, error) {
+		plan = append(plan, RunSpec{Cfg: cfg, Benchmark: benchmark})
+		return planPlaceholder(benchmark), nil
 	}
 	for _, e := range exps {
 		func() {
@@ -405,7 +392,12 @@ func (c *Context) PlanRuns(exps []Experiment) []RunSpec {
 			e.Run(shadow)
 		}()
 	}
-	return shadow.plan
+	// The shadow simulates each key once, in the order its memo numbers
+	// runs, so a run's seq indexes its spec.
+	for key, r := range shadow.runs {
+		plan[r.seq].Key = key
+	}
+	return plan
 }
 
 // CachedRuns reports how many distinct runs have been started.

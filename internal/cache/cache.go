@@ -15,6 +15,11 @@
 // capacity exhausted, the request bypasses and issues a redundant
 // fetch — exactly the traffic MSHRs exist to filter.
 //
+// The behavioural contract is refCache in reference_test.go: a slow,
+// map-based model of every configuration the schemes build, which
+// TestCacheMatchesReference (and the FuzzCacheReference target) hold
+// this implementation to, answer by answer, after every operation.
+//
 // Concurrency and aliasing contract: caches and MSHR tables are
 // single-owner state with no internal locking. Each instance belongs
 // to one SM (L1) or one memory partition (L2 banks, metadata caches),
@@ -294,9 +299,6 @@ func (c *Cache) slab(n int) []mshrEntry {
 	return s
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // newEntry takes an MSHR entry from the pool (or allocates the pool's
 // first tenants) with all sector state cleared and token slices
 // emptied but capacity retained.
@@ -411,108 +413,79 @@ func (c *Cache) Access(addr uint64, write bool, token uint64) AccessResult {
 	lineAddr := c.lineAddr(addr)
 	sector := c.sectorOf(addr)
 
-	linePresent := false
-	if w := c.findWay(lineAddr); w != nil {
-		linePresent = true
-		if w.sectorValid[sector] {
-			c.touchHit(w)
-			if write {
-				w.sectorDirty[sector] = true
-			}
-			c.Stats.Hits++
-			return AccessResult{Outcome: Hit}
+	w := c.findWay(lineAddr)
+	if w != nil && w.sectorValid[sector] {
+		c.touchHit(w)
+		if write {
+			w.sectorDirty[sector] = true
 		}
+		c.Stats.Hits++
+		return AccessResult{Outcome: Hit}
 	}
 	if c.dir == nil {
 		c.duelMiss(c.setIdxFor(lineAddr))
 	}
 
 	// Miss. Classify primary vs secondary by in-flight state.
-	if e, ok := c.mshrs[lineAddr]; ok {
-		if e.sectorPending[sector] {
-			// Secondary miss: merge if capacity allows.
-			if c.cfg.Unlimited || c.cfg.MergeCap == 0 || e.merged < c.cfg.MergeCap {
-				e.merged++
-				e.tokens[sector] = append(e.tokens[sector], token)
-				if write {
-					e.sectorWrite[sector] = true
-				}
-				c.Stats.MissesSecondary++
-				return AccessResult{Outcome: MissMerged}
-			}
-			c.Stats.MissesSecondary++
-			c.Stats.MissesBypass++
-			c.noteBypass(lineAddr, sector)
-			return AccessResult{Outcome: MissBypass, NeedFetch: true, FetchBytes: c.fetchBytes(), Bypass: true}
-		}
-		// Same line, new sector: track it in the same entry; it needs
-		// its own fetch (a sector is the fetch unit).
-		e.sectorPending[sector] = true
-		e.tokens[sector] = append(e.tokens[sector], token)
-		if write {
-			e.sectorWrite[sector] = true
-		}
-		c.Stats.MissesPrimary++
-		return AccessResult{Outcome: MissPrimary, NeedFetch: true, FetchBytes: c.fetchBytes()}
-	}
-
-	if c.pendingBypass[c.unitKey(lineAddr, sector)] > 0 {
-		// In flight without an MSHR entry: a secondary miss that must
-		// refetch.
+	fetch := AccessResult{Outcome: MissPrimary, NeedFetch: true, FetchBytes: c.fetchBytes()}
+	e := c.mshrs[lineAddr]
+	inFlight := e != nil && e.sectorPending[sector]
+	switch {
+	case inFlight && (c.cfg.Unlimited || c.cfg.MergeCap == 0 || e.merged < c.cfg.MergeCap):
+		// A secondary miss merges while the entry has capacity.
+		e.merged++
+		e.wait(sector, token, write)
+		c.Stats.MissesSecondary++
+		return AccessResult{Outcome: MissMerged}
+	case inFlight || e == nil && c.pendingBypass[c.unitKey(lineAddr, sector)] > 0:
+		// A secondary miss that cannot merge (the entry's merge
+		// capacity is spent, or no entry tracks the unit) refetches.
 		c.Stats.MissesSecondary++
 		c.Stats.MissesBypass++
 		c.noteBypass(lineAddr, sector)
-		return AccessResult{Outcome: MissBypass, NeedFetch: true, FetchBytes: c.fetchBytes(), Bypass: true}
+		fetch.Outcome, fetch.Bypass = MissBypass, true
+		return fetch
+	case e != nil:
+		// Same line, new sector: track it in the same entry; it needs
+		// its own fetch (a sector is the fetch unit).
+		e.wait(sector, token, write)
+		c.Stats.MissesPrimary++
+		return fetch
 	}
 
 	// Primary miss to an idle unit.
 	c.Stats.MissesPrimary++
-	var reserveWB *Eviction
-	if !c.cfg.AllocOnFill && !c.cfg.Unlimited && !linePresent {
-		reserveWB = c.reserve(lineAddr)
+	if !c.cfg.AllocOnFill && !c.cfg.Unlimited && w == nil {
+		// Allocate-on-miss: the victim way is claimed (and written
+		// back if dirty) now, with no sector valid yet.
+		_, fetch.Writeback = c.claim(lineAddr)
 	}
-	if c.cfg.Unlimited {
+	switch {
+	case c.cfg.Unlimited:
 		// The large_mdc idealization has "only cold misses": entries
 		// and merge capacity are unbounded, so no redundant fetch is
 		// ever issued.
-		e := c.newEntry(lineAddr)
-		e.sectorPending[sector] = true
-		e.tokens[sector] = append(e.tokens[sector], token)
-		if write {
-			e.sectorWrite[sector] = true
-		}
-		c.mshrs[lineAddr] = e
-		return AccessResult{Outcome: MissPrimary, NeedFetch: true, FetchBytes: c.fetchBytes()}
-	}
-	if c.mshrFree > 0 {
-		e := c.newEntry(lineAddr)
-		e.sectorPending[sector] = true
-		e.tokens[sector] = append(e.tokens[sector], token)
-		if write {
-			e.sectorWrite[sector] = true
-		}
-		c.mshrs[lineAddr] = e
+	case c.mshrFree > 0:
 		c.mshrFree--
-		return AccessResult{Outcome: MissPrimary, NeedFetch: true, FetchBytes: c.fetchBytes(), Writeback: reserveWB}
+	default:
+		c.noteBypass(lineAddr, sector)
+		fetch.Bypass = true
+		return fetch
 	}
-	c.noteBypass(lineAddr, sector)
-	return AccessResult{Outcome: MissPrimary, NeedFetch: true, FetchBytes: c.fetchBytes(), Writeback: reserveWB, Bypass: true}
+	e = c.newEntry(lineAddr)
+	e.wait(sector, token, write)
+	c.mshrs[lineAddr] = e
+	return fetch
 }
 
-// reserve implements allocate-on-miss: the victim way is claimed (and
-// written back if dirty) at miss time, with no sector valid yet.
-func (c *Cache) reserve(lineAddr uint64) *Eviction {
-	setIdx := c.setIdxFor(lineAddr)
-	set := c.set(setIdx)
-	victim := c.pickVictim(set)
-	var ev *Eviction
-	w := &set[victim]
-	if w.valid {
-		ev = c.evict(w)
+// wait adds a waiter for sector: the sector is in flight, token wakes
+// on its fill, and a store makes that fill install dirty.
+func (e *mshrEntry) wait(sector int, token uint64, write bool) {
+	e.sectorPending[sector] = true
+	e.tokens[sector] = append(e.tokens[sector], token)
+	if write {
+		e.sectorWrite[sector] = true
 	}
-	*w = way{valid: true, tag: lineAddr}
-	c.insertState(w, setIdx)
-	return ev
 }
 
 func (c *Cache) noteBypass(lineAddr uint64, sector int) {
@@ -536,43 +509,35 @@ func (c *Cache) dirtyBytes(w *way) int {
 	return n
 }
 
-// install places (lineAddr, sector) into the cache, evicting as
-// needed, and returns any dirty victim.
-func (c *Cache) install(lineAddr uint64, sector int, write bool) *Eviction {
-	if c.dir != nil { // unlimited
-		w := c.dir[lineAddr]
-		if w == nil {
-			w = &way{valid: true, tag: lineAddr}
-			c.dir[lineAddr] = w
-		}
-		w.lastUse = c.seq
-		w.sectorValid[sector] = true
-		if write {
-			w.sectorDirty[sector] = true
-		}
-		return nil
-	}
+// claim gives lineAddr the replacement policy's victim way in its set,
+// with no sector valid, and returns it with the victim's writeback.
+func (c *Cache) claim(lineAddr uint64) (*way, *Eviction) {
 	setIdx := c.setIdxFor(lineAddr)
 	set := c.set(setIdx)
-	// Already present (another sector filled it, or a bypass raced)?
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].lastUse = c.seq
-			set[i].sectorValid[sector] = true
-			if write {
-				set[i].sectorDirty[sector] = true
-			}
-			return nil
-		}
-	}
-	victim := c.pickVictim(set)
+	w := &set[c.pickVictim(set)]
 	var ev *Eviction
-	w := &set[victim]
 	if w.valid {
 		ev = c.evict(w)
 	}
 	*w = way{valid: true, tag: lineAddr}
 	c.insertState(w, setIdx)
+	return w, ev
+}
+
+// install places (lineAddr, sector) into the cache, evicting as
+// needed, and returns any dirty victim. A line already present
+// (another sector filled it, or a bypass raced) keeps its way.
+func (c *Cache) install(lineAddr uint64, sector int, write bool) *Eviction {
+	w := c.findWay(lineAddr)
+	var ev *Eviction
+	switch {
+	case w == nil && c.dir != nil:
+		w = &way{valid: true, tag: lineAddr}
+		c.dir[lineAddr] = w
+	case w == nil:
+		w, ev = c.claim(lineAddr)
+	}
+	w.lastUse = c.seq
 	w.sectorValid[sector] = true
 	if write {
 		w.sectorDirty[sector] = true
@@ -597,6 +562,9 @@ func (c *Cache) Fill(addr uint64, bypass bool, write bool) FillResult {
 	sector := c.sectorOf(addr)
 	var res FillResult
 
+	// Every fill installs its unit; one that an MSHR entry awaits also
+	// hands back the entry's waiters and installs dirty for their
+	// stores.
 	if bypass {
 		key := c.unitKey(lineAddr, sector)
 		if c.pendingBypass[key] > 0 {
@@ -605,47 +573,25 @@ func (c *Cache) Fill(addr uint64, bypass bool, write bool) FillResult {
 				delete(c.pendingBypass, key)
 			}
 		}
-		if ev := c.install(lineAddr, sector, write); ev != nil {
-			res.Writeback = ev
+	} else if e := c.mshrs[lineAddr]; e != nil && e.sectorPending[sector] {
+		if len(e.tokens[sector]) > 0 {
+			res.Tokens = append(c.tokScratch[:0], e.tokens[sector]...)
+			c.tokScratch = res.Tokens[:0]
 		}
-		return res
-	}
-
-	e, ok := c.mshrs[lineAddr]
-	if !ok || !e.sectorPending[sector] {
-		// A fill with no waiting entry (e.g. MSHR-less primary):
-		// install and return.
-		if ev := c.install(lineAddr, sector, write); ev != nil {
-			res.Writeback = ev
-		}
-		return res
-	}
-	if len(e.tokens[sector]) > 0 {
-		res.Tokens = append(c.tokScratch[:0], e.tokens[sector]...)
-		c.tokScratch = res.Tokens[:0]
-	}
-	wr := write || e.sectorWrite[sector]
-	e.tokens[sector] = e.tokens[sector][:0]
-	e.sectorPending[sector] = false
-	e.sectorWrite[sector] = false
-	if ev := c.install(lineAddr, sector, wr); ev != nil {
-		res.Writeback = ev
-	}
-	// Retire the entry when no sector remains pending.
-	done := true
-	for s := 0; s < SectorsPerLine; s++ {
-		if e.sectorPending[s] {
-			done = false
-			break
+		write = write || e.sectorWrite[sector]
+		e.tokens[sector] = e.tokens[sector][:0]
+		e.sectorPending[sector] = false
+		e.sectorWrite[sector] = false
+		// Retire the entry when no sector remains pending.
+		if e.sectorPending == [SectorsPerLine]bool{} {
+			delete(c.mshrs, lineAddr)
+			if !c.cfg.Unlimited {
+				c.mshrFree++
+			}
+			c.entryPool = append(c.entryPool, e)
 		}
 	}
-	if done {
-		delete(c.mshrs, lineAddr)
-		if !c.cfg.Unlimited {
-			c.mshrFree++
-		}
-		c.entryPool = append(c.entryPool, e)
-	}
+	res.Writeback = c.install(lineAddr, sector, write)
 	return res
 }
 
@@ -672,21 +618,6 @@ func (c *Cache) WriteValidate(addr uint64) (*Eviction, bool) {
 	}
 	c.Stats.MissesPrimary++
 	return c.install(lineAddr, sector, true), false
-}
-
-// MarkDirty marks the sector containing addr dirty if present (used
-// for metadata updates that modify an already-resident line outside a
-// normal Access, e.g. lazy tree updates).
-func (c *Cache) MarkDirty(addr uint64) bool {
-	lineAddr := c.lineAddr(addr)
-	if w := c.findWay(lineAddr); w != nil {
-		s := c.sectorOf(addr)
-		if w.sectorValid[s] {
-			w.sectorDirty[s] = true
-			return true
-		}
-	}
-	return false
 }
 
 // Present reports whether the unit containing addr is resident.

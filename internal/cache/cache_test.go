@@ -312,18 +312,6 @@ func TestAllocOnMissEvictsEarly(t *testing.T) {
 	}
 }
 
-func TestMarkDirty(t *testing.T) {
-	c := New(metaCfg(8))
-	if c.MarkDirty(0x100) {
-		t.Fatal("MarkDirty on absent line")
-	}
-	c.Access(0x100, false, 1)
-	c.Fill(0x100, false, false)
-	if !c.MarkDirty(0x100) {
-		t.Fatal("MarkDirty on resident line failed")
-	}
-}
-
 func TestInFlight(t *testing.T) {
 	c := New(metaCfg(8))
 	if c.InFlight(0x100) {

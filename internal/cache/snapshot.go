@@ -11,10 +11,10 @@ package cache
 //
 // The tag array is sparse: only ways that differ from the zero way are
 // listed, by flat index set*assoc+way. A way is never invalidated once
-// filled (install and reserve only set valid, and RRIP ages only full
-// sets), so in a short run most ways were never touched, and an
-// unlisted way is exactly the zero way a decode leaves behind when it
-// clears the array. Maps are walked in ascending key order, so the same
+// filled (claim, the only code that retags a way, sets it valid, and
+// RRIP ages only full sets), so in a short run most ways were never
+// touched, and an unlisted way is exactly the zero way a decode leaves
+// behind when it clears the array. Maps are walked in ascending key order, so the same
 // cache always encodes to the same bytes.
 
 import "gpusecmem/internal/statecodec"

@@ -298,40 +298,34 @@ dispatch:
 		if err != nil {
 			cfgJSON = []byte("null")
 		}
-		rec := RunRecord{
-			Key:          KeyDigest(spec.Key),
-			Benchmark:    spec.Benchmark,
-			Config:       cfgJSON,
-			WallSeconds:  s.Wall.Seconds(),
-			Cycles:       s.Cycles,
-			CyclesPerSec: s.CyclesPerSec(),
-		}
-		if s.Err != nil {
-			rec.Error = s.Err.Error()
-		}
-		rep.Runs = append(rep.Runs, rec)
+		rep.Runs = append(rep.Runs, runRecord(s, cfgJSON))
 		delete(byKey, spec.Key)
 	}
 	// Runs discovered only at render time still get a record, after
 	// the planned ones.
 	for _, s := range gctx.RunStats() {
-		if _, pending := byKey[s.Key]; !pending {
-			continue
+		if _, pending := byKey[s.Key]; pending {
+			rep.Runs = append(rep.Runs, runRecord(s, json.RawMessage("null")))
 		}
-		rec := RunRecord{
-			Key:          KeyDigest(s.Key),
-			Benchmark:    s.Benchmark,
-			Config:       json.RawMessage("null"),
-			WallSeconds:  s.Wall.Seconds(),
-			Cycles:       s.Cycles,
-			CyclesPerSec: s.CyclesPerSec(),
-		}
-		if s.Err != nil {
-			rec.Error = s.Err.Error()
-		}
-		rep.Runs = append(rep.Runs, rec)
 	}
 	return rep
+}
+
+// runRecord is the -stats-out entry of one executed run; cfgJSON is
+// its config, or null for a run the plan did not list.
+func runRecord(s gpusecmem.RunStat, cfgJSON json.RawMessage) RunRecord {
+	rec := RunRecord{
+		Key:          KeyDigest(s.Key),
+		Benchmark:    s.Benchmark,
+		Config:       cfgJSON,
+		WallSeconds:  s.Wall.Seconds(),
+		Cycles:       s.Cycles,
+		CyclesPerSec: s.CyclesPerSec(),
+	}
+	if s.Err != nil {
+		rec.Error = s.Err.Error()
+	}
+	return rec
 }
 
 // renderOne runs one experiment body against the memoized context,
