@@ -137,6 +137,18 @@ func BenchmarkExtSelective(b *testing.B) { runExperiment(b, "ext-selective") }
 // protection levels under a deterministic injection campaign.
 func BenchmarkExtFaultCoverage(b *testing.B) { runExperiment(b, "ext-faultcoverage") }
 
+// BenchmarkFaultGroundTruth measures one uncached replay of the fault
+// campaign against the functional engine, the work ext-faultcoverage
+// does once per process.
+func BenchmarkFaultGroundTruth(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(faultGroundTruthReplay()) != 4 {
+			b.Fatal("ground truth lost a row")
+		}
+	}
+}
+
 // BenchmarkContextMemoHit measures the singleflight cache's hit path
 // — key canonicalization plus map lookup — which every memoized
 // request pays. It is the fixed overhead the parallel runner adds per

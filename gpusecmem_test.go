@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -191,6 +193,40 @@ func TestSimulatedExperimentShape(t *testing.T) {
 			if v, ok := tab.Value(r, c); !ok || v <= 0 {
 				t.Errorf("row %d col %d = %v: want a positive normalized IPC", r, c, tab.Rows[r][c])
 			}
+		}
+	}
+}
+
+// TestFaultGroundTruthTablesIndependent: ext-faultcoverage's
+// functional ground truth is computed once per process, but every run
+// gets its own table. Two fresh Contexts see equal tables, and a row
+// appended to (or a cell changed in) one table shows in no other
+// table, including a later run's.
+func TestFaultGroundTruthTablesIndependent(t *testing.T) {
+	e, _ := ExperimentByID("ext-faultcoverage")
+	opts := Options{Cycles: 300, Benchmarks: []string{"fdtd2d"}}
+	groundTruth := func(ctx *Context) *report.Table {
+		tables := e.Run(ctx)
+		if len(tables) != 2 {
+			t.Fatalf("ext-faultcoverage tables = %d, want 2", len(tables))
+		}
+		return tables[1]
+	}
+	c1 := NewContext(opts)
+	first, second := groundTruth(c1), groundTruth(NewContext(opts))
+	if len(first.Rows) != 4 {
+		t.Fatalf("ground truth rows = %d, want 4", len(first.Rows))
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("ground truth differs between contexts:\n%v\n%v", first.Rows, second.Rows)
+	}
+	want := fmt.Sprint(second.Rows)
+	first.AddRow("tampered", "data", 0, 0, "appended")
+	first.Rows[0][0] = "tampered"
+	third := groundTruth(c1)
+	for name, tab := range map[string]*report.Table{"second": second, "third": third} {
+		if got := fmt.Sprint(tab.Rows); got != want {
+			t.Errorf("%s table sees the first table's edits:\n%s\nwant\n%s", name, got, want)
 		}
 	}
 }

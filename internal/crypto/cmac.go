@@ -102,28 +102,30 @@ func (m *CMAC) Sum16(msg []byte) uint16 {
 	return binary.BigEndian.Uint16(t[:2])
 }
 
+// macInputBytes is the stack room for a MAC or node-hash input: a
+// 128-byte tree node and its 8-byte index fit, and so does a 32-byte
+// sector with its address and counter. A longer input spills to the
+// heap through append and is hashed the same.
+const macInputBytes = 128 + 16
+
 // StatefulMAC computes the paper's stateful data MAC: a tag over the
 // ciphertext sector, its address, and the counter value that encrypted
 // it. Including the counter makes replayed (ciphertext, MAC) pairs
 // detectable without covering data with the integrity tree.
 func (m *CMAC) StatefulMAC(ciphertext []byte, addr uint64, counter uint64) uint16 {
-	buf := make([]byte, 0, len(ciphertext)+16)
-	buf = append(buf, ciphertext...)
-	var meta [16]byte
-	binary.BigEndian.PutUint64(meta[0:8], addr)
-	binary.BigEndian.PutUint64(meta[8:16], counter)
-	buf = append(buf, meta[:]...)
+	var in [macInputBytes]byte
+	buf := append(in[:0], ciphertext...)
+	buf = binary.BigEndian.AppendUint64(buf, addr)
+	buf = binary.BigEndian.AppendUint64(buf, counter)
 	return m.Sum16(buf)
 }
 
 // AddressMAC computes the direct-encryption data MAC: a tag over the
 // ciphertext sector and its address (no counter exists).
 func (m *CMAC) AddressMAC(ciphertext []byte, addr uint64) uint16 {
-	buf := make([]byte, 0, len(ciphertext)+8)
-	buf = append(buf, ciphertext...)
-	var meta [8]byte
-	binary.BigEndian.PutUint64(meta[:], addr)
-	buf = append(buf, meta[:]...)
+	var in [macInputBytes]byte
+	buf := append(in[:0], ciphertext...)
+	buf = binary.BigEndian.AppendUint64(buf, addr)
 	return m.Sum16(buf)
 }
 
@@ -132,10 +134,8 @@ func (m *CMAC) AddressMAC(ciphertext []byte, addr uint64) uint16 {
 // in so identical child content at different tree positions hashes
 // differently (defeats node-relocation attacks).
 func (m *CMAC) NodeHash(childData []byte, nodeIndex uint64) uint64 {
-	buf := make([]byte, 0, len(childData)+8)
-	buf = append(buf, childData...)
-	var idx [8]byte
-	binary.BigEndian.PutUint64(idx[:], nodeIndex)
-	buf = append(buf, idx[:]...)
+	var in [macInputBytes]byte
+	buf := append(in[:0], childData...)
+	buf = binary.BigEndian.AppendUint64(buf, nodeIndex)
 	return m.Sum64(buf)
 }

@@ -51,10 +51,38 @@ func TestKnownAnswers(t *testing.T) {
 			MustOTP(make([]byte, 16)).Pad(p[:], 0x80, 1)
 			return hex.EncodeToString(p[:])
 		}, "e265e2bd42d19460e3a85b1c015f0aee09d19cf50b6638738eae15774606b3b3"},
+		{"OTP.XORPad", func() string {
+			buf := append([]byte(nil), sector...)
+			MustOTP(key).XORPad(buf, 0x1240, 7)
+			return hex.EncodeToString(buf)
+		}, "27c2cf8baf12f5196c5c5dc84c24920867ee4338fa53cce6c34d9da367624d34"},
 	}
 	for _, tc := range cases {
 		if got := tc.got(); got != tc.want {
 			t.Errorf("%s = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestConstructionAllocs: the data MACs, the node hash and the pad XOR
+// build their inputs on the stack and XOR the pad lane by lane, so
+// each call allocates at most one object (the AES block, which escapes
+// through the cipher.Block interface). A heap-built input or a
+// whole-sector pad would add one more.
+func TestConstructionAllocs(t *testing.T) {
+	key := []byte("0123456789abcdef")
+	m := MustCMAC(key)
+	o := MustOTP(key)
+	sector := make([]byte, 32)
+	child := make([]byte, 128)
+	for name, fn := range map[string]func(){
+		"CMAC.StatefulMAC": func() { m.StatefulMAC(sector, 0x1240, 7) },
+		"CMAC.AddressMAC":  func() { m.AddressMAC(sector, 0x1240) },
+		"CMAC.NodeHash":    func() { m.NodeHash(child, 5) },
+		"OTP.XORPad":       func() { o.XORPad(sector, 0x1240, 7) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n > 1 {
+			t.Errorf("%s allocates %v objects per call, want at most 1", name, n)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package crypto
 
-import "encoding/binary"
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
 
 // OTP implements the counter-mode one-time-pad construction used by
 // the paper's counter-mode encryption: pad = AES_K(addr || counter),
@@ -42,21 +45,31 @@ func (o *OTP) Pad(dst []byte, addr uint64, counter uint64) {
 	if len(dst)%BlockSize != 0 {
 		panic("crypto: OTP pad length not a multiple of the block size")
 	}
-	var seed [BlockSize]byte
-	binary.BigEndian.PutUint64(seed[8:16], counter)
 	for off := 0; off < len(dst); off += BlockSize {
-		binary.BigEndian.PutUint64(seed[0:8], addr+uint64(off))
-		o.c.Encrypt(dst[off:off+BlockSize], seed[:])
+		o.lane(dst[off:off+BlockSize], addr+uint64(off), counter)
 	}
 }
 
+// lane fills the 16-byte dst with the pad of the lane at laneAddr:
+// AES_K(laneAddr || counter), encrypted in place.
+func (o *OTP) lane(dst []byte, laneAddr, counter uint64) {
+	binary.BigEndian.PutUint64(dst[0:8], laneAddr)
+	binary.BigEndian.PutUint64(dst[8:16], counter)
+	o.c.Encrypt(dst, dst)
+}
+
 // XORPad encrypts or decrypts buf in place with the pad for (addr,
-// counter). Encryption and decryption are the same operation.
+// counter). Encryption and decryption are the same operation. Each
+// lane's pad is XORed in as it is made, so no buffer of the whole
+// pad is built.
 func (o *OTP) XORPad(buf []byte, addr uint64, counter uint64) {
-	pad := make([]byte, len(buf))
-	o.Pad(pad, addr, counter)
-	for i := range buf {
-		buf[i] ^= pad[i]
+	if len(buf)%BlockSize != 0 {
+		panic("crypto: OTP pad length not a multiple of the block size")
+	}
+	var pad [BlockSize]byte
+	for off := 0; off < len(buf); off += BlockSize {
+		o.lane(pad[:], addr+uint64(off), counter)
+		subtle.XORBytes(buf[off:off+BlockSize], buf[off:off+BlockSize], pad[:])
 	}
 }
 

@@ -23,6 +23,14 @@ type CounterLine struct {
 // counterLineBytes is the serialized size, equal to the cache-line size.
 const counterLineBytes = geometry.LineSize
 
+// minorBits is a minor counter's width. minorsPerWord minors fill one
+// 56-bit field, so the codec moves the 112 bytes of minors as 16
+// word-sized fields rather than 128 separate ones.
+const (
+	minorBits     = 7
+	minorsPerWord = 8
+)
+
 // EncodeCounterLine packs the line into its 128-byte memory image.
 func EncodeCounterLine(cl *CounterLine, dst []byte) {
 	if len(dst) < counterLineBytes {
@@ -32,9 +40,13 @@ func EncodeCounterLine(cl *CounterLine, dst []byte) {
 		dst[i] = 0
 	}
 	binary.BigEndian.PutUint64(dst[8:16], cl.Major) // low 64 bits of the 128-bit major
-	// Pack 128 x 7-bit minors into dst[16:128].
-	for i, m := range cl.Minors {
-		putBits(dst[16:counterLineBytes], uint(i)*7, 7, uint64(m&0x7f))
+	// Pack 128 x 7-bit minors into dst[16:128], minor i at bit 7i.
+	for g := 0; g < len(cl.Minors); g += minorsPerWord {
+		var w uint64
+		for j, m := range cl.Minors[g : g+minorsPerWord] {
+			w |= uint64(m&0x7f) << (j * minorBits)
+		}
+		putBits(dst[16:counterLineBytes], uint(g)*minorBits, minorsPerWord*minorBits, w)
 	}
 }
 
@@ -45,8 +57,11 @@ func DecodeCounterLine(src []byte) CounterLine {
 	}
 	var cl CounterLine
 	cl.Major = binary.BigEndian.Uint64(src[8:16])
-	for i := range cl.Minors {
-		cl.Minors[i] = uint8(getBits(src[16:counterLineBytes], uint(i)*7, 7))
+	for g := 0; g < len(cl.Minors); g += minorsPerWord {
+		w := getBits(src[16:counterLineBytes], uint(g)*minorBits, minorsPerWord*minorBits)
+		for j := range minorsPerWord {
+			cl.Minors[g+j] = uint8(w>>(j*minorBits)) & 0x7f
+		}
 	}
 	return cl
 }
@@ -61,27 +76,45 @@ func (cl *CounterLine) CounterValue(slot int) uint64 {
 }
 
 // putBits writes the low `width` bits of v at bit offset off in buf
-// (LSB-first within each byte).
+// (LSB-first within each byte, so bits run on little-endian across
+// bytes). It loads the up to eight bytes holding the field as one
+// word, replaces the field under a mask and stores the word back;
+// bits outside the field keep their values. off%8+width must not
+// exceed 64.
 func putBits(buf []byte, off, width uint, v uint64) {
-	for i := uint(0); i < width; i++ {
-		bit := (v >> i) & 1
-		idx := off + i
-		if bit != 0 {
-			buf[idx/8] |= 1 << (idx % 8)
-		} else {
-			buf[idx/8] &^= 1 << (idx % 8)
-		}
-	}
+	b := buf[off/8:]
+	shift := off % 8
+	mask := (uint64(1)<<width - 1) << shift
+	storeLE(b, loadLE(b)&^mask|v<<shift&mask)
 }
 
-// getBits reads `width` bits at bit offset off in buf.
+// getBits reads `width` bits at bit offset off in buf, with putBits'
+// bit order and limit.
 func getBits(buf []byte, off, width uint) uint64 {
-	var v uint64
-	for i := uint(0); i < width; i++ {
-		idx := off + i
-		if buf[idx/8]&(1<<(idx%8)) != 0 {
-			v |= 1 << i
-		}
+	return loadLE(buf[off/8:]) >> (off % 8) & (uint64(1)<<width - 1)
+}
+
+// loadLE reads the first eight bytes of b as a little-endian word; a
+// shorter b reads as if zero-padded.
+func loadLE(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return v
+	var w uint64
+	for i, c := range b {
+		w |= uint64(c) << (8 * i)
+	}
+	return w
+}
+
+// storeLE writes w to the first eight bytes of b, little-endian; a
+// shorter b takes only w's low len(b) bytes.
+func storeLE(b []byte, w uint64) {
+	if len(b) >= 8 {
+		binary.LittleEndian.PutUint64(b, w)
+		return
+	}
+	for i := range b {
+		b[i] = byte(w >> (8 * i))
+	}
 }

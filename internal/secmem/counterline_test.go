@@ -1,6 +1,9 @@
 package secmem
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +132,121 @@ func TestBitsHelpers(t *testing.T) {
 	}
 	if got := getBits(buf, 10, 7); got != 0 {
 		t.Fatalf("high neighbour contaminated: %#x", got)
+	}
+}
+
+// putBitsRef and getBitsRef are the codec's original bit-at-a-time
+// loops, kept as the reference the word-level putBits and getBits must
+// match.
+func putBitsRef(buf []byte, off, width uint, v uint64) {
+	for i := uint(0); i < width; i++ {
+		bit := (v >> i) & 1
+		idx := off + i
+		if bit != 0 {
+			buf[idx/8] |= 1 << (idx % 8)
+		} else {
+			buf[idx/8] &^= 1 << (idx % 8)
+		}
+	}
+}
+
+func getBitsRef(buf []byte, off, width uint) uint64 {
+	var v uint64
+	for i := uint(0); i < width; i++ {
+		idx := off + i
+		if buf[idx/8]&(1<<(idx%8)) != 0 {
+			v |= 1 << i
+		}
+	}
+	return v
+}
+
+// encodeCounterLineRef and decodeCounterLineRef are the codec as it
+// was built on the reference loops.
+func encodeCounterLineRef(cl *CounterLine, dst []byte) {
+	clear(dst[:counterLineBytes])
+	binary.BigEndian.PutUint64(dst[8:16], cl.Major)
+	for i, m := range cl.Minors {
+		putBitsRef(dst[16:counterLineBytes], uint(i)*7, 7, uint64(m&0x7f))
+	}
+}
+
+func decodeCounterLineRef(src []byte) CounterLine {
+	var cl CounterLine
+	cl.Major = binary.BigEndian.Uint64(src[8:16])
+	for i := range cl.Minors {
+		cl.Minors[i] = uint8(getBitsRef(src[16:counterLineBytes], uint(i)*7, 7))
+	}
+	return cl
+}
+
+// TestBitsMatchReference checks putBits and getBits against the
+// reference loops over seeded random buffers and values, at every field
+// the codec uses (eight minors per 56-bit field of the 112-byte minors
+// area, the last field ending in its final byte), at each single minor
+// and at TestBitsHelpers' fields. A put must change the field's bits
+// and no other bit.
+func TestBitsMatchReference(t *testing.T) {
+	type field struct{ off, width uint }
+	fields := []field{{3, 7}, {0, 3}, {10, 7}}
+	for i := uint(0); i < geometry.MinorCountersPerLine; i++ {
+		fields = append(fields, field{i * minorBits, minorBits})
+		if i%minorsPerWord == 0 {
+			fields = append(fields, field{i * minorBits, minorsPerWord * minorBits})
+		}
+	}
+	rng := rand.New(rand.NewSource(0xc0de))
+	const area = counterLineBytes - 16
+	for round := 0; round < 50; round++ {
+		orig := make([]byte, area)
+		rng.Read(orig)
+		for _, f := range fields {
+			if got, want := getBits(orig, f.off, f.width), getBitsRef(orig, f.off, f.width); got != want {
+				t.Fatalf("getBits(off %d, width %d) = %#x, want %#x", f.off, f.width, got, want)
+			}
+			v := rng.Uint64() // bits above width must be ignored
+			got := bytes.Clone(orig)
+			want := bytes.Clone(orig)
+			putBits(got, f.off, f.width, v)
+			putBitsRef(want, f.off, f.width, v)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("putBits(off %d, width %d, %#x) = %x, want %x", f.off, f.width, v, got, want)
+			}
+			for bit := uint(0); bit < area*8; bit++ {
+				if bit >= f.off && bit < f.off+f.width {
+					continue
+				}
+				if getBitsRef(got, bit, 1) != getBitsRef(orig, bit, 1) {
+					t.Fatalf("putBits(off %d, width %d) changed neighbouring bit %d", f.off, f.width, bit)
+				}
+			}
+		}
+	}
+}
+
+// TestCounterLineCodecMatchesReference: for random counter lines the
+// codec writes the reference's exact image, and for random images it
+// decodes the reference's values.
+func TestCounterLineCodecMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7c1))
+	for round := 0; round < 500; round++ {
+		var cl CounterLine
+		cl.Major = rng.Uint64()
+		for i := range cl.Minors {
+			cl.Minors[i] = uint8(rng.Intn(256)) // encode keeps the low 7 bits
+		}
+		var got, want [counterLineBytes]byte
+		rng.Read(got[:]) // encode must overwrite every byte
+		EncodeCounterLine(&cl, got[:])
+		encodeCounterLineRef(&cl, want[:])
+		if got != want {
+			t.Fatalf("round %d: image %x, want %x", round, got, want)
+		}
+		var img [counterLineBytes]byte
+		rng.Read(img[:])
+		if got, want := DecodeCounterLine(img[:]), decodeCounterLineRef(img[:]); got != want {
+			t.Fatalf("round %d: decode %+v, want %+v", round, got, want)
+		}
 	}
 }
 
