@@ -106,11 +106,11 @@ audit:
 	$(GO) test -run 'TestAuditorsPassOnCatalogue|TestWatchdog' ./internal/sim
 	$(GO) run ./cmd/experiments -exp fig3 -cycles 8000 -audit -progress > /dev/null
 
-## fuzz: short fuzzing smoke over the secmem codecs, the XEX direct
+## fuzz: short fuzzing smoke over both secmem engines, the XEX direct
 ## cipher, the machine-state and stored-result decoders, the run-knob
 ## query decoder and the store envelope parser
 fuzz:
-	$(GO) test -run Fuzz -fuzz FuzzCounterModeRoundTrip -fuzztime 10s ./internal/secmem
+	$(GO) test -run Fuzz -fuzz FuzzEngineRoundTrip -fuzztime 10s ./internal/secmem
 	$(GO) test -run Fuzz -fuzz FuzzDirectCipherRoundTrip -fuzztime 10s ./internal/crypto
 	$(GO) test -run Fuzz -fuzz FuzzDecodeState -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 	$(GO) test -run Fuzz -fuzz FuzzDecodeResult -fuzztime 10s ./internal/sim

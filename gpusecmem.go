@@ -39,21 +39,13 @@ type Keys = secmem.Keys
 // Protection selects MAC and integrity-tree coverage.
 type Protection = secmem.Protection
 
-// Integrity-tree node hash functions for Protection.TreeHash.
-const (
-	// TreeHashCMAC hashes tree nodes with AES-CMAC (default).
-	TreeHashCMAC = secmem.TreeHashCMAC
-	// TreeHashSHA256 hashes tree nodes with keyed SHA-256, the classic
-	// Merkle-tree construction.
-	TreeHashSHA256 = secmem.TreeHashSHA256
-)
-
 // FullProtection enables encryption, MACs and the integrity tree.
 var FullProtection = secmem.FullProtection
 
-// SecureMemory is the functional engine interface: line/sector reads
-// and writes over an encrypted, integrity-protected address space,
-// plus raw access to the untrusted backing store for attack studies.
+// SecureMemory is the functional engine interface: line reads and
+// writes over an encrypted, integrity-protected address space, an
+// offline integrity scrub, and raw access to the untrusted backing
+// store for attack studies.
 type SecureMemory = secmem.Engine
 
 // IntegrityError is returned when a read fails MAC or tree

@@ -1,15 +1,14 @@
 // Package crypto holds the cryptographic constructions used by the
-// secure-memory engines: AES-CMAC (RFC 4493), the paper's counter-mode
-// one-time pad (OTP), the XEX-style direct cipher, and keyed tree-node
-// hashes.
+// secure-memory engines: AES-CMAC (RFC 4493), which also serves as the
+// keyed integrity-tree node hash, the paper's counter-mode one-time
+// pad (OTP), and the XEX-style direct cipher.
 //
-// The AES-128 block cipher and SHA-256 come from the Go standard
-// library (crypto/aes, crypto/sha256). Cipher only narrows crypto/aes
-// to the 128-bit keys the paper models. CMAC, OTP, DirectCipher and
-// the node hashes are this package's own, because the standard library
-// has none of them. Correctness is established in the tests against
-// the FIPS-197 and RFC 4493 vectors and against known answers for each
-// construction.
+// The AES-128 block cipher comes from the Go standard library
+// (crypto/aes). Cipher only narrows crypto/aes to the 128-bit keys the
+// paper models. CMAC, OTP and DirectCipher are this package's own,
+// because the standard library has none of them. Correctness is
+// established in the tests against the FIPS-197 and RFC 4493 vectors
+// and against known answers for each construction.
 package crypto
 
 import (
@@ -63,24 +62,3 @@ func (c *Cipher) Encrypt(dst, src []byte) { c.b.Encrypt(dst, src) }
 // Decrypt decrypts one 16-byte block from src into dst. dst and src may
 // overlap entirely.
 func (c *Cipher) Decrypt(dst, src []byte) { c.b.Decrypt(dst, src) }
-
-// EncryptBlocks encrypts len(src)/16 consecutive blocks. len(src) must
-// be a multiple of BlockSize and len(dst) >= len(src).
-func (c *Cipher) EncryptBlocks(dst, src []byte) {
-	if len(src)%BlockSize != 0 {
-		panic("crypto: EncryptBlocks input not a multiple of the block size")
-	}
-	for i := 0; i < len(src); i += BlockSize {
-		c.b.Encrypt(dst[i:i+BlockSize], src[i:i+BlockSize])
-	}
-}
-
-// DecryptBlocks decrypts len(src)/16 consecutive blocks.
-func (c *Cipher) DecryptBlocks(dst, src []byte) {
-	if len(src)%BlockSize != 0 {
-		panic("crypto: DecryptBlocks input not a multiple of the block size")
-	}
-	for i := 0; i < len(src); i += BlockSize {
-		c.b.Decrypt(dst[i:i+BlockSize], src[i:i+BlockSize])
-	}
-}

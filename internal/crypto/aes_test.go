@@ -4,7 +4,6 @@ import (
 	"bytes"
 	stdaes "crypto/aes"
 	"encoding/hex"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -128,38 +127,6 @@ func TestEncryptInPlace(t *testing.T) {
 	if !bytes.Equal(buf, pt) {
 		t.Fatalf("in-place decrypt = %x, want %x", buf, pt)
 	}
-}
-
-func TestEncryptBlocks(t *testing.T) {
-	key := make([]byte, 16)
-	c := MustCipher(key)
-	src := make([]byte, 64)
-	rng := rand.New(rand.NewSource(1))
-	rng.Read(src)
-	dst := make([]byte, 64)
-	c.EncryptBlocks(dst, src)
-	for i := 0; i < 4; i++ {
-		var one [16]byte
-		c.Encrypt(one[:], src[i*16:(i+1)*16])
-		if !bytes.Equal(one[:], dst[i*16:(i+1)*16]) {
-			t.Fatalf("block %d mismatch", i)
-		}
-	}
-	back := make([]byte, 64)
-	c.DecryptBlocks(back, dst)
-	if !bytes.Equal(back, src) {
-		t.Fatal("DecryptBlocks did not invert EncryptBlocks")
-	}
-}
-
-func TestEncryptBlocksPanicsOnRagged(t *testing.T) {
-	c := MustCipher(make([]byte, 16))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for ragged input")
-		}
-	}()
-	c.EncryptBlocks(make([]byte, 17), make([]byte, 17))
 }
 
 // TestAvalanche checks a weak avalanche property: flipping one

@@ -106,48 +106,33 @@ func MustDirectCipher(dataKey, tweakKey []byte) *DirectCipher {
 	return d
 }
 
-func (d *DirectCipher) tweakFor(addr uint64, lane int) [BlockSize]byte {
-	var t [BlockSize]byte
-	binary.BigEndian.PutUint64(t[0:8], addr)
-	t[8] = byte(lane)
-	d.tweak.Encrypt(t[:], t[:])
-	return t
-}
-
 // Encrypt encrypts buf (length a multiple of 16) in place, tweaked by
 // the sector address.
-func (d *DirectCipher) Encrypt(buf []byte, addr uint64) {
-	if len(buf)%BlockSize != 0 {
-		panic("crypto: DirectCipher input not a multiple of the block size")
-	}
-	for lane := 0; lane*BlockSize < len(buf); lane++ {
-		b := buf[lane*BlockSize : (lane+1)*BlockSize]
-		tw := d.tweakFor(addr, lane)
-		for i := range b {
-			b[i] ^= tw[i]
-		}
-		d.c.Encrypt(b, b)
-		for i := range b {
-			b[i] ^= tw[i]
-		}
-	}
-}
+func (d *DirectCipher) Encrypt(buf []byte, addr uint64) { d.xex(buf, addr, d.c.Encrypt) }
 
 // Decrypt decrypts buf (length a multiple of 16) in place, tweaked by
 // the sector address.
-func (d *DirectCipher) Decrypt(buf []byte, addr uint64) {
+func (d *DirectCipher) Decrypt(buf []byte, addr uint64) { d.xex(buf, addr, d.c.Decrypt) }
+
+// xex runs block, one direction of the data cipher, over each 16-byte
+// lane of buf, whitened before and after by the lane's tweak
+// AES_T(addr || lane). The AES calls work on one scratch array, so buf
+// never reaches the cipher.Block interface and stays where the caller
+// put it.
+func (d *DirectCipher) xex(buf []byte, addr uint64, block func(dst, src []byte)) {
 	if len(buf)%BlockSize != 0 {
 		panic("crypto: DirectCipher input not a multiple of the block size")
 	}
-	for lane := 0; lane*BlockSize < len(buf); lane++ {
-		b := buf[lane*BlockSize : (lane+1)*BlockSize]
-		tw := d.tweakFor(addr, lane)
-		for i := range b {
-			b[i] ^= tw[i]
-		}
-		d.c.Decrypt(b, b)
-		for i := range b {
-			b[i] ^= tw[i]
-		}
+	var scratch [2 * BlockSize]byte
+	tw, b := scratch[:BlockSize], scratch[BlockSize:]
+	for off := 0; off < len(buf); off += BlockSize {
+		clear(tw)
+		binary.BigEndian.PutUint64(tw, addr)
+		tw[8] = byte(off / BlockSize)
+		d.tweak.Encrypt(tw, tw)
+		lane := buf[off : off+BlockSize]
+		subtle.XORBytes(b, lane, tw)
+		block(b, b)
+		subtle.XORBytes(lane, b, tw)
 	}
 }

@@ -3,57 +3,7 @@ package secmem
 import (
 	"gpusecmem/internal/crypto"
 	"gpusecmem/internal/geometry"
-	"gpusecmem/internal/mem"
 )
-
-// Keys holds the three independent on-chip secret keys of an engine.
-type Keys struct {
-	// Encryption is the AES-128 data encryption key (OTP generation
-	// for counter mode, block cipher for direct mode).
-	Encryption [16]byte
-	// MAC keys the per-sector data MACs.
-	MAC [16]byte
-	// Tree keys the integrity-tree node hashes.
-	Tree [16]byte
-}
-
-// TreeHashKind selects the integrity tree's node hash.
-type TreeHashKind int
-
-// Tree hash functions.
-const (
-	// TreeHashCMAC uses AES-CMAC (the default; fast, keyed).
-	TreeHashCMAC TreeHashKind = iota
-	// TreeHashSHA256 uses keyed SHA-256, the classic Merkle-tree
-	// construction of the original secure processors.
-	TreeHashSHA256
-)
-
-// Protection selects which integrity mechanisms an engine enables,
-// matching the design points of Table VIII (ctr, ctr_bmt,
-// ctr_mac_bmt, direct, direct_mac, direct_mac_mt).
-type Protection struct {
-	// MAC enables per-sector data MACs.
-	MAC bool
-	// Tree enables the integrity tree (BMT over counters for counter
-	// mode, MT over MAC lines for direct encryption; requires MAC for
-	// direct mode since MAC lines are the leaves).
-	Tree bool
-	// TreeHash selects the node hash function (TreeHashCMAC default).
-	TreeHash TreeHashKind
-}
-
-// treeHasher builds the configured node hasher over the tree key.
-func (p Protection) treeHasher(key []byte) crypto.NodeHasher {
-	if p.TreeHash == TreeHashSHA256 {
-		return crypto.NewSHA256Hasher(key)
-	}
-	return crypto.MustCMAC(key)
-}
-
-// FullProtection is encryption + MACs + tree: the complete secure
-// memory design.
-var FullProtection = Protection{MAC: true, Tree: true}
 
 // CounterMode is the functional counter-mode secure-memory engine
 // (Section V): split-counter OTP encryption, stateful sector MACs, and
@@ -62,16 +12,10 @@ var FullProtection = Protection{MAC: true, Tree: true}
 // Data lines are protected from their first write (or first read,
 // which zero-initializes through the full secure path).
 type CounterMode struct {
-	lay     *geometry.Layout
-	backing *mem.Sparse
-	otp     *crypto.OTP
-	mac     *crypto.CMAC
-	tree    integrityTree
-	prot    Protection
-	// touched tracks data lines that have been written through the
-	// engine (and are therefore covered by MACs).
-	touched map[uint64]bool
-	// Stats counts re-encryptions triggered by minor-counter overflow.
+	engine
+	otp *crypto.OTP
+	// OverflowReencryptions counts re-encryptions triggered by
+	// minor-counter overflow.
 	OverflowReencryptions int
 }
 
@@ -79,25 +23,11 @@ type CounterMode struct {
 // (a positive multiple of 16 KB). Construction materializes the
 // counter region and the BMT, so it is O(dataBytes/16KB).
 func NewCounterMode(dataBytes uint64, keys Keys, prot Protection) (*CounterMode, error) {
-	lay, err := geometry.NewLayout(dataBytes, geometry.BMT)
+	core, err := newEngine(dataBytes, geometry.BMT, keys, prot)
 	if err != nil {
 		return nil, err
 	}
-	backingSize := (lay.TotalBytes + mem.PageSize - 1) / mem.PageSize * mem.PageSize
-	e := &CounterMode{
-		lay:     lay,
-		backing: mem.NewSparse(backingSize),
-		otp:     crypto.MustOTP(keys.Encryption[:]),
-		mac:     crypto.MustCMAC(keys.MAC[:]),
-		prot:    prot,
-		touched: make(map[uint64]bool),
-	}
-	e.tree = integrityTree{lay: lay, hash: prot.treeHasher(keys.Tree[:]), backing: e.backing}
-	if prot.Tree {
-		zero := make([]byte, geometry.LineSize) // all counters start at zero
-		e.tree.init(func(uint64) []byte { return zero })
-	}
-	return e, nil
+	return &CounterMode{engine: core, otp: crypto.MustOTP(keys.Encryption[:])}, nil
 }
 
 // MustCounterMode is like NewCounterMode but panics on error.
@@ -107,32 +37,6 @@ func MustCounterMode(dataBytes uint64, keys Keys, prot Protection) *CounterMode 
 		panic(err)
 	}
 	return e
-}
-
-// Backing exposes the untrusted store; tests use it to play the
-// physical attacker (snoop, tamper, replay).
-func (e *CounterMode) Backing() *mem.Sparse { return e.backing }
-
-// Layout exposes the metadata geometry.
-func (e *CounterMode) Layout() *geometry.Layout { return e.lay }
-
-// Protection reports the enabled integrity mechanisms.
-func (e *CounterMode) Protection() Protection { return e.prot }
-
-func (e *CounterMode) checkLine(op string, addr uint64) error {
-	if addr%geometry.LineSize != 0 {
-		return &AccessError{Op: op, Addr: addr, Why: "not 128B-aligned"}
-	}
-	if addr >= e.lay.DataBytes {
-		return &AccessError{Op: op, Addr: addr, Why: "outside protected region"}
-	}
-	return nil
-}
-
-func (e *CounterMode) loadCounterLine(line uint64) CounterLine {
-	var buf [geometry.LineSize]byte
-	e.backing.Read(e.lay.CounterLineAddr(line), buf[:])
-	return DecodeCounterLine(buf[:])
 }
 
 func (e *CounterMode) storeCounterLine(line uint64, cl *CounterLine) {
@@ -179,11 +83,8 @@ func (e *CounterMode) encryptLineWith(addr uint64, plaintext []byte, ctr uint64)
 // a minor-counter overflow bumps the shared major counter and
 // re-encrypts the whole 16 KB region under fresh counters.
 func (e *CounterMode) WriteLine(addr uint64, plaintext []byte) error {
-	if err := e.checkLine("write", addr); err != nil {
+	if err := e.checkLine("write", addr, plaintext); err != nil {
 		return err
-	}
-	if len(plaintext) != geometry.LineSize {
-		return &AccessError{Op: "write", Addr: addr, Why: "plaintext must be exactly 128B"}
 	}
 	line := e.lay.CounterLine(addr)
 	slot := e.lay.CounterSlot(addr)
@@ -258,70 +159,30 @@ func (e *CounterMode) decryptLine(addr uint64, cl *CounterLine, slot int, dst []
 }
 
 // ReadLine verifies and decrypts one 128-byte data line into dst.
-// Reading a line never written through the engine zero-initializes it
-// first (through the full secure path) so that every line a caller has
-// observed is covered by MACs and the BMT.
 func (e *CounterMode) ReadLine(addr uint64, dst []byte) error {
-	if err := e.checkLine("read", addr); err != nil {
+	if err := e.checkRead(addr, dst, e.WriteLine); err != nil {
 		return err
 	}
-	if len(dst) != geometry.LineSize {
-		return &AccessError{Op: "read", Addr: addr, Why: "dst must be exactly 128B"}
-	}
-	if !e.touched[addr/geometry.LineSize] {
-		zero := make([]byte, geometry.LineSize)
-		if err := e.WriteLine(addr, zero); err != nil {
-			return err
-		}
-	}
+	return e.open(addr, dst)
+}
+
+// open authenticates the line's counter through the BMT, then verifies
+// the sector MACs and decrypts the line into dst.
+func (e *CounterMode) open(addr uint64, dst []byte) error {
 	line := e.lay.CounterLine(addr)
-	slot := e.lay.CounterSlot(addr)
 	cl, err := e.verifyCounterLine(line, addr)
 	if err != nil {
 		return err
 	}
-	return e.decryptLine(addr, &cl, slot, dst)
+	return e.decryptLine(addr, &cl, e.lay.CounterSlot(addr), dst)
 }
 
-// ReadSector verifies and decrypts one 32-byte sector. The whole line
-// shares a counter, so only the sector's ciphertext and MAC are
-// touched.
-func (e *CounterMode) ReadSector(addr uint64, dst []byte) error {
-	if addr%geometry.SectorSize != 0 {
-		return &AccessError{Op: "read", Addr: addr, Why: "not 32B-aligned"}
-	}
-	lineAddr := addr / geometry.LineSize * geometry.LineSize
+// scrubLine checks one written line as a read would, without returning
+// its data, and appends the first violation found.
+func (e *CounterMode) scrubLine(addr uint64, vs []*IntegrityError) []*IntegrityError {
 	var buf [geometry.LineSize]byte
-	if err := e.ReadLine(lineAddr, buf[:]); err != nil {
-		return err
+	if ie, ok := e.open(addr, buf[:]).(*IntegrityError); ok {
+		vs = append(vs, ie)
 	}
-	off := addr - lineAddr
-	copy(dst, buf[off:off+geometry.SectorSize])
-	return nil
-}
-
-// Write is a convenience that writes arbitrary 128B-aligned spans.
-func (e *CounterMode) Write(addr uint64, data []byte) error {
-	if len(data)%geometry.LineSize != 0 {
-		return &AccessError{Op: "write", Addr: addr, Why: "length must be a multiple of 128B"}
-	}
-	for off := 0; off < len(data); off += geometry.LineSize {
-		if err := e.WriteLine(addr+uint64(off), data[off:off+geometry.LineSize]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Read is a convenience that reads arbitrary 128B-aligned spans.
-func (e *CounterMode) Read(addr uint64, dst []byte) error {
-	if len(dst)%geometry.LineSize != 0 {
-		return &AccessError{Op: "read", Addr: addr, Why: "length must be a multiple of 128B"}
-	}
-	for off := 0; off < len(dst); off += geometry.LineSize {
-		if err := e.ReadLine(addr+uint64(off), dst[off:off+geometry.LineSize]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return vs
 }

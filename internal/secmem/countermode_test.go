@@ -101,24 +101,6 @@ func TestReadUnwrittenLineIsZero(t *testing.T) {
 	}
 }
 
-func TestReadSector(t *testing.T) {
-	e := MustCounterMode(testRegion, testKeys(), FullProtection)
-	line := make([]byte, geometry.LineSize)
-	fillPattern(line, 0xaa)
-	if err := e.WriteLine(0x800, line); err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < geometry.SectorsPerLine; s++ {
-		got := make([]byte, geometry.SectorSize)
-		if err := e.ReadSector(0x800+uint64(s)*geometry.SectorSize, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, line[s*geometry.SectorSize:(s+1)*geometry.SectorSize]) {
-			t.Fatalf("sector %d mismatch", s)
-		}
-	}
-}
-
 func TestAccessValidation(t *testing.T) {
 	e := MustCounterMode(testRegion, testKeys(), FullProtection)
 	buf := make([]byte, geometry.LineSize)
@@ -132,30 +114,11 @@ func TestAccessValidation(t *testing.T) {
 		{"misaligned read", e.ReadLine(3, buf)},
 		{"short write", e.WriteLine(0, buf[:5])},
 		{"short read", e.ReadLine(0, buf[:5])},
-		{"misaligned sector", e.ReadSector(7, make([]byte, 32))},
-		{"ragged span write", e.Write(0, make([]byte, 130))},
-		{"ragged span read", e.Read(0, make([]byte, 130))},
 	}
 	for _, tc := range cases {
 		if tc.err == nil || !errors.As(tc.err, &accessErr) {
 			t.Errorf("%s: got %v, want AccessError", tc.name, tc.err)
 		}
-	}
-}
-
-func TestSpanReadWrite(t *testing.T) {
-	e := MustCounterMode(testRegion, testKeys(), FullProtection)
-	data := make([]byte, 4*geometry.LineSize)
-	fillPattern(data, 0x5a)
-	if err := e.Write(0x1000, data); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if err := e.Read(0x1000, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("span round trip mismatch")
 	}
 }
 
@@ -205,7 +168,7 @@ func TestMinorCounterOverflow(t *testing.T) {
 		t.Fatal("neighbour line 2 corrupted after region re-encryption")
 	}
 	// Major counter advanced, minors reset.
-	cl := e.loadCounterLine(0)
+	cl := DecodeCounterLine(e.Backing().Snapshot(e.lay.CounterLineAddr(0), geometry.LineSize))
 	if cl.Major == 0 {
 		t.Fatal("major counter did not advance")
 	}

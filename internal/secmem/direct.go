@@ -3,7 +3,6 @@ package secmem
 import (
 	"gpusecmem/internal/crypto"
 	"gpusecmem/internal/geometry"
-	"gpusecmem/internal/mem"
 )
 
 // Direct is the functional direct-encryption secure-memory engine
@@ -18,13 +17,8 @@ import (
 // tests demonstrate both sides: with the MT, replayed (ciphertext,
 // MAC) pairs are detected; with MACs alone they are not.
 type Direct struct {
-	lay     *geometry.Layout
-	backing *mem.Sparse
-	cipher  *crypto.DirectCipher
-	mac     *crypto.CMAC
-	tree    integrityTree
-	prot    Protection
-	touched map[uint64]bool
+	engine
+	cipher *crypto.DirectCipher
 }
 
 // NewDirect builds a direct-encryption engine protecting dataBytes
@@ -34,31 +28,17 @@ func NewDirect(dataBytes uint64, keys Keys, prot Protection) (*Direct, error) {
 	if prot.Tree && !prot.MAC {
 		return nil, &AccessError{Op: "configure", Addr: 0, Why: "MT requires MACs (MAC lines are the tree leaves)"}
 	}
-	lay, err := geometry.NewLayout(dataBytes, geometry.MT)
+	core, err := newEngine(dataBytes, geometry.MT, keys, prot)
 	if err != nil {
 		return nil, err
 	}
-	backingSize := (lay.TotalBytes + mem.PageSize - 1) / mem.PageSize * mem.PageSize
 	// The tweak key is derived from the encryption key by a fixed
 	// xor-constant; independent keys would also do.
 	tweakKey := keys.Encryption
 	for i := range tweakKey {
 		tweakKey[i] ^= 0x5c
 	}
-	e := &Direct{
-		lay:     lay,
-		backing: mem.NewSparse(backingSize),
-		cipher:  crypto.MustDirectCipher(keys.Encryption[:], tweakKey[:]),
-		mac:     crypto.MustCMAC(keys.MAC[:]),
-		prot:    prot,
-		touched: make(map[uint64]bool),
-	}
-	e.tree = integrityTree{lay: lay, hash: prot.treeHasher(keys.Tree[:]), backing: e.backing}
-	if prot.Tree {
-		zero := make([]byte, geometry.LineSize) // all MACs start at zero
-		e.tree.init(func(uint64) []byte { return zero })
-	}
-	return e, nil
+	return &Direct{engine: core, cipher: crypto.MustDirectCipher(keys.Encryption[:], tweakKey[:])}, nil
 }
 
 // MustDirect is like NewDirect but panics on error.
@@ -70,39 +50,30 @@ func MustDirect(dataBytes uint64, keys Keys, prot Protection) *Direct {
 	return e
 }
 
-// Backing exposes the untrusted store for attacker-role tests.
-func (e *Direct) Backing() *mem.Sparse { return e.backing }
-
-// Layout exposes the metadata geometry.
-func (e *Direct) Layout() *geometry.Layout { return e.lay }
-
-// Protection reports the enabled integrity mechanisms.
-func (e *Direct) Protection() Protection { return e.prot }
-
-func (e *Direct) checkLine(op string, addr uint64) error {
-	if addr%geometry.LineSize != 0 {
-		return &AccessError{Op: op, Addr: addr, Why: "not 128B-aligned"}
-	}
-	if addr >= e.lay.DataBytes {
-		return &AccessError{Op: op, Addr: addr, Why: "outside protected region"}
-	}
-	return nil
+// macLineImage returns the 128-byte MAC line with index line, the
+// tree leaf that covers its data lines.
+func (e *Direct) macLineImage(line uint64) (img [geometry.LineSize]byte) {
+	e.backing.Read(e.lay.MACLineAddr(line), img[:])
+	return img
 }
 
-// macLineImage reads the full 128-byte MAC line covering dataAddr,
-// used as tree leaf content.
-func (e *Direct) macLineImage(line uint64, dst []byte) {
-	e.backing.Read(e.lay.MACLineAddr(line), dst[:geometry.LineSize])
+// verifyMACLine authenticates the MAC line covering addr through the
+// MT before its MACs are trusted ("every newly fetched MAC block must
+// be authenticated").
+func (e *Direct) verifyMACLine(addr uint64) error {
+	if !e.prot.Tree {
+		return nil
+	}
+	line := e.lay.MACLine(addr)
+	leaf := e.macLineImage(line)
+	return e.tree.verifyLeaf(line, leaf[:], addr)
 }
 
 // WriteLine encrypts and stores one 128-byte data line, refreshes its
 // sector MACs, and (if enabled) updates the MT chain for the MAC line.
 func (e *Direct) WriteLine(addr uint64, plaintext []byte) error {
-	if err := e.checkLine("write", addr); err != nil {
+	if err := e.checkLine("write", addr, plaintext); err != nil {
 		return err
-	}
-	if len(plaintext) != geometry.LineSize {
-		return &AccessError{Op: "write", Addr: addr, Why: "plaintext must be exactly 128B"}
 	}
 	var ct [geometry.LineSize]byte
 	copy(ct[:], plaintext)
@@ -118,8 +89,7 @@ func (e *Direct) WriteLine(addr uint64, plaintext []byte) error {
 	e.backing.Write(addr, ct[:])
 	if e.prot.Tree {
 		line := e.lay.MACLine(addr)
-		var leaf [geometry.LineSize]byte
-		e.macLineImage(line, leaf[:])
+		leaf := e.macLineImage(line)
 		e.tree.updateLeaf(line, leaf[:])
 	}
 	e.touched[addr/geometry.LineSize] = true
@@ -127,30 +97,12 @@ func (e *Direct) WriteLine(addr uint64, plaintext []byte) error {
 }
 
 // ReadLine verifies and decrypts one 128-byte data line into dst.
-// Reading a never-written line zero-initializes it through the full
-// secure path first.
 func (e *Direct) ReadLine(addr uint64, dst []byte) error {
-	if err := e.checkLine("read", addr); err != nil {
+	if err := e.checkRead(addr, dst, e.WriteLine); err != nil {
 		return err
 	}
-	if len(dst) != geometry.LineSize {
-		return &AccessError{Op: "read", Addr: addr, Why: "dst must be exactly 128B"}
-	}
-	if !e.touched[addr/geometry.LineSize] {
-		zero := make([]byte, geometry.LineSize)
-		if err := e.WriteLine(addr, zero); err != nil {
-			return err
-		}
-	}
-	// Verify the MAC line through the MT before trusting its MACs
-	// ("every newly fetched MAC block must be authenticated").
-	if e.prot.Tree {
-		line := e.lay.MACLine(addr)
-		var leaf [geometry.LineSize]byte
-		e.macLineImage(line, leaf[:])
-		if err := e.tree.verifyLeaf(line, leaf[:], addr); err != nil {
-			return err
-		}
+	if err := e.verifyMACLine(addr); err != nil {
+		return err
 	}
 	var ct [geometry.LineSize]byte
 	e.backing.Read(addr, ct[:])
@@ -170,64 +122,25 @@ func (e *Direct) ReadLine(addr uint64, dst []byte) error {
 	return nil
 }
 
-// ReadSector verifies and decrypts one 32-byte sector.
-func (e *Direct) ReadSector(addr uint64, dst []byte) error {
-	if addr%geometry.SectorSize != 0 {
-		return &AccessError{Op: "read", Addr: addr, Why: "not 32B-aligned"}
+// scrubLine checks one written line without decrypting it: a failed
+// MAC-line authentication is its one violation, and otherwise every
+// sector whose MAC mismatches the stored ciphertext is one.
+func (e *Direct) scrubLine(addr uint64, vs []*IntegrityError) []*IntegrityError {
+	if ie, ok := e.verifyMACLine(addr).(*IntegrityError); ok {
+		return append(vs, ie)
 	}
-	lineAddr := addr / geometry.LineSize * geometry.LineSize
-	var buf [geometry.LineSize]byte
-	if err := e.ReadLine(lineAddr, buf[:]); err != nil {
-		return err
+	if !e.prot.MAC {
+		return vs
 	}
-	off := addr - lineAddr
-	copy(dst, buf[off:off+geometry.SectorSize])
-	return nil
-}
-
-// Write writes arbitrary 128B-aligned spans.
-func (e *Direct) Write(addr uint64, data []byte) error {
-	if len(data)%geometry.LineSize != 0 {
-		return &AccessError{Op: "write", Addr: addr, Why: "length must be a multiple of 128B"}
-	}
-	for off := 0; off < len(data); off += geometry.LineSize {
-		if err := e.WriteLine(addr+uint64(off), data[off:off+geometry.LineSize]); err != nil {
-			return err
+	var ct [geometry.LineSize]byte
+	e.backing.Read(addr, ct[:])
+	for s := 0; s < geometry.SectorsPerLine; s++ {
+		sa := addr + uint64(s)*geometry.SectorSize
+		sector := ct[s*geometry.SectorSize : (s+1)*geometry.SectorSize]
+		want := e.backing.ReadUint16(e.lay.MACSectorAddr(sa))
+		if got := e.mac.AddressMAC(sector, sa); got != want {
+			vs = append(vs, &IntegrityError{Kind: "mac", Addr: sa, Detail: "sector MAC mismatch (scrub)"})
 		}
 	}
-	return nil
+	return vs
 }
-
-// Read reads arbitrary 128B-aligned spans.
-func (e *Direct) Read(addr uint64, dst []byte) error {
-	if len(dst)%geometry.LineSize != 0 {
-		return &AccessError{Op: "read", Addr: addr, Why: "length must be a multiple of 128B"}
-	}
-	for off := 0; off < len(dst); off += geometry.LineSize {
-		if err := e.ReadLine(addr+uint64(off), dst[off:off+geometry.LineSize]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Engine is the interface both functional engines satisfy; the
-// examples and the root-package API accept either.
-type Engine interface {
-	ReadLine(addr uint64, dst []byte) error
-	WriteLine(addr uint64, src []byte) error
-	ReadSector(addr uint64, dst []byte) error
-	Read(addr uint64, dst []byte) error
-	Write(addr uint64, data []byte) error
-	Backing() *mem.Sparse
-	Layout() *geometry.Layout
-	Protection() Protection
-	// VerifyAll scrubs the whole protected region offline, reporting
-	// every MAC or tree violation without returning data.
-	VerifyAll() *ScrubReport
-}
-
-var (
-	_ Engine = (*CounterMode)(nil)
-	_ Engine = (*Direct)(nil)
-)

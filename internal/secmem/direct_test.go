@@ -102,24 +102,6 @@ func TestDirectReadUnwrittenLineIsZero(t *testing.T) {
 	}
 }
 
-func TestDirectReadSector(t *testing.T) {
-	e := MustDirect(testRegion, testKeys(), FullProtection)
-	line := make([]byte, geometry.LineSize)
-	fillPattern(line, 0xaa)
-	if err := e.WriteLine(0x800, line); err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < geometry.SectorsPerLine; s++ {
-		got := make([]byte, geometry.SectorSize)
-		if err := e.ReadSector(0x800+uint64(s)*geometry.SectorSize, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, line[s*geometry.SectorSize:(s+1)*geometry.SectorSize]) {
-			t.Fatalf("sector %d mismatch", s)
-		}
-	}
-}
-
 func TestDirectAccessValidation(t *testing.T) {
 	e := MustDirect(testRegion, testKeys(), FullProtection)
 	buf := make([]byte, geometry.LineSize)
@@ -133,7 +115,6 @@ func TestDirectAccessValidation(t *testing.T) {
 		{"misaligned read", e.ReadLine(3, buf)},
 		{"short write", e.WriteLine(0, buf[:5])},
 		{"short read", e.ReadLine(0, buf[:5])},
-		{"misaligned sector", e.ReadSector(7, make([]byte, 32))},
 	}
 	for _, tc := range cases {
 		if tc.err == nil || !errors.As(tc.err, &accessErr) {
@@ -181,15 +162,46 @@ func TestEnginesInteroperability(t *testing.T) {
 	data := make([]byte, 2*geometry.LineSize)
 	fillPattern(data, 0x99)
 	for name, e := range engines {
-		if err := e.Write(0x1000, data); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		for off := 0; off < len(data); off += geometry.LineSize {
+			if err := e.WriteLine(0x1000+uint64(off), data[off:off+geometry.LineSize]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 		}
 		got := make([]byte, len(data))
-		if err := e.Read(0x1000, got); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		for off := 0; off < len(got); off += geometry.LineSize {
+			if err := e.ReadLine(0x1000+uint64(off), got[off:off+geometry.LineSize]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("%s: span mismatch", name)
+		}
+	}
+}
+
+// TestReadLineAllocs: reading a written line allocates only the AES
+// block that each CMAC, pad or XEX call hands to the cipher.Block
+// interface: one per tree hash on the way to the root (the leaf and
+// every level), one per sector MAC and one per sector decryption. The
+// line, counter-line and tree-node buffers stay on the stack.
+func TestReadLineAllocs(t *testing.T) {
+	for name, e := range map[string]Engine{
+		"counter-mode": MustCounterMode(testRegion, testKeys(), FullProtection),
+		"direct":       MustDirect(testRegion, testKeys(), FullProtection),
+	} {
+		buf := make([]byte, geometry.LineSize)
+		fillPattern(buf, 0x21)
+		if err := e.WriteLine(0x400, buf); err != nil {
+			t.Fatal(err)
+		}
+		bound := float64(1 + e.Layout().TreeLevels() + 2*geometry.SectorsPerLine)
+		n := testing.AllocsPerRun(100, func() {
+			if err := e.ReadLine(0x400, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > bound {
+			t.Errorf("%s: ReadLine allocates %v objects, want at most %v", name, n, bound)
 		}
 	}
 }

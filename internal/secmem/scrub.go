@@ -28,69 +28,24 @@ func (r *ScrubReport) OK() bool { return len(r.Violations) == 0 }
 // each touched line's counter is authenticated through the BMT and its
 // sector MACs are recomputed from the stored ciphertext. The engine
 // state is not modified.
-func (e *CounterMode) VerifyAll() *ScrubReport {
-	rep := &ScrubReport{}
-	buf := make([]byte, geometry.LineSize)
-	for addr := uint64(0); addr < e.lay.DataBytes; addr += geometry.LineSize {
-		if !e.touched[addr/geometry.LineSize] {
-			rep.LinesSkipped++
-			continue
-		}
-		rep.LinesChecked++
-		line := e.lay.CounterLine(addr)
-		slot := e.lay.CounterSlot(addr)
-		cl, err := e.verifyCounterLine(line, addr)
-		if err != nil {
-			if ie, ok := err.(*IntegrityError); ok {
-				rep.Violations = append(rep.Violations, ie)
-				continue
-			}
-		}
-		if err := e.decryptLine(addr, &cl, slot, buf); err != nil {
-			if ie, ok := err.(*IntegrityError); ok {
-				rep.Violations = append(rep.Violations, ie)
-			}
-		}
-	}
-	return rep
-}
+func (e *CounterMode) VerifyAll() *ScrubReport { return e.scrub(e.scrubLine) }
 
 // VerifyAll scans the whole protected region of a direct-encryption
 // engine: each touched line's MAC line is authenticated through the MT
 // and its sector MACs are recomputed from the stored ciphertext.
-func (e *Direct) VerifyAll() *ScrubReport {
+func (e *Direct) VerifyAll() *ScrubReport { return e.scrub(e.scrubLine) }
+
+// scrub runs check over every touched line in address order and counts
+// the untouched ones as skipped; check appends the line's violations.
+func (e *engine) scrub(check func(addr uint64, vs []*IntegrityError) []*IntegrityError) *ScrubReport {
 	rep := &ScrubReport{}
-	var leaf [geometry.LineSize]byte
 	for addr := uint64(0); addr < e.lay.DataBytes; addr += geometry.LineSize {
 		if !e.touched[addr/geometry.LineSize] {
 			rep.LinesSkipped++
 			continue
 		}
 		rep.LinesChecked++
-		if e.prot.Tree {
-			line := e.lay.MACLine(addr)
-			e.macLineImage(line, leaf[:])
-			if err := e.tree.verifyLeaf(line, leaf[:], addr); err != nil {
-				if ie, ok := err.(*IntegrityError); ok {
-					rep.Violations = append(rep.Violations, ie)
-					continue
-				}
-			}
-		}
-		if e.prot.MAC {
-			var ct [geometry.LineSize]byte
-			e.backing.Read(addr, ct[:])
-			for s := 0; s < geometry.SectorsPerLine; s++ {
-				sa := addr + uint64(s)*geometry.SectorSize
-				sector := ct[s*geometry.SectorSize : (s+1)*geometry.SectorSize]
-				want := e.backing.ReadUint16(e.lay.MACSectorAddr(sa))
-				if got := e.mac.AddressMAC(sector, sa); got != want {
-					rep.Violations = append(rep.Violations, &IntegrityError{
-						Kind: "mac", Addr: sa, Detail: "sector MAC mismatch (scrub)",
-					})
-				}
-			}
-		}
+		rep.Violations = check(addr, rep.Violations)
 	}
 	return rep
 }

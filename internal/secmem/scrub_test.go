@@ -120,56 +120,3 @@ func TestScrubDoesNotPerturbState(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSHA256TreeHashEngines: both engines work end to end with the
-// keyed-SHA256 hash-tree option, including tamper and replay
-// detection.
-func TestSHA256TreeHashEngines(t *testing.T) {
-	prot := Protection{MAC: true, Tree: true, TreeHash: TreeHashSHA256}
-	for name, e := range map[string]Engine{
-		"counter-mode": MustCounterMode(testRegion, testKeys(), prot),
-		"direct":       MustDirect(testRegion, testKeys(), prot),
-	} {
-		line := make([]byte, geometry.LineSize)
-		fillPattern(line, 0x3a)
-		if err := e.WriteLine(0x400, line); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := make([]byte, geometry.LineSize)
-		if err := e.ReadLine(0x400, got); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// Replay the metadata region covering the line.
-		lay := e.Layout()
-		var metaAddr uint64
-		if lay.NumCounterLines > 0 {
-			metaAddr = lay.CounterLineAddr(lay.CounterLine(0x400))
-		} else {
-			metaAddr = lay.MACLineAddr(lay.MACLine(0x400))
-		}
-		old := e.Backing().Snapshot(metaAddr, geometry.LineSize)
-		oldData := e.Backing().Snapshot(0x400, geometry.LineSize)
-		var oldMACs []byte
-		macLine := lay.MACLineAddr(lay.MACLine(0x400))
-		oldMACs = e.Backing().Snapshot(macLine, geometry.LineSize)
-		if err := e.WriteLine(0x400, make([]byte, geometry.LineSize)); err != nil {
-			t.Fatal(err)
-		}
-		e.Backing().Write(metaAddr, old)
-		e.Backing().Write(0x400, oldData)
-		e.Backing().Write(macLine, oldMACs)
-		if err := e.ReadLine(0x400, got); err == nil {
-			t.Fatalf("%s: replay undetected under SHA-256 tree", name)
-		}
-	}
-}
-
-// TestTreeHashKindsIncompatible: trees built under different hash
-// kinds produce different roots (no silent downgrade).
-func TestTreeHashKindsIncompatible(t *testing.T) {
-	cm := MustCounterMode(testRegion, testKeys(), Protection{MAC: true, Tree: true, TreeHash: TreeHashCMAC})
-	sh := MustCounterMode(testRegion, testKeys(), Protection{MAC: true, Tree: true, TreeHash: TreeHashSHA256})
-	if cm.tree.root == sh.tree.root {
-		t.Fatal("CMAC and SHA-256 trees share a root")
-	}
-}

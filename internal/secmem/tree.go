@@ -19,7 +19,7 @@ import (
 // concern modelled in internal/sim).
 type integrityTree struct {
 	lay     *geometry.Layout
-	hash    crypto.NodeHasher
+	hash    *crypto.CMAC
 	backing *mem.Sparse
 	// root is the trusted on-chip register: the hash of the level-0
 	// node.
